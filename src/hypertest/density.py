@@ -385,7 +385,11 @@ def tv_forms(a: SampleDistribution, b: SampleDistribution) -> tuple[float, float
 
 def tv_distance(a: SampleDistribution, b: SampleDistribution) -> float:
     half_sum, max_event = tv_forms(a, b)
-    assert abs(half_sum - max_event) <= 1e-9, "variation distance forms disagree"
+    if abs(half_sum - max_event) > 1e-9:
+        raise ValueError(
+            f"variation distance forms disagree: half-sum {half_sum} vs best event "
+            f"{max_event}; are both laws normalized?"
+        )
     return half_sum
 
 

@@ -5,14 +5,17 @@ tensor T aggregates the (1/n^r)-normalized edge indicator over unordered
 (r-1)-subset atoms, so the energy of a labeling L is
 sum_{a1..ar} T[a1..ar] * J[L(a1)..L(ar)], summed over colors. The exact
 optimizer enumerates labelings; the annealer proposes single-atom class
-moves with geometric cooling and a greedy polish.
+moves with geometric cooling and a greedy polish. It keeps per-atom
+local fields (the energy each atom would see in each class, summed over
+colors and positions), so a proposal's energy change is a table lookup:
+O(1) for r = 2, whatever k is. An accepted move updates the fields in
+O(m^(r-1) q) per color and position pair.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 from math import comb, exp
 from typing import Any, Sequence
 
@@ -99,12 +102,19 @@ def _graphon_instance(w: StepGraphon, colors: Sequence[int]) -> list[np.ndarray]
     return out
 
 
+def _tuple_codes(labels: np.ndarray, width: int, q: int) -> np.ndarray:
+    """Class code sum_i L(a_i) q^(width-1-i) of every width-tuple of atoms, in C order."""
+    codes = np.zeros(1, dtype=np.intp)
+    for _ in range(width):
+        codes = (codes[:, None] * q + labels[None, :]).ravel()
+    return codes
+
+
 def _labeling_energy(tensors: Sequence[np.ndarray], js: Sequence[np.ndarray], labels: np.ndarray) -> float:
-    total = 0.0
-    for t, j in zip(tensors, js):
-        mapped = j[np.ix_(*([labels] * t.ndim))]
-        total += float((t * mapped).sum())
-    return total
+    """sum over colors and atom tuples of T[a1..ar] * J[L(a1)..L(ar)]."""
+    q = js[0].shape[0]
+    codes = _tuple_codes(labels, tensors[0].ndim, q)
+    return sum(float((t.ravel() * j.ravel()[codes]).sum()) for t, j in zip(tensors, js))
 
 
 def energy(h: ColoredHypergraph, j: CouplingArray, p: TuplePartition) -> float:
@@ -218,65 +228,146 @@ def _maximize(
         return value, labels
     if mode != "anneal":
         raise ValueError(f"unknown mode {mode!r}")
+    if restarts < 1:
+        raise ValueError(f"restarts must be at least 1, got {restarts}")
+    fields = _LocalFields(tensors, js, q)
     best_val, best_labels = -np.inf, None
-    for restart in range(max(1, restarts)):
+    for restart in range(restarts):
         rng = generator(derive_seed(seed, restart))
-        val, labels = _anneal_once(tensors, js, m, q, rng)
+        val, labels = _anneal_once(fields, rng)
         if val > best_val:
             best_val, best_labels = val, labels
     return best_val, best_labels
 
 
-def _energy_of(tensors, js, labels) -> float:
-    total = 0.0
-    for t, j in zip(tensors, js):
-        mapped = j[np.ix_(*([labels] * t.ndim))]
-        total += float((t * mapped).sum())
-    return total
+class _LocalFields:
+    """Per-atom class fields of a labeling, kept current under single-atom moves.
 
-
-@lru_cache(maxsize=None)
-def _position_subsets(r: int) -> tuple[tuple[tuple[int, ...], int], ...]:
-    out = []
-    for size in range(1, r + 1):
-        for s in itertools.combinations(range(r), size):
-            out.append((s, 1 if size % 2 else -1))
-    return tuple(out)
-
-
-def _move_delta(tensors, js, labels, atom: int, new_class: int) -> float:
-    """Energy change from relabeling one atom, via inclusion-exclusion.
-
-    Only tuples containing the atom change; sums over tuples hitting it in
-    a fixed nonempty position set S telescope to the exact difference.
+    f[a, x] sums, over colors and positions p, the weight of every tuple
+    with atom a at p when p takes class x and the other positions keep
+    their current labels (a's own included). Moving a from o to c changes
+    the energy by f[a, c] - f[a, o], plus a correction for tuples that hit a at a set U
+    of two or more positions: there the fields count the change once per
+    position of U, with o at the rest of U, where the true change puts c
+    at all of U. Corrections with no free position are tabulated per
+    atom (for r = 2 that is every correction, so a proposal is a table
+    lookup); the others are gathered per proposal, and only for atoms
+    that carry such tuples. An accepted move of b updates the fields by
+    telescoping over the positions where b can sit.
     """
-    old = int(labels[atom])
-    if old == new_class:
-        return 0.0
-    lab_new = labels.copy()
-    lab_new[atom] = new_class
-    delta = 0.0
-    for t, j in zip(tensors, js):
-        r = t.ndim
-        for s, sign in _position_subsets(r):
-            fixed = tuple(atom if i in s else slice(None) for i in range(r))
-            t_s = t[fixed]
-            j_new = j[tuple(new_class if i in s else slice(None) for i in range(r))]
-            j_old = j[tuple(old if i in s else slice(None) for i in range(r))]
-            free = r - len(s)
-            if free:
-                j_new = j_new[np.ix_(*([lab_new] * free))]
-                j_old = j_old[np.ix_(*([labels] * free))]
-            delta += sign * float((t_s * (j_new - j_old)).sum())
-    return delta
+
+    def __init__(self, tensors: Sequence[np.ndarray], js: Sequence[np.ndarray], q: int) -> None:
+        self.tensors, self.js, self.q = tensors, js, q
+        r, m = tensors[0].ndim, tensors[0].shape[0]
+        self.m = m
+        # one term per (color, field position p, moved position s): the moved
+        # atom's slice t_pairs[b] is (atom at p) x (term, free tuple), and
+        # j_pairs[c] is (term, class at p, free class code)
+        pairs = list(itertools.permutations(range(r), 2))
+        terms = [(t, j, p, s) for t, j in zip(tensors, js) for p, s in pairs]
+        n_terms, n_free = len(terms), max(r - 2, 0)
+        t_pairs = np.empty((m, m, n_terms, m**n_free))
+        self._j_pairs = np.empty((q, n_terms, q, q**n_free))
+        self._use_new = np.empty((n_terms, n_free), dtype=bool)
+        for i, (t, j, p, s) in enumerate(terms):
+            free = [pos for pos in range(r) if pos not in (p, s)]
+            t_pairs[:, :, i] = t.transpose((s, p, *free)).reshape(m, m, -1)
+            self._j_pairs[:, i] = j.transpose((s, p, *free)).reshape(q, q, -1)
+            # telescoping: free positions before s already carry the new label
+            self._use_new[i] = [pos < s for pos in free]
+        self._t_pairs = t_pairs.reshape(m, m, -1)
+        self._free_atoms = np.indices((m,) * n_free).reshape(n_free, m**n_free)
+        self._rows = np.arange(n_terms)[:, None]
+        self._no_codes = np.zeros((n_terms, m**n_free), dtype=np.intp)
+        # corrections for tuples hitting an atom exactly at positions U, |U| >= 2
+        self._diag = np.zeros((m, q, q))
+        self._partial_terms = []
+        partial = np.zeros(m, dtype=bool)
+        for size in range(2, r + 1):
+            for u in itertools.combinations(range(r), size):
+                free = [i for i in range(r) if i not in u]
+                xs, kappas = [], []
+                for t, j in zip(tensors, js):
+                    x, kappa = _exact_hits(t.transpose((*u, *free)), j.transpose((*u, *free)), size)
+                    xs.append(x)
+                    kappas.append(kappa)
+                x, kappa = np.stack(xs, axis=1), np.stack(kappas)
+                if not free:
+                    self._diag += np.einsum("ai,ico->aco", x[:, :, 0], kappa[..., 0])
+                else:
+                    partial |= x.reshape(m, -1).any(axis=1)
+                    self._partial_terms.append((len(free), x.reshape(m, -1), kappa))
+        self._partial = partial.tolist()
+
+    def reset(self, labels: np.ndarray) -> None:
+        """Adopt a labeling (kept by reference and updated by moves) and build its fields."""
+        self.labels = labels
+        r, m, q = self.tensors[0].ndim, self.m, self.q
+        codes = _tuple_codes(labels, r - 1, q)
+        self.f = np.zeros((m, q))
+        for t, j in zip(self.tensors, self.js):
+            for p in range(r):
+                order = (p, *(i for i in range(r) if i != p))
+                gathered = j.transpose(order).reshape(q, -1)[:, codes]
+                self.f += t.transpose(order).reshape(m, -1) @ gathered.T
+
+    def delta(self, atom: int, cls: int) -> float:
+        """Energy change from relabeling one atom."""
+        old = self.labels[atom]
+        if cls == old:
+            return 0.0
+        row = self.f[atom]
+        d = row[cls] - row[old] + self._diag[atom, cls, old]
+        if self._partial[atom]:
+            for width, x, kappa in self._partial_terms:
+                codes = _tuple_codes(self.labels, width, self.q)
+                d += x[atom] @ kappa[:, cls, old][:, codes].ravel()
+        return float(d)
+
+    def move(self, atom: int, cls: int) -> None:
+        """Relabel one atom and update every field it enters."""
+        labels, q = self.labels, self.q
+        codes = self._no_codes
+        for slot, idx in enumerate(self._free_atoms):
+            old = labels[idx]
+            new = np.where(idx == atom, cls, old)
+            codes = codes * q + np.where(self._use_new[:, slot, None], new, old)
+        jd = self._j_pairs[cls] - self._j_pairs[labels[atom]]
+        self.f += self._t_pairs[atom] @ jd[self._rows, :, codes].reshape(-1, q)
+        labels[atom] = cls
 
 
-def _anneal_once(tensors, js, m: int, q: int, rng) -> tuple[float, np.ndarray]:
+def _exact_hits(t: np.ndarray, j: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Weights and correction couplings of the tuples hitting an atom exactly at U.
+
+    t and j have the positions of U first. x[a, e] is t at (a,..,a, e) for
+    free tuples e that avoid a; kappa[c, o, d] is the correction per unit
+    weight when a moves from o to c and the free positions carry class
+    code d: J[c@U] - sum_{p in U} J[c@p, o@U-p] + (|U|-1) J[o@U].
+    """
+    m, q = t.shape[0], j.shape[0]
+    free = t.ndim - size
+    atoms = np.arange(m)
+    x = t[(atoms,) * size].reshape(m, -1)
+    grid = np.indices((m,) * free).reshape(free, m**free)
+    x[(grid[None, :, :] == atoms[:, None, None]).any(axis=1)] = 0.0
+    jf = j.reshape((q,) * size + (-1,))
+    c, o = np.arange(q)[:, None], np.arange(q)[None, :]
+    kappa = jf[(c,) * size] + (size - 1) * jf[(o,) * size]
+    for p in range(size):
+        kappa = kappa - jf[tuple(c if i == p else o for i in range(size))]
+    return x, kappa
+
+
+def _anneal_once(fields: _LocalFields, rng) -> tuple[float, np.ndarray]:
+    m, q = fields.m, fields.q
     labels = rng.integers(0, q, size=m)
+    fields.reset(labels)
+    delta, move = fields.delta, fields.move
     # warmup pass measures the move scale to set the starting temperature
     moves = max(2 * m, 20)
     scale = max(
-        (abs(_move_delta(tensors, js, labels, int(rng.integers(m)), int(rng.integers(q)))) for _ in range(moves)),
+        (abs(delta(int(rng.integers(m)), int(rng.integers(q)))) for _ in range(moves)),
         default=0.0,
     )
     temp = max(scale, 1e-12)
@@ -287,9 +378,9 @@ def _anneal_once(tensors, js, m: int, q: int, rng) -> tuple[float, np.ndarray]:
             cls = int(rng.integers(q))
             if cls == labels[atom]:
                 continue
-            d = _move_delta(tensors, js, labels, atom, cls)
+            d = delta(atom, cls)
             if d >= 0 or rng.random() < exp(d / temp):
-                labels[atom] = cls
+                move(atom, cls)
         temp *= 0.95
     # greedy polish: strictly improving single moves until stable
     improved = True
@@ -297,11 +388,10 @@ def _anneal_once(tensors, js, m: int, q: int, rng) -> tuple[float, np.ndarray]:
         improved = False
         for atom in range(m):
             for cls in range(q):
-                d = _move_delta(tensors, js, labels, atom, cls)
-                if d > 1e-13:
-                    labels[atom] = cls
+                if delta(atom, cls) > 1e-13:
+                    move(atom, cls)
                     improved = True
-    return _energy_of(tensors, js, labels), labels
+    return _labeling_energy(fields.tensors, fields.js, labels), labels
 
 
 # ----------------------------------------------------------------------

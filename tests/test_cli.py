@@ -62,6 +62,19 @@ class TestExitCodes:
         assert rc == 1
         assert "edge-density" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("restarts", ["0", "-3"])
+    def test_gse_rejects_nonpositive_restarts(
+        self, graph_file: str, tmp_path: Path, restarts: str, capsys
+    ) -> None:
+        j = CouplingArray(2, 2, 2, {1: np.eye(2), 2: -np.eye(2)})
+        jf = write_json(tmp_path / "j.json", j.to_json())
+        rc = cli.run([
+            "gse", "--in", graph_file, "--coupling", jf, "--mode", "heuristic",
+            "--restarts", restarts, "--seed", "1",
+        ])
+        assert rc == 1
+        assert "restarts must be at least 1" in capsys.readouterr().err
+
     def test_malformed_json_reports_line_and_column(self, tmp_path: Path, capsys) -> None:
         bad = tmp_path / "bad.json"
         bad.write_text('{"n": 3,\n  "r": }')

@@ -263,6 +263,17 @@ class TestVariationDistance:
         d02 = tv_distance(mus[0], mus[2])
         assert d02 <= d01 + d12 + 1e-12
 
+    def test_unnormalized_law_rejected(self):
+        # built around the constructor's check, as a hand-edited law could be
+        mu = sample_distribution(C5, 2)
+        heavy = object.__new__(SampleDistribution)
+        for field, value in vars(mu).items():
+            object.__setattr__(heavy, field, value)
+        key = next(iter(mu.probs))
+        object.__setattr__(heavy, "probs", {**mu.probs, key: mu.probs[key] + 0.5})
+        with pytest.raises(ValueError, match="forms disagree"):
+            tv_distance(heavy, mu)
+
     def test_mismatched_support_rejected(self):
         mu_graph = sample_distribution(C5, 2)
         mu_iota = sample_distribution(embed(C5), 2)

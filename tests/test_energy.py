@@ -5,6 +5,8 @@ from math import comb, factorial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hypertest.budget import BudgetError
 from hypertest.cutnorm import (
@@ -15,6 +17,9 @@ from hypertest.cutnorm import (
 )
 from hypertest.energy import (
     CouplingArray,
+    _labeling_energy,
+    _LocalFields,
+    _maximize,
     concentration_experiment,
     energy,
     gse,
@@ -179,6 +184,62 @@ class TestGse:
             gse(g, j, mode="exact", budget=1000)
         with pytest.raises(ValueError, match="mode"):
             gse(g, ising_coupling(), mode="solve")
+
+    @pytest.mark.parametrize("restarts", [0, -3])
+    def test_nonpositive_restarts_rejected(self, restarts):
+        with pytest.raises(ValueError, match="restarts"):
+            gse(k33(), ising_coupling(), mode="anneal", restarts=restarts)
+
+
+# random instances: T is dense, so tuples that repeat an atom carry weight
+# as in graphon instances, and J is asymmetric as in the reduction arrays
+instances = st.tuples(
+    st.sampled_from([1, 2, 3]),
+    st.integers(min_value=1, max_value=6),
+    st.integers(min_value=1, max_value=4),
+    st.integers(min_value=1, max_value=2),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+
+
+def random_instance(r, m, q, k, seed):
+    rng = np.random.default_rng(seed)
+    tensors = [rng.uniform(-1, 1, (m,) * r) for _ in range(k)]
+    js = [rng.uniform(-1, 1, (q,) * r) for _ in range(k)]
+    return tensors, js, rng
+
+
+class TestLocalFields:
+    @given(instances)
+    @settings(max_examples=60, deadline=None)
+    def test_deltas_and_fields_match_recomputation(self, shape):
+        r, m, q, k, seed = shape
+        tensors, js, rng = random_instance(r, m, q, k, seed)
+        labels = rng.integers(0, q, size=m)
+        fields = _LocalFields(tensors, js, q)
+        fields.reset(labels)
+        for _ in range(12):
+            before = _labeling_energy(tensors, js, labels)
+            for atom in range(m):
+                for cls in range(q):
+                    moved = labels.copy()
+                    moved[atom] = cls
+                    exact = _labeling_energy(tensors, js, moved) - before
+                    assert fields.delta(atom, cls) == pytest.approx(exact, abs=1e-12)
+            fields.move(int(rng.integers(m)), int(rng.integers(q)))
+        fresh = _LocalFields(tensors, js, q)
+        fresh.reset(labels.copy())
+        assert np.allclose(fields.f, fresh.f, rtol=0.0, atol=1e-12)
+
+    @given(instances)
+    @settings(max_examples=30, deadline=None)
+    def test_anneal_never_beats_exact(self, shape):
+        r, m, q, k, seed = shape
+        tensors, js, _ = random_instance(r, m, q, k, seed)
+        exact, _ = _maximize(tensors, js, m, q, "exact", 0, None, 1)
+        heur, labels = _maximize(tensors, js, m, q, "anneal", seed, None, 2)
+        assert heur <= exact + 1e-12
+        assert heur == pytest.approx(_labeling_energy(tensors, js, labels), abs=1e-12)
 
 
 class TestGseGraphon:
