@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import subprocess
 import sys
 import time
@@ -398,7 +397,6 @@ def _cmd_probe(args: argparse.Namespace) -> dict[str, Any]:
         raise CliError("--q-grid is empty")
     report = probe_sample_complexity(
         f, g, args.eps, grid, trials=args.trials, seed=args.seed,
-        threads=args.threads,
     )
     return {"command": "probe", "mode": "mc", "seed": args.seed, **report}
 
@@ -412,7 +410,6 @@ def _cmd_prop_test(args: argparse.Namespace) -> dict[str, Any]:
         report = property_acceptance_rate(
             prop, g, args.q, args.eps, trials=args.trials, seed=args.seed,
             mode=_REFINE_MODES[args.mode], budget=args.budget,
-            threads=args.threads,
         )
         return {
             "command": "prop-test",
@@ -462,9 +459,8 @@ def _add_budget(sp: argparse.ArgumentParser) -> None:
 
 def _add_threads(sp: argparse.ArgumentParser) -> None:
     sp.add_argument(
-        "--threads", type=int, default=os.cpu_count() or 1,
-        help="worker pool size for trial loops; trials are seed-derived, "
-        "so the pool size never changes the numbers",
+        "--threads", type=int, default=None,
+        help="deprecated and ignored: trials run in one thread",
     )
 
 

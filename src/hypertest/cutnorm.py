@@ -30,6 +30,7 @@ from .graphon import (
     GridPartition,
     StepGraphon,
     VertexGraphon,
+    _as_step,
     class_tuple_weights,
     common_refinement,
     orbit_partition,
@@ -388,9 +389,15 @@ def _ascend(t_eff: np.ndarray, sets: list[np.ndarray], max_sweeps: int = 200) ->
     return sets
 
 
+def _check_restarts(restarts: int) -> None:
+    if restarts < 1:
+        raise ValueError(f"restarts must be at least 1, got {restarts}")
+
+
 def _heuristic_plain(
     t: np.ndarray, restarts: int, seed: int
 ) -> tuple[float, list[tuple[int, ...]]]:
+    _check_restarts(restarts)
     r, m = t.ndim, t.shape[0]
     best_val, best_sets = -1.0, [tuple()] * r
     for restart in range(max(2, restarts)):
@@ -411,11 +418,12 @@ def _heuristic_plain(
 def _heuristic_cutp(
     t: np.ndarray, classes: np.ndarray, tq: int, restarts: int, seed: int
 ) -> tuple[float, list[tuple[int, ...]], np.ndarray]:
+    _check_restarts(restarts)
     r, m = t.ndim, t.shape[0]
     onehot = (np.asarray(classes)[:, None] == np.arange(tq)).astype(float)
     idx = np.asarray(classes)
     best_val, best_sets = -1.0, None
-    for restart in range(max(1, restarts)):
+    for restart in range(restarts):
         if restart == 0:
             sets = [np.ones(m) for _ in range(r)]
         else:
@@ -572,10 +580,6 @@ def graph_difference_arrays(g: ColoredHypergraph, h: ColoredHypergraph) -> dict[
             h.adjacency_array(alpha), n // h.n
         )
     return out
-
-
-def _as_step(w: StepGraphon | VertexGraphon) -> StepGraphon:
-    return w.to_step() if isinstance(w, VertexGraphon) else w
 
 
 def cut_distance(

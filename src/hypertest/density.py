@@ -17,8 +17,21 @@ from typing import Any, Iterable
 import numpy as np
 
 from .budget import BudgetError, check_budget
-from .graphon import StepGraphon, VertexGraphon, subsets_card_lex
-from .hypercore import ColoredHypergraph, IOTA, SampledColoredGraph, colex_subsets
+from .graphon import (
+    StepGraphon,
+    VertexGraphon,
+    _block_classes,
+    _channel_probs,
+    _edge_layout,
+    sample_coordinates,
+)
+from .hypercore import (
+    IOTA,
+    ColoredHypergraph,
+    SampledColoredGraph,
+    colex_edges,
+    induced_patterns,
+)
 from .seeds import generator
 
 __all__ = [
@@ -96,79 +109,29 @@ def _pattern_of(f: GraphLike) -> tuple[int, ...]:
 
 
 # ----------------------------------------------------------------------
-# vectorized induced-color machinery
+# vectorized induced-color machinery (one edge at a time, so the working
+# set stays at one (N, ...) column however many edges a pattern has)
 
 
-def _comb_table(n: int, r: int) -> np.ndarray:
-    table = np.zeros((n + 1, r), dtype=np.int64)
-    for v in range(n + 1):
-        for i in range(r):
-            table[v, i] = comb(v, i + 1)
-    return table
-
-
-def _induced_patterns(g: ColoredHypergraph, verts: np.ndarray) -> np.ndarray:
+def _induced_columns(g: ColoredHypergraph, verts: np.ndarray) -> np.ndarray:
     """Color pattern per row of q vertex indices (may repeat -> reserved color).
 
     verts: (N, q) integer array. Returns (N, C(q,r)) colors, one column per
     colex edge of [q] evaluated at the row's vertices.
     """
-    n, r, q = g.n, g.r, verts.shape[1]
-    colors = np.asarray(
-        [g.color_of(e) for e in colex_subsets(n, r)], dtype=np.int64
-    )
-    table = _comb_table(n, r)
-    out = np.empty((verts.shape[0], comb(q, r)), dtype=np.int64)
-    for col, edge in enumerate(colex_subsets(q, r)):
-        sub = np.sort(verts[:, list(edge)], axis=1)
-        distinct = np.all(np.diff(sub, axis=1) > 0, axis=1)
-        ranks = sum(table[sub[:, i], i] for i in range(r))
-        vals = np.where(distinct, colors[np.minimum(ranks, len(colors) - 1)], IOTA)
-        out[:, col] = vals
+    edges = colex_edges(verts.shape[1], g.r)
+    out = np.empty((verts.shape[0], len(edges)), dtype=np.int64)
+    for col, edge in enumerate(edges):
+        out[:, col] = induced_patterns(g, verts, edge)
     return out
 
 
-def _edge_block_coords(q: int, r: int) -> tuple[list[tuple[int, ...]], list[list[tuple[int, ...]]]]:
-    """Coordinate layout for q-vertex graphon samples.
-
-    Returns the coordinate subsets (every nonempty T of [q] with |T| <= r-1,
-    in (cardinality, lex) order) and, per colex edge, per deleted position,
-    the coordinate indices forming that block of the type cube.
-    """
-    coords = list(subsets_card_lex(tuple(range(q)), r - 1))
-    index = {T: i for i, T in enumerate(coords)}
-    patterns = list(subsets_card_lex(tuple(range(r - 1)), r - 1))
-    blocks_per_edge = []
-    for edge in colex_subsets(q, r):
-        blocks = []
-        for v in edge:
-            rest = tuple(u for u in edge if u != v)
-            blocks.append(
-                tuple(index[tuple(rest[i] for i in pat)] for pat in patterns)
-            )
-        blocks_per_edge.append(blocks)
-    return coords, blocks_per_edge
-
-
-def _step_edge_probs(
-    w: StepGraphon, cells: np.ndarray, q: int, channel_order: list[int]
-) -> list[np.ndarray]:
-    """Per-edge color distributions given coordinate cells (N, ncoords)."""
-    _, blocks_per_edge = _edge_block_coords(q, w.r)
-    stack = np.stack([w.arrays[c] for c in channel_order])
-    labels = w.partition.labels
-    out = []
-    for blocks in blocks_per_edge:
-        classes = tuple(
-            labels[tuple(cells[:, i] for i in blk)] for blk in blocks
-        )
-        out.append(stack[(slice(None),) + classes].T)
-    return out
-
-
-def _step_layout(w: StepGraphon, q: int) -> tuple[int, list[int]]:
-    coords, _ = _edge_block_coords(q, w.r)
-    return len(coords), sorted(w.arrays)
+def _step_edge_probs(w: StepGraphon, cells: np.ndarray, q: int) -> list[np.ndarray]:
+    """Per-edge color distributions (N, channels) given coordinate cells (N, ncoords)."""
+    return [
+        _channel_probs(w, _block_classes(w.partition, cells, blocks)).T
+        for blocks in _edge_layout(q, w.r)
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -216,10 +179,10 @@ def density_graphon(
     if (f.r, f.k) != (w.r, w.k):
         raise ValueError("palettes must match")
     pattern = _pattern_of(f)
+    ncoords = len(sample_coordinates(q, w.r))
     if isinstance(w, VertexGraphon):
         needed = w.n**q
     else:
-        ncoords, _ = _step_layout(w, q)
         needed = w.partition.resolution**ncoords
     try:
         check_budget("density_graphon grid summation", needed, budget)
@@ -230,16 +193,15 @@ def density_graphon(
 
     if isinstance(w, VertexGraphon):
         verts = np.indices((w.n,) * q).reshape(q, -1).T
-        induced = _induced_patterns(w.graph, verts)
+        induced = _induced_columns(w.graph, verts)
         return float(np.mean(np.all(induced == np.asarray(pattern), axis=1)))
 
     if any(c not in w.arrays for c in pattern):
         return 0.0
     g = w.partition.resolution
-    ncoords, channels = _step_layout(w, q)
     cells = np.indices((g,) * ncoords).reshape(ncoords, -1).T
-    probs = _step_edge_probs(w, cells, q, channels)
-    chan_idx = {c: i for i, c in enumerate(channels)}
+    probs = _step_edge_probs(w, cells, q)
+    chan_idx = {c: i for i, c in enumerate(w.channel_order)}
     value = np.ones(len(cells))
     for col, color in enumerate(pattern):
         value = value * probs[col][:, chan_idx[color]]
@@ -269,20 +231,20 @@ def density_mc(
             return 0.0, 0.0
         keys = rng.random((trials, source.n)).argsort(axis=1)[:, :q]
         verts = np.sort(keys, axis=1)
-        induced = _induced_patterns(source, verts)
+        induced = _induced_columns(source, verts)
         x = np.all(induced == pattern, axis=1).astype(float)
     elif isinstance(source, VertexGraphon):
         verts = rng.integers(0, source.n, size=(trials, q))
-        induced = _induced_patterns(source.graph, verts)
+        induced = _induced_columns(source.graph, verts)
         x = np.all(induced == pattern, axis=1).astype(float)
     else:
         if any(c not in source.arrays for c in _pattern_of(f)):
             return 0.0, 0.0
         g = source.partition.resolution
-        ncoords, channels = _step_layout(source, q)
+        ncoords = len(sample_coordinates(q, source.r))
         cells = np.minimum((rng.random((trials, ncoords)) * g).astype(int), g - 1)
-        probs = _step_edge_probs(source, cells, q, channels)
-        chan_idx = {c: i for i, c in enumerate(channels)}
+        probs = _step_edge_probs(source, cells, q)
+        chan_idx = {c: i for i, c in enumerate(source.channel_order)}
         x = np.ones(trials)
         for col, color in enumerate(_pattern_of(f)):
             x = x * probs[col][:, chan_idx[color]]
@@ -323,7 +285,7 @@ def sample_distribution(
         check_budget("sample_distribution support", (k + 1) ** n_edges, budget)
         check_budget("sample_distribution cell sweep", source.n**q, budget)
         verts = np.indices((source.n,) * q).reshape(q, -1).T
-        induced = _induced_patterns(source.graph, verts)
+        induced = _induced_columns(source.graph, verts)
         probs = {p: 0.0 for p in all_patterns(q, r, k, with_iota=True)}
         for row in induced:
             key = tuple(int(c) for c in row)
@@ -336,15 +298,15 @@ def sample_distribution(
     if not isinstance(source, StepGraphon):
         raise TypeError(f"unsupported sample source {type(source).__name__}")
     has_iota = source.has_iota
-    palette = sorted(source.arrays)
+    channels = source.channel_order
     check_budget(
         "sample_distribution support", (k + 1 if has_iota else k) ** n_edges, budget
     )
     g = source.partition.resolution
-    ncoords, channels = _step_layout(source, q)
+    ncoords = len(sample_coordinates(q, r))
     check_budget("sample_distribution grid summation", g**ncoords, budget)
     cells = np.indices((g,) * ncoords).reshape(ncoords, -1).T
-    per_edge = _step_edge_probs(source, cells, q, channels)
+    per_edge = _step_edge_probs(source, cells, q)
     letters = "abcdefghijklmnopqrstuvwxyz"
     if n_edges > len(letters):
         raise ValueError("too many edges to accumulate")

@@ -23,7 +23,7 @@ import numpy as np
 
 from .budget import check_budget
 from .cutnorm import StepKernel, TuplePartition, _array_problem, _kernel_problem
-from .graphon import StepGraphon, VertexGraphon, subsets_card_lex
+from .graphon import StepGraphon, VertexGraphon, _as_step, subsets_card_lex
 from .hypercore import ColoredHypergraph, sample_subgraph
 from .seeds import derive_seed, generator
 
@@ -201,8 +201,7 @@ def gse_graphon(
     This searches grid-respecting partitions only, an inner approximation
     of the supremum over all measurable partitions.
     """
-    if isinstance(w, VertexGraphon):
-        w = w.to_step()
+    w = _as_step(w)
     if (j.r, j.k) != (w.r, w.k):
         raise ValueError("coupling shape does not match the graphon")
     tensors = _graphon_instance(w, range(1, w.k + 1))

@@ -17,6 +17,17 @@ Coordinate conventions, fixed once for the whole package:
 * sampling draws one uniform per coordinate in axis order, then one
   uniform per r-subset in colex order, decoded through the cumulative
   color distribution with colors ascending (0 first when present).
+
+This module owns the sampling layout and the sample embedding for the
+whole package. ``_edge_layout(q, r)`` is the one coordinate/block
+layout of q-vertex samples: for each colex edge and deleted position,
+the indices of the sample coordinates forming that block. ``_block_classes``
+maps coordinate cells through it to partition classes by fancy indexing,
+and ``colors_at`` is the one sampler: it decodes every edge color at
+once by inverse CDF. ``sample_graphon``, the Monte Carlo and exact
+densities and the lift pipeline all draw through these. ``embed_sample``
+is the one embedding of a sample as a step graphon, and
+``VertexGraphon.to_step`` is that embedding on a finer grid.
 """
 
 from __future__ import annotations
@@ -32,7 +43,13 @@ from typing import Any, Iterable, Mapping, Sequence
 import numpy as np
 
 from .budget import BudgetError
-from .hypercore import IOTA, ColoredHypergraph, SampledColoredGraph, colex_subsets
+from .hypercore import (
+    IOTA,
+    ColoredHypergraph,
+    SampledColoredGraph,
+    colex_edges,
+    induced_patterns,
+)
 from .seeds import derive_seed, generator
 
 __all__ = [
@@ -41,6 +58,8 @@ __all__ = [
     "VertexGraphon",
     "evaluate",
     "embed",
+    "embed_sample",
+    "colors_at",
     "sample_graphon",
     "step_average",
     "common_refinement",
@@ -83,24 +102,6 @@ def _axis_perms(r_minus_1: int) -> tuple[tuple[int, ...], ...]:
     for perm in itertools.permutations(range(r_minus_1)):
         out.append(tuple(index[tuple(sorted(perm[v] for v in s))] for s in axes))
     return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def _eval_coords(r: int) -> tuple[tuple[int, ...], ...]:
-    """Proper nonempty subsets of [r]: the axes of the evaluation domain."""
-    return subsets_card_lex(range(r), r - 1)
-
-
-@lru_cache(maxsize=None)
-def _block_indices(r: int) -> tuple[tuple[int, ...], ...]:
-    """For each deleted position l, which evaluation coordinates form block l."""
-    coords = _eval_coords(r)
-    index = {s: i for i, s in enumerate(coords)}
-    blocks = []
-    for l in range(r):
-        rest = tuple(v for v in range(r) if v != l)
-        blocks.append(tuple(index[s] for s in subsets_card_lex(rest, r - 1)))
-    return tuple(blocks)
 
 
 def _cell(x: float, g: int) -> int:
@@ -286,7 +287,7 @@ class StepGraphon:
                 raise ValueError(f"coordinate {x} outside [0, 1)")
         return tuple(
             self.partition.class_of_point([point[i] for i in block])
-            for block in _block_indices(self.r)
+            for block in _edge_layout(self.r, self.r)[0]
         )
 
     def evaluate(self, alpha: int, point: Sequence[float]) -> float:
@@ -344,45 +345,14 @@ class VertexGraphon:
     def to_step(self, resolution: int | None = None) -> StepGraphon:
         """Express the embedding as a step graphon (r = 2 or 3 only).
 
-        The class structure is vertex cells for r = 2 and unordered
-        vertex-cell pairs (diagonal included) for r = 3; class tuples no
-        finite sample can realize carry reserved-color mass so the
-        channels still sum to one.
+        This is :func:`embed_sample` of the graph, its vertex cells
+        refined onto a grid of ``resolution`` (a multiple of n, default
+        n) cells per axis.
         """
-        n, r, k = self.n, self.r, self.k
-        g = resolution if resolution is not None else n
-        if g % n != 0:
-            raise ValueError(f"resolution {g} is not a multiple of n={n}")
-        vcell = np.repeat(np.arange(n), g // n)
-        if r == 2:
-            part = GridPartition(1, g, vcell, n)
-            arrays: dict[int, np.ndarray] = {0: np.eye(n)}
-            for alpha in range(1, k + 1):
-                arrays[alpha] = self.graph.adjacency_array(alpha)
-            return StepGraphon(2, k, part, arrays)
-        if r == 3:
-            pair_index = np.zeros((n, n), dtype=np.int64)
-            count = 0
-            for i in range(n):
-                for j in range(i, n):
-                    pair_index[i, j] = pair_index[j, i] = count
-                    count += 1
-            plane = pair_index[vcell[:, None], vcell[None, :]]
-            labels = np.repeat(plane[:, :, None], g, axis=2)
-            part = GridPartition(2, g, labels, count)
-            shape = (count,) * 3
-            arrays = {0: np.ones(shape)}
-            for alpha in range(1, k + 1):
-                arrays[alpha] = np.zeros(shape)
-            for a, b, c in itertools.product(range(n), repeat=3):
-                if len({a, b, c}) < 3:
-                    continue
-                color = self.graph.color_of(tuple(sorted((a, b, c))))
-                idx = (pair_index[b, c], pair_index[a, c], pair_index[a, b])
-                arrays[0][idx] = 0.0
-                arrays[color][idx] = 1.0
-            return StepGraphon(3, k, part, arrays)
-        raise ValueError(f"to_step supports r in (2, 3), got r={r}; evaluate directly instead")
+        g = resolution if resolution is not None else self.n
+        if g % self.n != 0:
+            raise ValueError(f"resolution {g} is not a multiple of n={self.n}")
+        return _embedding(self.graph, g // self.n)
 
 
 def evaluate(w: StepGraphon | VertexGraphon, alpha: int, point: Sequence[float]) -> float:
@@ -399,26 +369,72 @@ def sample_coordinates(q: int, r: int) -> tuple[tuple[int, ...], ...]:
 
 
 @lru_cache(maxsize=32)
-def _edge_blocks(q: int, r: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    coords = sample_coordinates(q, r)
-    index = {s: i for i, s in enumerate(coords)}
-    out = []
-    for e in colex_subsets(q, r):
-        per_l = []
-        for l in range(r):
-            rest = tuple(v for v in e if v != e[l])
-            per_l.append(tuple(index[s] for s in subsets_card_lex(rest, r - 1)))
-        out.append(tuple(per_l))
-    return tuple(out)
+def _edge_layout(q: int, r: int) -> np.ndarray:
+    """The block layout of q-vertex samples, read-only, shape (C(q, r), r, 2^(r-1) - 1).
+
+    Entry [e, l, j] is the index into ``sample_coordinates(q, r)`` of the
+    j-th axis of the block that deletes position l from the e-th colex
+    edge; ``_edge_layout(r, r)[0]`` is the block structure of one type
+    point.
+    """
+    index = {s: i for i, s in enumerate(sample_coordinates(q, r))}
+    layout = np.array(
+        [[[index[s] for s in subsets_card_lex(e[:l] + e[l + 1:], r - 1)] for l in range(r)]
+         for e in map(tuple, colex_edges(q, r).tolist())],
+        dtype=np.intp,
+    ).reshape(comb(q, r), r, 2 ** (r - 1) - 1)
+    layout.flags.writeable = False
+    return layout
 
 
-def _decode_color(u: float, order: Sequence[int], probs: Sequence[float]) -> int:
-    acc = 0.0
-    for c, p in zip(order, probs):
-        acc += p
-        if u < acc:
-            return c
-    return order[-1]
+def _block_classes(p: GridPartition, cells: np.ndarray, blocks: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Partition class of each block, one array per deleted position.
+
+    ``cells`` holds the grid cells of sample coordinates, shape
+    (N, ncoords); ``blocks`` is a selection of :func:`_edge_layout`, shape
+    (..., r, dim). Returns r arrays of shape (N, ...).
+    """
+    shape = cells.shape[:1] + blocks.shape[:-2]
+    return tuple(
+        np.broadcast_to(p.labels[tuple(cells[:, blocks[..., l, j]] for j in range(p.dim))], shape)
+        for l in range(blocks.shape[-2])
+    )
+
+
+def _channel_probs(w: StepGraphon, classes: tuple[np.ndarray, ...]) -> np.ndarray:
+    """Color distribution at class tuples, channels (in channel order) first."""
+    stack = np.stack([w.arrays[c] for c in w.channel_order])
+    return stack[(slice(None),) + classes]
+
+
+def _vertex_cells(w: VertexGraphon, coords: np.ndarray, q: int) -> np.ndarray:
+    return (np.asarray(coords[:q]) * w.n).astype(np.intp)
+
+
+def colors_at(
+    w: StepGraphon | VertexGraphon, q: int, coords: np.ndarray, edge_uniforms: np.ndarray
+) -> tuple[int, ...]:
+    """Edge colors of the q-vertex sample at given coordinates and edge uniforms.
+
+    ``coords`` holds one uniform per ``sample_coordinates(q, w.r)`` entry,
+    ``edge_uniforms`` one per colex r-subset of [q]. An edge takes the
+    first channel, in channel order, whose cumulative probability at the
+    edge's type point exceeds its uniform, and the last channel when none
+    does. An embedded graph ignores the edge uniforms: its vertices fall
+    into the cells of their singleton coordinates.
+    """
+    if isinstance(w, VertexGraphon):
+        cells = _vertex_cells(w, coords, q)[None, :]
+        return tuple(induced_patterns(w.graph, cells, colex_edges(q, w.r))[0].tolist())
+    g = w.partition.resolution
+    cells = np.minimum((np.asarray(coords) * g).astype(np.intp), g - 1)[None, :]
+    classes = _block_classes(w.partition, cells, _edge_layout(q, w.r))
+    # cumsum adds the channels one at a time in channel order, exactly as a
+    # running sum does, so seeded samples do not depend on the vectorization
+    acc = np.cumsum(_channel_probs(w, classes)[:, 0], axis=0)
+    hit = np.asarray(edge_uniforms) < acc
+    order = np.asarray(w.channel_order)
+    return tuple(np.where(hit.any(axis=0), order[hit.argmax(axis=0)], order[-1]).tolist())
 
 
 def sample_graphon(
@@ -432,54 +448,85 @@ def sample_graphon(
 
     One uniform per coordinate subset (axis order), then one per r-subset
     of [q] (colex order); the edge uniform picks the color through the
-    cumulative distribution at the projected type point. With
-    ``condition_no_iota`` (embedded graphs only) the whole draw repeats
-    until no reserved color appears, up to ``rejection_budget`` attempts.
+    cumulative distribution at the projected type point (:func:`colors_at`).
+    With ``condition_no_iota`` (embedded graphs only) the whole draw
+    repeats until no reserved color appears, up to ``rejection_budget``
+    attempts.
     """
     r = w.r
     if q < r:
         raise ValueError(f"sample size q={q} below uniformity r={r}")
     if condition_no_iota and not isinstance(w, VertexGraphon):
         raise ValueError("condition_no_iota applies to embedded graphs only")
-    coords = sample_coordinates(q, r)
-    blocks = _edge_blocks(q, r)
+    n_coords = len(sample_coordinates(q, r))
     n_edges = comb(q, r)
     rng = generator(seed)
     attempts = 0
     while True:
         attempts += 1
-        xs = rng.random(len(coords))
+        xs = rng.random(n_coords)
         ues = rng.random(n_edges)
-        if isinstance(w, VertexGraphon):
-            cells = tuple(int(x * w.n) for x in xs[:q])
-            if condition_no_iota and len(set(cells)) < q:
-                if attempts >= rejection_budget:
-                    raise BudgetError(
-                        f"sample_graphon rejection (reserved color still present "
-                        f"after {attempts} attempts)",
-                        attempts + 1,
-                        rejection_budget,
-                    )
-                continue
-            colors = []
-            for e in colex_subsets(q, r):
-                ecells = sorted({cells[v] for v in e})
-                colors.append(w.graph.color_of(tuple(ecells)) if len(ecells) == r else IOTA)
-            return SampledColoredGraph(
-                q, r, w.k, tuple(colors),
-                vertices=cells, coords=tuple(float(x) for x in xs),
-            )
-        order = w.channel_order
-        stacked = [w.arrays[c] for c in order]
-        colors = []
-        for edge_blocks, u in zip(blocks, ues):
-            classes = tuple(
-                w.partition.class_of_point(xs[list(block)]) for block in edge_blocks
-            )
-            colors.append(_decode_color(u, order, [a[classes] for a in stacked]))
-        return SampledColoredGraph(
-            q, r, w.k, tuple(colors), coords=tuple(float(x) for x in xs),
-        )
+        coords = tuple(xs.tolist())
+        if not isinstance(w, VertexGraphon):
+            return SampledColoredGraph(q, r, w.k, colors_at(w, q, xs, ues), coords=coords)
+        cells = tuple(_vertex_cells(w, xs, q).tolist())
+        if condition_no_iota and len(set(cells)) < q:
+            if attempts >= rejection_budget:
+                raise BudgetError(
+                    f"sample_graphon rejection (reserved color still present "
+                    f"after {attempts} attempts)",
+                    attempts + 1,
+                    rejection_budget,
+                )
+            continue
+        return SampledColoredGraph(q, r, w.k, colors_at(w, q, xs, ues),
+                                   vertices=cells, coords=coords)
+
+
+def _embedding(sample: SampledColoredGraph | ColoredHypergraph, factor: int) -> StepGraphon:
+    """Step embedding of a sample, each vertex cell split into ``factor`` grid cells."""
+    q, r, k = sample.n, sample.r, sample.k
+    edges = colex_edges(q, r)
+    colors = np.asarray(sample.colors, dtype=np.int64)
+    if r == 2:
+        part = GridPartition(1, q, np.arange(q), q)
+        # color of every ordered vertex pair; the diagonal keeps color 0
+        color_of = np.zeros((q, q), dtype=np.int64)
+        color_of[edges[:, 0], edges[:, 1]] = colors
+        color_of[edges[:, 1], edges[:, 0]] = colors
+    elif r == 3:
+        # one class per unordered vertex pair, diagonal included, in
+        # row-major order of (i <= j); the third axis is free
+        i, j = np.triu_indices(q)
+        pair_index = np.zeros((q, q), dtype=np.int64)
+        pair_index[i, j] = pair_index[j, i] = np.arange(len(i))
+        part = GridPartition(2, q, np.repeat(pair_index[:, :, None], q, axis=2), len(i))
+        # an ordered triple (a, b, d) of distinct vertices lies at the class
+        # tuple of its pairs (bd, ad, ab); unrealized tuples keep color 0
+        color_of = np.zeros((len(i),) * 3, dtype=np.int64)
+        for a, b, d in itertools.permutations(edges.T):
+            color_of[pair_index[b, d], pair_index[a, d], pair_index[a, b]] = colors
+    else:
+        raise ValueError(f"sample embedding supports r in (2, 3), got r={r}")
+    arrays = {c: (color_of == c).astype(float) for c in range(k + 1)}
+    return StepGraphon(r, k, part.refined(factor), arrays)
+
+
+def embed_sample(sample: SampledColoredGraph | ColoredHypergraph) -> StepGraphon:
+    """Step-graphon embedding of a sample, reserved colors included.
+
+    Vertex p owns the p-th cell of a q-resolution grid; for r = 3 the
+    classes are the unordered vertex pairs, diagonal included, and class
+    tuples no sample can realize carry reserved-color mass, so the
+    channels still sum to one. Unlike the plain graph embedding this
+    accepts reserved-color edges (collided graphon samples), which land
+    in channel 0 alongside the diagonal.
+    """
+    return _embedding(sample, 1)
+
+
+def _as_step(w: StepGraphon | VertexGraphon) -> StepGraphon:
+    return w.to_step() if isinstance(w, VertexGraphon) else w
 
 
 def _to_step_compatible(w: VertexGraphon, resolution: int) -> StepGraphon:
@@ -563,14 +610,13 @@ def _weights_from_labels(r: int, labels: np.ndarray, t: int) -> np.ndarray:
         out = np.zeros(t)
         out[int(labels.ravel()[0])] = 1.0
         return out
-    coords = _eval_coords(r)
-    letters = {s: _LETTERS[i] for i, s in enumerate(coords)}
-    class_letters = _LETTERS[len(coords): len(coords) + r]
+    n_coords = 2 ** r - 2
+    class_letters = _LETTERS[n_coords: n_coords + r]
     onehot = (labels[..., None] == np.arange(t)).astype(float)
-    subs = []
-    for l in range(r):
-        rest = tuple(v for v in range(r) if v != l)
-        subs.append("".join(letters[s] for s in subsets_card_lex(rest, r - 1)) + class_letters[l])
+    subs = [
+        "".join(_LETTERS[i] for i in block) + class_letters[l]
+        for l, block in enumerate(_edge_layout(r, r)[0])
+    ]
     # grid axes private to a single slot (the block containing both other
     # vertices) integrate out to plain means; reducing them first keeps the
     # einsum from dragging dead axes through the contraction

@@ -12,6 +12,7 @@ in sampled objects; finite hypergraphs never store it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from itertools import combinations, product
 from math import comb
 from typing import Any, Iterator, Mapping, Sequence
@@ -25,6 +26,8 @@ __all__ = [
     "IOTA",
     "colex_rank",
     "colex_subsets",
+    "colex_edges",
+    "induced_patterns",
     "ColoredHypergraph",
     "SampledColoredGraph",
     "make_hypergraph",
@@ -67,6 +70,40 @@ def colex_subsets(n: int, r: int) -> Iterator[tuple[int, ...]]:
             yield rest + (top,)
 
 
+@lru_cache(maxsize=32)
+def colex_edges(n: int, r: int) -> np.ndarray:
+    """The r-subsets of ``range(n)`` as a read-only (C(n, r), r) array, colex order."""
+    edges = np.array(list(colex_subsets(n, r)), dtype=np.intp).reshape(comb(n, r), r)
+    edges.flags.writeable = False
+    return edges
+
+
+@lru_cache(maxsize=32)
+def _comb_table(n: int, r: int) -> np.ndarray:
+    """table[v, i] = C(v, i + 1): colex ranks as sums of table lookups."""
+    table = np.array([[comb(v, i + 1) for i in range(r)] for v in range(n + 1)],
+                     dtype=np.int64).reshape(n + 1, r)
+    table.flags.writeable = False
+    return table
+
+
+def induced_patterns(g: ColoredHypergraph, verts: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """Colors of ``g`` on batches of vertex tuples, reserved where one repeats.
+
+    ``verts`` holds N rows of q vertices of ``g`` (repeats allowed);
+    ``edges`` selects position tuples into a row, shape (..., r), for
+    example one row or all of ``colex_edges(q, r)``. Returns the colors
+    of the vertex sets ``verts[:, edges]``, shape (N, ...), with the
+    reserved color wherever a set has fewer than r distinct vertices.
+    """
+    sub = np.sort(verts[:, edges], axis=-1)
+    distinct = np.all(np.diff(sub, axis=-1) > 0, axis=-1)
+    table = _comb_table(g.n, g.r)
+    ranks = sum(table[sub[..., i], i] for i in range(g.r))
+    colors = np.asarray(g.colors, dtype=np.int64)
+    return np.where(distinct, colors[np.minimum(ranks, len(colors) - 1)], IOTA)
+
+
 def _validate_colors(n: int, r: int, k: int, colors: tuple[int, ...], allow_iota: bool) -> None:
     if r < 1:
         raise ValueError(f"uniformity r must be >= 1, got {r}")
@@ -81,6 +118,21 @@ def _validate_colors(n: int, r: int, k: int, colors: tuple[int, ...], allow_iota
     for c in colors:
         if not (lo <= c <= k):
             raise ValueError(f"edge color {c} outside palette [{lo}..{k}]")
+
+
+def _induced_colors(g, vertices: Sequence[int]) -> tuple[int, ...]:
+    """Colors of the subgraph induced on sorted ``vertices``, in colex order.
+
+    ``vertices`` must be strictly increasing, so local colex order of
+    position subsets matches global colex order of the image subsets.
+    """
+    verts = tuple(vertices)
+    if any(verts[i] >= verts[i + 1] for i in range(len(verts) - 1)):
+        raise ValueError("vertices must be strictly increasing")
+    return tuple(
+        g.colors[colex_rank(tuple(verts[i] for i in local))]
+        for local in colex_subsets(len(verts), g.r)
+    )
 
 
 @dataclass(frozen=True)
@@ -145,19 +197,7 @@ class ColoredHypergraph:
                     a[tuple(edge[p] for p in perm)] = 1.0
         return a
 
-    def induced_colors(self, vertices: Sequence[int]) -> tuple[int, ...]:
-        """Colors of the subgraph induced on sorted ``vertices``, in colex order.
-
-        ``vertices`` must be strictly increasing, so local colex order of
-        position subsets matches global colex order of the image subsets.
-        """
-        verts = tuple(vertices)
-        if any(verts[i] >= verts[i + 1] for i in range(len(verts) - 1)):
-            raise ValueError("vertices must be strictly increasing")
-        out = []
-        for local in colex_subsets(len(verts), self.r):
-            out.append(self.colors[colex_rank(tuple(verts[i] for i in local))])
-        return tuple(out)
+    induced_colors = _induced_colors
 
     def relabeled(self, perm: Sequence[int]) -> "ColoredHypergraph":
         """The same hypergraph with vertex ``v`` renamed to ``perm[v]``."""
@@ -180,8 +220,10 @@ class SampledColoredGraph:
 
     The provenance fields record how the sample was drawn and are
     excluded from equality: ``vertices`` holds the sorted source
-    positions for subgraph samples, ``coords`` the uniform coordinates
-    (keyed by sorted vertex subsets) for graphon samples.
+    positions for subgraph samples (the vertex cells for samples of
+    embedded graphs), ``coords`` the uniform coordinates of graphon
+    samples as a flat tuple, one per nonempty subset of [q] of size
+    below r in (cardinality, lexicographic) axis order.
     """
 
     q: int
@@ -189,7 +231,7 @@ class SampledColoredGraph:
     k: int
     colors: tuple[int, ...]
     vertices: tuple[int, ...] | None = field(default=None, compare=False)
-    coords: Mapping[tuple[int, ...], float] | None = field(default=None, compare=False)
+    coords: tuple[float, ...] | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "colors", tuple(int(c) for c in self.colors))
@@ -206,15 +248,7 @@ class SampledColoredGraph:
         edge = tuple(sorted(edge))
         return self.colors[colex_rank(edge)]
 
-    def induced_colors(self, vertices: Sequence[int]) -> tuple[int, ...]:
-        """Colors induced on strictly increasing ``vertices``, colex order."""
-        verts = tuple(vertices)
-        if any(verts[i] >= verts[i + 1] for i in range(len(verts) - 1)):
-            raise ValueError("vertices must be strictly increasing")
-        out = []
-        for local in colex_subsets(len(verts), self.r):
-            out.append(self.colors[colex_rank(tuple(verts[i] for i in local))])
-        return tuple(out)
+    induced_colors = _induced_colors
 
     def has_iota(self) -> bool:
         return IOTA in self.colors

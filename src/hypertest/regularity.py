@@ -27,7 +27,14 @@ from .cutnorm import (
     difference_kernel,
     kernel_cutnorm_p,
 )
-from .graphon import GridPartition, StepGraphon, VertexGraphon, orbit_partition, step_average
+from .graphon import (
+    GridPartition,
+    StepGraphon,
+    VertexGraphon,
+    _as_step,
+    orbit_partition,
+    step_average,
+)
 from .seeds import derive_seed
 
 __all__ = [
@@ -62,10 +69,6 @@ class RegularityError(RuntimeError):
         self.v = v
         self.p = p
         self.trace = trace
-
-
-def _as_step(w: StepGraphon | VertexGraphon) -> StepGraphon:
-    return w.to_step() if isinstance(w, VertexGraphon) else w
 
 
 def sup_partition_distance(

@@ -14,29 +14,27 @@ Callbacks registered here must be pure functions of their argument and
 invariant under vertex relabeling; registration spot-checks the
 invariance on random permutations, because that invariance is what makes
 the callback a graph parameter rather than a function of the adjacency
-encoding. Trials are seed-derived and independent, so they can be run in
-any order or in parallel without changing the outcome.
+encoding. Trials are seed-derived and independent, so their outcome does
+not depend on the order they run in.
 """
 
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from math import ceil, comb, log, sqrt
 from typing import Any, Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .budget import BudgetError, check_budget
+from .budget import check_budget
 from .hypercore import (
-    IOTA,
     ColoredHypergraph,
     SampledColoredGraph,
     sample_subgraph,
 )
 from .seeds import derive_seed, generator
-from .transfer import max_over_refinements
+from .transfer import max_over_refinements, refinement_mode
 
 __all__ = [
     "PARAMETERS",
@@ -161,13 +159,6 @@ def wilson_interval(successes: int, trials: int, z: float = Z_95) -> tuple[float
     return max(0.0, center - half), min(1.0, center + half)
 
 
-def _map_trials(fn: Callable[[int], int], trials: int, threads: int) -> list[int]:
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, range(trials)))
-    return [fn(trial) for trial in range(trials)]
-
-
 def probe_sample_complexity(
     f: ParameterFn,
     g: ColoredHypergraph,
@@ -175,7 +166,6 @@ def probe_sample_complexity(
     q_grid: Sequence[int],
     trials: int = 400,
     seed: int = 0,
-    threads: int = 1,
 ) -> dict[str, Any]:
     """Empirical deviation probabilities of f over induced q-samples.
 
@@ -183,10 +173,8 @@ def probe_sample_complexity(
     ``trials`` independent samples with a 95% Wilson interval, and
     reports the smallest q whose upper confidence limit is below eps
     (the working notion of a sufficient sample size: the deviation
-    probability itself should drop below the proximity target).
-
-    ``threads`` spreads trials over a worker pool; each trial's seed is
-    fixed by its index, so the result does not depend on the pool size.
+    probability itself should drop below the proximity target). Each
+    trial's seed is fixed by its index.
     """
     if f.r != g.r or f.k != g.k:
         raise ValueError(f"parameter {f.name!r} expects palette ({f.r}, {f.k})")
@@ -195,13 +183,11 @@ def probe_sample_complexity(
     reference = f(g)
     rows = []
     for qi, q in enumerate(q_grid):
-
-        def one_trial(trial: int, qi: int = qi, q: int = q) -> int:
+        failures = 0
+        for trial in range(trials):
             sub = sample_subgraph(g, q, derive_seed(seed, qi * trials + trial))
             value = f(ColoredHypergraph(sub.n, sub.r, sub.k, sub.colors))
-            return int(abs(value - reference) > eps)
-
-        failures = sum(_map_trials(one_trial, trials, threads))
+            failures += int(abs(value - reference) > eps)
         low, high = wilson_interval(failures, trials)
         rows.append({
             "q": int(q),
@@ -249,16 +235,7 @@ def nd_parameter(
             f"witness palette {f_witness.k} does not refine the graph palette {g.k}"
         )
     arity = f_witness.k // g.k
-    if mode not in ("exhaustive", "local", "auto"):
-        raise ValueError(f"unknown mode {mode!r}")
-    chosen = mode
-    if mode == "auto":
-        m = sum(1 for c in g.colors if c != IOTA)
-        try:
-            check_budget("refinement enumeration", arity ** m, budget)
-            chosen = "exhaustive"
-        except BudgetError:
-            chosen = "local"
+    chosen = refinement_mode(g, arity, mode, budget)
     value, witness = max_over_refinements(
         g, arity, f_witness, mode=chosen, budget=budget,
         restarts=restarts, seed=seed,
@@ -343,23 +320,19 @@ def property_acceptance_rate(
     seed: int = 0,
     mode: str = "auto",
     budget: int | None = None,
-    threads: int = 1,
 ) -> dict[str, Any]:
     """Acceptance frequency of the constructed tester over random q-samples.
 
-    Trial seeds are fixed by index, so ``threads`` only changes the
-    schedule, never the counts.
+    Each trial's seed is fixed by its index.
     """
-
-    def one_trial(trial: int) -> int:
+    accepted = 0
+    for trial in range(trials):
         sub = sample_subgraph(g, q, derive_seed(seed, trial))
         ok, _ = property_tester(
             p_witness, sub, eps, seed=derive_seed(seed, trial),
             mode=mode, budget=budget,
         )
-        return int(ok)
-
-    accepted = sum(_map_trials(one_trial, trials, threads))
+        accepted += int(ok)
     low, high = wilson_interval(accepted, trials)
     return {
         "q": q,

@@ -35,14 +35,18 @@ from .graphon import (
     GridPartition,
     StepGraphon,
     VertexGraphon,
+    _as_step,
+    _block_classes,
+    _edge_layout,
     color_mass,
+    colors_at,
     common_refinement,
     embed,
+    embed_sample,
     l1_distance,
     sample_coordinates,
     sample_graphon,
     step_average,
-    subsets_card_lex,
 )
 from .hypercore import (
     IOTA,
@@ -55,6 +59,7 @@ from .hypercore import (
 from .regularity import RegularityError, weak_regularize
 from .seeds import derive_seed, generator
 
+# embed_sample is defined in graphon and re-exported here
 __all__ = [
     "base_case_report",
     "base_case_transfer",
@@ -63,6 +68,7 @@ __all__ = [
     "embed_sample",
     "lift_coloring",
     "max_over_refinements",
+    "refinement_mode",
     "nd_estimate_pipeline",
     "product_tv",
     "transfer_bound_report",
@@ -98,48 +104,6 @@ def _pad_iota(w: StepGraphon) -> StepGraphon:
         return w
     shape = (w.partition.t,) * w.r
     return StepGraphon(w.r, w.k, w.partition, {0: np.zeros(shape), **w.arrays})
-
-
-def embed_sample(sample: SampledColoredGraph | ColoredHypergraph) -> StepGraphon:
-    """Step-graphon embedding of a sample, reserved colors included.
-
-    Vertex p owns the p-th cell of a q-resolution grid. Unlike the plain
-    graph embedding this accepts reserved-color edges (collided graphon
-    samples), which land in channel 0 alongside the diagonal.
-    """
-    q, r, k = sample.n, sample.r, sample.k
-    if r == 2:
-        part = GridPartition(1, q, np.arange(q), q)
-        arrays: dict[int, np.ndarray] = {c: np.zeros((q, q)) for c in range(1, k + 1)}
-        arrays[0] = np.eye(q)
-        for e in colex_subsets(q, 2):
-            c = sample.color_of(e)
-            arrays[c][e[0], e[1]] = arrays[c][e[1], e[0]] = 1.0
-        return StepGraphon(2, k, part, arrays)
-    if r == 3:
-        pair_index = np.zeros((q, q), dtype=np.int64)
-        count = 0
-        for i in range(q):
-            for j in range(i, q):
-                pair_index[i, j] = pair_index[j, i] = count
-                count += 1
-        labels = np.repeat(pair_index[:, :, None], q, axis=2)
-        part = GridPartition(2, q, labels, count)
-        shape = (count,) * 3
-        arrays = {0: np.ones(shape)}
-        for c in range(1, k + 1):
-            arrays[c] = np.zeros(shape)
-        for a, b, d in itertools.product(range(q), repeat=3):
-            if len({a, b, d}) < 3:
-                continue
-            col = sample.color_of(tuple(sorted((a, b, d))))
-            if col == IOTA:
-                continue
-            idx = (pair_index[b, d], pair_index[a, d], pair_index[a, b])
-            arrays[0][idx] = 0.0
-            arrays[col][idx] = 1.0
-        return StepGraphon(3, k, part, arrays)
-    raise ValueError(f"sample embedding supports r in (2, 3), got r={r}")
 
 
 # ----------------------------------------------------------------------
@@ -373,41 +337,6 @@ def base_sample_requirement(delta: float, q0: int, t: int, k: int) -> float:
 # sampling helpers shared by the pipelines
 
 
-def _sample_colors(
-    w: StepGraphon, coords: np.ndarray, ues: np.ndarray, q: int
-) -> tuple[int, ...]:
-    """Colors of the q-vertex sample at given coordinates and edge uniforms.
-
-    Matches the drawing convention of graphon.sample_graphon: one
-    coordinate per nonempty subset of [q] of size < r in (card, lex)
-    order, one uniform per colex r-subset, inverse-CDF color choice in
-    ascending channel order.
-    """
-    r = w.r
-    subs = sample_coordinates(q, r)
-    index = {s: i for i, s in enumerate(subs)}
-    pats = subsets_card_lex(tuple(range(r - 1)), r - 1)
-    order = w.channel_order
-    stack = [w.arrays[c] for c in order]
-    colors = []
-    for e, ue in zip(colex_subsets(q, r), ues):
-        classes = []
-        for v0 in e:
-            rest = tuple(x for x in e if x != v0)
-            pt = [coords[index[tuple(rest[i] for i in pat)]] for pat in pats]
-            classes.append(w.partition.class_of_point(pt))
-        idx = tuple(classes)
-        acc = 0.0
-        chosen = order[-1]
-        for c, arr in zip(order, stack):
-            acc += float(arr[idx])
-            if ue < acc:
-                chosen = c
-                break
-        colors.append(chosen)
-    return tuple(colors)
-
-
 def _largest_remainder(fracs: np.ndarray, total: int) -> np.ndarray:
     """Deterministic integer split of ``total`` slots proportional to fracs."""
     fracs = np.clip(np.asarray(fracs, dtype=float), 0.0, None)
@@ -581,8 +510,7 @@ def lift_coloring(
     measured cut-P distances, the base-case volume report, and the final
     q0-sample variation distance (measured, never asserted).
     """
-    if isinstance(u, VertexGraphon):
-        u = u.to_step()
+    u = _as_step(u)
     r = u.r
     if r not in (2, 3):
         raise ValueError(f"lifting supports r in (2, 3), got r={r}")
@@ -691,8 +619,7 @@ def lift_coloring(
         # stage 4: color the sampled approximant by transfer
         stage_name = "transfer_to_sample"
         t0 = time.perf_counter()
-        w2_colors = _sample_colors(w1, coords, ues, q)
-        w2 = embed_sample(SampledColoredGraph(q, r, t_pal, w2_colors))
+        w2 = embed_sample(SampledColoredGraph(q, r, t_pal, colors_at(w1, q, coords, ues)))
         d_sampled = None
         if _measurable_grid(r_part, r):
             d_sampled = cut_distance(
@@ -856,6 +783,27 @@ def _refined_with(g, betas: Sequence[int], k: int):
     return ColoredHypergraph(g.n, g.r, g.k * k, colors)
 
 
+def refinement_mode(
+    g: ColoredHypergraph | SampledColoredGraph, k: int, mode: str, budget: int | None = None
+) -> str:
+    """The search that ``mode`` runs over the k-refinements of ``g``.
+
+    "exhaustive" and "local" stand; "auto" becomes "exhaustive" when the
+    k**m refinements of the m non-reserved edges fit the budget, else
+    "local".
+    """
+    if mode not in ("exhaustive", "local", "auto"):
+        raise ValueError(f"unknown mode {mode!r}")
+    if mode != "auto":
+        return mode
+    m = sum(1 for c in g.colors if c != IOTA)
+    try:
+        check_budget("refinement enumeration", k ** m, budget)
+    except BudgetError:
+        return "local"
+    return "exhaustive"
+
+
 def max_over_refinements(
     g: ColoredHypergraph | SampledColoredGraph,
     k: int,
@@ -873,21 +821,12 @@ def max_over_refinements(
     enumeration and falls back when the budget refuses. Returns the best
     value and the refined graph attaining it.
     """
-    if mode not in ("exhaustive", "local", "auto"):
-        raise ValueError(f"unknown mode {mode!r}")
     if k < 1:
         raise ValueError("refinement arity k must be >= 1")
     m = sum(1 for c in g.colors if c != IOTA)
-    exhaustive = mode == "exhaustive"
-    if mode == "auto":
-        try:
-            check_budget("refinement enumeration", k ** m, budget)
-            exhaustive = True
-        except BudgetError:
-            exhaustive = False
     best = -np.inf
     best_g = None
-    if exhaustive:
+    if refinement_mode(g, k, mode, budget) == "exhaustive":
         check_budget("refinement enumeration", k ** m, budget)
         for betas in itertools.product(range(1, k + 1), repeat=m):
             candidate = _refined_with(g, betas, k)
@@ -895,7 +834,9 @@ def max_over_refinements(
             if value > best:
                 best, best_g = value, candidate
         return best, best_g
-    for restart in range(max(1, restarts)):
+    if restarts < 1:
+        raise ValueError(f"restarts must be at least 1, got {restarts}")
+    for restart in range(restarts):
         rng = generator(derive_seed(seed, restart))
         betas = rng.integers(1, k + 1, size=m)
         current = _refined_with(g, betas, k)
@@ -932,17 +873,14 @@ def _round_coloring(
     """
     rng = generator(seed)
     n, r = g.n, g.r
-    subs = sample_coordinates(n, r)
-    pts: dict[tuple[int, ...], float] = {}
-    for s in subs:
-        pts[s] = (s[0] + rng.random()) / n if len(s) == 1 else rng.random()
-    position_subsets = subsets_card_lex(tuple(range(r)), r - 1)
+    coords = rng.random(len(sample_coordinates(n, r)))
+    coords[:n] = (np.arange(n) + coords[:n]) / n  # the singletons come first
     edge_us = rng.random(comb(n, r))
+    res = u_hat.partition.resolution
+    cells = np.minimum((coords * res).astype(np.intp), res - 1)[None, :]
+    classes = np.stack(_block_classes(u_hat.partition, cells, _edge_layout(n, r)), axis=-1)[0]
     colors = []
-    for e, ue in zip(colex_subsets(n, r), edge_us):
-        point = [pts[tuple(e[i] for i in ps)] for ps in position_subsets]
-        cls = u_hat.classes_at(point)
-        alpha = g.color_of(e)
+    for alpha, cls, ue in zip(g.colors, map(tuple, classes), edge_us):
         probs = np.array([
             u_hat.arrays[composite_color(alpha, beta, k)][cls]
             for beta in range(1, k + 1)

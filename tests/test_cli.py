@@ -75,6 +75,18 @@ class TestExitCodes:
         assert rc == 1
         assert "restarts must be at least 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command,restarts", [("cutnorm", "0"), ("cutnorm-p", "-3")])
+    def test_cutnorm_rejects_nonpositive_restarts(
+        self, graph_file: str, tmp_path: Path, command: str, restarts: str, capsys
+    ) -> None:
+        argv = [command, "--in", graph_file, "--mode", "heuristic",
+                "--restarts", restarts, "--seed", "1"]
+        if command == "cutnorm-p":
+            part = {"n": 4, "r_minus_1": 1, "classes": [0, 1, 0, 1], "q": 2}
+            argv += ["--partition", write_json(tmp_path / "p.json", part)]
+        assert cli.run(argv) == 1
+        assert "restarts must be at least 1" in capsys.readouterr().err
+
     def test_malformed_json_reports_line_and_column(self, tmp_path: Path, capsys) -> None:
         bad = tmp_path / "bad.json"
         bad.write_text('{"n": 3,\n  "r": }')

@@ -38,6 +38,7 @@ from hypertest.transfer import (
     max_over_refinements,
     nd_estimate_pipeline,
     product_tv,
+    refinement_mode,
     transfer_bound_report,
     transfer_coloring,
 )
@@ -393,6 +394,15 @@ class TestMaxOverRefinements:
         best, _ = max_over_refinements(g, 2, self.monochrome_score,
                                        mode="auto", budget=100, seed=2)
         assert best == pytest.approx(1.0)
+        assert refinement_mode(g, 2, "auto", budget=100) == "local"
+        assert refinement_mode(g, 2, "auto", budget=2**10) == "exhaustive"
+
+    @pytest.mark.parametrize("restarts", [0, -3])
+    def test_local_search_rejects_nonpositive_restarts(self, restarts):
+        g = make_hypergraph(4, 2, 1, [1] * 6)
+        with pytest.raises(ValueError, match="restarts must be at least 1"):
+            max_over_refinements(g, 2, self.monochrome_score, mode="local",
+                                 restarts=restarts)
 
     def test_reserved_edges_stay_reserved(self):
         s = SampledColoredGraph(3, 2, 1, (1, 0, 1))
