@@ -13,6 +13,12 @@ atom (plain norm) and independent across classes (cut-P-norm), so the
 best completion is computed, not searched. This avoids the 2^{t^r}
 sign-pattern sweep entirely. The heuristic is sign-guided coordinate
 ascent; it evaluates the true objective, so it is always a lower bound.
+
+Every entry point, ``cut_distance`` included, builds its problem and
+hands it to the one dispatch ``_solve``: plain or cut-P by whether a
+class vector is given, exact or heuristic by mode, any other mode
+rejected. Witnesses keep the solver's arrays; ``CutWitness.to_json`` is
+the only place they become lists.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb, factorial, lcm
+from math import comb, lcm
 from typing import Any, Sequence
 
 import numpy as np
@@ -31,11 +37,14 @@ from .graphon import (
     StepGraphon,
     VertexGraphon,
     _as_step,
+    _check_symmetric,
+    _expand,
+    _symmetrize,
     class_tuple_weights,
     common_refinement,
     orbit_partition,
 )
-from .hypercore import ColoredHypergraph, colex_subsets
+from .hypercore import ColoredHypergraph, colex_edges, colex_subsets
 from .seeds import derive_seed, generator
 
 __all__ = [
@@ -56,6 +65,7 @@ __all__ = [
 ]
 
 EXACT_SET_BITS = 24  # hard cap: exhaustive search enumerates at most 2^24 set tuples
+_ASCENT_SWEEPS = 200  # coordinate-ascent sweeps before giving up on a fixed point
 
 
 @dataclass(frozen=True)
@@ -113,9 +123,7 @@ class StepKernel:
         r = self.r
         if arr.shape != (self.partition.t,) * r:
             raise ValueError(f"array shape {arr.shape} != {(self.partition.t,) * r}")
-        for perm in itertools.permutations(range(r)):
-            if not np.allclose(arr.transpose(perm), arr, atol=1e-9):
-                raise ValueError("kernel array is not symmetric under index permutations")
+        _check_symmetric(arr[None], ["kernel array"])
         arr.flags.writeable = False
         object.__setattr__(self, "array", arr)
 
@@ -124,22 +132,26 @@ class StepKernel:
         return self.partition.r_minus_1 + 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CutWitness:
     """An argmax certificate: atom sets per position, optional class data.
 
-    ``sets`` holds atom indices; ``atoms`` describes each atom (an
-    (r-1)-subset for arrays, a representative grid cell for kernels) so
-    the witness is meaningful without the original problem object.
+    ``sets`` holds the chosen atom indices per position, as int tuples.
+    The other fields are the solver's read-only arrays: ``atoms``, shape
+    (m, d), describes each atom (an (r-1)-subset for arrays, a
+    representative grid cell for kernels) so the witness is meaningful
+    without the original problem object; a cut-P witness adds each
+    atom's ``classes``, shape (m,), and the +-1 ``signs`` per class tuple,
+    shape (tq,) * r. :meth:`to_json` is the one conversion to lists.
     """
 
     kind: str
     r: int
     value: float
     sets: tuple[tuple[int, ...], ...]
-    atoms: tuple[tuple[int, ...], ...]
-    classes: tuple[int, ...] | None = None
-    signs: tuple[int, ...] | None = None
+    atoms: np.ndarray
+    classes: np.ndarray | None = None
+    signs: np.ndarray | None = None
 
     def to_json(self) -> dict[str, Any]:
         return {
@@ -147,9 +159,9 @@ class CutWitness:
             "r": self.r,
             "value": self.value,
             "sets": [list(s) for s in self.sets],
-            "atoms": [list(a) for a in self.atoms],
-            "classes": None if self.classes is None else list(self.classes),
-            "signs": None if self.signs is None else list(self.signs),
+            "atoms": self.atoms.tolist(),
+            "classes": None if self.classes is None else self.classes.tolist(),
+            "signs": None if self.signs is None else self.signs.ravel().astype(np.int64).tolist(),
         }
 
 
@@ -157,23 +169,24 @@ class CutWitness:
 # problem construction
 
 
-def _validate_symmetric_array(a: np.ndarray, r: int) -> np.ndarray:
+_Problem = tuple[np.ndarray, np.ndarray, np.ndarray | None, int | None]
+
+
+def _array_problem(a: np.ndarray, p: TuplePartition | None = None) -> _Problem:
+    """Atoms, coefficient tensor, and optional class vector and count for arrays."""
     arr = np.asarray(a, dtype=float)
-    if arr.ndim != r or len(set(arr.shape)) != 1:
+    if len(set(arr.shape)) != 1:
         raise ValueError(f"expected an r-array with equal axes, got shape {arr.shape}")
-    for perm in itertools.permutations(range(r)):
-        if not np.allclose(arr.transpose(perm), arr, atol=1e-9):
-            raise ValueError("array is not symmetric under index permutations")
-    return arr
-
-
-def _array_problem(a: np.ndarray) -> tuple[tuple[tuple[int, ...], ...], np.ndarray]:
-    """Atoms and coefficient tensor for the array cut norm."""
-    r = np.asarray(a).ndim
-    arr = _validate_symmetric_array(a, r)
-    n = arr.shape[0]
-    atoms = tuple(colex_subsets(n, r - 1))
-    rank = {s: i for i, s in enumerate(atoms)}
+    _check_symmetric(arr[None], ["array"])
+    n, r = arr.shape[0], arr.ndim
+    classes = None
+    if p is not None:
+        if (p.n, p.r_minus_1) != (n, r - 1):
+            raise ValueError("partition does not match the array's atoms")
+        classes = np.array(p.classes)
+        classes.flags.writeable = False
+    atoms = colex_edges(n, r - 1)
+    rank = {s: i for i, s in enumerate(colex_subsets(n, r - 1))}
     m = len(atoms)
     t = np.zeros((m,) * r)
     scale = 1.0 / n ** r
@@ -182,19 +195,19 @@ def _array_problem(a: np.ndarray) -> tuple[tuple[tuple[int, ...], ...], np.ndarr
             continue  # some deleted projection would hit the diagonal
         idx = tuple(rank[tuple(sorted(tup[:j] + tup[j + 1:]))] for j in range(r))
         t[idx] += arr[tup] * scale
-    return atoms, t
+    return atoms, t, classes, None if p is None else p.q
 
 
-def _kernel_problem(
-    kern: StepKernel, qpart: GridPartition | None
-) -> tuple[tuple[tuple[int, ...], ...], np.ndarray, np.ndarray | None]:
-    """Atoms (cell orbits), coefficient tensor, and optional class vector.
+def _kernel_problem(kern: StepKernel, qpart: GridPartition | None) -> _Problem:
+    """Atoms (cell orbits), coefficient tensor, and optional class vector and count.
 
     Restricting the continuum suprema to unions of cell orbits is lossless:
     the objective is multilinear in each orbit's fractional membership, so
     some vertex of the box is optimal, and symmetric sets are exactly the
     unions of orbits.
     """
+    if qpart is not None and qpart.r_minus_1 != kern.partition.r_minus_1:
+        raise ValueError("partition lives on a different type cube")
     r = kern.r
     g0 = kern.partition.resolution
     g = g0 if qpart is None else lcm(g0, qpart.resolution)
@@ -205,13 +218,13 @@ def _kernel_problem(
     weights = class_tuple_weights(orbits)
     t = kern.array[np.ix_(*([kcls] * r))] * weights
     shape = orbits.labels.shape if orbits.labels.ndim else (1,)
-    atoms = tuple(
-        tuple(int(x) for x in np.unravel_index(i, shape)) for i in first
-    )
-    classes = None
-    if qpart is not None:
-        classes = qpart.refined(g // qpart.resolution).labels.ravel()[first]
-    return atoms, t, classes
+    atoms = np.stack(np.unravel_index(first, shape), axis=-1)
+    atoms.flags.writeable = False
+    if qpart is None:
+        return atoms, t, None, None
+    classes = qpart.refined(g // qpart.resolution).labels.ravel()[first]
+    classes.flags.writeable = False
+    return atoms, t, classes, qpart.t
 
 
 # ----------------------------------------------------------------------
@@ -353,6 +366,7 @@ def _cutp_signs(t: np.ndarray, onehot: np.ndarray, sets: Sequence[Sequence[int]]
     inner = _class_sums(t, onehot, sets)
     signs = np.sign(inner)
     signs[signs == 0] = 1.0
+    signs.flags.writeable = False
     return signs
 
 
@@ -374,9 +388,9 @@ def _full_value(t: np.ndarray, vecs: Sequence[np.ndarray]) -> float:
     return float(out)
 
 
-def _ascend(t_eff: np.ndarray, sets: list[np.ndarray], max_sweeps: int = 200) -> list[np.ndarray]:
+def _ascend(t_eff: np.ndarray, sets: list[np.ndarray]) -> list[np.ndarray]:
     r = t_eff.ndim
-    for _ in range(max_sweeps):
+    for _ in range(_ASCENT_SWEEPS):
         changed = False
         for l in range(r):
             contrib = _contract_except(t_eff, sets, l)
@@ -452,42 +466,54 @@ def _heuristic_cutp(
 # public entry points
 
 
-def _finish(
+def _solve(
     kind: str,
-    r: int,
-    value: float,
-    sets: Sequence[Sequence[int]],
-    atoms: tuple,
-    classes: np.ndarray | None = None,
-    signs: np.ndarray | None = None,
+    atoms: np.ndarray,
+    t: np.ndarray,
+    classes: np.ndarray | None,
+    tq: int | None,
+    mode: str,
+    budget: int | None = None,
+    restarts: int = 16,
+    seed: int = 0,
 ) -> tuple[float, CutWitness]:
+    """The one dispatch: cut-P when ``classes`` is given, else plain; exact or heuristic."""
+    signs = None
+    if mode == "exact":
+        if classes is None:
+            value, sets = _exact_plain(t, budget)
+        else:
+            value, sets, signs = _exact_cutp(t, classes, tq, budget)
+    elif mode == "heuristic":
+        if classes is None:
+            value, sets = _heuristic_plain(t, restarts, seed)
+        else:
+            value, sets, signs = _heuristic_cutp(t, classes, tq, restarts, seed)
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
     value = float(value) + 0.0  # normalize -0.0
     witness = CutWitness(
         kind=kind,
-        r=r,
+        r=t.ndim,
         value=value,
-        sets=tuple(tuple(int(i) for i in s) for s in sets),
+        sets=tuple(tuple(np.asarray(s, dtype=np.intp).tolist()) for s in sets),
         atoms=atoms,
-        classes=None if classes is None else tuple(int(c) for c in classes),
-        signs=None if signs is None else tuple(int(x) for x in np.asarray(signs).ravel()),
+        classes=classes,
+        signs=signs,
     )
     return value, witness
 
 
 def cutnorm_exact(a: np.ndarray, budget: int | None = None) -> tuple[float, CutWitness]:
     """Exact array cut norm by exhaustive symmetric-set search."""
-    atoms, t = _array_problem(a)
-    value, sets = _exact_plain(t, budget)
-    return _finish("array", t.ndim, value, sets, atoms)
+    return _solve("array", *_array_problem(a), "exact", budget)
 
 
 def cutnorm_heuristic(
     a: np.ndarray, restarts: int = 16, seed: int = 0
 ) -> tuple[float, CutWitness]:
     """Coordinate-ascent lower bound for the array cut norm."""
-    atoms, t = _array_problem(a)
-    value, sets = _heuristic_plain(t, restarts, seed)
-    return _finish("array", t.ndim, value, sets, atoms)
+    return _solve("array", *_array_problem(a), "heuristic", restarts=restarts, seed=seed)
 
 
 def cutnorm_p(
@@ -499,17 +525,7 @@ def cutnorm_p(
     seed: int = 0,
 ) -> tuple[float, CutWitness]:
     """Array cut-P-norm; exact or coordinate-ascent mode."""
-    atoms, t = _array_problem(a)
-    if (p.n, p.r_minus_1) != (np.asarray(a).shape[0], t.ndim - 1):
-        raise ValueError("partition does not match the array's atoms")
-    classes = np.asarray(p.classes)
-    if mode == "exact":
-        value, sets, signs = _exact_cutp(t, classes, p.q, budget)
-    elif mode == "heuristic":
-        value, sets, signs = _heuristic_cutp(t, classes, p.q, restarts, seed)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    return _finish("array", t.ndim, value, sets, atoms, classes, signs)
+    return _solve("array", *_array_problem(a, p), mode, budget, restarts, seed)
 
 
 def kernel_cutnorm(
@@ -520,14 +536,7 @@ def kernel_cutnorm(
     seed: int = 0,
 ) -> tuple[float, CutWitness]:
     """Cut norm of a step kernel over symmetric measurable sets (exact on orbits)."""
-    atoms, t, _ = _kernel_problem(kern, None)
-    if mode == "exact":
-        value, sets = _exact_plain(t, budget)
-    elif mode == "heuristic":
-        value, sets = _heuristic_plain(t, restarts, seed)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    return _finish("kernel", kern.r, value, sets, atoms)
+    return _solve("kernel", *_kernel_problem(kern, None), mode, budget, restarts, seed)
 
 
 def kernel_cutnorm_p(
@@ -539,27 +548,15 @@ def kernel_cutnorm_p(
     seed: int = 0,
 ) -> tuple[float, CutWitness]:
     """Cut-P-norm of a step kernel for a symmetric grid partition."""
-    if qpart.r_minus_1 != kern.partition.r_minus_1:
-        raise ValueError("partition lives on a different type cube")
-    atoms, t, classes = _kernel_problem(kern, qpart)
-    if mode == "exact":
-        value, sets, signs = _exact_cutp(t, classes, qpart.t, budget)
-    elif mode == "heuristic":
-        value, sets, signs = _heuristic_cutp(t, classes, qpart.t, restarts, seed)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    return _finish("kernel", kern.r, value, sets, atoms, classes, signs)
+    return _solve("kernel", *_kernel_problem(kern, qpart), mode, budget, restarts, seed)
 
 
 def difference_kernel(u: StepGraphon, w: StepGraphon, color: int) -> StepKernel:
     """The channel difference U^color - W^color on the common refinement."""
     part, pairs = common_refinement(u.partition, w.partition)
-    iu = np.array([a for a, _ in pairs])
-    iw = np.array([b for _, b in pairs])
-    r = u.r
-    zero = np.zeros((part.t,) * r)
-    au = u.arrays[color][np.ix_(*([iu] * r))] if color in u.arrays else zero
-    aw = w.arrays[color][np.ix_(*([iw] * r))] if color in w.arrays else zero
+    iu, iw = pairs.T
+    au = _expand(u.arrays.get(color), iu, u.r, part.t)
+    aw = _expand(w.arrays.get(color), iw, u.r, part.t)
     return StepKernel(part, au - aw)
 
 
@@ -600,36 +597,25 @@ def cut_distance(
     when present.
     """
     if isinstance(u, ColoredHypergraph) and isinstance(w, ColoredHypergraph):
-        total = 0.0
-        for alpha, diff in graph_difference_arrays(u, w).items():
-            if p is not None:
-                if not isinstance(p, TuplePartition):
-                    raise ValueError("graph cut distance takes a TuplePartition")
-                value, _ = cutnorm_p(diff, p, mode=mode, budget=budget,
-                                     restarts=restarts, seed=derive_seed(seed, alpha))
-            elif mode == "exact":
-                value, _ = cutnorm_exact(diff, budget=budget)
-            else:
-                value, _ = cutnorm_heuristic(diff, restarts=restarts,
-                                             seed=derive_seed(seed, alpha))
-            total += value
-        return total
-    if isinstance(u, ColoredHypergraph) or isinstance(w, ColoredHypergraph):
-        raise ValueError("cut distance needs two graphs or two graphons")
-    if u.r != w.r or u.k != w.k:
-        raise ValueError("graphons must share uniformity and palette")
-    us, ws = _as_step(u), _as_step(w)
+        diffs = graph_difference_arrays(u, w)
+        if p is not None and not isinstance(p, TuplePartition):
+            raise ValueError("graph cut distance takes a TuplePartition")
+        kind = "array"
+        problems = ((alpha, _array_problem(diff, p)) for alpha, diff in diffs.items())
+    else:
+        if isinstance(u, ColoredHypergraph) or isinstance(w, ColoredHypergraph):
+            raise ValueError("cut distance needs two graphs or two graphons")
+        if u.r != w.r or u.k != w.k:
+            raise ValueError("graphons must share uniformity and palette")
+        if p is not None and not isinstance(p, GridPartition):
+            raise ValueError("graphon cut distance takes a GridPartition")
+        us, ws = _as_step(u), _as_step(w)
+        kind = "kernel"
+        problems = ((alpha, _kernel_problem(difference_kernel(us, ws, alpha), p))
+                    for alpha in sorted(set(us.arrays) | set(ws.arrays)))
     total = 0.0
-    for alpha in sorted(set(us.arrays) | set(ws.arrays)):
-        kern = difference_kernel(us, ws, alpha)
-        if p is not None:
-            if not isinstance(p, GridPartition):
-                raise ValueError("graphon cut distance takes a GridPartition")
-            value, _ = kernel_cutnorm_p(kern, p, mode=mode, budget=budget,
-                                        restarts=restarts, seed=derive_seed(seed, alpha))
-        else:
-            value, _ = kernel_cutnorm(kern, mode=mode, budget=budget,
-                                      restarts=restarts, seed=derive_seed(seed, alpha))
+    for alpha, problem in problems:
+        value, _ = _solve(kind, *problem, mode, budget, restarts, derive_seed(seed, alpha))
         total += value
     return total
 
@@ -691,10 +677,9 @@ def sup_cutnorm_over_partitions(
                                              restarts=restarts, seed=seed)
     if mode != "exact":
         raise ValueError(f"unknown mode {mode!r}")
-    if isinstance(obj, StepKernel):
-        atoms, tensor, _ = _kernel_problem(obj, None)
-    else:
-        atoms, tensor = _array_problem(obj)
+    atoms, tensor, _, _ = (
+        _kernel_problem(obj, None) if isinstance(obj, StepKernel) else _array_problem(obj)
+    )
     m = len(atoms)
     n_parts = _count_growth_strings(m, t)
     check_budget("supremum over partitions", n_parts * (1 << ((tensor.ndim - 1) * m)), budget)
@@ -718,10 +703,10 @@ def evaluate_witness(
     """Recompute a witness's objective value from scratch."""
     if isinstance(target, StepKernel):
         qpart = p if isinstance(p, GridPartition) else None
-        atoms, tensor, classes = _kernel_problem(target, qpart)
+        atoms, tensor, classes, _ = _kernel_problem(target, qpart)
     else:
-        atoms, tensor = _array_problem(target)
-        classes = np.asarray(p.classes) if isinstance(p, TuplePartition) else None
+        tpart = p if isinstance(p, TuplePartition) else None
+        atoms, tensor, classes, _ = _array_problem(target, tpart)
     if len(atoms) != len(witness.atoms):
         raise ValueError("witness atoms do not match the target problem")
     if classes is None and witness.classes is not None:
@@ -737,7 +722,4 @@ def evaluate_witness(
 
 def random_symmetric_array(n: int, r: int, seed: int, lo: float = -1.0, hi: float = 1.0) -> np.ndarray:
     """A random symmetric r-array with entries in [lo, hi]."""
-    rng = generator(seed)
-    raw = rng.uniform(lo, hi, size=(n,) * r)
-    out = sum(raw.transpose(perm) for perm in itertools.permutations(range(r)))
-    return out / factorial(r)
+    return _symmetrize(generator(seed).uniform(lo, hi, size=(n,) * r))

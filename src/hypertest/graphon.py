@@ -37,7 +37,7 @@ import string
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb, lcm
+from math import comb, factorial, lcm
 from typing import Any, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -47,6 +47,7 @@ from .hypercore import (
     IOTA,
     ColoredHypergraph,
     SampledColoredGraph,
+    _permutations,
     colex_edges,
     induced_patterns,
 )
@@ -99,9 +100,32 @@ def _axis_perms(r_minus_1: int) -> tuple[tuple[int, ...], ...]:
     axes = _axis_subsets(r_minus_1)
     index = {s: i for i, s in enumerate(axes)}
     out = []
-    for perm in itertools.permutations(range(r_minus_1)):
+    for perm in _permutations(r_minus_1):
         out.append(tuple(index[tuple(sorted(perm[v] for v in s))] for s in axes))
     return tuple(out)
+
+
+def _check_symmetric(stack: np.ndarray, names: Sequence[str]) -> None:
+    """Reject r-arrays that are not symmetric under index permutations.
+
+    ``stack`` holds one array per entry of ``names`` along its first axis.
+    Each permutation makes one elementwise ``np.isclose`` over all of them
+    (the test ``np.allclose`` makes, atol 1e-9); the error names the first
+    array that fails under any permutation. The identity permutation stays
+    in, so NaN entries are rejected for every r.
+    """
+    ok = np.ones(len(stack), dtype=bool)
+    for perm in _permutations(stack.ndim - 1):
+        close = np.isclose(stack.transpose(0, *(l + 1 for l in perm)), stack, atol=1e-9)
+        ok &= close.reshape(len(stack), -1).all(axis=1)
+    if not ok.all():
+        raise ValueError(f"{names[int(np.argmin(ok))]} is not symmetric under index permutations")
+
+
+def _symmetrize(arr: np.ndarray) -> np.ndarray:
+    """Average an r-array over its index permutations (summed in permutation order)."""
+    arr = np.asarray(arr, dtype=float)
+    return sum(arr.transpose(perm) for perm in _permutations(arr.ndim)) / factorial(arr.ndim)
 
 
 def _cell(x: float, g: int) -> int:
@@ -200,16 +224,17 @@ def orbit_partition(r_minus_1: int, resolution: int) -> GridPartition:
     """The finest symmetric partition: one class per cell orbit."""
     dim = 2 ** r_minus_1 - 1
     idx = np.arange(resolution ** dim).reshape((resolution,) * dim)
-    rep = idx
-    for ax in _axis_perms(r_minus_1):
-        rep = np.minimum(rep, idx.transpose(ax))
-    _, labels = np.unique(rep, return_inverse=True)
+    _, labels = np.unique(_symmetrize_labels(idx, r_minus_1), return_inverse=True)
     labels = labels.reshape(idx.shape)
     return GridPartition(r_minus_1, resolution, labels, int(labels.max()) + 1)
 
 
-def common_refinement(a: GridPartition, b: GridPartition) -> tuple[GridPartition, list[tuple[int, int]]]:
-    """Coarsest partition refining both, plus the (class_a, class_b) per new class."""
+def common_refinement(a: GridPartition, b: GridPartition) -> tuple[GridPartition, np.ndarray]:
+    """Coarsest partition refining both, plus its parent classes.
+
+    The second value is a (t, 2) intp array: row i holds the classes of
+    ``a`` and ``b`` that new class i lies in, so ``pairs.T`` unzips them.
+    """
     if a.r_minus_1 != b.r_minus_1:
         raise ValueError("partitions live on different type cubes")
     g = lcm(a.resolution, b.resolution)
@@ -218,8 +243,7 @@ def common_refinement(a: GridPartition, b: GridPartition) -> tuple[GridPartition
     codes = la * b.t + lb
     uniq, labels = np.unique(codes, return_inverse=True)
     part = GridPartition(a.r_minus_1, g, labels.reshape(la.shape), len(uniq))
-    pairs = [(int(c) // b.t, int(c) % b.t) for c in uniq]
-    return part, pairs
+    return part, np.stack(np.divmod(uniq, b.t), axis=1).astype(np.intp)
 
 
 @dataclass(frozen=True, eq=False)
@@ -256,11 +280,9 @@ class StepGraphon:
                 raise ValueError(f"channel {c} has shape {arr.shape}, expected {shape}")
             if arr.min() < -1e-12 or arr.max() > 1 + 1e-12:
                 raise ValueError(f"channel {c} has entries outside [0, 1]")
-            for perm in itertools.permutations(range(self.r)):
-                if not np.allclose(arr.transpose(perm), arr, atol=1e-9):
-                    raise ValueError(f"channel {c} is not symmetric under index permutations")
             arr.flags.writeable = False
             frozen[c] = arr
+        _check_symmetric(np.stack(list(frozen.values())), [f"channel {c}" for c in frozen])
         total = sum(frozen.values())
         if np.max(np.abs(total - 1.0)) > 1e-12:
             raise ValueError("channel arrays must sum to 1 at every class tuple")
@@ -578,8 +600,7 @@ def step_average(w: StepGraphon | VertexGraphon, p: GridPartition) -> StepGrapho
     else:
         part, pairs = common_refinement(p, w.partition)
         weights = class_tuple_weights(part)
-        into_p = np.array([a for a, _ in pairs])
-        from_w = np.array([b for _, b in pairs])
+        into_p, from_w = pairs.T
         proj = (into_p[:, None] == np.arange(p.t)).astype(float)
         denom = _contract_axes(weights, proj, r, 0)
         mask = denom > 0
@@ -654,8 +675,7 @@ def l1_distance(u: StepGraphon, w: StepGraphon) -> float:
         raise ValueError("uniformities differ")
     part, pairs = common_refinement(u.partition, w.partition)
     weights = class_tuple_weights(part)
-    iu = np.array([a for a, _ in pairs])
-    iw = np.array([b for _, b in pairs])
+    iu, iw = pairs.T
     total = 0.0
     for c in sorted(set(u.arrays) | set(w.arrays)):
         au = _expand(u.arrays.get(c), iu, u.r, part.t)
@@ -670,8 +690,7 @@ def l2_distance(u: StepGraphon, w: StepGraphon) -> float:
         raise ValueError("uniformities differ")
     part, pairs = common_refinement(u.partition, w.partition)
     weights = class_tuple_weights(part)
-    iu = np.array([a for a, _ in pairs])
-    iw = np.array([b for _, b in pairs])
+    iu, iw = pairs.T
     total = 0.0
     for c in sorted(set(u.arrays) | set(w.arrays)):
         au = _expand(u.arrays.get(c), iu, u.r, part.t)
@@ -720,11 +739,7 @@ def random_step_graphon(
     part = random_grid_partition(r - 1, resolution, t, derive_seed(seed, 0))
     rng = generator(derive_seed(seed, 1))
     channels = ([0] if with_iota else []) + list(range(1, k + 1))
-    perms = list(itertools.permutations(range(r)))
-    arrays: dict[int, np.ndarray] = {}
-    for c in channels:
-        raw = rng.random((part.t,) * r)
-        arrays[c] = sum(raw.transpose(p) for p in perms) / len(perms)
+    arrays = {c: _symmetrize(rng.random((part.t,) * r)) for c in channels}
     total = sum(arrays.values())
     arrays = {c: arr / total for c, arr in arrays.items()}
     return StepGraphon(r, k, part, arrays)

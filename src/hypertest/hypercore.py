@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import permutations, product
 from math import comb
 from typing import Any, Iterator, Mapping, Sequence
 
@@ -68,6 +68,12 @@ def colex_subsets(n: int, r: int) -> Iterator[tuple[int, ...]]:
     for top in range(r - 1, n):
         for rest in colex_subsets(top, r - 1):
             yield rest + (top,)
+
+
+@lru_cache(maxsize=None)
+def _permutations(r: int) -> tuple[tuple[int, ...], ...]:
+    """The permutations of ``range(r)`` in ``itertools.permutations`` order."""
+    return tuple(permutations(range(r)))
 
 
 @lru_cache(maxsize=32)
@@ -193,7 +199,7 @@ class ColoredHypergraph:
         a = np.zeros((self.n,) * self.r, dtype=np.float64)
         for edge in self.edges():
             if self.color_of(edge) == alpha:
-                for perm in _permutations_cached(self.r):
+                for perm in _permutations(self.r):
                     a[tuple(edge[p] for p in perm)] = 1.0
         return a
 
@@ -255,17 +261,6 @@ class SampledColoredGraph:
 
     def without_provenance(self) -> "SampledColoredGraph":
         return SampledColoredGraph(self.q, self.r, self.k, self.colors)
-
-
-_PERM_CACHE: dict[int, tuple[tuple[int, ...], ...]] = {}
-
-
-def _permutations_cached(r: int) -> tuple[tuple[int, ...], ...]:
-    if r not in _PERM_CACHE:
-        from itertools import permutations
-
-        _PERM_CACHE[r] = tuple(permutations(range(r)))
-    return _PERM_CACHE[r]
 
 
 def make_hypergraph(n: int, r: int, k: int, color_list: Sequence[int]) -> ColoredHypergraph:

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import csv
 import io
-import itertools
 from math import ceil, lcm, log2
 from typing import Any, Sequence
 
@@ -32,6 +31,7 @@ from .graphon import (
     StepGraphon,
     VertexGraphon,
     _as_step,
+    _symmetrize,
     orbit_partition,
     step_average,
 )
@@ -284,12 +284,7 @@ def symmetrized_step(r: int, k: int, partition: GridPartition,
     the triangle inequality it never increases cut-type distances to any
     symmetric target.
     """
-    out = {}
-    perms = list(itertools.permutations(range(r)))
-    for c, arr in arrays.items():
-        arr = np.asarray(arr, dtype=float)
-        out[c] = sum(arr.transpose(perm) for perm in perms) / len(perms)
-    return StepGraphon(r, k, partition, out)
+    return StepGraphon(r, k, partition, {c: _symmetrize(arr) for c, arr in arrays.items()})
 
 
 def trace_csv(trace: Sequence[dict[str, Any]]) -> str:

@@ -113,8 +113,7 @@ def _pad_iota(w: StepGraphon) -> StepGraphon:
 def _require_step_on(w: StepGraphon, p: GridPartition) -> None:
     """Every channel of w must be constant on the class tuples of p."""
     part, pairs = common_refinement(w.partition, p)
-    iw = np.array([a for a, _ in pairs], dtype=np.intp)
-    ip = np.array([b for _, b in pairs], dtype=np.intp)
+    iw, ip = pairs.T
     r = w.r
     idx = np.indices((part.t,) * r)
     key = tuple(ip[idx[l]] for l in range(r))
@@ -161,8 +160,7 @@ def transfer_coloring(u_hat: StepGraphon, v: StepGraphon, p: GridPartition) -> S
         raise ValueError("partition dimensionality does not match the graphons")
     _require_step_on(u_hat, p)
     part, pairs = common_refinement(u_hat.partition, v.partition)
-    iu = np.array([a for a, _ in pairs], dtype=np.intp)
-    iv = np.array([b for _, b in pairs], dtype=np.intp)
+    iu, iv = pairs.T
     r = v.r
     ix_u = np.ix_(*([iu] * r))
     ix_v = np.ix_(*([iv] * r))
@@ -904,7 +902,6 @@ def nd_estimate_pipeline(
     mode: str = "auto",
     budget: int | None = None,
     restarts: int = 8,
-    lift_options: dict[str, Any] | None = None,
 ) -> dict[str, Any]:
     """Estimate a best-k-refinement parameter of ``g`` from a q-sample.
 
@@ -930,8 +927,7 @@ def nd_estimate_pipeline(
     )
     v_hat = embed_sample(best_sample)
     u_hat, diag = lift_coloring(
-        emb.to_step(), q, v_hat, delta, q0, derive_seed(seed, 2),
-        sample=sample, **(lift_options or {}),
+        emb.to_step(), q, v_hat, delta, q0, derive_seed(seed, 2), sample=sample,
     )
     rounded = _round_coloring(g, u_hat, k, derive_seed(seed, 3))
     transferred = float(witness_g(rounded))

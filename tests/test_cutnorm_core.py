@@ -1,0 +1,313 @@
+"""Pinned outputs of the cut-norm solve path and the symmetry check.
+
+The golden digests were recorded before the cut-norm entry points were
+routed through one dispatch and their witnesses kept as arrays: every
+witness's ``to_json()``, every regularity residual and every CLI artifact
+below must stay byte-identical. The property test replays the former
+per-channel, per-permutation ``np.allclose`` loop and compares it with
+the one stacked symmetry check.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import itertools
+import json
+from math import comb
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hypertest import cli
+from hypertest.cutnorm import (
+    StepKernel,
+    TuplePartition,
+    cut_distance,
+    cutnorm_exact,
+    cutnorm_heuristic,
+    cutnorm_p,
+    kernel_cutnorm,
+    kernel_cutnorm_p,
+    random_symmetric_array,
+)
+from hypertest.graphon import (
+    _check_symmetric,
+    random_grid_partition,
+    random_step_graphon,
+    step_graphon_to_json,
+)
+from hypertest.hypercore import hypergraph_to_json, make_hypergraph
+from hypertest.regularity import sup_partition_distance, symmetrized_step
+from hypertest.seeds import generator
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _json_digest(payload) -> str:
+    return _sha(json.dumps(payload).encode())
+
+
+def _array_digest(arr: np.ndarray) -> str:
+    arr = np.ascontiguousarray(arr, dtype="<f8")
+    return _sha(repr(arr.shape).encode() + arr.tobytes())
+
+
+def _random_graph(n: int, r: int, k: int, seed: int):
+    rng = generator(seed)
+    return make_hypergraph(n, r, k, [int(c) for c in rng.integers(1, k + 1, size=comb(n, r))])
+
+
+# r -> (array side, kernel grid resolution, kernel classes, partition classes)
+SIZES = {1: (3, 1, 1, 1), 2: (5, 4, 3, 2), 3: (4, 2, 2, 2)}
+
+
+def _kernel(r: int, seed: int) -> StepKernel:
+    _, g, t, _ = SIZES[r]
+    part = random_grid_partition(r - 1, g, t, seed)
+    return StepKernel(part, random_symmetric_array(part.t, r, seed + 1))
+
+
+def _witness_cases():
+    """name -> thunk returning (value, witness) from a public cut-norm function."""
+    cases = {}
+    for r in (1, 2, 3):
+        n, g, _, q = SIZES[r]
+        a = random_symmetric_array(n, r, 40 + r)
+        p = TuplePartition.random(n, r - 1, q, 50 + r)
+        kern = _kernel(r, 60 + r)
+        qpart = random_grid_partition(r - 1, g, q, 70 + r)
+        cases[f"exact-r{r}"] = lambda a=a: cutnorm_exact(a)
+        cases[f"heuristic-r{r}"] = lambda a=a: cutnorm_heuristic(a, restarts=4, seed=5)
+        for mode in ("exact", "heuristic"):
+            cases[f"kernel-{mode}-r{r}"] = lambda kern=kern, mode=mode: kernel_cutnorm(
+                kern, mode=mode, restarts=4, seed=7)
+        # the exact cut-P search supports r in (2, 3) only
+        for mode in ("exact", "heuristic") if r > 1 else ("heuristic",):
+            cases[f"p-{mode}-r{r}"] = lambda a=a, p=p, mode=mode: cutnorm_p(
+                a, p, mode=mode, restarts=4, seed=6)
+            cases[f"kernel-p-{mode}-r{r}"] = (
+                lambda kern=kern, qpart=qpart, mode=mode: kernel_cutnorm_p(
+                    kern, qpart, mode=mode, restarts=4, seed=8))
+    return cases
+
+
+WITNESS_CASES = _witness_cases()
+
+GOLDEN_WITNESSES = {
+    "exact-r1": "96b509754c072c3e6bbc6e73c7b9d4d07d93b394747de5ac4ddf011efc551a73",
+    "exact-r2": "d378fa3c30897bc0132d924356c969b0c33bfa549f22563b3f183dc56d0185f6",
+    "exact-r3": "338ac8dd164bc5b14d7bf90ab9b28017be7f54fc9088279de72a8ba027bd0bc5",
+    "heuristic-r1": "96b509754c072c3e6bbc6e73c7b9d4d07d93b394747de5ac4ddf011efc551a73",
+    "heuristic-r2": "65adfd700002a74aae0ad739e9899776650875b0a68b20d736ed0b95fa73a43d",
+    "heuristic-r3": "338ac8dd164bc5b14d7bf90ab9b28017be7f54fc9088279de72a8ba027bd0bc5",
+    "kernel-exact-r1": "1288304924b92e2efc41a9d3ef842d6bf7d3a7c63c2d60a8e442637704281fab",
+    "kernel-exact-r2": "f088981d36dcfcadafb8350a9e639770773884252f639b27b898e24042c5b868",
+    "kernel-exact-r3": "6adfd51b66f7ab2d6ca2ee4c52ff8339a531ffec5cc474754fd924a164279e33",
+    "kernel-heuristic-r1": "1288304924b92e2efc41a9d3ef842d6bf7d3a7c63c2d60a8e442637704281fab",
+    "kernel-heuristic-r2": "f088981d36dcfcadafb8350a9e639770773884252f639b27b898e24042c5b868",
+    "kernel-heuristic-r3": "6adfd51b66f7ab2d6ca2ee4c52ff8339a531ffec5cc474754fd924a164279e33",
+    "kernel-p-exact-r2": "abcbb541734ca734b85a633722625ded9475fe9495661efd61389e9770a024e7",
+    "kernel-p-exact-r3": "97554801c0ce598868f3fcf9c7e220b38ac24e427e8287128928500812d9e192",
+    "kernel-p-heuristic-r1": "045cbca21dfeac958ac691733d02035608e46cc67a3714327944500884044e19",
+    "kernel-p-heuristic-r2": "abcbb541734ca734b85a633722625ded9475fe9495661efd61389e9770a024e7",
+    "kernel-p-heuristic-r3": "fc29c006ba7b6dfc8d8a4b358902015293f69e43a15fe640be874ccd08d38769",
+    "p-exact-r2": "cac323c147bb8822870ec0ce060a579bb63b3341b798785aa1d0f2b60f90f05f",
+    "p-exact-r3": "f00b5b2174b7c24e26a893c0ea04b225d4721ce62d9bda71a2e1456e804f19db",
+    "p-heuristic-r1": "9686220b5f23bd257b05ac5f42d1336e0095fa99986edfe24767bcaf00f98743",
+    "p-heuristic-r2": "7482270e7d89e200076f80d3ab582758c835303fa41b60fbc604fb943ca7142d",
+    "p-heuristic-r3": "f00b5b2174b7c24e26a893c0ea04b225d4721ce62d9bda71a2e1456e804f19db",
+}
+
+
+@pytest.mark.parametrize("name", sorted(WITNESS_CASES))
+def test_golden_witnesses(name: str) -> None:
+    value, witness = WITNESS_CASES[name]()
+    assert value == witness.value
+    assert _json_digest(witness.to_json()) == GOLDEN_WITNESSES[name]
+
+
+def _sup_payload(mode: str, limit: int) -> dict:
+    u = random_step_graphon(2, 2, t=3, resolution=4, seed=81)
+    w = random_step_graphon(2, 2, t=2, resolution=2, seed=82)
+    value, part, wits = sup_partition_distance(u, w, limit, mode=mode, restarts=3, seed=9)
+    return {"value": repr(value), "labels": part.labels.ravel().tolist(), "t": part.t,
+            "witnesses": [wit.to_json() for wit in wits]}
+
+
+GOLDEN_SUP = {
+    "exact-100": "90535fea04b5eef43261ec7b796fb68f8c12e75092000771e292779410d302e8",
+    "exact-2": "becc376fe005b973afed79e4d5001bcc8d4bc1a8273277a59eb7d65226886bbe",
+    "heuristic-2": "90535fea04b5eef43261ec7b796fb68f8c12e75092000771e292779410d302e8",
+}
+
+
+@pytest.mark.parametrize("mode,limit", [("exact", 2), ("exact", 100), ("heuristic", 2)])
+def test_golden_sup_partition_distance(mode: str, limit: int) -> None:
+    assert _json_digest(_sup_payload(mode, limit)) == GOLDEN_SUP[f"{mode}-{limit}"]
+
+
+GOLDEN_CUT_DISTANCES = {
+    "graphons-exact": "76d88f27c243c35226f13a78c494cc08446454fe358f23fb16d29f06990ad3c4",
+    "graphons-heuristic": "76d88f27c243c35226f13a78c494cc08446454fe358f23fb16d29f06990ad3c4",
+    "graphons-p-exact": "e3f69c8f17525f1559fc3ca0948eee1277cc0f7abf4a0b17201bedff35c5869d",
+    "graphons-p-heuristic": "e3f69c8f17525f1559fc3ca0948eee1277cc0f7abf4a0b17201bedff35c5869d",
+    "graphs-exact": "89108401bb9895e0af642cee2d409a16a307171a9e4726ba145af708e5adc4f0",
+    "graphs-heuristic": "89108401bb9895e0af642cee2d409a16a307171a9e4726ba145af708e5adc4f0",
+    "graphs-p-exact": "8a6155f20af8755474fa3278c298017070e01cfd3cc6906f3ed7996289917932",
+    "graphs-p-heuristic": "8a6155f20af8755474fa3278c298017070e01cfd3cc6906f3ed7996289917932",
+}
+
+
+def test_golden_cut_distances() -> None:
+    g, h = _random_graph(5, 2, 2, 91), _random_graph(5, 2, 2, 92)
+    u = random_step_graphon(2, 2, t=3, resolution=4, seed=93)
+    w = random_step_graphon(2, 2, t=2, resolution=2, seed=94)
+    p = TuplePartition.random(5, 1, 2, 95)
+    qpart = random_grid_partition(1, 4, 2, 96)
+    got = {}
+    for mode in ("exact", "heuristic"):
+        got[f"graphs-{mode}"] = repr(cut_distance(g, h, mode=mode, restarts=3, seed=4))
+        got[f"graphs-p-{mode}"] = repr(cut_distance(g, h, p, mode=mode, restarts=3, seed=4))
+        got[f"graphons-{mode}"] = repr(cut_distance(u, w, mode=mode, restarts=3, seed=4))
+        got[f"graphons-p-{mode}"] = repr(cut_distance(u, w, qpart, mode=mode, restarts=3,
+                                                      seed=4))
+    assert {k: _json_digest(v) for k, v in got.items()} == GOLDEN_CUT_DISTANCES
+
+
+def test_graph_cut_distance_rejects_unknown_mode() -> None:
+    g, h = _random_graph(5, 2, 2, 91), _random_graph(5, 2, 2, 92)
+    with pytest.raises(ValueError, match="unknown mode"):
+        cut_distance(g, h, mode="bogus")
+    with pytest.raises(ValueError, match="unknown mode"):
+        cut_distance(g, h, TuplePartition.random(5, 1, 2, 95), mode="bogus")
+
+
+CLI_ARGVS = {
+    "cutnorm-exact": ["cutnorm", "--in", "{g}", "--mode", "exact"],
+    "cutnorm-heuristic": ["cutnorm", "--in", "{g}", "--mode", "heuristic", "--seed", "3"],
+    "cutnorm-p-exact": ["cutnorm-p", "--in", "{g}", "--partition", "{p}", "--mode", "exact"],
+    "cutnorm-p-heuristic": ["cutnorm-p", "--in", "{g}", "--partition", "{p}",
+                            "--mode", "heuristic", "--seed", "3"],
+    "regularize-auto": ["regularize", "--in", "{w}", "--eps", "0.3", "--seed", "3"],
+    "regularize-heuristic": ["regularize", "--in", "{w}", "--eps", "0.3", "--mode",
+                             "heuristic", "--restarts", "4", "--seed", "3"],
+}
+
+GOLDEN_CLI = {
+    "cutnorm-exact": "0d17296c2da04f4130e7bc1e480cc95864e90c7592b3a74feedcb8b9c8017b4f",
+    "cutnorm-heuristic": "740bec700860fa31fd898f23228517f1b0a6002c518e2d87a39d1ba72fea12ee",
+    "cutnorm-p-exact": "5a8d3f3d1eaaa5144167a743f08a82268e537bedf5c7f2977a291e5dda110e47",
+    "cutnorm-p-heuristic": "8e18925460a30a91618a304e2f5d514af31821cad8bd5461a2b2c6cc33c88424",
+    "regularize-auto": "314558129c457dc04bdeb06760f14bbac935d00eea3dc2045780a1fb43ff0114",
+    "regularize-heuristic": "0e26e6eed892d84cf39bd59347573f3f0e7444bf9df38d2f8b505cb1011b7636",
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLI_ARGVS))
+def test_golden_cli_artifacts(name: str, tmp_path: Path) -> None:
+    files = {
+        "g": hypergraph_to_json(_random_graph(7, 2, 2, 101)),
+        "p": {"n": 7, "r_minus_1": 1, "classes": [0, 1, 1, 0, 1, 0, 0], "q": 2},
+        "w": step_graphon_to_json(random_step_graphon(2, 2, t=4, resolution=4, seed=102)),
+    }
+    paths = {}
+    for key, payload in files.items():
+        paths[key] = tmp_path / f"{key}.json"
+        paths[key].write_text(json.dumps(payload))
+    out = tmp_path / "out.json"
+    argv = [arg.format(**paths) for arg in CLI_ARGVS[name]] + ["--out", str(out)]
+    assert cli.run(argv) == 0
+    assert _sha(out.read_bytes()) == GOLDEN_CLI[name]
+
+
+GOLDEN_SYMMETRIZED = {
+    "array-r1": "efba32bc14b5692bc6ef1c7e44ac7d103cd34744b2d90a372a754596eca6a932",
+    "array-r2": "90d8393f848514be71067f0d58dcc55ee44ce5d86ffc7247febf5696dc6d1fb0",
+    "array-r3": "f71307b2a5777327d4a5c17c4b9a2c9aac9b9fed8cff0aff32b5e96ddd8d8075",
+    "graphon-r1-c0": "7097e4666ebfacabbd5fec5768974137c4a8d15e9a510407894ebc1fbe5aff0f",
+    "graphon-r1-c1": "36451a961b00651e798361f524aa94084fb07fa99401b74cbece64c3029bb417",
+    "graphon-r1-c2": "d7f23991e18de3440b93309b8cb85157eeef254adb6a5e6ce1b74a24e5af7ddc",
+    "graphon-r2-c0": "58e59a044a4fc4248a6a534bc3b19b50d7d44f6757a1ed0279130032084f0960",
+    "graphon-r2-c1": "0f0cc461b19ccb4b3e39f36a31213435002ebef31cf526e69311a59519755fd7",
+    "graphon-r2-c2": "9b8c134f534c1ef04114163fad28468d81f0d8ade4c12be8bf4737c505b99354",
+    "graphon-r3-c0": "58a389297d08a5dc3803551bf76a985928b5bfc579c538d1105966c003fe66d4",
+    "graphon-r3-c1": "d4a463d42855fe7e51fda73397bd07c1528495c45d127cc423b9a2115b3e6ae9",
+    "graphon-r3-c2": "356bee89d53d578591bd66041fff783ee108e411ff59f00e5ea197652b405834",
+    "step-r1-c0": "f16921b0c785e47d0bf7012532384de0bf61791d8d3daa3c80a56f71f410c02f",
+    "step-r1-c1": "8d969186cf4552fe8930bbe3c10f10d637d70803bcf573589e0b8f6f2f7759c8",
+    "step-r1-c2": "655e51a12edec05fa26554918e5d1bd904d53dd2e4ffa20382df830b86a2ba37",
+    "step-r2-c0": "1caacc6ec2a863bd3e45ff2189bacaa9b027fe313ba1c4c4b0fc5146d32461da",
+    "step-r2-c1": "e28d1388985892b4a8ea25393474bd6967c58b9d2bb332ee8d3352ddc9208b2e",
+    "step-r2-c2": "d29643f7c814d485ad0a499472004b757453f79f32bac0cdc3e2093bb9b4359d",
+    "step-r3-c0": "c06cf5a499570752749fd14d1820df797eedba4824c2b8e1a0a0824041c73d26",
+    "step-r3-c1": "6273d5eb7985365ce9c82e74c525438261940000e9740b3e2a31c49265fbdd49",
+    "step-r3-c2": "c56c90d5f01660c6e05071d3a60ca4966ae70922654b440917d693d8e8041026",
+}
+
+
+def test_golden_symmetrizers() -> None:
+    got = {}
+    for r in (1, 2, 3):
+        got[f"array-r{r}"] = _array_digest(random_symmetric_array(4, r, 110 + r))
+        w = random_step_graphon(r, 2, t=3, resolution=3, seed=120 + r, with_iota=True)
+        for c in sorted(w.arrays):
+            got[f"graphon-r{r}-c{c}"] = _array_digest(w.arrays[c])
+        rng = generator(130 + r)
+        raw = {c: rng.random((w.partition.t,) * r) for c in (0, 1, 2)}
+        total = sum(raw.values())
+        v = symmetrized_step(r, 2, w.partition, {c: a / total for c, a in raw.items()})
+        for c in sorted(v.arrays):
+            got[f"step-r{r}-c{c}"] = _array_digest(v.arrays[c])
+    assert got == GOLDEN_SYMMETRIZED
+
+
+# ----------------------------------------------------------------------
+# the one symmetry check against the per-channel, per-permutation loop
+
+
+def _replayed_check(arrays: list[np.ndarray], names: list[str]) -> None:
+    for arr, name in zip(arrays, names):
+        for perm in itertools.permutations(range(arr.ndim)):
+            if not np.allclose(arr.transpose(perm), arr, atol=1e-9):
+                raise ValueError(f"{name} is not symmetric under index permutations")
+
+
+def _outcome(check, *args) -> str | None:
+    try:
+        check(*args)
+    except ValueError as err:
+        return str(err)
+    return None
+
+
+DELTAS = [0.0, 1e-10, 9e-10, 1e-9, 1.1e-9, 2e-9, 1e-6, 1.0, np.nan, np.inf, -np.inf]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    r=st.integers(1, 3),
+    side=st.integers(1, 4),
+    channels=st.integers(1, 3),
+    scale=st.sampled_from([0.0, 1e-6, 1.0, 1e3]),
+    seed=st.integers(0, 2**16),
+    edits=st.lists(st.tuples(st.integers(0, 2), st.integers(0, 63), st.sampled_from(DELTAS)),
+                   max_size=3),
+)
+def test_symmetry_check_matches_per_channel_loop(r, side, channels, scale, seed, edits) -> None:
+    rng = generator(seed)
+    arrays = []
+    for _ in range(channels):
+        raw = rng.random((side,) * r) * scale
+        arrays.append(sum(raw.transpose(p) for p in itertools.permutations(range(r))))
+    with np.errstate(invalid="ignore"):  # inf + -inf
+        for c, flat, delta in edits:
+            arr = arrays[c % channels]
+            arr.flat[flat % arr.size] += delta
+    names = [f"channel {c}" for c in range(channels)]
+    expected = _outcome(_replayed_check, arrays, names)
+    assert _outcome(_check_symmetric, np.stack(arrays), names) == expected
