@@ -4,14 +4,25 @@ A single knob caps every combinatorial enumeration in the package
 (colorings, partitions, witness sets, grid-cell assignments). The default
 is 10**6 items; the HYPERTEST_BUDGET environment variable or an explicit
 argument overrides it. Exceeding the budget raises :class:`BudgetError`,
-never a silent truncation.
+never a silent truncation. :func:`exact_or_heuristic` is the one place a
+refusal turns into a heuristic fallback, and it reports which side ran.
 """
 
 from __future__ import annotations
 
 import os
+from typing import Callable, TypeVar
 
-__all__ = ["DEFAULT_BUDGET", "ENV_VAR", "BudgetError", "current_budget", "check_budget"]
+__all__ = [
+    "DEFAULT_BUDGET",
+    "ENV_VAR",
+    "BudgetError",
+    "current_budget",
+    "check_budget",
+    "exact_or_heuristic",
+]
+
+_T = TypeVar("_T")
 
 DEFAULT_BUDGET = 10**6
 ENV_VAR = "HYPERTEST_BUDGET"
@@ -67,3 +78,25 @@ def check_budget(stage: str, needed: int, override: int | None = None) -> None:
     budget = current_budget(override)
     if needed > budget:
         raise BudgetError(stage, needed, budget)
+
+
+def exact_or_heuristic(
+    mode: str, exact: Callable[[], _T], heuristic: Callable[[], _T]
+) -> tuple[_T, str]:
+    """Run the computation ``mode`` asks for; return its result and what ran.
+
+    "exact" and "heuristic" run that callable. "auto" runs ``exact`` and
+    falls back to ``heuristic`` only when ``exact`` raises
+    :class:`BudgetError`; any other exception propagates. The second
+    item is "exact" or "heuristic", the side that produced the result.
+    """
+    if mode == "exact":
+        return exact(), "exact"
+    if mode == "heuristic":
+        return heuristic(), "heuristic"
+    if mode != "auto":
+        raise ValueError(f"unknown mode {mode!r}")
+    try:
+        return exact(), "exact"
+    except BudgetError:
+        return heuristic(), "heuristic"

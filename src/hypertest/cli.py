@@ -66,11 +66,6 @@ from .transfer import lift_coloring, nd_estimate_pipeline
 
 __all__ = ["CliError", "build_parser", "main", "run"]
 
-# CLI mode tokens for best-over-colorings searches map onto the module
-# tokens (enumeration is the exact oracle, local ascent the heuristic).
-_REFINE_MODES = {"exact": "exhaustive", "heuristic": "local", "auto": "auto"}
-
-
 class CliError(Exception):
     """A user-facing input problem; reported on stderr with exit code 1."""
 
@@ -380,7 +375,7 @@ def _cmd_nd_estimate(args: argparse.Namespace) -> dict[str, Any]:
         )
     report = nd_estimate_pipeline(
         g, witness, args.q, args.q0, args.seed,
-        k=args.k, delta=args.delta, mode=_REFINE_MODES[args.mode],
+        k=args.k, delta=args.delta, mode=args.mode,
         budget=args.budget, restarts=args.restarts,
     )
     return {"command": "nd-estimate", "mode": args.mode, "witness": args.witness, **report}
@@ -409,7 +404,7 @@ def _cmd_prop_test(args: argparse.Namespace) -> dict[str, Any]:
             raise CliError("--q is required when --trials is positive")
         report = property_acceptance_rate(
             prop, g, args.q, args.eps, trials=args.trials, seed=args.seed,
-            mode=_REFINE_MODES[args.mode], budget=args.budget,
+            mode=args.mode, budget=args.budget,
         )
         return {
             "command": "prop-test",
@@ -419,7 +414,7 @@ def _cmd_prop_test(args: argparse.Namespace) -> dict[str, Any]:
             **report,
         }
     accept, trace = property_tester(
-        prop, g, args.eps, seed=args.seed, mode=_REFINE_MODES[args.mode],
+        prop, g, args.eps, seed=args.seed, mode=args.mode,
         budget=args.budget, restarts=args.restarts,
     )
     return {

@@ -317,7 +317,14 @@ def _exact_cutp(
             chosen.extend(members[j][i] for i in _mask_indices(best, len(members[j])))
         return total, tuple(sorted(chosen))
 
-    if r == 2:
+    if r == 1:
+        # per class the larger of the positive and the negative mass
+        pos = np.bincount(classes, weights=np.clip(t, 0, None), minlength=tq)
+        neg = np.bincount(classes, weights=np.clip(t, None, 0), minlength=tq)
+        take_pos = (pos >= -neg)[classes]
+        best_val = float(np.maximum(pos, -neg).sum())
+        best_sets = [tuple(np.flatnonzero(np.where(take_pos, t > 0, t < 0)))]
+    elif r == 2:
         w = np.einsum("sa,aj,ab->sjb", s, onehot, t, optimize=True)
         best_val, best_sets = -1.0, None
         for i in range(1 << m):

@@ -16,7 +16,7 @@ from typing import Any, Iterable
 
 import numpy as np
 
-from .budget import BudgetError, check_budget
+from .budget import check_budget
 from .graphon import (
     StepGraphon,
     VertexGraphon,
@@ -165,15 +165,13 @@ def density_graphon(
     f: GraphLike,
     w: GraphonLike,
     budget: int | None = None,
-    mc_fallback: bool = False,
-    trials: int = 10**5,
-    seed: int = 0,
-) -> float | tuple[float, float]:
+) -> float:
     """Probability that a q-vertex sample of w equals f.
 
-    Exact mode sums over all assignments of grid cells to the sample's
-    coordinates. If that grid sweep exceeds the budget and ``mc_fallback``
-    is set, returns a (estimate, standard_error) pair instead.
+    Exact: sums over all assignments of grid cells (or vertices) to the
+    sample's coordinates, and raises :class:`BudgetError` when that sweep
+    exceeds the budget. ``density_mc`` gives a Monte-Carlo estimate
+    instead.
     """
     q = f.q if isinstance(f, SampledColoredGraph) else f.n
     if (f.r, f.k) != (w.r, w.k):
@@ -184,12 +182,7 @@ def density_graphon(
         needed = w.n**q
     else:
         needed = w.partition.resolution**ncoords
-    try:
-        check_budget("density_graphon grid summation", needed, budget)
-    except BudgetError:
-        if mc_fallback:
-            return density_mc(f, w, trials=trials, seed=seed)
-        raise
+    check_budget("density_graphon grid summation", needed, budget)
 
     if isinstance(w, VertexGraphon):
         verts = np.indices((w.n,) * q).reshape(q, -1).T

@@ -13,12 +13,13 @@ from __future__ import annotations
 
 import csv
 import io
+from functools import partial
 from math import ceil, lcm, log2
 from typing import Any, Sequence
 
 import numpy as np
 
-from .budget import BudgetError, check_budget
+from .budget import check_budget, exact_or_heuristic
 from .cutnorm import (
     CutWitness,
     _count_growth_strings,
@@ -165,9 +166,10 @@ def weak_regularize(
     estimates them by sign ascent, and "auto" tries exact first and falls
     back when the enumeration budget runs out.
 
-    Returns (v, p, trace) where trace rows carry round, residual, and
-    class count. Raises RegularityError when the budgeted rounds end with
-    the best residual still above eps.
+    Returns (v, p, trace) where trace rows carry round, residual, class
+    count, and "mode": "exact" or "heuristic", the sweep that measured
+    that round's residual. Raises RegularityError when the budgeted
+    rounds end with the best residual still above eps.
     """
     w = _as_step(w)
     if eps <= 0:
@@ -189,34 +191,23 @@ def weak_regularize(
         dim = 2 ** (w.r - 1) - 1
         p = GridPartition(w.r - 1, g, np.zeros((g,) * dim, dtype=np.int64), 1)
 
-    def residual_of(v: StepGraphon):
-        if mode in ("exact", "heuristic"):
-            return sup_partition_distance(w, v, limit, mode=mode, budget=budget,
-                                          restarts=restarts, seed=seed)
-        if mode != "auto":
-            raise ValueError(f"unknown mode {mode!r}")
-        try:
-            return sup_partition_distance(w, v, limit, mode="exact", budget=budget)
-        except BudgetError:
-            return sup_partition_distance(w, v, limit, mode="heuristic",
-                                          restarts=restarts, seed=seed)
-
-    v = step_average(w, p)
-    residual, qpart, wits = residual_of(v)
-    best_v, best_p, best_res = v, p, residual
-    trace = [{"round": 0, "residual": best_res, "classes": p.t}]
-
     rounds = 0
-    while best_res > eps and rounds < cap:
+    trace: list[dict[str, Any]] = []
+    while True:
+        v = step_average(w, p)
+        sweep = partial(sup_partition_distance, w, v, limit, budget=budget,
+                        restarts=restarts, seed=seed)
+        (residual, qpart, wits), ran = exact_or_heuristic(
+            mode, partial(sweep, mode="exact"), partial(sweep, mode="heuristic"))
+        if not trace or residual < best_res:
+            best_v, best_p, best_res = v, p, residual
+        trace.append({"round": rounds, "residual": best_res, "classes": p.t, "mode": ran})
+        if best_res <= eps or rounds >= cap:
+            break
         rounds += 1
         p = _refined_by_witnesses(p, qpart, wits, g)
         if log2(p.t) > bound_log2:
             raise RuntimeError("class count escaped the regularity bound")
-        v = step_average(w, p)
-        residual, qpart, wits = residual_of(v)
-        if residual < best_res:
-            best_v, best_p, best_res = v, p, residual
-        trace.append({"round": rounds, "residual": best_res, "classes": p.t})
 
     if best_res > eps:
         raise RegularityError(eps, best_res, best_v, best_p, trace)

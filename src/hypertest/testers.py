@@ -4,11 +4,12 @@ Three harnesses. ``probe_sample_complexity`` measures how often a
 parameter of a random induced sample strays from its value on the whole
 graph, with Wilson confidence intervals over a grid of sample sizes.
 ``nd_parameter`` evaluates a best-over-colorings parameter, either by
-exhaustive enumeration (an oracle at desk scale) or by first-improvement
-local search (a flagged lower bound). ``property_tester`` builds a tester
-for a plain property out of a tester for its colored witness property:
-the sample is accepted when some coloring of it has witness
-sample-property density at least 3/5, with outer thresholds 2/5 and 3/5.
+exact enumeration (an oracle at desk scale) or by a heuristic
+first-improvement local search (a flagged lower bound).
+``property_tester`` builds a tester for a plain property out of a tester
+for its colored witness property: the sample is accepted when some
+coloring of it has witness sample-property density at least 3/5, with
+outer thresholds 2/5 and 3/5.
 
 Callbacks registered here must be pure functions of their argument and
 invariant under vertex relabeling; registration spot-checks the
@@ -22,19 +23,20 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import partial
 from math import ceil, comb, log, sqrt
 from typing import Any, Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .budget import check_budget
+from .budget import check_budget, exact_or_heuristic
 from .hypercore import (
     ColoredHypergraph,
     SampledColoredGraph,
     sample_subgraph,
 )
 from .seeds import derive_seed, generator
-from .transfer import max_over_refinements, refinement_mode
+from .transfer import max_over_refinements
 
 __all__ = [
     "PARAMETERS",
@@ -216,17 +218,18 @@ class NdResult(NamedTuple):
 def nd_parameter(
     f_witness: ParameterFn,
     g: ColoredHypergraph,
-    mode: str = "exhaustive",
+    mode: str = "exact",
     seed: int = 0,
     budget: int | None = None,
     restarts: int = 8,
 ) -> NdResult:
     """Best witness value over the refinements of ``g``.
 
-    Exhaustive mode enumerates every coloring and certifies the maximum;
-    local mode hill-climbs single-edge recolorings from ``restarts``
+    Mode "exact" enumerates every coloring and certifies the maximum;
+    "heuristic" hill-climbs single-edge recolorings from ``restarts``
     seeded starts and returns a lower bound with ``certified=False``.
-    Mode "auto" enumerates when the budget allows.
+    Mode "auto" enumerates and falls back to the heuristic when the
+    budget refuses; ``certified`` says whether enumeration ran.
     """
     if f_witness.r != g.r:
         raise ValueError("witness uniformity does not match the graph")
@@ -235,12 +238,11 @@ def nd_parameter(
             f"witness palette {f_witness.k} does not refine the graph palette {g.k}"
         )
     arity = f_witness.k // g.k
-    chosen = refinement_mode(g, arity, mode, budget)
-    value, witness = max_over_refinements(
-        g, arity, f_witness, mode=chosen, budget=budget,
-        restarts=restarts, seed=seed,
-    )
-    return NdResult(float(value), chosen == "exhaustive", witness)
+    search = partial(max_over_refinements, g, arity, f_witness, budget=budget,
+                     restarts=restarts, seed=seed)
+    (value, witness), ran = exact_or_heuristic(
+        mode, partial(search, mode="exact"), partial(search, mode="heuristic"))
+    return NdResult(float(value), ran == "exact", witness)
 
 
 def witness_sample_density(
@@ -276,8 +278,8 @@ def property_tester(
     Membership in the constructed sample property: there is a k-coloring
     of ``h`` whose witness sample-property density at the witness
     tester's own sample size reaches 3/5. The search over colorings is
-    exhaustive at desk scale (mode "local" trades the certificate for a
-    one-sided search). The witness sample size is capped at the size of
+    exact at desk scale (mode "heuristic" trades the certificate for a
+    one-sided search; "auto" falls back to it when the budget refuses). The witness sample size is capped at the size of
     ``h`` itself.
     """
     if isinstance(h, SampledColoredGraph):

@@ -23,12 +23,13 @@ from __future__ import annotations
 
 import itertools
 import time
+from contextlib import contextmanager
 from math import comb, factorial, log
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 import numpy as np
 
-from .budget import BudgetError, check_budget
+from .budget import BudgetError, check_budget, exact_or_heuristic
 from .cutnorm import cut_distance
 from .density import sample_distribution, tv_distance
 from .graphon import (
@@ -68,7 +69,6 @@ __all__ = [
     "embed_sample",
     "lift_coloring",
     "max_over_refinements",
-    "refinement_mode",
     "nd_estimate_pipeline",
     "product_tv",
     "transfer_bound_report",
@@ -462,6 +462,24 @@ def _stack_3d(
     return part, realized / (g * g)
 
 
+@contextmanager
+def _stage(name: str, stages: list[dict[str, Any]] | None) -> Iterator[dict[str, Any]]:
+    """One lift stage: label its budget refusals and record its seconds.
+
+    The body fills the yielded dict; on success the record
+    ``{"stage": name, "seconds": ..., **filled}`` is appended to
+    ``stages`` (nothing is recorded when ``stages`` is None).
+    """
+    rec: dict[str, Any] = {}
+    t0 = time.perf_counter()
+    try:
+        yield rec
+    except BudgetError as err:
+        raise BudgetError(f"lift stage '{name}': {err.stage}", err.needed, err.budget) from err
+    if stages is not None:
+        stages.append({"stage": name, "seconds": time.perf_counter() - t0, **rec})
+
+
 def lift_coloring(
     u: StepGraphon | VertexGraphon,
     q: int,
@@ -527,10 +545,9 @@ def lift_coloring(
     n_coords = len(sample_coordinates(q, r))
     n_edges = comb(q, r)
     stages: list[dict[str, Any]] = []
-    stage_name = "sample"
-    try:
-        # stage 0: the sample behind v_hat
-        t0 = time.perf_counter()
+
+    # stage 0: the sample behind v_hat
+    with _stage("sample", stages) as rec:
         if sample is None:
             drawn = sample_graphon(u, q, derive_seed(seed, 0))
             coords = np.asarray(drawn.coords, dtype=float)
@@ -560,15 +577,10 @@ def lift_coloring(
         v_base = embed_sample(base_sample)
         if l1_distance(discolor_step(v_hat, k), v_base) > 1e-9:
             raise ValueError("v_hat does not discolor to the embedded sample")
-        stages.append({
-            "stage": "sample",
-            "seconds": time.perf_counter() - t0,
-            "collisions": sum(1 for c in base_sample.colors if c == IOTA),
-        })
+        rec["collisions"] = sum(1 for c in base_sample.colors if c == IOTA)
 
-        # stage 1: regularize the source
-        stage_name = "regularize_source"
-        t0 = time.perf_counter()
+    # stage 1: regularize the source
+    with _stage("regularize_source", stages) as rec:
         delta_paper = (
             delta * factorial(r)
             / (4.0 * k * float(k * t_pal) ** (q0 ** r) * q0 ** r)
@@ -578,45 +590,33 @@ def lift_coloring(
             u, delta_eff / 2, mode, budget, restarts, max_rounds, derive_seed(seed, 1)
         )
         g1 = p_part.resolution
-        stages.append({
-            "stage": "regularize_source",
-            "seconds": time.perf_counter() - t0,
+        rec.update({
             "classes": p_part.t,
             "target": delta_eff / 2,
             "achieved": trace1[-1]["residual"],
             "attained": ok1,
         })
 
-        # stage 2: the sample induces a partition of its grid
-        stage_name = "induce_sample_partition"
-        t0 = time.perf_counter()
+    # stage 2: the sample induces a partition of its grid
+    with _stage("induce_sample_partition", stages) as rec:
         p_prime = _induced_partition(p_part, coords, q, r)
-        stages.append({
-            "stage": "induce_sample_partition",
-            "seconds": time.perf_counter() - t0,
-            "classes": p_prime.t,
-            "resolution": q,
-        })
+        rec.update({"classes": p_prime.t, "resolution": q})
 
-        # stage 3: regularize the sample coloring
-        stage_name = "regularize_sample_coloring"
-        t0 = time.perf_counter()
+    # stage 3: regularize the sample coloring
+    with _stage("regularize_sample_coloring", stages) as rec:
         z_hat, r_part, trace3, ok3 = _regularize_stage(
             v_hat, delta_eff, mode, budget, restarts, max_rounds, derive_seed(seed, 3)
         )
         t_r = r_part.t
-        stages.append({
-            "stage": "regularize_sample_coloring",
-            "seconds": time.perf_counter() - t0,
+        rec.update({
             "classes": t_r,
             "target": delta_eff,
             "achieved": trace3[-1]["residual"],
             "attained": ok3,
         })
 
-        # stage 4: color the sampled approximant by transfer
-        stage_name = "transfer_to_sample"
-        t0 = time.perf_counter()
+    # stage 4: color the sampled approximant by transfer
+    with _stage("transfer_to_sample", stages) as rec:
         w2 = embed_sample(SampledColoredGraph(q, r, t_pal, colors_at(w1, q, coords, ues)))
         d_sampled = None
         if _measurable_grid(r_part, r):
@@ -625,17 +625,14 @@ def lift_coloring(
                 restarts=max(2, restarts // 2), seed=derive_seed(seed, 4),
             )
         w2_hat = transfer_coloring(z_hat, w2, r_part)
-        stages.append({
-            "stage": "transfer_to_sample",
-            "seconds": time.perf_counter() - t0,
+        rec.update({
             "measured_distance": d_sampled,
             "claimed_bound": 2 * delta_eff,
             "transferred_bound": 2 * k * delta_eff,
         })
 
-        # stage 5: refine the source partition in the sampled proportions
-        stage_name = "refine_source_partition"
-        t0 = time.perf_counter()
+    # stage 5: refine the source partition in the sampled proportions
+    with _stage("refine_source_partition", stages) as rec:
         if r == 2:
             counts = np.zeros((p_part.t, t_r))
             np.add.at(counts, (p_prime.labels, r_part.labels), 1.0)
@@ -692,18 +689,15 @@ def lift_coloring(
             target = fracs.mean(axis=(2, 3))
             quantization = float(np.abs(realized - target).max())
             extra = {"inner": inner_diag}
-        stages.append({
-            "stage": "refine_source_partition",
-            "seconds": time.perf_counter() - t0,
+        rec.update({
             "classes": p_second.t,
             "resolution": p_second.resolution,
             "quantization": quantization,
             **extra,
         })
 
-        # stage 6: color the regularized source on the refined partition
-        stage_name = "color_source_steps"
-        t0 = time.perf_counter()
+    # stage 6: color the regularized source on the refined partition
+    with _stage("color_source_steps", stages) as rec:
         arrays_hat: dict[int, np.ndarray] = {}
         if 0 in w1.arrays:
             arrays_hat[0] = np.kron(w1.arrays[0], np.ones((t_r,) * r))
@@ -716,15 +710,10 @@ def lift_coloring(
                                   where=base > 0)
                 arrays_hat[c] = np.kron(w1.arrays[alpha], np.clip(share, 0.0, 1.0))
         w1_hat = StepGraphon(r, t_pal * k, p_second, arrays_hat)
-        stages.append({
-            "stage": "color_source_steps",
-            "seconds": time.perf_counter() - t0,
-            "classes": p_second.t,
-        })
+        rec["classes"] = p_second.t
 
-        # stage 7: transfer back onto the source
-        stage_name = "transfer_to_source"
-        t0 = time.perf_counter()
+    # stage 7: transfer back onto the source
+    with _stage("transfer_to_source", stages) as rec:
         u_hat = transfer_coloring(w1_hat, u, p_second)
         d_refined = d_base = None
         if _measurable_grid(p_second, r):
@@ -736,19 +725,13 @@ def lift_coloring(
                 w1, u, p=p_second, mode="heuristic",
                 restarts=max(2, restarts // 2), seed=derive_seed(seed, 8),
             )
-        stages.append({
-            "stage": "transfer_to_source",
-            "seconds": time.perf_counter() - t0,
+        rec.update({
             "measured_refined_distance": d_refined,
             "measured_base_distance": d_base,
         })
 
-        stage_name = "final_tv"
+    with _stage("final_tv", None):
         final_tv = _mu_tv(u_hat, v_hat, q0, budget)
-    except BudgetError as err:
-        raise BudgetError(
-            f"lift stage '{stage_name}': {err.stage}", err.needed, err.budget
-        ) from err
 
     diagnostics = {
         "r": r,
@@ -781,27 +764,6 @@ def _refined_with(g, betas: Sequence[int], k: int):
     return ColoredHypergraph(g.n, g.r, g.k * k, colors)
 
 
-def refinement_mode(
-    g: ColoredHypergraph | SampledColoredGraph, k: int, mode: str, budget: int | None = None
-) -> str:
-    """The search that ``mode`` runs over the k-refinements of ``g``.
-
-    "exhaustive" and "local" stand; "auto" becomes "exhaustive" when the
-    k**m refinements of the m non-reserved edges fit the budget, else
-    "local".
-    """
-    if mode not in ("exhaustive", "local", "auto"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if mode != "auto":
-        return mode
-    m = sum(1 for c in g.colors if c != IOTA)
-    try:
-        check_budget("refinement enumeration", k ** m, budget)
-    except BudgetError:
-        return "local"
-    return "exhaustive"
-
-
 def max_over_refinements(
     g: ColoredHypergraph | SampledColoredGraph,
     k: int,
@@ -813,50 +775,55 @@ def max_over_refinements(
 ) -> tuple[float, Any]:
     """Maximize a parameter over the k-refinements of a colored graph.
 
-    mode "exhaustive" enumerates all k**m refinements of the m
-    non-reserved edges (budget checked), "local" runs seeded
-    first-improvement subcolor flips from random starts, "auto" prefers
-    enumeration and falls back when the budget refuses. Returns the best
-    value and the refined graph attaining it.
+    mode "exact" enumerates all k**m refinements of the m non-reserved
+    edges (budget checked), "heuristic" runs seeded first-improvement
+    subcolor flips from random starts, "auto" enumerates and falls back
+    to the search when the budget refuses. Returns the best value and
+    the refined graph attaining it.
     """
     if k < 1:
         raise ValueError("refinement arity k must be >= 1")
     m = sum(1 for c in g.colors if c != IOTA)
-    best = -np.inf
-    best_g = None
-    if refinement_mode(g, k, mode, budget) == "exhaustive":
+
+    def enumerate_all() -> tuple[float, Any]:
         check_budget("refinement enumeration", k ** m, budget)
+        best, best_g = -np.inf, None
         for betas in itertools.product(range(1, k + 1), repeat=m):
             candidate = _refined_with(g, betas, k)
             value = value_fn(candidate)
             if value > best:
                 best, best_g = value, candidate
         return best, best_g
-    if restarts < 1:
-        raise ValueError(f"restarts must be at least 1, got {restarts}")
-    for restart in range(restarts):
-        rng = generator(derive_seed(seed, restart))
-        betas = rng.integers(1, k + 1, size=m)
-        current = _refined_with(g, betas, k)
-        value = value_fn(current)
-        improved = True
-        while improved:
-            improved = False
-            for pos in range(m):
-                old = betas[pos]
-                for nb in range(1, k + 1):
-                    if nb == old:
-                        continue
-                    betas[pos] = nb
-                    candidate = _refined_with(g, betas, k)
-                    cand_value = value_fn(candidate)
-                    if cand_value > value + 1e-12:
-                        value, current, improved = cand_value, candidate, True
-                        break
-                    betas[pos] = old
-        if value > best:
-            best, best_g = value, current
-    return best, best_g
+
+    def local_search() -> tuple[float, Any]:
+        if restarts < 1:
+            raise ValueError(f"restarts must be at least 1, got {restarts}")
+        best, best_g = -np.inf, None
+        for restart in range(restarts):
+            rng = generator(derive_seed(seed, restart))
+            betas = rng.integers(1, k + 1, size=m)
+            current = _refined_with(g, betas, k)
+            value = value_fn(current)
+            improved = True
+            while improved:
+                improved = False
+                for pos in range(m):
+                    old = betas[pos]
+                    for nb in range(1, k + 1):
+                        if nb == old:
+                            continue
+                        betas[pos] = nb
+                        candidate = _refined_with(g, betas, k)
+                        cand_value = value_fn(candidate)
+                        if cand_value > value + 1e-12:
+                            value, current, improved = cand_value, candidate, True
+                            break
+                        betas[pos] = old
+            if value > best:
+                best, best_g = value, current
+        return best, best_g
+
+    return exact_or_heuristic(mode, enumerate_all, local_search)[0]
 
 
 def _round_coloring(
@@ -909,10 +876,13 @@ def nd_estimate_pipeline(
     is lifted onto the embedded graph and rounded back to an actual
     refinement of ``g``, whose witness value is a certified lower bound
     on the true maximum; the report carries both numbers, their gap, the
-    exhaustive maximum when the budget allows it, and the lift
-    diagnostics. Sampling avoids reserved colors by rejection when the
-    collision-free probability is workable, otherwise reserved edges flow
-    through (the witness callback sees them).
+    exact maximum when the budget allows it, and the lift diagnostics.
+    ``mode`` ("exact", "heuristic" or "auto") picks the search over the
+    sample's refinements; the lift always runs in "auto". ``budget`` caps
+    every enumeration, the lift's included. Sampling avoids reserved
+    colors by rejection when the collision-free probability is workable,
+    otherwise reserved edges flow through (the witness callback sees
+    them).
     """
     if g.r not in (2, 3):
         raise ValueError("the estimation pipeline supports r in (2, 3)")
@@ -928,6 +898,7 @@ def nd_estimate_pipeline(
     v_hat = embed_sample(best_sample)
     u_hat, diag = lift_coloring(
         emb.to_step(), q, v_hat, delta, q0, derive_seed(seed, 2), sample=sample,
+        budget=budget,
     )
     rounded = _round_coloring(g, u_hat, k, derive_seed(seed, 3))
     transferred = float(witness_g(rounded))
@@ -943,7 +914,7 @@ def nd_estimate_pipeline(
     }
     try:
         exact, _ = max_over_refinements(
-            g, k, witness_g, mode="exhaustive", budget=budget,
+            g, k, witness_g, mode="exact", budget=budget,
         )
         report["f_exact"] = float(exact)
     except BudgetError:

@@ -435,7 +435,7 @@ def test_criterion_12_estimate_sandwich():
         n = (4, 5, 6)[i % 3]
         g = random_graph(n, 2, 2, seed=derive_seed(121212, i))
         rep = nd_estimate_pipeline(g, witness, n, 2, seed=derive_seed(121212, i, 1),
-                                   k=2, mode="exhaustive")
+                                   k=2, mode="exact")
         assert rep["f_exact"] is not None
         lo = rep["transferred_value"]
         hi = rep["f_hat"] + rep["gap"]

@@ -1,6 +1,13 @@
 import pytest
 
-from hypertest.budget import DEFAULT_BUDGET, ENV_VAR, BudgetError, check_budget, current_budget
+from hypertest.budget import (
+    DEFAULT_BUDGET,
+    ENV_VAR,
+    BudgetError,
+    check_budget,
+    current_budget,
+    exact_or_heuristic,
+)
 
 
 def test_default_budget(monkeypatch: pytest.MonkeyPatch) -> None:
@@ -32,3 +39,59 @@ def test_check_budget_raises_with_details(monkeypatch: pytest.MonkeyPatch) -> No
     assert err.value.needed == DEFAULT_BUDGET + 1
     assert err.value.budget == DEFAULT_BUDGET
     assert ENV_VAR in str(err.value)
+
+
+def _recorder(calls: list[str], name: str, refuse: bool = False):
+    def run() -> str:
+        calls.append(name)
+        if refuse:
+            raise BudgetError(name, 2, 1)
+        return name + " result"
+
+    return run
+
+
+@pytest.mark.parametrize(
+    "mode, refuse, ran, calls",
+    [
+        ("exact", False, "exact", ["exact"]),
+        ("heuristic", False, "heuristic", ["heuristic"]),
+        ("auto", False, "exact", ["exact"]),
+        ("auto", True, "heuristic", ["exact", "heuristic"]),
+    ],
+)
+def test_exact_or_heuristic_runs_and_reports(mode, refuse, ran, calls) -> None:
+    seen: list[str] = []
+    result = exact_or_heuristic(
+        mode, _recorder(seen, "exact", refuse), _recorder(seen, "heuristic")
+    )
+    assert result == (ran + " result", ran)
+    assert seen == calls
+
+
+def test_exact_mode_does_not_fall_back() -> None:
+    seen: list[str] = []
+    with pytest.raises(BudgetError):
+        exact_or_heuristic("exact", _recorder(seen, "exact", True),
+                           _recorder(seen, "heuristic"))
+    assert seen == ["exact"]
+
+
+def test_auto_propagates_other_errors() -> None:
+    seen: list[str] = []
+
+    def broken() -> str:
+        seen.append("exact")
+        raise ZeroDivisionError("not a refusal")
+
+    with pytest.raises(ZeroDivisionError):
+        exact_or_heuristic("auto", broken, _recorder(seen, "heuristic"))
+    assert seen == ["exact"]
+
+
+def test_unknown_mode_is_named() -> None:
+    seen: list[str] = []
+    with pytest.raises(ValueError, match="'exhaustive'"):
+        exact_or_heuristic("exhaustive", _recorder(seen, "exact"),
+                           _recorder(seen, "heuristic"))
+    assert seen == []

@@ -4,6 +4,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hypertest.budget import BudgetError
 from hypertest.cutnorm import (
@@ -20,6 +22,7 @@ from hypertest.cutnorm import (
     kernel_cutnorm,
     kernel_cutnorm_p,
     random_symmetric_array,
+    _solve,
     sup_cutnorm_over_partitions,
 )
 from hypertest.graphon import GridPartition, embed, random_step_graphon
@@ -380,3 +383,66 @@ class TestWitness:
         _, witness = cutnorm_exact(a)
         with pytest.raises(ValueError, match="atoms"):
             evaluate_witness(random_symmetric_array(5, 2, 3), witness)
+
+
+def brute_cutp_r1(t, classes, tq):
+    """Oracle: per-class absolute sums over every subset of the atoms."""
+    m = len(t)
+    return max(
+        sum(abs(sum(t[a] for a in bits(mask, m) if classes[a] == j)) for j in range(tq))
+        for mask in range(1 << m)
+    )
+
+
+@st.composite
+def r1_cutp_problems(draw):
+    m = draw(st.integers(1, 8))
+    tq = draw(st.integers(1, 4))
+    values = draw(st.lists(
+        st.sampled_from([0.0, 0.5, -0.5]) | st.floats(-1, 1, allow_nan=False),
+        min_size=m, max_size=m))
+    classes = np.array(draw(st.lists(st.integers(0, tq - 1), min_size=m, max_size=m)))
+    return np.array(values), classes, tq
+
+
+class TestCutPR1:
+    """r = 1 exact cut-P is the closed form: per class, the larger mass."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(r1_cutp_problems())
+    def test_closed_form_matches_subset_enumeration(self, problem):
+        # the public r = 1 entry points have one atom (the empty subset or
+        # the single 0-dimensional cell), so several atoms and classes are
+        # posed to the dispatch they hand their problem to
+        t, classes, tq = problem
+        atoms = np.zeros((len(t), 0), dtype=np.intp)
+        exact, wit = _solve("kernel", atoms, t, classes, tq, "exact")
+        heur, _ = _solve("kernel", atoms, t, classes, tq, "heuristic", restarts=4, seed=1)
+        assert exact == pytest.approx(brute_cutp_r1(t, classes, tq), abs=1e-12)
+        assert heur <= exact + 1e-12
+        chosen = list(wit.sets[0])
+        sums = np.bincount(classes[chosen], weights=t[chosen], minlength=tq)
+        assert exact == pytest.approx(float(np.abs(sums).sum()), abs=1e-12)
+
+    def test_ties_take_the_positive_side(self):
+        t = np.array([0.5, -0.5, 0.0, 0.0])
+        classes = np.array([0, 0, 1, 1])
+        value, wit = _solve("kernel", np.zeros((4, 0), dtype=np.intp), t, classes, 2, "exact")
+        assert value == 0.5
+        assert wit.sets == ((0,),)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.floats(-1, 1, allow_nan=False), st.integers(1, 3))
+    def test_kernel_entry_point(self, value, resolution):
+        cell = GridPartition(0, resolution, np.zeros((), dtype=np.int64), 1)
+        kern = StepKernel(cell, np.array([value]))
+        exact, wit = kernel_cutnorm_p(kern, cell, mode="exact")
+        heur, _ = kernel_cutnorm_p(kern, cell, mode="heuristic", restarts=2)
+        assert exact == pytest.approx(abs(value), abs=1e-12)
+        assert heur <= exact + 1e-12
+        assert wit.r == 1
+
+    def test_array_entry_point_no_longer_refuses(self):
+        a = np.array([0.5, -0.2, 0.3, -0.4])
+        value, _ = cutnorm_p(a, TuplePartition(4, 0, (0,), 1), mode="exact")
+        assert value == pytest.approx(0.2 / 4)

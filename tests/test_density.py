@@ -155,7 +155,7 @@ class TestDensityGraphon:
         f = make_hypergraph(4, 2, 2, [1] * 6)
         with pytest.raises(BudgetError):
             density_graphon(f, w, budget=100)
-        est, se = density_graphon(f, w, budget=100, mc_fallback=True, trials=2000, seed=5)
+        est, se = density_mc(f, w, trials=2000, seed=5)
         assert 0.0 <= est <= 1.0 and se >= 0.0
 
     def test_vertex_graphon_fast_path(self):

@@ -112,6 +112,12 @@ class TestWeakRegularize:
         w = random_step_graphon(2, 2, 5, 16, seed=13)
         v, p, trace = weak_regularize(w, eps=0.5, t=1)
         assert trace[-1]["residual"] <= 0.5
+        assert [row["mode"] for row in trace] == ["heuristic"] * len(trace)
+
+    def test_auto_stays_exact_on_small_grids(self):
+        w = random_step_graphon(2, 2, 3, 4, seed=13)
+        v, p, trace = weak_regularize(w, eps=0.5, t=1)
+        assert [row["mode"] for row in trace] == ["exact"] * len(trace)
 
     def test_exact_mode_propagates_budget_error(self):
         w = random_step_graphon(2, 2, 5, 16, seed=13)

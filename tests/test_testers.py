@@ -129,8 +129,8 @@ class TestNdParameter:
         f = PARAMETERS["signed-split"]
         for seed in range(20):
             g = random_graph(4, seed=seed)
-            exact = nd_parameter(f, g, mode="exhaustive")
-            local = nd_parameter(f, g, mode="local", seed=seed, restarts=4)
+            exact = nd_parameter(f, g, mode="exact")
+            local = nd_parameter(f, g, mode="heuristic", seed=seed, restarts=4)
             assert local.value <= exact.value + 1e-12
             assert not local.certified
 
@@ -140,7 +140,7 @@ class TestNdParameter:
         out = nd_parameter(f, g, mode="auto", budget=100)
         assert not out.certified
         with pytest.raises(BudgetError):
-            nd_parameter(f, g, mode="exhaustive", budget=100)
+            nd_parameter(f, g, mode="exact", budget=100)
 
 
 class TestPropertyTester:
@@ -181,7 +181,18 @@ class TestPropertyTester:
     def test_budget_refusal_propagates(self):
         with pytest.raises(BudgetError):
             property_tester(PROPERTIES["complete-witness"], complete_graph(7),
-                            0.3, mode="exhaustive", budget=50)
+                            0.3, mode="exact", budget=50)
+
+    def test_auto_passes_a_witness_refusal_through(self):
+        # arity 1: the single refinement fits the budget, but the witness
+        # density at sample size 4 needs C(8, 4) = 70 subsets. The refusal
+        # comes from the value callback, so auto must not answer with the
+        # heuristic: the heuristic refuses too, with the same stage.
+        with pytest.raises(BudgetError) as err:
+            property_tester(PROPERTIES["complete"], complete_graph(8), 2.0,
+                            mode="auto", budget=10)
+        assert err.value.stage == "sample property density"
+        assert err.value.needed == comb(8, 4)
 
 
 class TestFarness:

@@ -28,6 +28,7 @@ from hypertest.hypercore import (
     split_color,
 )
 from hypertest.seeds import derive_seed, generator
+from hypertest.testers import ParameterFn, nd_parameter
 from hypertest.transfer import (
     base_case_report,
     base_case_transfer,
@@ -38,7 +39,6 @@ from hypertest.transfer import (
     max_over_refinements,
     nd_estimate_pipeline,
     product_tv,
-    refinement_mode,
     transfer_bound_report,
     transfer_coloring,
 )
@@ -286,6 +286,8 @@ class TestLiftColoring:
             "refine_source_partition", "color_source_steps",
             "transfer_to_source",
         ]
+        assert all(list(s)[:2] == ["stage", "seconds"] and s["seconds"] >= 0
+                   for s in diag["stages"])
         assert diag["delta_effective"] == pytest.approx(0.02)
         assert diag["delta_paper"] < 1e-4
         assert diag["final_tv"] is not None
@@ -364,16 +366,16 @@ class TestMaxOverRefinements:
     def test_exhaustive_finds_the_obvious_maximum(self):
         g = make_hypergraph(4, 2, 1, [1] * 6)
         best, best_g = max_over_refinements(g, 2, self.monochrome_score,
-                                            mode="exhaustive")
+                                            mode="exact")
         assert best == pytest.approx(1.0)
         assert all(c == 1 for c in best_g.colors)
 
     def test_local_search_matches_exhaustive_on_smooth_objective(self):
         g = make_hypergraph(4, 2, 2, [1, 2, 1, 2, 1, 2])
         exact, _ = max_over_refinements(g, 2, self.monochrome_score,
-                                        mode="exhaustive")
+                                        mode="exact")
         local, _ = max_over_refinements(g, 2, self.monochrome_score,
-                                        mode="local", restarts=4, seed=5)
+                                        mode="heuristic", restarts=4, seed=5)
         assert local == pytest.approx(exact)
 
     def test_local_never_beats_exhaustive(self):
@@ -384,8 +386,8 @@ class TestMaxOverRefinements:
             return float(sum(w for w, c in zip(weights, h.colors) if c % 2 == 1))
 
         g = make_hypergraph(4, 2, 1, [1] * 6)
-        exact, _ = max_over_refinements(g, 2, score, mode="exhaustive")
-        local, _ = max_over_refinements(g, 2, score, mode="local",
+        exact, _ = max_over_refinements(g, 2, score, mode="exact")
+        local, _ = max_over_refinements(g, 2, score, mode="heuristic",
                                         restarts=6, seed=3)
         assert local <= exact + 1e-12
 
@@ -394,20 +396,22 @@ class TestMaxOverRefinements:
         best, _ = max_over_refinements(g, 2, self.monochrome_score,
                                        mode="auto", budget=100, seed=2)
         assert best == pytest.approx(1.0)
-        assert refinement_mode(g, 2, "auto", budget=100) == "local"
-        assert refinement_mode(g, 2, "auto", budget=2**10) == "exhaustive"
+        # 10 edges: 2**10 refinements, refused at 100 and enumerated at 2**10
+        f = ParameterFn("monochrome", 2, 2, self.monochrome_score)
+        assert not nd_parameter(f, g, mode="auto", budget=100, seed=2).certified
+        assert nd_parameter(f, g, mode="auto", budget=2**10).certified
 
     @pytest.mark.parametrize("restarts", [0, -3])
     def test_local_search_rejects_nonpositive_restarts(self, restarts):
         g = make_hypergraph(4, 2, 1, [1] * 6)
         with pytest.raises(ValueError, match="restarts must be at least 1"):
-            max_over_refinements(g, 2, self.monochrome_score, mode="local",
+            max_over_refinements(g, 2, self.monochrome_score, mode="heuristic",
                                  restarts=restarts)
 
     def test_reserved_edges_stay_reserved(self):
         s = SampledColoredGraph(3, 2, 1, (1, 0, 1))
         best, best_g = max_over_refinements(s, 2, self.monochrome_score,
-                                            mode="exhaustive")
+                                            mode="exact")
         assert best_g.colors[1] == 0
         assert best_g.k == 2
 
@@ -439,3 +443,14 @@ class TestEstimationPipeline:
         assert 0.0 <= rep["f_hat"] <= 1.0
         assert rep["lift"]["final_tv"] is not None
         assert json.dumps(rep)
+
+    def test_budget_reaches_the_lift(self):
+        # the volume base case expands 40**2 = 1600 product outcomes, so a
+        # budget of 1000 must refuse inside the lift, not only in the
+        # refinement search
+        rng = generator(8)
+        g = make_hypergraph(8, 2, 2, [int(c) for c in rng.integers(1, 3, size=28)])
+        with pytest.raises(BudgetError) as err:
+            nd_estimate_pipeline(g, self.signed_score, 5, 2, seed=11, k=2, budget=1000)
+        assert err.value.stage == "lift stage 'refine_source_partition': product law expansion"
+        assert (err.value.needed, err.value.budget) == (1600, 1000)
