@@ -44,7 +44,7 @@ from .graphon import (
     common_refinement,
     orbit_partition,
 )
-from .hypercore import ColoredHypergraph, colex_edges, colex_subsets
+from .hypercore import ColoredHypergraph, colex_edges, colex_ranks
 from .seeds import derive_seed, generator
 
 __all__ = [
@@ -106,9 +106,6 @@ class TuplePartition:
             if len(set(labels)) == q:
                 return cls(n, r_minus_1, labels, q)
         return cls(n, r_minus_1, (0,) * m, q, allow_empty=True)
-
-    def subsets(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(colex_subsets(self.n, self.r_minus_1))
 
 
 @dataclass(frozen=True, eq=False)
@@ -186,15 +183,15 @@ def _array_problem(a: np.ndarray, p: TuplePartition | None = None) -> _Problem:
         classes = np.array(p.classes)
         classes.flags.writeable = False
     atoms = colex_edges(n, r - 1)
-    rank = {s: i for i, s in enumerate(colex_subsets(n, r - 1))}
-    m = len(atoms)
-    t = np.zeros((m,) * r)
-    scale = 1.0 / n ** r
-    for tup in itertools.product(range(n), repeat=r):
-        if r >= 3 and len(set(tup)) != r:
-            continue  # some deleted projection would hit the diagonal
-        idx = tuple(rank[tuple(sorted(tup[:j] + tup[j + 1:]))] for j in range(r))
-        t[idx] += arr[tup] * scale
+    tuples = np.indices((n,) * r).reshape(r, -1).T  # itertools.product order
+    if r >= 3:  # some deleted projection of a repeating tuple would hit the diagonal
+        tuples = tuples[np.all(np.diff(np.sort(tuples, axis=1), axis=1) > 0, axis=1)]
+    dropped = np.array([[i for i in range(r) if i != j] for j in range(r)],
+                       dtype=np.intp).reshape(r, r - 1)
+    idx = colex_ranks(np.sort(tuples[:, dropped], axis=-1), n)
+    t = np.zeros((len(atoms),) * r)
+    # a cell gets one tuple for r >= 2; for r = 1 add.at keeps the sequential sum
+    np.add.at(t, tuple(idx.T), arr[tuple(tuples.T)] * (1.0 / n ** r))
     return atoms, t, classes, None if p is None else p.q
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import comb, factorial
-from typing import Any, Iterable
+from typing import Any
 
 import numpy as np
 
@@ -31,6 +31,8 @@ from .hypercore import (
     SampledColoredGraph,
     colex_edges,
     induced_patterns,
+    induced_sweep,
+    pattern_counts,
 )
 from .seeds import generator
 
@@ -102,12 +104,6 @@ def all_patterns(q: int, r: int, k: int, with_iota: bool = False) -> list[tuple[
     return [tuple(p) for p in itertools.product(colors, repeat=comb(q, r))]
 
 
-def _pattern_of(f: GraphLike) -> tuple[int, ...]:
-    if isinstance(f, SampledColoredGraph):
-        return tuple(f.colors)
-    return tuple(f.color_of(e) for e in f.edges())
-
-
 # ----------------------------------------------------------------------
 # vectorized induced-color machinery (one edge at a time, so the working
 # set stays at one (N, ...) column however many edges a pattern has)
@@ -140,24 +136,20 @@ def _step_edge_probs(w: StepGraphon, cells: np.ndarray, q: int) -> list[np.ndarr
 
 def density_graph(f: GraphLike, g: ColoredHypergraph, budget: int | None = None) -> float:
     """Probability that a sorted q-vertex sample of g equals f exactly."""
-    q = f.q if isinstance(f, SampledColoredGraph) else f.n
+    q = f.n
     if (f.r, f.k) != (g.r, g.k):
         raise ValueError("palettes must match")
     if q > g.n:
         raise ValueError(f"sample size {q} exceeds vertex count {g.n}")
-    pattern = _pattern_of(f)
-    if IOTA in pattern:
+    if IOTA in f.colors:
         return 0.0  # distinct vertices never induce the reserved color
     check_budget(
         "density_graph subset enumeration (use density_mc for an estimate)",
         comb(g.n, q),
         budget,
     )
-    hits = sum(
-        1
-        for subset in itertools.combinations(range(g.n), q)
-        if g.induced_colors(subset) == pattern
-    )
+    pattern = np.asarray(f.colors)
+    hits = sum(int(np.all(rows == pattern, axis=1).sum()) for rows in induced_sweep(g, q))
     return hits / comb(g.n, q)
 
 
@@ -173,10 +165,10 @@ def density_graphon(
     exceeds the budget. ``density_mc`` gives a Monte-Carlo estimate
     instead.
     """
-    q = f.q if isinstance(f, SampledColoredGraph) else f.n
+    q = f.n
     if (f.r, f.k) != (w.r, w.k):
         raise ValueError("palettes must match")
-    pattern = _pattern_of(f)
+    pattern = f.colors
     ncoords = len(sample_coordinates(q, w.r))
     if isinstance(w, VertexGraphon):
         needed = w.n**q
@@ -213,10 +205,10 @@ def density_mc(
     probability given the coordinates is averaged, which for graphs is the
     plain hit indicator.
     """
-    q = f.q if isinstance(f, SampledColoredGraph) else f.n
+    q = f.n
     if (f.r, f.k) != (source.r, source.k):
         raise ValueError("palettes must match")
-    pattern = np.asarray(_pattern_of(f))
+    pattern = np.asarray(f.colors)
     rng = generator(seed)
 
     if isinstance(source, ColoredHypergraph):
@@ -231,7 +223,7 @@ def density_mc(
         induced = _induced_columns(source.graph, verts)
         x = np.all(induced == pattern, axis=1).astype(float)
     else:
-        if any(c not in source.arrays for c in _pattern_of(f)):
+        if any(c not in source.arrays for c in f.colors):
             return 0.0, 0.0
         g = source.partition.resolution
         ncoords = len(sample_coordinates(q, source.r))
@@ -239,7 +231,7 @@ def density_mc(
         probs = _step_edge_probs(source, cells, q)
         chan_idx = {c: i for i, c in enumerate(source.channel_order)}
         x = np.ones(trials)
-        for col, color in enumerate(_pattern_of(f)):
+        for col, color in enumerate(f.colors):
             x = x * probs[col][:, chan_idx[color]]
     estimate = float(x.mean())
     stderr = float(x.std(ddof=1) / np.sqrt(trials)) if trials > 1 else float("inf")
@@ -264,13 +256,9 @@ def sample_distribution(
         support = (k + 1) ** n_edges if has_iota else k**n_edges
         check_budget("sample_distribution support", support, budget)
         check_budget("sample_distribution subset sweep", comb(source.n, q), budget)
-        counts: dict[tuple[int, ...], int] = {}
-        for subset in itertools.combinations(range(source.n), q):
-            pattern = source.induced_colors(subset)
-            counts[pattern] = counts.get(pattern, 0) + 1
         total = comb(source.n, q)
         probs = {p: 0.0 for p in all_patterns(q, r, k, with_iota=has_iota)}
-        for pattern, c in counts.items():
+        for pattern, c in pattern_counts(induced_sweep(source, q)).items():
             probs[pattern] = c / total
         return SampleDistribution(q, r, k, has_iota, probs)
 
@@ -280,9 +268,7 @@ def sample_distribution(
         verts = np.indices((source.n,) * q).reshape(q, -1).T
         induced = _induced_columns(source.graph, verts)
         probs = {p: 0.0 for p in all_patterns(q, r, k, with_iota=True)}
-        for row in induced:
-            key = tuple(int(c) for c in row)
-            probs[key] += 1.0
+        probs.update(pattern_counts([induced]))
         total = float(source.n**q)
         return SampleDistribution(
             q, r, k, True, {p: v / total for p, v in probs.items()}

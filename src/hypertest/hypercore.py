@@ -7,15 +7,20 @@ array exports and JSON files portable across machines.
 
 The reserved color value 0 (exposed as :data:`IOTA`) marks the diagonal
 in sampled objects; finite hypergraphs never store it.
+
+:func:`colex_ranks` is the one bulk "sorted tuple -> storage slot" rule,
+a binomial-table gather: induced colors, adjacency arrays, relabelings
+and cut-norm tensors go through it; ``color_of`` keeps the scalar rule.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from collections import Counter
+from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import permutations, product
+from itertools import combinations, islice, permutations, product
 from math import comb
-from typing import Any, Iterator, Mapping, Sequence
+from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -27,7 +32,10 @@ __all__ = [
     "colex_rank",
     "colex_subsets",
     "colex_edges",
+    "colex_ranks",
     "induced_patterns",
+    "induced_sweep",
+    "pattern_counts",
     "ColoredHypergraph",
     "SampledColoredGraph",
     "make_hypergraph",
@@ -42,20 +50,15 @@ __all__ = [
 
 IOTA = 0
 
+# q-subsets per chunk of an induced-color sweep: bounds its working set
+_SWEEP_ROWS = 2048
+
 
 def colex_rank(subset: Sequence[int]) -> int:
-    """Rank of a sorted 0-based subset in colexicographic order.
+    """Colex rank of one strictly increasing 0-based subset (scalar rule).
 
-    Parameters
-    ----------
-    subset : sequence of int
-        Strictly increasing 0-based vertex indices.
-
-    Returns
-    -------
-    int
-        Position of ``subset`` among all ``len(subset)``-subsets of any
-        ground set containing it, counting from 0.
+    The position of ``subset`` among all ``len(subset)``-subsets of any
+    ground set containing it, counting from 0.
     """
     return sum(comb(v, i + 1) for i, v in enumerate(subset))
 
@@ -86,11 +89,29 @@ def colex_edges(n: int, r: int) -> np.ndarray:
 
 @lru_cache(maxsize=32)
 def _comb_table(n: int, r: int) -> np.ndarray:
-    """table[v, i] = C(v, i + 1): colex ranks as sums of table lookups."""
-    table = np.array([[comb(v, i + 1) for i in range(r)] for v in range(n + 1)],
-                     dtype=np.int64).reshape(n + 1, r)
+    """table[i, v] = C(v, i + 1): colex ranks as sums of table lookups."""
+    table = np.array([[comb(v, i + 1) for v in range(n + 1)] for i in range(r)],
+                     dtype=np.int64).reshape(r, n + 1)
     table.flags.writeable = False
     return table
+
+
+def colex_ranks(subsets: np.ndarray, n: int) -> np.ndarray:
+    """Colex ranks of the strictly increasing tuples along the last axis.
+
+    ``subsets`` has shape (..., r) with entries in ``range(n)``; returns
+    the int64 ranks, shape (...). An empty tuple (r = 0) has rank 0.
+    """
+    ranks = np.zeros(subsets.shape[:-1], dtype=np.int64)
+    for i, binomials in enumerate(_comb_table(n, subsets.shape[-1])):
+        ranks += binomials.take(subsets[..., i])
+    return ranks
+
+
+def _check_vertices(g, verts: np.ndarray) -> None:
+    bad = verts[(verts < 0) | (verts >= g.n)]
+    if bad.size:
+        raise ValueError(f"vertex {int(bad[0])} outside range(0, {g.n})")
 
 
 def induced_patterns(g: ColoredHypergraph, verts: np.ndarray, edges: np.ndarray) -> np.ndarray:
@@ -101,13 +122,33 @@ def induced_patterns(g: ColoredHypergraph, verts: np.ndarray, edges: np.ndarray)
     example one row or all of ``colex_edges(q, r)``. Returns the colors
     of the vertex sets ``verts[:, edges]``, shape (N, ...), with the
     reserved color wherever a set has fewer than r distinct vertices.
+    A vertex outside ``range(g.n)`` raises ``ValueError``.
     """
+    _check_vertices(g, verts)
     sub = np.sort(verts[:, edges], axis=-1)
     distinct = np.all(np.diff(sub, axis=-1) > 0, axis=-1)
-    table = _comb_table(g.n, g.r)
-    ranks = sum(table[sub[..., i], i] for i in range(g.r))
     colors = np.asarray(g.colors, dtype=np.int64)
-    return np.where(distinct, colors[np.minimum(ranks, len(colors) - 1)], IOTA)
+    return np.where(distinct, colors[np.minimum(colex_ranks(sub, g.n), len(colors) - 1)], IOTA)
+
+
+def induced_sweep(g, q: int) -> Iterator[np.ndarray]:
+    """Colors induced on every q-subset of ``g``'s vertices, chunk by chunk.
+
+    One row per subset, in ``itertools.combinations`` order, colors in
+    colex edge order on [q]. Chunks of at most ``_SWEEP_ROWS`` rows keep
+    the working set independent of C(n, q).
+    """
+    edges = colex_edges(q, g.r)
+    colors = np.asarray(g.colors, dtype=np.int64)
+    subsets = combinations(range(g.n), q)
+    while chunk := list(islice(subsets, _SWEEP_ROWS)):
+        verts = np.array(chunk, dtype=np.intp).reshape(len(chunk), q)
+        yield colors[colex_ranks(verts[:, edges], g.n)]
+
+
+def pattern_counts(chunks: Iterable[np.ndarray]) -> Counter:
+    """How often each row occurs, keyed by its color-pattern tuple."""
+    return Counter(tuple(row) for rows in chunks for row in rows.tolist())
 
 
 def _validate_colors(n: int, r: int, k: int, colors: tuple[int, ...], allow_iota: bool) -> None:
@@ -124,21 +165,6 @@ def _validate_colors(n: int, r: int, k: int, colors: tuple[int, ...], allow_iota
     for c in colors:
         if not (lo <= c <= k):
             raise ValueError(f"edge color {c} outside palette [{lo}..{k}]")
-
-
-def _induced_colors(g, vertices: Sequence[int]) -> tuple[int, ...]:
-    """Colors of the subgraph induced on sorted ``vertices``, in colex order.
-
-    ``vertices`` must be strictly increasing, so local colex order of
-    position subsets matches global colex order of the image subsets.
-    """
-    verts = tuple(vertices)
-    if any(verts[i] >= verts[i + 1] for i in range(len(verts) - 1)):
-        raise ValueError("vertices must be strictly increasing")
-    return tuple(
-        g.colors[colex_rank(tuple(verts[i] for i in local))]
-        for local in colex_subsets(len(verts), g.r)
-    )
 
 
 @dataclass(frozen=True)
@@ -197,23 +223,32 @@ class ColoredHypergraph:
         if not (1 <= alpha <= self.k):
             raise ValueError(f"color {alpha} outside palette [1..{self.k}]")
         a = np.zeros((self.n,) * self.r, dtype=np.float64)
-        for edge in self.edges():
-            if self.color_of(edge) == alpha:
-                for perm in _permutations(self.r):
-                    a[tuple(edge[p] for p in perm)] = 1.0
+        hit = colex_edges(self.n, self.r)[np.asarray(self.colors) == alpha]
+        a[tuple(hit[:, _permutations(self.r)].T)] = 1.0
         return a
 
-    induced_colors = _induced_colors
+    def induced_colors(self, vertices: Sequence[int]) -> tuple[int, ...]:
+        """Colors of the subgraph induced on ``vertices``, in colex edge order.
+
+        ``vertices`` must be strictly increasing (so local colex order of
+        position subsets matches global colex order of the image subsets)
+        and lie in ``range(n)``; otherwise ``ValueError``.
+        """
+        verts = np.asarray(vertices, dtype=np.intp)
+        if np.any(verts[1:] <= verts[:-1]):
+            raise ValueError("vertices must be strictly increasing")
+        _check_vertices(self, verts)
+        ranks = colex_ranks(verts[colex_edges(len(verts), self.r)], self.n)
+        return tuple([self.colors[i] for i in ranks.tolist()])
 
     def relabeled(self, perm: Sequence[int]) -> "ColoredHypergraph":
         """The same hypergraph with vertex ``v`` renamed to ``perm[v]``."""
         if sorted(perm) != list(range(self.n)):
             raise ValueError("perm must be a permutation of range(n)")
-        new = [0] * len(self.colors)
-        for edge in self.edges():
-            image = tuple(sorted(perm[v] for v in edge))
-            new[colex_rank(image)] = self.colors[colex_rank(edge)]
-        return ColoredHypergraph(self.n, self.r, self.k, tuple(new))
+        images = np.sort(np.asarray(perm, dtype=np.intp)[colex_edges(self.n, self.r)], axis=1)
+        new = np.empty(len(self.colors), dtype=np.int64)
+        new[colex_ranks(images, self.n)] = self.colors
+        return ColoredHypergraph(self.n, self.r, self.k, tuple(new.tolist()))
 
 
 @dataclass(frozen=True)
@@ -254,7 +289,7 @@ class SampledColoredGraph:
         edge = tuple(sorted(edge))
         return self.colors[colex_rank(edge)]
 
-    induced_colors = _induced_colors
+    induced_colors = ColoredHypergraph.induced_colors
 
     def has_iota(self) -> bool:
         return IOTA in self.colors
@@ -266,11 +301,8 @@ class SampledColoredGraph:
 def make_hypergraph(n: int, r: int, k: int, color_list: Sequence[int]) -> ColoredHypergraph:
     """Build a hypergraph from a color list in colex edge order.
 
-    Raises
-    ------
-    ValueError
-        If ``n < r``, the list length is not C(n, r), or a color falls
-        outside [1..k].
+    Raises ``ValueError`` if ``n < r``, the list length is not C(n, r),
+    or a color falls outside [1..k].
     """
     return ColoredHypergraph(n, r, k, tuple(color_list))
 
@@ -291,13 +323,8 @@ def discolor(g, k: int):
     """Merge a [t] x [k] palette back to [t] by forgetting the second index.
 
     Works on :class:`ColoredHypergraph` and :class:`SampledColoredGraph`
-    (where the reserved color 0 stays 0). The palette size must be
-    divisible by ``k``.
-
-    Raises
-    ------
-    ValueError
-        If ``g.k`` is not a positive multiple of ``k``.
+    (where the reserved color 0 stays 0). Raises ``ValueError`` unless
+    ``g.k`` is a positive multiple of ``k``.
     """
     if k < 1 or g.k % k != 0:
         raise ValueError(f"palette size {g.k} is not divisible by k={k}")
@@ -308,29 +335,34 @@ def discolor(g, k: int):
     return ColoredHypergraph(g.n, g.r, t, new_colors)
 
 
+def _refined_with(g, betas: Sequence[int], k: int):
+    """The one refinement constructor: subcolor ``betas[i]`` on the i-th non-reserved edge.
+
+    Colors pair as (alpha, beta) -> (alpha-1)*k + beta; reserved edges stay reserved.
+    """
+    it = iter(betas)
+    colors = tuple(
+        c if c == IOTA else composite_color(c, int(next(it)), k) for c in g.colors
+    )
+    if isinstance(g, SampledColoredGraph):
+        return SampledColoredGraph(g.q, g.r, g.k * k, colors,
+                                   vertices=g.vertices, coords=g.coords)
+    return ColoredHypergraph(g.n, g.r, g.k * k, colors)
+
+
 def enumerate_colorings(g, k: int, budget: int | None = None):
     """Every [t] x [k]-coloring refining ``g``, in a fixed deterministic order.
 
-    Yields hypergraphs whose discoloring by ``k`` equals ``g``; there are
-    exactly ``k ** C(n, r)`` of them. Edges keep their base color alpha
-    and receive every combination of subcolors beta via the pairing
-    (alpha, beta) -> (alpha-1)*k + beta, iterated in row-major order over
-    colex edge positions.
-
-    Raises
-    ------
-    BudgetError
-        If ``k ** C(n, r)`` exceeds the enumeration budget; callers must
-        then switch to local search (module testers).
+    Yields the ``k ** m`` refinements over the m non-reserved edges of
+    ``g`` (reserved edges stay reserved), subcolor tuples in row-major
+    order over those edges in colex order. Raises :class:`BudgetError`
+    when ``k ** m`` exceeds the budget; callers then switch to local
+    search (``max_over_refinements``).
     """
-    m = len(g.colors)
-    check_budget("enumerate_colorings", k**m, budget)
+    m = sum(1 for c in g.colors if c != IOTA)
+    check_budget("refinement enumeration", k**m, budget)
     for betas in product(range(1, k + 1), repeat=m):
-        colors = tuple(composite_color(c, b, k) for c, b in zip(g.colors, betas))
-        if isinstance(g, SampledColoredGraph):
-            yield SampledColoredGraph(g.q, g.r, g.k * k, colors, vertices=g.vertices, coords=g.coords)
-        else:
-            yield ColoredHypergraph(g.n, g.r, g.k * k, colors)
+        yield _refined_with(g, betas, k)
 
 
 def sample_subgraph(g: ColoredHypergraph, q: int, seed: int) -> SampledColoredGraph:
@@ -338,12 +370,7 @@ def sample_subgraph(g: ColoredHypergraph, q: int, seed: int) -> SampledColoredGr
 
     The chosen vertices are sorted and relabeled to [q]; the sample
     records them in its ``vertices`` provenance field. Same seed, same
-    sample, bit for bit.
-
-    Raises
-    ------
-    ValueError
-        If ``q > n`` or ``q < r``.
+    sample, bit for bit. Raises ``ValueError`` if ``q > n`` or ``q < r``.
     """
     if q > g.n:
         raise ValueError(f"cannot sample q={q} vertices from n={g.n}")

@@ -27,12 +27,12 @@ from functools import partial
 from math import ceil, comb, log, sqrt
 from typing import Any, Callable, NamedTuple, Sequence
 
-import numpy as np
-
 from .budget import check_budget, exact_or_heuristic
 from .hypercore import (
     ColoredHypergraph,
     SampledColoredGraph,
+    induced_sweep,
+    pattern_counts,
     sample_subgraph,
 )
 from .seeds import derive_seed, generator
@@ -251,16 +251,19 @@ def witness_sample_density(
     q: int,
     budget: int | None = None,
 ) -> float:
-    """Fraction of induced q-subsets of ``h`` in the witness sample property."""
+    """Fraction of induced q-subsets of ``h`` in the witness sample property.
+
+    The predicate runs once per distinct induced pattern, weighted by
+    the number of subsets that induce it.
+    """
     if not h.r <= q <= h.n:
         raise ValueError(f"need r <= q <= n, got q={q} for n={h.n}")
     check_budget("sample property density", comb(h.n, q), budget)
     predicate = p_witness.sample_predicate()
-    hits = 0
-    for verts in itertools.combinations(range(h.n), q):
-        sub = ColoredHypergraph(q, h.r, h.k, h.induced_colors(verts))
-        if predicate(sub):
-            hits += 1
+    hits = sum(
+        count for pattern, count in pattern_counts(induced_sweep(h, q)).items()
+        if predicate(ColoredHypergraph(q, h.r, h.k, pattern))
+    )
     return hits / comb(h.n, q)
 
 

@@ -21,7 +21,6 @@ below the sizes where the failure probability becomes negligible.
 
 from __future__ import annotations
 
-import itertools
 import time
 from contextlib import contextmanager
 from math import comb, factorial, log
@@ -53,9 +52,10 @@ from .hypercore import (
     IOTA,
     ColoredHypergraph,
     SampledColoredGraph,
-    colex_rank,
-    colex_subsets,
+    _refined_with,
+    colex_edges,
     composite_color,
+    enumerate_colorings,
 )
 from .regularity import RegularityError, weak_regularize
 from .seeds import derive_seed, generator
@@ -661,16 +661,13 @@ def lift_coloring(
             u_marg_hat = StepGraphon(
                 2, p_part.t * t_r, GridPartition(1, q, np.arange(q), q), arrays_m
             )
-            inner_colors = tuple(
-                int(p_prime.labels[e[0], e[1], 0]) + 1 for e in colex_subsets(q, 2)
-            )
+            pairs = colex_edges(q, 2)
+            inner_colors = (p_prime.labels[pairs[:, 0], pairs[:, 1], 0] + 1).tolist()
             inner_sample = SampledColoredGraph(
                 q, 2, p_part.t, inner_colors, coords=tuple(coords[:q])
             )
             pair_start = {s: i for i, s in enumerate(sample_coordinates(q, 3))}
-            inner_ues = np.empty(comb(q, 2))
-            for pair in colex_subsets(q, 2):
-                inner_ues[colex_rank(pair)] = coords[pair_start[pair]]
+            inner_ues = coords[[pair_start[pair] for pair in map(tuple, pairs.tolist())]]
             w_marg_hat, inner_diag = lift_coloring(
                 w_marg, q, u_marg_hat, delta / 4, q0, derive_seed(seed, 5),
                 sample=inner_sample, edge_uniforms=inner_ues,
@@ -752,18 +749,6 @@ def lift_coloring(
 # nondeterministic estimation
 
 
-def _refined_with(g, betas: Sequence[int], k: int):
-    """Apply per-edge subcolors to the non-reserved edges of a sample."""
-    it = iter(betas)
-    colors = tuple(
-        c if c == IOTA else composite_color(c, int(next(it)), k) for c in g.colors
-    )
-    if isinstance(g, SampledColoredGraph):
-        return SampledColoredGraph(g.q, g.r, g.k * k, colors,
-                                   vertices=g.vertices, coords=g.coords)
-    return ColoredHypergraph(g.n, g.r, g.k * k, colors)
-
-
 def max_over_refinements(
     g: ColoredHypergraph | SampledColoredGraph,
     k: int,
@@ -786,10 +771,8 @@ def max_over_refinements(
     m = sum(1 for c in g.colors if c != IOTA)
 
     def enumerate_all() -> tuple[float, Any]:
-        check_budget("refinement enumeration", k ** m, budget)
         best, best_g = -np.inf, None
-        for betas in itertools.product(range(1, k + 1), repeat=m):
-            candidate = _refined_with(g, betas, k)
+        for candidate in enumerate_colorings(g, k, budget):
             value = value_fn(candidate)
             if value > best:
                 best, best_g = value, candidate

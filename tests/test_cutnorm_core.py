@@ -3,9 +3,11 @@
 The golden digests were recorded before the cut-norm entry points were
 routed through one dispatch and their witnesses kept as arrays: every
 witness's ``to_json()``, every regularity residual and every CLI artifact
-below must stay byte-identical. The property test replays the former
-per-channel, per-permutation ``np.allclose`` loop and compares it with
-the one stacked symmetry check.
+below must stay byte-identical. The array-problem digests were recorded
+from the rank-dict product loop that the bulk colex-rank gather replaced.
+Property tests replay that loop, and the former per-channel,
+per-permutation ``np.allclose`` loop against the one stacked symmetry
+check.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from hypothesis import strategies as st
 
 from hypertest import cli
 from hypertest.cutnorm import (
+    _array_problem,
     StepKernel,
     TuplePartition,
     cut_distance,
@@ -39,7 +42,7 @@ from hypertest.graphon import (
     random_step_graphon,
     step_graphon_to_json,
 )
-from hypertest.hypercore import hypergraph_to_json, make_hypergraph
+from hypertest.hypercore import colex_subsets, hypergraph_to_json, make_hypergraph
 from hypertest.regularity import sup_partition_distance, symmetrized_step
 from hypertest.seeds import generator
 
@@ -311,3 +314,96 @@ def test_symmetry_check_matches_per_channel_loop(r, side, channels, scale, seed,
     names = [f"channel {c}" for c in range(channels)]
     expected = _outcome(_replayed_check, arrays, names)
     assert _outcome(_check_symmetric, np.stack(arrays), names) == expected
+
+
+# ----------------------------------------------------------------------
+# the array problem's coefficient tensors, r = 1..4
+
+
+# r -> (array side, partition classes)
+PROBLEM_SIZES = {1: (6, 1), 2: (7, 3), 3: (5, 3), 4: (4, 2)}
+
+
+def _problem_payload(atoms, t, classes, count) -> list:
+    return [_sha(repr(atoms.tolist()).encode()), _array_digest(t),
+            None if classes is None else _sha(repr(classes.tolist()).encode()), count]
+
+
+def _array_problems() -> dict:
+    got = {}
+    for r, (n, q) in PROBLEM_SIZES.items():
+        part = TuplePartition.random(n, r - 1, q, 140 + r)
+        arrays = {"random": random_symmetric_array(n, r, 150 + r),
+                  "adjacency": _random_graph(n, r, 3, 160 + r).adjacency_array(2)}
+        for kind, a in arrays.items():
+            got[f"{kind}-r{r}"] = _problem_payload(*_array_problem(a))
+            got[f"{kind}-r{r}-partition"] = _problem_payload(*_array_problem(a, part))
+    return got
+
+
+GOLDEN_ARRAY_PROBLEMS = {
+    "adjacency-r1":
+        "09e13eced9586c07274df388f13d6e86fcbf5f6487f0242364e7c32ab3e9d095",
+    "adjacency-r1-partition":
+        "cf4bb76c1b115c356e8533a77e1666cade37929917ec3090044d10d4e596b368",
+    "adjacency-r2":
+        "e7565408593fcc446a0bac78627ae231b92b4d563121482483fce201b97b9232",
+    "adjacency-r2-partition":
+        "88ec8606e8db2bbbd3f1bf01df3d118bd6255d5ea391f5f913e5c451e791779b",
+    "adjacency-r3":
+        "dd3227b2930267df7919c1de4563ac5908164b295379400007cf024d58803125",
+    "adjacency-r3-partition":
+        "1398c7d2408bc3f3f9ebd89b74c90d84524bd1799e8422750bbad0e87becb70c",
+    "adjacency-r4":
+        "293293e30db0a6b1bebb18e55a2b8a8e84a597d1ecd83ebf2cd8a3b59983974c",
+    "adjacency-r4-partition":
+        "f7e2f2b4c1fd848f2d8027a1dfe1647751e6d863c696cb9e9ca5396bfa68f942",
+    "random-r1":
+        "6c3ff714de82030bef46681aa96e1bb22b626a371435be0c09d1a0e2ed256930",
+    "random-r1-partition":
+        "e9c8a15606e9cc982d1b6a70a7473badc4e344751b70ac5809742f034b61ffcc",
+    "random-r2":
+        "c419753362c5ff69133d1c007966768b6d0c297affda7b36f19ce8307f0da8b4",
+    "random-r2-partition":
+        "ef81fc7a2dbe4986a230710ca141e0c87e04fce78951273f3b0d181cb3c411e3",
+    "random-r3":
+        "1db2716f9f48d731a72869c4f517f71837b36829024617b25078209e470730c4",
+    "random-r3-partition":
+        "9cc1f3666868e8f9fe3b95c5e1c0ebd585e3b3ab7cf61d2f615d4dce6ebd76b4",
+    "random-r4":
+        "be769e9fff475bccf1dc12b0e4daf439afc733ed62ac125241da895cd1112e63",
+    "random-r4-partition":
+        "4a71ef08b13a0950cc66b610e13057b3a71903e671ea60516a8b4717babb615b",
+}
+
+
+def test_golden_array_problems() -> None:
+    assert {k: _json_digest(v) for k, v in _array_problems().items()} == GOLDEN_ARRAY_PROBLEMS
+
+
+def _replayed_array_problem(a: np.ndarray) -> np.ndarray:
+    """The rank-dict product loop: one scalar rank lookup per deleted projection."""
+    n, r = a.shape[0], a.ndim
+    rank = {s: i for i, s in enumerate(colex_subsets(n, r - 1))}
+    t = np.zeros((len(rank),) * r)
+    scale = 1.0 / n ** r
+    for tup in itertools.product(range(n), repeat=r):
+        if r >= 3 and len(set(tup)) != r:
+            continue
+        idx = tuple(rank[tuple(sorted(tup[:j] + tup[j + 1:]))] for j in range(r))
+        t[idx] += a[tup] * scale
+    return t
+
+
+@settings(max_examples=80, deadline=None)
+@given(r=st.integers(1, 3), n=st.integers(1, 6), seed=st.integers(0, 2**16),
+       adjacency=st.booleans())
+def test_array_problem_matches_rank_dict_loop(r, n, seed, adjacency) -> None:
+    if adjacency and n >= r:
+        a = _random_graph(n, r, 2, seed).adjacency_array(1)
+    else:
+        a = random_symmetric_array(n, r, seed)
+    atoms, t, _, _ = _array_problem(a)
+    assert atoms.tolist() == [list(s) for s in colex_subsets(n, r - 1)]
+    expected = _replayed_array_problem(a)
+    assert t.shape == expected.shape and t.tobytes() == expected.tobytes()

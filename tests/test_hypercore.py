@@ -1,6 +1,7 @@
-from itertools import combinations
+from itertools import combinations, permutations
 from math import comb
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,9 +16,13 @@ from hypertest.hypercore import (
     enumerate_colorings,
     hypergraph_from_json,
     hypergraph_to_json,
+    induced_patterns,
+    induced_sweep,
     make_hypergraph,
+    pattern_counts,
     sample_subgraph,
 )
+from hypertest.seeds import generator
 
 
 def reference_colex(n: int, r: int) -> list[tuple[int, ...]]:
@@ -91,6 +96,17 @@ def test_enumerate_coloring_counts() -> None:
     assert sum(1 for _ in enumerate_colorings(g43, 3)) == 81
 
 
+def test_enumerate_colorings_skips_reserved_edges() -> None:
+    s = SampledColoredGraph(3, 2, 2, (0, 1, 2), vertices=(2, 5, 7))
+    refined = list(enumerate_colorings(s, 2))
+    # k ** m refinements over the m = 2 non-reserved edges, row-major order
+    assert [r.colors for r in refined] == [(0, 1, 3), (0, 1, 4), (0, 2, 3), (0, 2, 4)]
+    assert all(isinstance(r, SampledColoredGraph) and r.k == 4 for r in refined)
+    assert all(r.vertices == (2, 5, 7) and discolor(r, 2) == s for r in refined)
+    with pytest.raises(BudgetError, match="refinement enumeration"):
+        list(enumerate_colorings(s, 2, budget=3))
+
+
 def test_enumerate_colorings_budget_refusal() -> None:
     g = make_hypergraph(4, 2, 1, [1] * 6)
     with pytest.raises(BudgetError):
@@ -135,12 +151,86 @@ def test_sample_reproducible_and_color_multiset() -> None:
 
 
 def test_induced_colors_against_direct_lookup() -> None:
-    g = make_hypergraph(6, 3, 3, [1 + (i % 3) for i in range(comb(6, 3))])
+    _check_induced_against_direct_lookup(3)
+
+
+@pytest.mark.parametrize("r", [1, 2])
+def test_induced_colors_against_direct_lookup_low_arity(r: int) -> None:
+    _check_induced_against_direct_lookup(r)
+
+
+def _check_induced_against_direct_lookup(r: int) -> None:
+    g = make_hypergraph(6, r, 3, [1 + (i % 3) for i in range(comb(6, r))])
     verts = (1, 3, 4, 5)
     ind = g.induced_colors(verts)
-    local = list(colex_subsets(4, 3))
+    local = list(colex_subsets(4, r))
+    assert len(ind) == len(local)
     for pos, loc in enumerate(local):
         assert ind[pos] == g.color_of(tuple(verts[i] for i in loc))
+
+
+def test_out_of_range_vertices_raise() -> None:
+    g = make_hypergraph(4, 2, 2, [1, 2, 1, 2, 1, 1])
+    edges = np.array([[0, 1], [0, 2], [1, 2]])
+    for bad in (4, -1):
+        with pytest.raises(ValueError, match=f"vertex {bad} outside"):
+            induced_patterns(g, np.array([[0, 1, bad]]), edges)
+    with pytest.raises(ValueError, match="vertex 9 outside"):
+        g.induced_colors((0, 1, 9))
+    with pytest.raises(ValueError, match="strictly increasing"):
+        g.induced_colors((0, 2, 1))
+
+
+# ----------------------------------------------------------------------
+# the bulk colex-rank paths against the scalar rules they replaced
+
+
+def _random_colors(n: int, r: int, k: int, seed: int, low: int = 1) -> list[int]:
+    return [int(c) for c in generator(seed).integers(low, k + 1, size=comb(n, r))]
+
+
+def _scalar_induced(g, verts) -> tuple[int, ...]:
+    """One colex_rank per local colex edge."""
+    return tuple(g.colors[colex_rank(tuple(verts[i] for i in local))]
+                 for local in colex_subsets(len(verts), g.r))
+
+
+@settings(max_examples=60, deadline=None)
+@given(r=st.integers(1, 3), extra=st.integers(0, 4), k=st.integers(1, 3),
+       seed=st.integers(0, 2**32), sampled=st.booleans())
+def test_sweeps_match_scalar_rank_rule(r, extra, k, seed, sampled) -> None:
+    n = r + extra
+    colors = _random_colors(n, r, k, seed, low=0 if sampled else 1)
+    g = SampledColoredGraph(n, r, k, colors) if sampled else make_hypergraph(n, r, k, colors)
+    for q in range(n + 1):
+        expected = [_scalar_induced(g, verts) for verts in combinations(range(n), q)]
+        assert [g.induced_colors(verts) for verts in combinations(range(n), q)] == expected
+        rows = [tuple(row) for chunk in induced_sweep(g, q) for row in chunk.tolist()]
+        assert rows == expected
+        counts: dict = {}
+        for pattern in expected:
+            counts[pattern] = counts.get(pattern, 0) + 1
+        assert pattern_counts(induced_sweep(g, q)) == counts
+
+
+@settings(max_examples=60, deadline=None)
+@given(r=st.integers(1, 3), extra=st.integers(0, 4), k=st.integers(1, 3),
+       seed=st.integers(0, 2**32))
+def test_arrays_and_relabelings_match_scalar_rules(r, extra, k, seed) -> None:
+    n = r + extra
+    g = make_hypergraph(n, r, k, _random_colors(n, r, k, seed))
+    for alpha in range(1, k + 1):
+        expected = np.zeros((n,) * r)
+        for edge in colex_subsets(n, r):
+            if g.color_of(edge) == alpha:
+                for perm in permutations(range(r)):
+                    expected[tuple(edge[p] for p in perm)] = 1.0
+        assert np.array_equal(g.adjacency_array(alpha), expected)
+    perm = [int(v) for v in generator(seed + 1).permutation(n)]
+    relabeled = [0] * comb(n, r)
+    for edge in colex_subsets(n, r):
+        relabeled[colex_rank(tuple(sorted(perm[v] for v in edge)))] = g.color_of(edge)
+    assert g.relabeled(perm).colors == tuple(relabeled)
 
 
 def test_sampled_graph_allows_iota_and_strips_provenance() -> None:

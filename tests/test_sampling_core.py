@@ -3,6 +3,9 @@
 The golden digests were recorded from the scalar per-edge implementations
 that the array core in ``graphon`` replaced; every seeded sample,
 embedding, sample law and lift artifact below must stay bit-identical.
+The graph-source digests (subgraph samples, laws and densities of finite
+graphs, adjacency arrays, relabelings) were recorded from the scalar
+per-subset ``colex_rank`` rules that ``hypercore.colex_ranks`` replaced.
 The property tests replay the sampling convention one edge at a time
 (``class_of_point`` and a running cumulative sum) and evaluate embeddings
 point by point.
@@ -19,7 +22,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hypertest.density import density_graphon, density_mc, sample_distribution
+from hypertest.density import (
+    density_graph,
+    density_graphon,
+    density_mc,
+    sample_distribution,
+)
 from hypertest.graphon import (
     StepGraphon,
     VertexGraphon,
@@ -31,8 +39,15 @@ from hypertest.graphon import (
     step_graphon_to_json,
     subsets_card_lex,
 )
-from hypertest.hypercore import IOTA, SampledColoredGraph, colex_subsets, make_hypergraph
+from hypertest.hypercore import (
+    IOTA,
+    SampledColoredGraph,
+    colex_subsets,
+    make_hypergraph,
+    sample_subgraph,
+)
 from hypertest.seeds import derive_seed, generator
+from hypertest.testers import PropertyFn, witness_sample_density
 from hypertest.transfer import discolor_step, embed_sample, lift_coloring
 
 
@@ -337,3 +352,147 @@ def test_reserved_color_embedding_matches_pointwise_rule(r, k, q, seed) -> None:
         color = _scalar_sample_color(sample, x)
         for alpha in range(k + 1):
             assert emb.evaluate(alpha, x) == float(alpha == color)
+
+
+# ----------------------------------------------------------------------
+# graph-source outputs: samples, laws, densities, arrays, relabelings
+
+
+def _majority(h) -> bool:
+    return 2 * sum(1 for c in h.colors if c == 1) >= len(h.colors)
+
+
+def _no_monochrome_pair(h) -> bool:
+    return len(set(h.colors[:2])) > 1
+
+
+WITNESS = {r: PropertyFn(f"golden-majority-r{r}", r, 3, _majority,
+                         sample_member=_no_monochrome_pair if r == 2 else None)
+           for r in (1, 2, 3)}
+
+
+def _graph_outputs() -> dict:
+    out: dict = {}
+    for r, n, qs in ((2, 40, (2, 5, 12, 30)), (3, 14, (3, 6, 10))):
+        g = _random_graph(n, r, 3, 200 + r)
+        for q in qs:
+            for seed in (0, 1, 2):
+                s = sample_subgraph(g, q, seed)
+                out[f"subgraph-r{r}-q{q}-s{seed}"] = {"colors": s.colors, "vertices": s.vertices}
+    iota2 = SampledColoredGraph(6, 2, 2, tuple(int(c) for c in
+                                              generator(210).integers(0, 3, size=15)))
+    iota3 = SampledColoredGraph(5, 3, 2, tuple(int(c) for c in
+                                              generator(211).integers(0, 3, size=10)))
+    laws = {
+        "graph-r1": (_random_graph(5, 1, 3, 212), 2),
+        "graph-r2": (_random_graph(7, 2, 2, 213), 3),
+        "graph-r3": (_random_graph(6, 3, 2, 214), 4),
+        "sampled-iota-r2": (iota2, 3),
+        "sampled-iota-r3": (iota3, 4),
+    }
+    for name, (source, q) in laws.items():
+        out[f"law-{name}"] = [[list(key), p] for key, p in
+                              sample_distribution(source, q).probs.items()]
+    for r, n, q in ((1, 6, 3), (2, 8, 4), (2, 9, 6), (3, 7, 4)):
+        g = _random_graph(n, r, 3, 220 + n)
+        patterns = [sample_subgraph(g, q, seed) for seed in range(4)]
+        patterns.append(_random_graph(q, r, 3, 230 + n))
+        patterns.append(SampledColoredGraph(q, r, 3, (0,) + patterns[0].colors[1:]))
+        out[f"density-r{r}-n{n}-q{q}"] = [density_graph(f, g) for f in patterns]
+        out[f"witness-r{r}-n{n}"] = [witness_sample_density(WITNESS[r], g, qq)
+                                     for qq in range(r, n + 1)]
+    for r, n in ((1, 5), (2, 6), (3, 6)):
+        g = _random_graph(n, r, 3, 240 + r)
+        perm = [int(v) for v in generator(250 + r).permutation(n)]
+        out[f"adjacency-r{r}"] = [g.adjacency_array(alpha) for alpha in (1, 2, 3)]
+        out[f"relabeled-r{r}"] = g.relabeled(perm).colors
+    return out
+
+
+GOLDEN_GRAPH_SOURCES = {
+    "adjacency-r1":
+        "ad5b95e834084c651da74984ca2a7c03ea3d93e45ca5702e2cb64b6286544453",
+    "adjacency-r2":
+        "19e44ce0193ab6f25e111bd9bd12aa2537bb834a8de6559d118a475fddbf5ce1",
+    "adjacency-r3":
+        "f3e77b10cb3d85c8660305684205c73789e8a664806dd51e5ef96d9cd027dd38",
+    "density-r1-n6-q3":
+        "af049b2d66a190f9b575b8f03debdfc5c1c911476a37cb1aa23b882ca417eddc",
+    "density-r2-n8-q4":
+        "edc46aca63bb624db2a4e231e60527237b7867d6173ac943b761b4828e34bfa4",
+    "density-r2-n9-q6":
+        "91a060670c0ccad82af94e86080af1fc76571f9554eb463eed5b267a3d88b960",
+    "density-r3-n7-q4":
+        "85263411181ce39f288d6550da22d2a6429faf15112bd183803ecd64384e7d00",
+    "law-graph-r1":
+        "e8cc21251309becdf1a39af949c1625e95feb8dd4f14b8a05575a4b0a8af98cc",
+    "law-graph-r2":
+        "41d778629bd5d2bf744c40ec40829a752793889dab80a6649094f69f62ca7c35",
+    "law-graph-r3":
+        "507bd6c23cb1ccc84e9724966f6541fcf2ce6c75ba37b83a23396110177f4349",
+    "law-sampled-iota-r2":
+        "8453672ebbc506e7ed73fd7294719d760a0f1cf93930e7184df9cc3dbc93ee4a",
+    "law-sampled-iota-r3":
+        "31cd62b446d53ef0969eb3428b1cb335374d9f30e4588eb2baa9325e1abf654d",
+    "relabeled-r1":
+        "0dfe1ffd61cf9d57007a302d295eef443be0a2251b8c6de3484d6dda312c8ae5",
+    "relabeled-r2":
+        "1f74898a1107a0caf5ad93ec82f88a374fe300b035260e4d4a925bfd0917a925",
+    "relabeled-r3":
+        "93b7ac6d21c6e4887b918f89ef1d26d5d499fd752449e83503d16ccc715a0387",
+    "subgraph-r2-q12-s0":
+        "003e130e47bfd6eafa6a2494cedf4a3f610a1da3465a3d7202517c1465ee80ce",
+    "subgraph-r2-q12-s1":
+        "9dd64de0109bfea4b7a70074438e909f5d8fce067647c88e624d8b5b1b1829a5",
+    "subgraph-r2-q12-s2":
+        "d996ddfecc4b211910d20a19ddc25c0651973434637219ec711c2dc802c9889e",
+    "subgraph-r2-q2-s0":
+        "9bb5c454307123d381d94ca2e0f6dc9ca7cb4f6e34a831a4a62591e25614f437",
+    "subgraph-r2-q2-s1":
+        "edc0ab7833040b2b444eecd3a0a82b4c55d5d45d8fe9cbc3d4e8702dd59e0602",
+    "subgraph-r2-q2-s2":
+        "d2b918dc9bdd8748ddeaac536346a05ca4cb4b79a3d9344688bd3064c7acabad",
+    "subgraph-r2-q30-s0":
+        "beedaa0c7ae8723333e22eed31f7c73516fd2c62583e77b5a492efaf2240b549",
+    "subgraph-r2-q30-s1":
+        "66a2178da7572059c7d404c9582f8b3d86751c9cfca141fb50ff1542a4ea3353",
+    "subgraph-r2-q30-s2":
+        "13a347d12586bb58b8b74db03ebcd48ff53952c0241f942284147ff925d90493",
+    "subgraph-r2-q5-s0":
+        "09012878133a9e91929766086792cd6810478a9ddcd2960e92016ce9aff0a183",
+    "subgraph-r2-q5-s1":
+        "7d243a7f2e2edc186912e0c745de61b530e41273d60da2d29fd20061929e5bd7",
+    "subgraph-r2-q5-s2":
+        "61c3f62ec2d7d2f838e7033893a12dc60d8ae4d1e2ca41574e71960aa991c952",
+    "subgraph-r3-q10-s0":
+        "7a555e9822b63d5b8e4b09fc2b955ea6c504dfc37bb3dfafe999f330312e4dcb",
+    "subgraph-r3-q10-s1":
+        "7e62217c7a2a8543a7df243b8c2f5d2fb12270e22363a009c50e2db3312cad08",
+    "subgraph-r3-q10-s2":
+        "3b29c2a3cdd45cda55479672bfc0c425f039fcd6567e1c731385df273325530a",
+    "subgraph-r3-q3-s0":
+        "9a2ac5665c130b554c42a169abb1431d74efbb857b51d25be130ba888ce1d8af",
+    "subgraph-r3-q3-s1":
+        "7dbc95426be35110f37e92f281b9bc92b410117f833a88361ed96b8efb501845",
+    "subgraph-r3-q3-s2":
+        "19273bd96f02307ec5dae8f2a12f4c375425e17ce4032c8cfae01fbb3e73d424",
+    "subgraph-r3-q6-s0":
+        "f28f94e0f8e4213fcf5403d249f689c6b231fe4722af3fd0ecbffaaa3fafaeb6",
+    "subgraph-r3-q6-s1":
+        "634a7dfed10f01a1cbf597f4e280967620adab7cd3652e71554a424747c2f6cd",
+    "subgraph-r3-q6-s2":
+        "1369b1f8dda8fcecbfe47a8f34c0529a53584475c615eb8a03eeae46c476d4f7",
+    "witness-r1-n6":
+        "1c80cfeafa86e2a729d37f88f6099d649fa3077f08ad69edce85d5098c39e4d0",
+    "witness-r2-n8":
+        "317e42c25d02fd18e7dc6c08dfc1e66b6395d1f2f57cc11f0e10dd99eb2de728",
+    "witness-r2-n9":
+        "7fc2f7067347575396ecac72a8e466ee13b40948ce69e34fd0ba689493bad489",
+    "witness-r3-n7":
+        "3f4ff560869e345d3ae342f69cc52dad7077a92cd235d6333e110736e922b613",
+}
+
+
+def test_golden_graph_sources() -> None:
+    got = {name: _digest(value) for name, value in _graph_outputs().items()}
+    assert got == GOLDEN_GRAPH_SOURCES
