@@ -14,6 +14,13 @@ best completion is computed, not searched. This avoids the 2^{t^r}
 sign-pattern sweep entirely. The heuristic is sign-guided coordinate
 ascent; it evaluates the true objective, so it is always a lower bound.
 
+Per-class-tuple sums (``_class_sums``) are gathered, not contracted
+against one-hot class masks: T is indexed on the chosen atoms, and each
+axis is contracted with the class rows of those atoms only. The ascent,
+the witness signs, ``evaluate_witness`` and the exact r >= 4 loop all
+use it. Kernel problems share one cached set of cell orbits per
+(r, grid) pair.
+
 Every entry point, ``cut_distance`` included, builds its problem and
 hands it to the one dispatch ``_solve``: plain or cut-P by whether a
 class vector is given, exact or heuristic by mode, any other mode
@@ -195,6 +202,23 @@ def _array_problem(a: np.ndarray, p: TuplePartition | None = None) -> _Problem:
     return atoms, t, classes, None if p is None else p.q
 
 
+@lru_cache(maxsize=32)
+def _orbit_atoms(r: int, g: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Cell orbits of the g-grid (r-1)-type cube, read-only.
+
+    Returns each orbit's first cell as a flat index and as grid
+    coordinates (the kernel atoms), and the orbit-tuple weights.
+    """
+    orbits = orbit_partition(r - 1, g)
+    _, first = np.unique(orbits.labels.ravel(), return_index=True)
+    shape = orbits.labels.shape if orbits.labels.ndim else (1,)
+    atoms = np.stack(np.unravel_index(first, shape), axis=-1)
+    weights = class_tuple_weights(orbits)
+    for arr in (first, atoms, weights):
+        arr.flags.writeable = False
+    return first, atoms, weights
+
+
 def _kernel_problem(kern: StepKernel, qpart: GridPartition | None) -> _Problem:
     """Atoms (cell orbits), coefficient tensor, and optional class vector and count.
 
@@ -208,15 +232,9 @@ def _kernel_problem(kern: StepKernel, qpart: GridPartition | None) -> _Problem:
     r = kern.r
     g0 = kern.partition.resolution
     g = g0 if qpart is None else lcm(g0, qpart.resolution)
-    orbits = orbit_partition(r - 1, g)
-    flat = orbits.labels.ravel()
-    _, first = np.unique(flat, return_index=True)
+    first, atoms, weights = _orbit_atoms(r, g)
     kcls = kern.partition.refined(g // g0).labels.ravel()[first]
-    weights = class_tuple_weights(orbits)
     t = kern.array[np.ix_(*([kcls] * r))] * weights
-    shape = orbits.labels.shape if orbits.labels.ndim else (1,)
-    atoms = np.stack(np.unravel_index(first, shape), axis=-1)
-    atoms.flags.writeable = False
     if qpart is None:
         return atoms, t, None, None
     classes = qpart.refined(g // qpart.resolution).labels.ravel()[first]
@@ -339,9 +357,13 @@ def _exact_cutp(
                     best_val = val
                     best_sets = [_mask_indices(i, m), _mask_indices(jdx, m), last]
     else:
-        raise BudgetError(
-            "cut-P-norm exact search (r>=4 unsupported)", 1 << (r * m), 1 << EXACT_SET_BITS
-        )
+        best_val, best_sets = -1.0, None
+        for masks in itertools.product(range(1 << m), repeat=r - 1):
+            first = [_mask_indices(mask, m) for mask in masks]
+            w = _class_sums(t, onehot, first)  # (atom, first-class tuples...)
+            val, last = close_last(w.reshape(m, -1).T)
+            if val > best_val:
+                best_val, best_sets = val, first + [last]
     signs = _cutp_signs(t, onehot, best_sets)
     return best_val, best_sets, signs
 
@@ -353,17 +375,18 @@ def _indicator(indices: Sequence[int], m: int) -> np.ndarray:
 
 
 def _class_sums(t: np.ndarray, onehot: np.ndarray, sets: Sequence[Sequence[int]]) -> np.ndarray:
-    """Inner sum per class tuple for the given sets: I[j1..jr]."""
-    r, m = t.ndim, t.shape[0]
-    letters = "abcdefgh"[:r]
-    class_letters = "ijklmnop"[:r]
-    operands = []
-    subs = []
-    for l in range(r):
-        operands.append(onehot * _indicator(sets[l], m)[:, None])
-        subs.append(letters[l] + class_letters[l])
-    expr = ",".join(subs) + "," + letters + "->" + class_letters
-    return np.einsum(expr, *operands, t, optimize=True)
+    """Inner sum per class tuple over the atom sets of the leading axes.
+
+    Gathers ``t`` on the chosen atoms, then contracts each set's axis
+    with the one-hot class rows of its atoms, leading axis first. With
+    one set per axis the result is I[j1..jr]; with fewer, the axes left
+    over come first, uncontracted: shape (m,) * (r - len(sets)) + (tq,) * len(sets).
+    """
+    idx = [np.asarray(s, dtype=np.intp) for s in sets]
+    out = t[np.ix_(*idx)]
+    for s in idx:
+        out = np.tensordot(out, onehot[s], axes=([0], [0]))
+    return out
 
 
 def _cutp_signs(t: np.ndarray, onehot: np.ndarray, sets: Sequence[Sequence[int]]) -> np.ndarray:

@@ -42,7 +42,7 @@ from typing import Any, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .budget import BudgetError
+from .budget import BudgetError, check_budget, current_budget
 from .hypercore import (
     IOTA,
     ColoredHypergraph,
@@ -109,14 +109,19 @@ def _check_symmetric(stack: np.ndarray, names: Sequence[str]) -> None:
     """Reject r-arrays that are not symmetric under index permutations.
 
     ``stack`` holds one array per entry of ``names`` along its first axis.
-    Each permutation makes one elementwise ``np.isclose`` over all of them
-    (the test ``np.allclose`` makes, atol 1e-9); the error names the first
-    array that fails under any permutation. The identity permutation stays
-    in, so NaN entries are rejected for every r.
+    Each permutation first tries exact equality, which implies closeness
+    for every finite or infinite entry; only when that fails does it make
+    one elementwise ``np.isclose`` over all of them (the test
+    ``np.allclose`` makes, atol 1e-9). The error names the first array
+    that fails under any permutation. The identity permutation stays in,
+    and a NaN fails exact equality, so NaN entries are rejected for every r.
     """
     ok = np.ones(len(stack), dtype=bool)
     for perm in _permutations(stack.ndim - 1):
-        close = np.isclose(stack.transpose(0, *(l + 1 for l in perm)), stack, atol=1e-9)
+        moved = stack.transpose(0, *(l + 1 for l in perm))
+        if np.array_equal(moved, stack):
+            continue
+        close = np.isclose(moved, stack, atol=1e-9)
         ok &= close.reshape(len(stack), -1).all(axis=1)
     if not ok.all():
         raise ValueError(f"{names[int(np.argmin(ok))]} is not symmetric under index permutations")
@@ -220,8 +225,9 @@ class GridPartition:
                 and np.array_equal(self.labels, other.labels))
 
 
+@lru_cache(maxsize=32)
 def orbit_partition(r_minus_1: int, resolution: int) -> GridPartition:
-    """The finest symmetric partition: one class per cell orbit."""
+    """The finest symmetric partition: one class per cell orbit (cached; labels are read-only)."""
     dim = 2 ** r_minus_1 - 1
     idx = np.arange(resolution ** dim).reshape((resolution,) * dim)
     _, labels = np.unique(_symmetrize_labels(idx, r_minus_1), return_inverse=True)
@@ -620,8 +626,11 @@ def class_tuple_weights(p: GridPartition) -> np.ndarray:
     """Measure of each class tuple: weights[i1..ir] = vol{x : block_l(x) in P_{i_l}}.
 
     The r projected blocks share coordinates, so for r >= 3 this is not a
-    product of class volumes; it is the exact contraction of the one-hot
-    label tensors over the shared axes.
+    product of class volumes; it is the exact contraction of per-block
+    class histograms (one-hot labels with the block's private axes
+    averaged out) over the shared axes. For r = 3 that contraction is an
+    explicit pairwise chain whose g^2 t^2-cell intermediate is built in
+    budgeted slabs (see ``_pairwise_r3``).
     """
     return _weights_from_labels(p.r_minus_1 + 1, p.labels, p.t)
 
@@ -656,11 +665,36 @@ def _weights_from_labels(r: int, labels: np.ndarray, t: int) -> np.ndarray:
                 arr = arr.mean(axis=axis)
         operands.append(arr)
         reduced_subs.append("".join(kept))
-    expr = ",".join(reduced_subs) + "->" + "".join(class_letters)
-    out = np.einsum(expr, *operands, optimize=True)
     g = labels.shape[0] if labels.ndim else 1
+    if r == 2:  # both blocks are private: a product of class volumes
+        out = np.multiply.outer(*operands)
+    elif r == 3:
+        out = _pairwise_r3(*operands)
+    else:
+        expr = ",".join(reduced_subs) + "->" + "".join(class_letters)
+        out = np.einsum(expr, *operands, optimize=True)
     remaining = {ch for s in reduced_subs for ch in s if ch not in class_letters}
     return out / float(g) ** len(remaining)
+
+
+def _pairwise_r3(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """The r = 3 contraction ``bcg,ach,abi->ghi`` as an explicit pairwise chain.
+
+    Contracting c first gives a (b, g, a, h) intermediate of g^2 t^2
+    cells; the chain runs over slabs of b so that each slab holds at most
+    the budget's worth of cells, and refuses through the budget when a
+    single b-row (g t^2 cells) does not fit.
+    """
+    g, t = x.shape[0], x.shape[2]
+    row = g * t * t
+    check_budget("class-tuple weights (r=3 pairwise intermediate)", row)
+    step = max(1, current_budget() // row)
+    out = np.zeros((t,) * 3)
+    for lo in range(0, g, step):
+        b = slice(lo, lo + step)
+        pair = np.tensordot(x[b], y, axes=([1], [1]))  # (b, g, a, h)
+        out += np.tensordot(pair, z[:, b], axes=([2, 0], [0, 1]))
+    return out
 
 
 def _expand(arr: np.ndarray | None, idx: np.ndarray, r: int, size: int) -> np.ndarray:

@@ -260,6 +260,9 @@ def witness_sample_density(
         raise ValueError(f"need r <= q <= n, got q={q} for n={h.n}")
     check_budget("sample property density", comb(h.n, q), budget)
     predicate = p_witness.sample_predicate()
+    if q == h.n and type(h) is ColoredHypergraph:
+        # the one q-subset is the whole vertex set, whose pattern is h itself
+        return float(bool(predicate(h)))
     hits = sum(
         count for pattern, count in pattern_counts(induced_sweep(h, q)).items()
         if predicate(ColoredHypergraph(q, h.r, h.k, pattern))

@@ -5,9 +5,9 @@ routed through one dispatch and their witnesses kept as arrays: every
 witness's ``to_json()``, every regularity residual and every CLI artifact
 below must stay byte-identical. The array-problem digests were recorded
 from the rank-dict product loop that the bulk colex-rank gather replaced.
-Property tests replay that loop, and the former per-channel,
+Property tests replay that loop, the former per-channel,
 per-permutation ``np.allclose`` loop against the one stacked symmetry
-check.
+check, and the one-hot einsum against the gathered class sums.
 """
 
 from __future__ import annotations
@@ -24,8 +24,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypertest import cli
+from hypertest.budget import BudgetError
 from hypertest.cutnorm import (
     _array_problem,
+    _class_sums,
+    _exact_cutp,
+    _kernel_problem,
+    _orbit_atoms,
     StepKernel,
     TuplePartition,
     cut_distance,
@@ -89,7 +94,7 @@ def _witness_cases():
         for mode in ("exact", "heuristic"):
             cases[f"kernel-{mode}-r{r}"] = lambda kern=kern, mode=mode: kernel_cutnorm(
                 kern, mode=mode, restarts=4, seed=7)
-        # the exact cut-P search supports r in (2, 3) only
+        # the exact cut-P goldens were recorded at r in (2, 3)
         for mode in ("exact", "heuristic") if r > 1 else ("heuristic",):
             cases[f"p-{mode}-r{r}"] = lambda a=a, p=p, mode=mode: cutnorm_p(
                 a, p, mode=mode, restarts=4, seed=6)
@@ -407,3 +412,108 @@ def test_array_problem_matches_rank_dict_loop(r, n, seed, adjacency) -> None:
     assert atoms.tolist() == [list(s) for s in colex_subsets(n, r - 1)]
     expected = _replayed_array_problem(a)
     assert t.shape == expected.shape and t.tobytes() == expected.tobytes()
+
+
+# ----------------------------------------------------------------------
+# gathered class sums, the cached kernel problem and r >= 4 exact cut-P
+
+
+def _replayed_class_sums(t: np.ndarray, onehot: np.ndarray, sets) -> np.ndarray:
+    """The one-hot einsum the gathered class sums replaced."""
+    r, m = t.ndim, t.shape[0]
+    operands = []
+    for l in range(r):
+        indicator = np.zeros(m)
+        indicator[list(sets[l])] = 1.0
+        operands.append(onehot * indicator[:, None])
+    expr = ",".join("abcd"[l] + "ijkl"[l] for l in range(r)) + "," + "abcd"[:r] + "->" + "ijkl"[:r]
+    return np.einsum(expr, *operands, t, optimize=True)
+
+
+@settings(max_examples=200, deadline=None)
+@given(r=st.integers(1, 3), m=st.integers(1, 8), tq=st.integers(1, 4),
+       seed=st.integers(0, 2**16), data=st.data())
+def test_class_sums_match_onehot_einsum(r, m, tq, seed, data) -> None:
+    rng = generator(seed)
+    t = rng.uniform(-1, 1, size=(m,) * r)
+    classes = rng.integers(0, tq, size=m)  # classes may stay empty
+    onehot = (classes[:, None] == np.arange(tq)).astype(float)
+    sets = [sorted(data.draw(st.sets(st.integers(0, m - 1)))) for _ in range(r)]
+    got = _class_sums(t, onehot, sets)
+    want = _replayed_class_sums(t, onehot, sets)
+    assert got.shape == want.shape == (tq,) * r
+    assert np.allclose(got, want, rtol=0, atol=1e-12)
+    # matrix-matrix contractions accumulate each cell in atom order, so the
+    # skipped zero rows change nothing; matrix-vector ones (r = 1, one class,
+    # a one-atom set) split sums across SIMD lanes and may differ in the last bits
+    if r == 2 and tq >= 2 and min(map(len, sets)) >= 2:
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("r,g,q", [(1, 1, 1), (2, 4, 2), (2, 6, 3), (3, 2, 2)])
+def test_kernel_problem_same_on_cold_and_warm_cache(r, g, q) -> None:
+    part = random_grid_partition(r - 1, g, 2, 90 + r)
+    kern = StepKernel(part, random_symmetric_array(part.t, r, 91 + r))
+    qpart = random_grid_partition(r - 1, g, q, 92 + r)
+    _orbit_atoms.cache_clear()
+    cold = _kernel_problem(kern, qpart)
+    warm = _kernel_problem(kern, qpart)
+    assert _orbit_atoms.cache_info().hits >= 1
+    for a, b in zip(cold[:3], warm[:3]):
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    assert cold[3] == warm[3] == qpart.t
+    first, atoms, weights = _orbit_atoms(r, g)
+    assert not (first.flags.writeable or atoms.flags.writeable or weights.flags.writeable)
+
+
+def _brute_cutp(t: np.ndarray, classes: np.ndarray, tq: int) -> float:
+    """Every tuple of atom sets, scored through the one-hot einsum."""
+    r, m = t.ndim, t.shape[0]
+    subsets = [tuple(np.flatnonzero((mask >> np.arange(m)) & 1)) for mask in range(1 << m)]
+    onehot = (classes[:, None] == np.arange(tq)).astype(float)
+    best = 0.0
+    for sets in itertools.product(subsets, repeat=r):
+        inner = _replayed_class_sums(t, onehot, sets)
+        best = max(best, float(np.abs(inner).sum()))
+    return best
+
+
+@pytest.mark.parametrize("m,tq,seed", [(1, 1, 0), (2, 1, 1), (2, 2, 2), (3, 2, 3), (3, 3, 4)])
+def test_exact_cutp_r4_matches_brute_force(m, tq, seed) -> None:
+    rng = generator(seed)
+    t = rng.uniform(-1, 1, size=(m,) * 4)
+    classes = np.arange(m) % tq
+    value, sets, signs = _exact_cutp(t, classes, tq, None)
+    assert value == pytest.approx(_brute_cutp(t, classes, tq), abs=1e-12)
+    onehot = (classes[:, None] == np.arange(tq)).astype(float)
+    inner = _replayed_class_sums(t, onehot, sets)
+    assert float(np.abs(inner).sum()) == pytest.approx(value, abs=1e-12)
+    assert signs.shape == (tq,) * 4 and np.array_equal(signs, np.where(inner < 0, -1.0, 1.0))
+
+
+def test_exact_cutp_r4_public_entry_point() -> None:
+    # with one class the cut-P-norm is the plain cut norm
+    a = random_symmetric_array(4, 4, seed=1)
+    value, witness = cutnorm_p(a, TuplePartition.trivial(4, 3), mode="exact")
+    assert value == pytest.approx(cutnorm_exact(a)[0], abs=1e-12)
+    assert len(witness.sets) == 4 and witness.signs.shape == (1,) * 4
+    with pytest.raises(BudgetError, match="cut-P-norm exact search"):
+        cutnorm_p(a, TuplePartition.trivial(4, 3), mode="exact", budget=1000)
+
+
+@pytest.mark.parametrize("value", [np.inf, -np.inf])
+def test_symmetry_check_accepts_exactly_symmetric_infinities(value) -> None:
+    arr = random_symmetric_array(3, 3, 5)
+    arr[0, 1, 2] = arr[0, 2, 1] = arr[1, 0, 2] = value
+    arr[1, 2, 0] = arr[2, 0, 1] = arr[2, 1, 0] = value
+    _check_symmetric(np.stack([random_symmetric_array(3, 3, 6), arr]), ["channel 1", "channel 2"])
+
+
+def test_symmetry_check_rejects_nan_naming_its_channel() -> None:
+    arrays = [random_symmetric_array(3, 2, s) for s in range(3)]
+    arrays[1][2, 2] = np.nan  # on the diagonal: every permutation maps it to itself
+    names = ["channel 0", "channel 1", "channel 2"]
+    with pytest.raises(ValueError, match="channel 1 is not symmetric"):
+        _check_symmetric(np.stack(arrays), names)
+    assert _outcome(_replayed_check, arrays, names) == _outcome(
+        _check_symmetric, np.stack(arrays), names)

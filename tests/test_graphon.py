@@ -131,20 +131,47 @@ def test_to_step_r3_matches_direct_evaluation() -> None:
             assert step.evaluate(alpha, x) == vg.evaluate(alpha, x)
 
 
-def test_class_tuple_weights_r3_oracle() -> None:
-    part = random_grid_partition(2, 2, 3, seed=3)
+def _cellwise_weights_r3(part: GridPartition) -> np.ndarray:
+    """Class-tuple weights by visiting every cell of the 6-axis type cube."""
+    g = part.resolution
     coords = subsets_card_lex(range(3), 2)
     blocks = []
     for l in range(3):
         rest = tuple(v for v in range(3) if v != l)
         blocks.append([coords.index(s) for s in subsets_card_lex(rest, 2)])
     want = np.zeros((part.t,) * 3)
-    for cells in itertools.product(range(2), repeat=len(coords)):
+    for cells in itertools.product(range(g), repeat=len(coords)):
         tup = tuple(part.class_of_cell([cells[i] for i in blocks[l]]) for l in range(3))
-        want[tup] += 1.0 / 2 ** len(coords)
+        want[tup] += 1.0 / g ** len(coords)
+    return want
+
+
+def test_class_tuple_weights_r3_oracle() -> None:
+    part = random_grid_partition(2, 2, 3, seed=3)
     got = class_tuple_weights(part)
-    assert np.allclose(got, want, atol=1e-12)
+    assert np.allclose(got, _cellwise_weights_r3(part), atol=1e-12)
     assert got.sum() == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("g,t,seed", [(1, 1, 0), (2, 1, 1), (2, 4, 2), (3, 2, 3),
+                                      (3, 5, 4), (4, 3, 5), (4, 8, 6)])
+def test_class_tuple_weights_r3_cellwise(g, t, seed) -> None:
+    part = random_grid_partition(2, g, t, seed)
+    got = class_tuple_weights(part)
+    assert np.allclose(got, _cellwise_weights_r3(part), rtol=0, atol=1e-14)
+    assert got.sum() == pytest.approx(1.0)
+
+
+def test_class_tuple_weights_r3_slabs_and_refusal(monkeypatch) -> None:
+    part = orbit_partition(2, 3)
+    row = 3 * part.t ** 2  # one b-row of the (b, g, a, h) intermediate
+    whole = class_tuple_weights(part)
+    monkeypatch.setenv("HYPERTEST_BUDGET", str(2 * row))  # slabs of two rows
+    assert np.allclose(class_tuple_weights(part), whole, rtol=0, atol=1e-15)
+    monkeypatch.setenv("HYPERTEST_BUDGET", str(row - 1))
+    with pytest.raises(BudgetError, match="r=3 pairwise intermediate") as err:
+        class_tuple_weights(part)
+    assert err.value.needed == row
 
 
 def test_class_tuple_weights_r2_is_volume_product() -> None:

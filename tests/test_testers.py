@@ -153,6 +153,19 @@ class TestPropertyTester:
         got = witness_sample_density(PROPERTIES["complete-witness"], h, 2)
         assert got == pytest.approx(3 / 6)
 
+    def test_witness_density_whole_graph_asks_the_predicate_once(self):
+        # q = n: the one induced pattern is h itself, so no sweep and no rebuild
+        base = PROPERTIES["complete-witness"]
+        for h in (complete_graph(5), random_graph(5, 3)):
+            seen = []
+            spy = PropertyFn(base.name, base.r, base.k, base.member,
+                             lambda g: seen.append(g) or base.sample_predicate()(g))
+            got = witness_sample_density(spy, h, h.n)
+            assert seen == [h] and seen[0] is h
+            assert got == float(base.sample_predicate()(h))
+        assert witness_sample_density(base, complete_graph(5), 5) == 1.0
+        assert witness_sample_density(base, empty_graph(5), 5) == 0.0
+
     def test_complete_sample_accepted(self):
         accept, trace = property_tester(PROPERTIES["complete-witness"],
                                         complete_graph(6), 0.3)
