@@ -32,12 +32,10 @@ from .cutnorm import (
     cutnorm_p,
 )
 from .density import (
-    SampleDistribution,
-    all_patterns,
     density_graph,
     density_graphon,
     density_mc,
-    sample_distribution,
+    sample_laws,
     tv_distance,
 )
 from .energy import CouplingArray, gse, gse_graphon
@@ -210,14 +208,6 @@ def _registry_get(table: dict[str, Any], name: str, kind: str) -> Any:
     return table[name]
 
 
-def _with_iota(dist: SampleDistribution) -> SampleDistribution:
-    if dist.has_iota:
-        return dist
-    probs = {p: 0.0 for p in all_patterns(dist.q, dist.r, dist.k, with_iota=True)}
-    probs.update(dist.probs)
-    return SampleDistribution(dist.q, dist.r, dist.k, True, probs)
-
-
 # ----------------------------------------------------------------------
 # subcommand handlers
 
@@ -240,11 +230,8 @@ def _cmd_density(args: argparse.Namespace) -> dict[str, Any]:
 
 
 def _cmd_tvdist(args: argparse.Namespace) -> dict[str, Any]:
-    budget = args.budget
-    da = sample_distribution(_load_source(args.a), args.q, budget=budget)
-    db = sample_distribution(_load_source(args.b), args.q, budget=budget)
-    if da.has_iota != db.has_iota:
-        da, db = _with_iota(da), _with_iota(db)
+    da, db = sample_laws(_load_source(args.a), _load_source(args.b), args.q,
+                         budget=args.budget)
     return {
         "command": "tvdist",
         "mode": "exact",

@@ -38,17 +38,16 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from .budget import BudgetError, check_budget
+from .budget import check_budget
 from .graphon import (
     GridPartition,
     StepGraphon,
     VertexGraphon,
     _as_step,
     _check_symmetric,
-    _expand,
     _symmetrize,
+    channel_differences,
     class_tuple_weights,
-    common_refinement,
     orbit_partition,
 )
 from .hypercore import ColoredHypergraph, colex_edges, colex_ranks
@@ -71,7 +70,6 @@ __all__ = [
     "random_symmetric_array",
 ]
 
-EXACT_SET_BITS = 24  # hard cap: exhaustive search enumerates at most 2^24 set tuples
 _ASCENT_SWEEPS = 200  # coordinate-ascent sweeps before giving up on a fixed point
 
 
@@ -256,16 +254,9 @@ def _mask_indices(mask: int, m: int) -> tuple[int, ...]:
     return tuple(i for i in range(m) if mask >> i & 1)
 
 
-def _check_exact_budget(stage: str, r: int, m: int, budget: int | None) -> None:
-    bits = r * m
-    if bits > EXACT_SET_BITS:
-        raise BudgetError(stage, 1 << bits, 1 << EXACT_SET_BITS)
-    check_budget(stage, 1 << bits, budget)
-
-
 def _exact_plain(t: np.ndarray, budget: int | None) -> tuple[float, list[tuple[int, ...]]]:
     r, m = t.ndim, t.shape[0]
-    _check_exact_budget("cut norm exact search", r, m, budget)
+    check_budget("cut norm exact search", 1 << (r * m), budget)
     s = _subset_matrix(m)
     if r == 1:
         pos, neg = t[t > 0].sum(), t[t < 0].sum()
@@ -312,7 +303,7 @@ def _exact_cutp(
 ) -> tuple[float, list[tuple[int, ...]], np.ndarray]:
     """Exact cut-P optimum: enumerate first sets, close the last per class."""
     r, m = t.ndim, t.shape[0]
-    _check_exact_budget("cut-P-norm exact search", r, m, budget)
+    check_budget("cut-P-norm exact search", 1 << (r * m), budget)
     onehot = (np.asarray(classes)[:, None] == np.arange(tq)).astype(float)
     members = [np.flatnonzero(np.asarray(classes) == j) for j in range(tq)]
     s = _subset_matrix(m)
@@ -580,11 +571,8 @@ def kernel_cutnorm_p(
 
 def difference_kernel(u: StepGraphon, w: StepGraphon, color: int) -> StepKernel:
     """The channel difference U^color - W^color on the common refinement."""
-    part, pairs = common_refinement(u.partition, w.partition)
-    iu, iw = pairs.T
-    au = _expand(u.arrays.get(color), iu, u.r, part.t)
-    aw = _expand(w.arrays.get(color), iw, u.r, part.t)
-    return StepKernel(part, au - aw)
+    part, diffs = channel_differences(u, w)
+    return StepKernel(part, diffs[color])
 
 
 def graph_difference_arrays(g: ColoredHypergraph, h: ColoredHypergraph) -> dict[int, np.ndarray]:
@@ -636,10 +624,10 @@ def cut_distance(
             raise ValueError("graphons must share uniformity and palette")
         if p is not None and not isinstance(p, GridPartition):
             raise ValueError("graphon cut distance takes a GridPartition")
-        us, ws = _as_step(u), _as_step(w)
+        part, diffs = channel_differences(_as_step(u), _as_step(w))
         kind = "kernel"
-        problems = ((alpha, _kernel_problem(difference_kernel(us, ws, alpha), p))
-                    for alpha in sorted(set(us.arrays) | set(ws.arrays)))
+        problems = ((alpha, _kernel_problem(StepKernel(part, diff), p))
+                    for alpha, diff in diffs.items())
     total = 0.0
     for alpha, problem in problems:
         value, _ = _solve(kind, *problem, mode, budget, restarts, derive_seed(seed, alpha))

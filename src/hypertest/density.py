@@ -42,6 +42,7 @@ __all__ = [
     "density_graphon",
     "density_mc",
     "sample_distribution",
+    "sample_laws",
     "tv_distance",
     "tv_forms",
     "greedy_coupling",
@@ -306,6 +307,33 @@ def sample_distribution(
 # total variation
 
 
+def sample_laws(
+    a: ColoredHypergraph | SampledColoredGraph | GraphonLike,
+    b: ColoredHypergraph | SampledColoredGraph | GraphonLike,
+    q: int,
+    budget: int | None = None,
+) -> tuple[SampleDistribution, SampleDistribution]:
+    """Both exact q-sample laws, on one support.
+
+    When only one source can produce the reserved color, the other law
+    gains the reserved patterns at probability 0, so the two compare
+    directly (:func:`tv_distance` itself rejects mismatched supports).
+    """
+    la = sample_distribution(a, q, budget=budget)
+    lb = sample_distribution(b, q, budget=budget)
+    if la.has_iota == lb.has_iota:
+        return la, lb
+
+    def padded(law: SampleDistribution) -> SampleDistribution:
+        if law.has_iota:
+            return law
+        probs = dict.fromkeys(all_patterns(q, law.r, law.k, with_iota=True), 0.0)
+        probs.update(law.probs)
+        return SampleDistribution(q, law.r, law.k, True, probs)
+
+    return padded(la), padded(lb)
+
+
 def _check_comparable(a: SampleDistribution, b: SampleDistribution) -> None:
     if (a.q, a.r, a.k, a.has_iota) != (b.q, b.r, b.k, b.has_iota):
         raise ValueError(
@@ -395,8 +423,7 @@ def counting_bound_check(
     from .cutnorm import cut_distance
 
     dist = cut_distance(u, w, mode="exact", budget=budget)
-    mu_u = sample_distribution(u, q, budget=budget)
-    mu_w = sample_distribution(w, q, budget=budget)
+    mu_u, mu_w = sample_laws(u, w, q, budget=budget)
     per_pattern_bound = counting_constant(q, u.r) * dist
     worst_gap = 0.0
     violations = 0

@@ -64,6 +64,7 @@ __all__ = [
     "sample_graphon",
     "step_average",
     "common_refinement",
+    "channel_differences",
     "class_tuple_weights",
     "orbit_partition",
     "l1_distance",
@@ -439,6 +440,16 @@ def _vertex_cells(w: VertexGraphon, coords: np.ndarray, q: int) -> np.ndarray:
     return (np.asarray(coords[:q]) * w.n).astype(np.intp)
 
 
+def _inverse_cdf(acc: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+    """The one inverse-CDF decode, per column of a cumulative table.
+
+    ``acc`` holds the choices on axis 0. Each column takes the first
+    choice whose cumulative value exceeds its uniform, else the last.
+    """
+    hit = np.asarray(uniforms) < acc
+    return np.where(hit.any(axis=0), hit.argmax(axis=0), len(acc) - 1)
+
+
 def colors_at(
     w: StepGraphon | VertexGraphon, q: int, coords: np.ndarray, edge_uniforms: np.ndarray
 ) -> tuple[int, ...]:
@@ -460,9 +471,7 @@ def colors_at(
     # cumsum adds the channels one at a time in channel order, exactly as a
     # running sum does, so seeded samples do not depend on the vectorization
     acc = np.cumsum(_channel_probs(w, classes)[:, 0], axis=0)
-    hit = np.asarray(edge_uniforms) < acc
-    order = np.asarray(w.channel_order)
-    return tuple(np.where(hit.any(axis=0), order[hit.argmax(axis=0)], order[-1]).tolist())
+    return tuple(np.asarray(w.channel_order)[_inverse_cdf(acc, edge_uniforms)].tolist())
 
 
 def sample_graphon(
@@ -697,40 +706,37 @@ def _pairwise_r3(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _expand(arr: np.ndarray | None, idx: np.ndarray, r: int, size: int) -> np.ndarray:
-    if arr is None:
-        return np.zeros((size,) * r)
-    return arr[np.ix_(*([idx] * r))]
+def channel_differences(u: StepGraphon, w: StepGraphon) -> tuple[GridPartition, dict[int, np.ndarray]]:
+    """Per-channel differences ``u^c - w^c`` on the common refinement.
+
+    The refinement is built once. Every channel either side carries is
+    covered, in channel order; a channel one side lacks counts as 0 there.
+    """
+    if u.r != w.r:
+        raise ValueError("uniformities differ")
+    part, pairs = common_refinement(u.partition, w.partition)
+    zero = np.zeros((part.t,) * u.r)
+
+    def on_part(arr: np.ndarray | None, idx: np.ndarray) -> np.ndarray:
+        return zero if arr is None else arr[np.ix_(*([idx] * u.r))]
+
+    iu, iw = pairs.T
+    return part, {c: on_part(u.arrays.get(c), iu) - on_part(w.arrays.get(c), iw)
+                  for c in sorted(set(u.arrays) | set(w.arrays))}
 
 
 def l1_distance(u: StepGraphon, w: StepGraphon) -> float:
     """Sum over colors of the L1 distance between channels, exact."""
-    if u.r != w.r:
-        raise ValueError("uniformities differ")
-    part, pairs = common_refinement(u.partition, w.partition)
+    part, diffs = channel_differences(u, w)
     weights = class_tuple_weights(part)
-    iu, iw = pairs.T
-    total = 0.0
-    for c in sorted(set(u.arrays) | set(w.arrays)):
-        au = _expand(u.arrays.get(c), iu, u.r, part.t)
-        aw = _expand(w.arrays.get(c), iw, u.r, part.t)
-        total += float(np.sum(np.abs(au - aw) * weights))
-    return total
+    return sum(float(np.sum(np.abs(d) * weights)) for d in diffs.values())
 
 
 def l2_distance(u: StepGraphon, w: StepGraphon) -> float:
     """Sum over colors of the squared L2 channel distances, square-rooted."""
-    if u.r != w.r:
-        raise ValueError("uniformities differ")
-    part, pairs = common_refinement(u.partition, w.partition)
+    part, diffs = channel_differences(u, w)
     weights = class_tuple_weights(part)
-    iu, iw = pairs.T
-    total = 0.0
-    for c in sorted(set(u.arrays) | set(w.arrays)):
-        au = _expand(u.arrays.get(c), iu, u.r, part.t)
-        aw = _expand(w.arrays.get(c), iw, u.r, part.t)
-        total += float(np.sum((au - aw) ** 2 * weights))
-    return total ** 0.5
+    return sum(float(np.sum(d ** 2 * weights)) for d in diffs.values()) ** 0.5
 
 
 def color_mass(w: StepGraphon) -> dict[int, float]:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import csv
 import io
 from functools import partial
-from math import ceil, lcm, log2
+from math import ceil, log2
 from typing import Any, Sequence
 
 import numpy as np
@@ -22,9 +22,9 @@ import numpy as np
 from .budget import check_budget, exact_or_heuristic
 from .cutnorm import (
     CutWitness,
+    StepKernel,
     _count_growth_strings,
     _growth_strings,
-    difference_kernel,
     kernel_cutnorm_p,
 )
 from .graphon import (
@@ -33,6 +33,7 @@ from .graphon import (
     VertexGraphon,
     _as_step,
     _symmetrize,
+    channel_differences,
     orbit_partition,
     step_average,
 )
@@ -95,10 +96,10 @@ def sup_partition_distance(
         raise ValueError("graphons must share uniformity and palette")
     if limit < 1:
         raise ValueError("class limit must be >= 1")
-    g = lcm(us.partition.resolution, ws.partition.resolution)
+    part, diffs = channel_differences(us, ws)
+    kernels = [StepKernel(part, diff) for diff in diffs.values()]
+    g = part.resolution
     orbit = orbit_partition(us.r - 1, g)
-    channels = sorted(set(us.arrays) | set(ws.arrays))
-    diffs = [difference_kernel(us, ws, alpha) for alpha in channels]
 
     if limit >= orbit.t or mode == "heuristic":
         candidates: Any = [orbit]
@@ -117,7 +118,7 @@ def sup_partition_distance(
     best_wits: list[CutWitness] = []
     for qp in candidates:
         total, wits = 0.0, []
-        for i, kern in enumerate(diffs):
+        for i, kern in enumerate(kernels):
             value, wit = kernel_cutnorm_p(kern, qp, mode=mode, budget=budget,
                                           restarts=restarts, seed=derive_seed(seed, i))
             total += value

@@ -30,7 +30,7 @@ import numpy as np
 
 from .budget import BudgetError, check_budget, exact_or_heuristic
 from .cutnorm import cut_distance
-from .density import sample_distribution, tv_distance
+from .density import sample_laws, tv_distance
 from .graphon import (
     GridPartition,
     StepGraphon,
@@ -38,6 +38,7 @@ from .graphon import (
     _as_step,
     _block_classes,
     _edge_layout,
+    _inverse_cdf,
     color_mass,
     colors_at,
     common_refinement,
@@ -97,13 +98,6 @@ def discolor_step(w: StepGraphon, k: int) -> StepGraphon:
             w.arrays[composite_color(alpha, beta, k)] for beta in range(1, k + 1)
         )
     return StepGraphon(w.r, t, w.partition, arrays)
-
-
-def _pad_iota(w: StepGraphon) -> StepGraphon:
-    if w.has_iota:
-        return w
-    shape = (w.partition.t,) * w.r
-    return StepGraphon(w.r, w.k, w.partition, {0: np.zeros(shape), **w.arrays})
 
 
 # ----------------------------------------------------------------------
@@ -353,30 +347,30 @@ def _measurable_grid(part: GridPartition, r: int) -> bool:
     """Whether cut-P machinery on this grid stays within desk memory.
 
     The kernel problems intersect the grid with its symmetry orbits, so
-    for r = 3 the atom count grows with the cube of the resolution.
+    for r = 3 the atom count grows with the cube of the resolution. This
+    is a memory guard the budget cannot replace: the orbit weights build a
+    cells-by-orbits one-hot before their budgeted step (74088 x 37926
+    floats on a 42-grid).
     """
     if r == 2:
         return part.resolution <= 2048
     return part.resolution ** 3 <= 5000
 
 
-def _mu_tv(a: StepGraphon, b: StepGraphon, q0: int, budget: int | None) -> float | None:
-    """Exact q0-sample variation distance, or None when out of budget."""
+def _mu_tv(a: StepGraphon, b: StepGraphon, q0: int, budget: int | None) -> float:
+    """Exact q0-sample variation distance."""
     if q0 < a.r:
         return 0.0
     if q0 == a.r:
         ma, mb = color_mass(a), color_mass(b)
         keys = set(ma) | set(mb)
         return 0.5 * sum(abs(ma.get(c, 0.0) - mb.get(c, 0.0)) for c in keys)
-    if a.has_iota != b.has_iota:
-        a, b = _pad_iota(a), _pad_iota(b)
-    try:
-        return tv_distance(
-            sample_distribution(a, q0, budget=budget),
-            sample_distribution(b, q0, budget=budget),
-        )
-    except BudgetError:
-        return None
+    return tv_distance(*sample_laws(a, b, q0, budget=budget))
+
+
+def _measured(measure: Callable[[], float]) -> float | None:
+    """An optional measurement: its value, or None when the budget refuses it."""
+    return exact_or_heuristic("auto", measure, lambda: None)[0]
 
 
 # ----------------------------------------------------------------------
@@ -524,7 +518,9 @@ def lift_coloring(
     Returns the lifted coloring (its discoloring is ``u`` up to float
     rounding) and a diagnostics record: per-stage runtimes, class counts,
     measured cut-P distances, the base-case volume report, and the final
-    q0-sample variation distance (measured, never asserted).
+    q0-sample variation distance (measured, never asserted). These
+    measurements are optional: one the budget refuses, or whose grid is
+    too large to measure in memory, reads None and the lift goes on.
     """
     u = _as_step(u)
     r = u.r
@@ -620,10 +616,10 @@ def lift_coloring(
         w2 = embed_sample(SampledColoredGraph(q, r, t_pal, colors_at(w1, q, coords, ues)))
         d_sampled = None
         if _measurable_grid(r_part, r):
-            d_sampled = cut_distance(
+            d_sampled = _measured(lambda: cut_distance(
                 discolor_step(z_hat, k), w2, p=r_part, mode="heuristic",
                 restarts=max(2, restarts // 2), seed=derive_seed(seed, 4),
-            )
+            ))
         w2_hat = transfer_coloring(z_hat, w2, r_part)
         rec.update({
             "measured_distance": d_sampled,
@@ -714,21 +710,20 @@ def lift_coloring(
         u_hat = transfer_coloring(w1_hat, u, p_second)
         d_refined = d_base = None
         if _measurable_grid(p_second, r):
-            d_refined = cut_distance(
+            d_refined = _measured(lambda: cut_distance(
                 w1_hat, u_hat, p=p_second, mode="heuristic",
                 restarts=max(2, restarts // 2), seed=derive_seed(seed, 7),
-            )
-            d_base = cut_distance(
+            ))
+            d_base = _measured(lambda: cut_distance(
                 w1, u, p=p_second, mode="heuristic",
                 restarts=max(2, restarts // 2), seed=derive_seed(seed, 8),
-            )
+            ))
         rec.update({
             "measured_refined_distance": d_refined,
             "measured_base_distance": d_base,
         })
 
-    with _stage("final_tv", None):
-        final_tv = _mu_tv(u_hat, v_hat, q0, budget)
+    final_tv = _measured(lambda: _mu_tv(u_hat, v_hat, q0, budget))
 
     diagnostics = {
         "r": r,
@@ -816,8 +811,9 @@ def _round_coloring(
 
     Every vertex keeps its own cell (jittered uniformly inside), larger
     coordinate subsets draw fresh uniforms, and each edge picks its
-    subcolor from the lifted refinement shares at its type point; the
-    base color is the graph's own, so discoloring returns the graph.
+    subcolor from the lifted refinement shares at its type point by the
+    sampler's decode rule (``graphon._inverse_cdf``); the base color is
+    the graph's own, so discoloring returns the graph.
     """
     rng = generator(seed)
     n, r = g.n, g.r
@@ -826,17 +822,15 @@ def _round_coloring(
     edge_us = rng.random(comb(n, r))
     res = u_hat.partition.resolution
     cells = np.minimum((coords * res).astype(np.intp), res - 1)[None, :]
-    classes = np.stack(_block_classes(u_hat.partition, cells, _edge_layout(n, r)), axis=-1)[0]
-    colors = []
-    for alpha, cls, ue in zip(g.colors, map(tuple, classes), edge_us):
-        probs = np.array([
-            u_hat.arrays[composite_color(alpha, beta, k)][cls]
-            for beta in range(1, k + 1)
-        ])
-        total = probs.sum()
-        probs = probs / total if total > 0 else np.full(k, 1.0 / k)
-        beta = int(np.searchsorted(np.cumsum(probs), ue) + 1)
-        colors.append(composite_color(alpha, min(beta, k), k))
+    classes = _block_classes(u_hat.partition, cells, _edge_layout(n, r)[:, None])
+    # each edge's k subcolors of its base color, gathered at its type point
+    comps = composite_color(np.asarray(g.colors)[:, None], np.arange(1, k + 1), k)
+    stack = np.stack([u_hat.arrays[c] for c in range(1, u_hat.k + 1)])
+    probs = stack[(comps - 1,) + tuple(c[0] for c in classes)]
+    total = probs.sum(axis=1, keepdims=True)
+    probs = np.divide(probs, total, out=np.full_like(probs, 1.0 / k), where=total > 0)
+    betas = _inverse_cdf(np.cumsum(probs, axis=1).T, edge_us)
+    colors = comps[np.arange(len(comps)), betas].tolist()
     return ColoredHypergraph(n, r, g.k * k, colors)
 
 
@@ -895,11 +889,7 @@ def nd_estimate_pipeline(
         "coloring": list(rounded.colors),
         "lift": diag,
     }
-    try:
-        exact, _ = max_over_refinements(
-            g, k, witness_g, mode="exact", budget=budget,
-        )
-        report["f_exact"] = float(exact)
-    except BudgetError:
-        report["f_exact"] = None
+    report["f_exact"] = _measured(lambda: float(max_over_refinements(
+        g, k, witness_g, mode="exact", budget=budget,
+    )[0]))
     return report

@@ -133,6 +133,18 @@ class TestExactArray:
         with pytest.raises(BudgetError):
             cutnorm_exact(random_symmetric_array(8, 2, 0), budget=100)
 
+    @pytest.mark.parametrize("via_env", [False, True])
+    def test_raised_budget_runs_past_two_to_the_24(self, monkeypatch, via_env):
+        # 13 atoms at r = 2: 2^26 set tuples, all the budget is asked for
+        a = random_symmetric_array(13, 2, seed=1)
+        if via_env:
+            monkeypatch.setenv("HYPERTEST_BUDGET", str(10**9))
+            value, witness = cutnorm_exact(a)
+        else:
+            value, witness = cutnorm_exact(a, budget=2**26)
+        assert evaluate_witness(a, witness) == pytest.approx(value, abs=1e-12)
+        assert value >= cutnorm_heuristic(a, seed=0)[0] - 1e-12
+
     def test_rejects_asymmetric_input(self):
         a = np.zeros((3, 3))
         a[0, 1] = 1.0

@@ -6,6 +6,8 @@ from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hypertest.budget import BudgetError
 from hypertest.density import (
@@ -18,11 +20,13 @@ from hypertest.density import (
     density_mc,
     greedy_coupling,
     sample_distribution,
+    sample_laws,
     tv_distance,
     tv_forms,
     variation_constant,
 )
 from hypertest.graphon import (
+    StepGraphon,
     constant_graphon,
     embed,
     evaluate,
@@ -297,6 +301,49 @@ class TestVariationDistance:
                 assert left.get(key, 0.0) == pytest.approx(p, abs=1e-9)
 
 
+def _with_zero_iota(w: StepGraphon) -> StepGraphon:
+    """The same graphon with an explicit all-zero reserved channel."""
+    shape = (w.partition.t,) * w.r
+    return StepGraphon(w.r, w.k, w.partition, {0: np.zeros(shape), **w.arrays})
+
+
+class TestSampleLaws:
+    @settings(max_examples=40, deadline=None)
+    @given(r=st.sampled_from((2, 3)), q=st.sampled_from((3, 4)), g=st.sampled_from((2, 3)),
+           t=st.integers(1, 3), seed=st.integers(0, 10**6), swap=st.booleans())
+    def test_padding_the_law_matches_padding_the_graphon(self, r, q, g, t, seed, swap):
+        pair = (random_step_graphon(r, 2, t, g, seed=seed),
+                random_step_graphon(r, 2, t, g, seed=seed + 1, with_iota=True))
+        if swap:
+            pair = pair[::-1]
+        la, lb = sample_laws(*pair, q)
+        assert la.has_iota and lb.has_iota
+        padded = [sample_distribution(_with_zero_iota(w) if not w.has_iota else w, q)
+                  for w in pair]
+        got, want = tv_distance(la, lb), tv_distance(*padded)
+        # a zero channel widens every einsum operand by one column; on grid 2
+        # the sums keep their order and the TVs are bit-equal, while on grid
+        # 3 (r = 2, q = 4) they can differ in the last bits
+        if g == 2:
+            assert got == want
+        else:
+            assert got == pytest.approx(want, rel=0, abs=1e-15)
+
+    def test_same_support_laws_are_untouched(self):
+        u = random_step_graphon(2, 2, 2, 2, seed=3)
+        w = random_step_graphon(2, 2, 3, 4, seed=4)
+        la, lb = sample_laws(u, w, 3)
+        assert not la.has_iota and not lb.has_iota
+        assert la.probs == sample_distribution(u, 3).probs
+        assert lb.probs == sample_distribution(w, 3).probs
+
+    def test_strict_tv_still_rejects_mixed_supports(self):
+        u = random_step_graphon(2, 2, 2, 2, seed=3)
+        w = random_step_graphon(2, 2, 2, 2, seed=4, with_iota=True)
+        with pytest.raises(ValueError, match="mismatched support"):
+            tv_distance(sample_distribution(u, 3), sample_distribution(w, 3))
+
+
 class TestCountingBound:
     def test_equal_inputs_zero_lhs(self):
         w = random_step_graphon(2, 2, 2, 2, seed=4)
@@ -316,3 +363,11 @@ class TestCountingBound:
             report = counting_bound_check(u, w, 3)
             assert report["violations"] == 0
             assert report["worst_slack"] >= -1e-9
+
+    def test_mixed_reserved_color_pair(self):
+        # one side carries the reserved channel: both laws go on one support
+        u = random_step_graphon(2, 2, 2, 2, seed=7, with_iota=True)
+        w = random_step_graphon(2, 2, 2, 2, seed=8)
+        report = counting_bound_check(u, w, 3)
+        assert report["tv"] == tv_distance(*sample_laws(u, w, 3))
+        assert report["violations"] == 0

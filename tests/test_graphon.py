@@ -4,11 +4,15 @@ from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hypertest.budget import BudgetError
 from hypertest.graphon import (
     GridPartition,
     StepGraphon,
+    _inverse_cdf,
+    channel_differences,
     class_tuple_weights,
     color_mass,
     common_refinement,
@@ -131,19 +135,70 @@ def test_to_step_r3_matches_direct_evaluation() -> None:
             assert step.evaluate(alpha, x) == vg.evaluate(alpha, x)
 
 
+def _block_axes(r: int) -> tuple[tuple, list[list[int]]]:
+    """The type cube's axes and, per deleted vertex, the axes of its block."""
+    coords = subsets_card_lex(range(r), r - 1)
+    blocks = []
+    for l in range(r):
+        rest = tuple(v for v in range(r) if v != l)
+        blocks.append([coords.index(s) for s in subsets_card_lex(rest, r - 1)])
+    return coords, blocks
+
+
 def _cellwise_weights_r3(part: GridPartition) -> np.ndarray:
     """Class-tuple weights by visiting every cell of the 6-axis type cube."""
     g = part.resolution
-    coords = subsets_card_lex(range(3), 2)
-    blocks = []
-    for l in range(3):
-        rest = tuple(v for v in range(3) if v != l)
-        blocks.append([coords.index(s) for s in subsets_card_lex(rest, 2)])
+    coords, blocks = _block_axes(3)
     want = np.zeros((part.t,) * 3)
     for cells in itertools.product(range(g), repeat=len(coords)):
         tup = tuple(part.class_of_cell([cells[i] for i in blocks[l]]) for l in range(3))
         want[tup] += 1.0 / g ** len(coords)
     return want
+
+
+def _cellwise_average(w: StepGraphon, p: GridPartition) -> dict[int, np.ndarray]:
+    """``step_average`` by visiting every cell of the type cube on the finer grid.
+
+    Class tuples of measure zero get the uniform color vector.
+    """
+    r = w.r
+    g = max(w.partition.resolution, p.resolution)
+    coords, blocks = _block_axes(r)
+
+    def classes(part: GridPartition, cells: tuple[int, ...]) -> tuple[int, ...]:
+        f = g // part.resolution
+        return tuple(part.class_of_cell([cells[i] // f for i in blocks[l]]) for l in range(r))
+
+    num = {c: np.zeros((p.t,) * r) for c in w.arrays}
+    den = np.zeros((p.t,) * r)
+    for cells in itertools.product(range(g), repeat=len(coords)):
+        tp, tw = classes(p, cells), classes(w.partition, cells)
+        den[tp] += 1.0
+        for c, arr in w.arrays.items():
+            num[c][tp] += arr[tw]
+    safe = np.where(den > 0, den, 1.0)
+    return {c: np.where(den > 0, a / safe, 1.0 / len(w.arrays)) for c, a in num.items()}
+
+
+# (graphon grid, partition grid) pairs where one divides the other
+_DIVIDING_GRIDS = {2: [(1, 2), (2, 1), (2, 2), (2, 4), (4, 2), (3, 6), (6, 3), (1, 4)],
+                   3: [(1, 2), (2, 1), (2, 2), (1, 3), (3, 1), (2, 4), (4, 2)]}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_step_average_matches_cellwise_averaging(data) -> None:
+    r = data.draw(st.sampled_from((2, 3)))
+    gw, gp = data.draw(st.sampled_from(_DIVIDING_GRIDS[r]))
+    seed = data.draw(st.integers(0, 10**6))
+    w = random_step_graphon(r, data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3)),
+                            gw, seed=seed, with_iota=data.draw(st.booleans()))
+    p = random_grid_partition(r - 1, gp, data.draw(st.integers(1, 4)), seed=seed + 1)
+    got = step_average(w, p)
+    want = _cellwise_average(w, p)
+    assert got.partition == p
+    for c in w.arrays:
+        assert np.allclose(got.arrays[c], want[c], rtol=0, atol=1e-12)
 
 
 def test_class_tuple_weights_r3_oracle() -> None:
@@ -325,6 +380,59 @@ def test_l1_distance_zero_and_symmetry() -> None:
     assert l1_distance(u, u) == pytest.approx(0.0, abs=1e-14)
     assert l1_distance(u, w) == pytest.approx(l1_distance(w, u))
     assert l1_distance(u, w) > 0
+
+
+def _expand_replay(u: StepGraphon, w: StepGraphon) -> tuple[GridPartition, dict[int, np.ndarray]]:
+    """Channel differences the long way: per channel, expand both sides onto
+    the common refinement (a missing channel as zeros) and subtract."""
+    part, pairs = common_refinement(u.partition, w.partition)
+    iu, iw = pairs.T
+
+    def expand(arr, idx):
+        if arr is None:
+            return np.zeros((part.t,) * u.r)
+        return arr[np.ix_(*([idx] * u.r))]
+
+    out = {}
+    for c in sorted(set(u.arrays) | set(w.arrays)):
+        out[c] = expand(u.arrays.get(c), iu) - expand(w.arrays.get(c), iw)
+    return part, out
+
+
+_GRIDS = {1: (1, 2, 3), 2: (1, 2, 3, 4, 6), 3: (1, 2, 3)}
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_channel_differences_match_expand_replay(data) -> None:
+    # unequal grids, palettes of different sizes and channel 0 on either side
+    r = data.draw(st.sampled_from((1, 2, 3)))
+    u, w = (
+        random_step_graphon(
+            r, data.draw(st.integers(1, 3)), 1 if r == 1 else data.draw(st.integers(1, 3)),
+            data.draw(st.sampled_from(_GRIDS[r])), seed=data.draw(st.integers(0, 10**6)),
+            with_iota=data.draw(st.booleans()))
+        for _ in range(2)
+    )
+    part, diffs = channel_differences(u, w)
+    want_part, want = _expand_replay(u, w)
+    assert part == want_part
+    assert list(diffs) == list(want)
+    for c in want:
+        assert np.array_equal(diffs[c], want[c])
+
+
+def test_channel_differences_reject_mixed_uniformity() -> None:
+    with pytest.raises(ValueError, match="uniformities differ"):
+        channel_differences(random_step_graphon(2, 2, 2, 2, seed=1),
+                            random_step_graphon(3, 2, 2, 2, seed=1))
+
+
+def test_inverse_cdf_tie_takes_the_next_choice() -> None:
+    acc = np.array([[0.25, 0.5], [0.75, 0.75], [1.0, 1.0]])  # choices on axis 0
+    assert _inverse_cdf(acc, np.array([0.25, 0.75])).tolist() == [1, 2]
+    # a uniform at or past the last cumulative value takes the last choice
+    assert _inverse_cdf(acc, np.array([1.0, 0.1])).tolist() == [2, 0]
 
 
 def test_random_step_graphon_invariants() -> None:

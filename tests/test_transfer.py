@@ -338,6 +338,22 @@ class TestLiftColoring:
         assert diag["final_tv"] is not None
         assert json.dumps(diag)
 
+    def test_refused_measurement_is_none(self, monkeypatch):
+        # at q = 3 from a resolution-2 source, stage 7's 12-grid passes the
+        # memory guard but its r = 3 orbit weights exceed the default budget:
+        # the optional cut distances read None and the lift goes on
+        monkeypatch.delenv("HYPERTEST_BUDGET", raising=False)
+        u0 = random_step_graphon(3, 4, t=2, resolution=2, seed=1)
+        u = discolor_step(u0, 2)
+        sample = sample_graphon(u0, 3, derive_seed(1, 0))
+        u_hat, diag = lift_coloring(u, 3, embed_sample(sample), 0.4, 3, 1)
+        last = diag["stages"][-1]
+        assert last["stage"] == "transfer_to_source"
+        assert last["measured_refined_distance"] is None
+        assert last["measured_base_distance"] is None
+        assert l1_distance(discolor_step(u_hat, 2), u) <= 1e-9
+        assert diag["final_tv"] is not None
+
     def test_rejects_oversized_r3_sample(self):
         u = random_step_graphon(3, 2, t=2, resolution=2, seed=1)
         v = random_step_graphon(3, 4, t=2, resolution=2, seed=2)
