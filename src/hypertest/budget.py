@@ -1,22 +1,26 @@
 """Enumeration budget handling.
 
 A single knob caps every combinatorial enumeration in the package
-(colorings, partitions, witness sets, grid-cell assignments). The default
-is 10**6 items; the HYPERTEST_BUDGET environment variable or an explicit
-argument overrides it. Exceeding the budget raises :class:`BudgetError`,
-never a silent truncation. :func:`exact_or_heuristic` is the one place a
-refusal turns into a heuristic fallback, and it reports which side ran.
+(colorings, partitions, witness sets, grid-cell assignments). The budget
+in force is the innermost :func:`limit` scope, else the HYPERTEST_BUDGET
+environment variable, else 10**6 items. Exceeding it raises
+:class:`BudgetError`, never a silent truncation. :func:`exact_or_heuristic`
+is the one place a refusal turns into a heuristic fallback, and it reports
+which side ran.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Callable, TypeVar
+from contextlib import contextmanager
+from contextvars import ContextVar
+from typing import Callable, Iterator, TypeVar
 
 __all__ = [
     "DEFAULT_BUDGET",
     "ENV_VAR",
     "BudgetError",
+    "limit",
     "current_budget",
     "check_budget",
     "exact_or_heuristic",
@@ -26,6 +30,8 @@ _T = TypeVar("_T")
 
 DEFAULT_BUDGET = 10**6
 ENV_VAR = "HYPERTEST_BUDGET"
+
+_scoped: ContextVar[int | None] = ContextVar("hypertest_budget", default=None)
 
 
 class BudgetError(RuntimeError):
@@ -47,20 +53,38 @@ class BudgetError(RuntimeError):
         self.budget = budget
         super().__init__(
             f"{stage}: enumeration needs {needed} items but the budget is {budget} "
-            f"(raise it via the {ENV_VAR} environment variable or a budget argument)"
+            f"(raise it via the {ENV_VAR} environment variable, --budget or budget.limit)"
         )
 
 
-def current_budget(override: int | None = None) -> int:
+@contextmanager
+def limit(n: int | None) -> Iterator[None]:
+    """Set the budget to ``n`` inside the ``with`` block.
+
+    ``None`` leaves the budget in force unchanged; the outer value is
+    restored on exit, also when the block raises.
+    """
+    if n is None:
+        yield
+        return
+    if n <= 0:
+        raise ValueError("budget must be positive")
+    token = _scoped.set(int(n))
+    try:
+        yield
+    finally:
+        _scoped.reset(token)
+
+
+def current_budget() -> int:
     """The enumeration budget in force.
 
-    Explicit ``override`` wins, then the HYPERTEST_BUDGET environment
-    variable, then :data:`DEFAULT_BUDGET`.
+    The innermost :func:`limit` wins, then the HYPERTEST_BUDGET
+    environment variable, then :data:`DEFAULT_BUDGET`.
     """
-    if override is not None:
-        if override <= 0:
-            raise ValueError("budget must be positive")
-        return int(override)
+    scoped = _scoped.get()
+    if scoped is not None:
+        return scoped
     raw = os.environ.get(ENV_VAR)
     if raw is not None and raw.strip():
         try:
@@ -73,9 +97,9 @@ def current_budget(override: int | None = None) -> int:
     return DEFAULT_BUDGET
 
 
-def check_budget(stage: str, needed: int, override: int | None = None) -> None:
+def check_budget(stage: str, needed: int) -> None:
     """Raise :class:`BudgetError` when ``needed`` exceeds the budget."""
-    budget = current_budget(override)
+    budget = current_budget()
     if needed > budget:
         raise BudgetError(stage, needed, budget)
 

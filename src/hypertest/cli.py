@@ -7,8 +7,10 @@ sibling ``<out>.meta.json``. The artifact is a pure function of argv,
 so reruns are byte-identical; CSV appears only for traces. Exit codes:
 0 success, 2 budget refusal, 1 anything else.
 
-The default enumeration budget comes from the HYPERTEST_BUDGET
-environment variable when set; ``--budget`` overrides it per call.
+The enumeration budget is ``--budget`` when given, else the
+HYPERTEST_BUDGET environment variable when set, else 10**6; ``run``
+scopes it over the whole call with ``budget.limit``, so every
+enumeration the subcommand reaches sees the same number.
 Commands whose selected mode draws randomness require ``--seed``.
 """
 
@@ -24,7 +26,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from .budget import BudgetError
+from .budget import BudgetError, limit
 from .cutnorm import (
     TuplePartition,
     cutnorm_exact,
@@ -219,9 +221,9 @@ def _cmd_density(args: argparse.Namespace) -> dict[str, Any]:
     out: dict[str, Any] = {"command": "density", "mode": args.mode, "q": q}
     if args.mode == "exact":
         if isinstance(source, ColoredHypergraph):
-            out["value"] = density_graph(pattern, source, budget=args.budget)
+            out["value"] = density_graph(pattern, source)
         else:
-            out["value"] = density_graphon(pattern, source, budget=args.budget)
+            out["value"] = density_graphon(pattern, source)
         return out
     seed = _resolved_seed(args, True)
     value, stderr = density_mc(pattern, source, trials=args.trials, seed=seed)
@@ -230,8 +232,7 @@ def _cmd_density(args: argparse.Namespace) -> dict[str, Any]:
 
 
 def _cmd_tvdist(args: argparse.Namespace) -> dict[str, Any]:
-    da, db = sample_laws(_load_source(args.a), _load_source(args.b), args.q,
-                         budget=args.budget)
+    da, db = sample_laws(_load_source(args.a), _load_source(args.b), args.q)
     return {
         "command": "tvdist",
         "mode": "exact",
@@ -243,7 +244,7 @@ def _cmd_tvdist(args: argparse.Namespace) -> dict[str, Any]:
 def _cmd_cutnorm(args: argparse.Namespace) -> dict[str, Any]:
     arr = _load_array(args.infile, args.color)
     if args.mode == "exact":
-        value, witness = cutnorm_exact(arr, budget=args.budget)
+        value, witness = cutnorm_exact(arr)
     else:
         seed = _resolved_seed(args, True)
         value, witness = cutnorm_heuristic(arr, restarts=args.restarts, seed=seed)
@@ -259,10 +260,7 @@ def _cmd_cutnorm_p(args: argparse.Namespace) -> dict[str, Any]:
     arr = _load_array(args.infile, args.color)
     part = _load_tuple_partition(args.partition)
     seed = _resolved_seed(args, args.mode != "exact")
-    value, witness = cutnorm_p(
-        arr, part, mode=args.mode, budget=args.budget,
-        restarts=args.restarts, seed=seed,
-    )
+    value, witness = cutnorm_p(arr, part, mode=args.mode, restarts=args.restarts, seed=seed)
     return {
         "command": "cutnorm-p",
         "mode": args.mode,
@@ -280,14 +278,12 @@ def _cmd_gse(args: argparse.Namespace) -> dict[str, Any]:
     out: dict[str, Any] = {"command": "gse", "mode": args.mode, "classes": coupling.q}
     if isinstance(source, ColoredHypergraph):
         value, part = gse(
-            source, coupling, mode=module_mode, seed=seed,
-            budget=args.budget, restarts=args.restarts,
+            source, coupling, mode=module_mode, seed=seed, restarts=args.restarts
         )
         out.update({"value": value, "labels": list(part.classes)})
     else:
         out["value"] = gse_graphon(
-            source, coupling, mode=module_mode, seed=seed,
-            budget=args.budget, restarts=args.restarts,
+            source, coupling, mode=module_mode, seed=seed, restarts=args.restarts
         )
     return out
 
@@ -298,7 +294,7 @@ def _cmd_regularize(args: argparse.Namespace) -> dict[str, Any]:
     seed = _resolved_seed(args, args.mode != "exact")
     v, p, trace = weak_regularize(
         w, args.eps, t=args.t, max_rounds=args.max_rounds, mode=args.mode,
-        budget=args.budget, restarts=args.restarts, seed=seed,
+        restarts=args.restarts, seed=seed,
     )
     if args.trace:
         Path(args.trace).write_text(trace_csv(trace))
@@ -342,7 +338,7 @@ def _cmd_transfer(args: argparse.Namespace) -> dict[str, Any]:
     u_hat, diag = lift_coloring(
         u, args.q, v_hat, args.delta, args.q0, args.seed,
         reg_floor=args.reg_floor, max_rounds=args.max_rounds,
-        restarts=args.restarts, mode=args.mode, budget=args.budget,
+        restarts=args.restarts, mode=args.mode,
     )
     return {
         "command": "transfer",
@@ -362,8 +358,7 @@ def _cmd_nd_estimate(args: argparse.Namespace) -> dict[str, Any]:
         )
     report = nd_estimate_pipeline(
         g, witness, args.q, args.q0, args.seed,
-        k=args.k, delta=args.delta, mode=args.mode,
-        budget=args.budget, restarts=args.restarts,
+        k=args.k, delta=args.delta, mode=args.mode, restarts=args.restarts,
     )
     return {"command": "nd-estimate", "mode": args.mode, "witness": args.witness, **report}
 
@@ -391,7 +386,7 @@ def _cmd_prop_test(args: argparse.Namespace) -> dict[str, Any]:
             raise CliError("--q is required when --trials is positive")
         report = property_acceptance_rate(
             prop, g, args.q, args.eps, trials=args.trials, seed=args.seed,
-            mode=args.mode, budget=args.budget,
+            mode=args.mode,
         )
         return {
             "command": "prop-test",
@@ -401,8 +396,7 @@ def _cmd_prop_test(args: argparse.Namespace) -> dict[str, Any]:
             **report,
         }
     accept, trace = property_tester(
-        prop, g, args.eps, seed=args.seed, mode=args.mode,
-        budget=args.budget, restarts=args.restarts,
+        prop, g, args.eps, seed=args.seed, mode=args.mode, restarts=args.restarts
     )
     return {
         "command": "prop-test",
@@ -436,13 +430,6 @@ def _add_budget(sp: argparse.ArgumentParser) -> None:
     sp.add_argument(
         "--budget", type=int, default=None,
         help="enumeration cap (default: HYPERTEST_BUDGET when set, else 10**6)",
-    )
-
-
-def _add_threads(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument(
-        "--threads", type=int, default=None,
-        help="deprecated and ignored: trials run in one thread",
     )
 
 
@@ -559,7 +546,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--q-grid", required=True, help="comma-separated sample sizes")
     sp.add_argument("--trials", type=int, default=400)
     sp.add_argument("--seed", type=int, required=True)
-    _add_threads(sp)
     _add_out(sp)
     sp.set_defaults(handler=_cmd_probe)
 
@@ -573,7 +559,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="when positive, measure the acceptance rate over q-samples")
     sp.add_argument("--mode", choices=["exact", "heuristic", "auto"], default="auto")
     sp.add_argument("--restarts", type=int, default=8)
-    _add_threads(sp)
     _add_budget(sp)
     _add_out(sp)
     sp.set_defaults(handler=_cmd_prop_test)
@@ -594,7 +579,8 @@ def run(argv: Sequence[str] | None = None) -> int:
         return 0 if not exc.code else 1
     args.raw_argv = argv
     try:
-        result = args.handler(args)
+        with limit(getattr(args, "budget", None)):
+            result = args.handler(args)
     except BudgetError as err:
         print(f"budget refusal: {err}", file=sys.stderr)
         return 2

@@ -254,9 +254,9 @@ def _mask_indices(mask: int, m: int) -> tuple[int, ...]:
     return tuple(i for i in range(m) if mask >> i & 1)
 
 
-def _exact_plain(t: np.ndarray, budget: int | None) -> tuple[float, list[tuple[int, ...]]]:
+def _exact_plain(t: np.ndarray) -> tuple[float, list[tuple[int, ...]]]:
     r, m = t.ndim, t.shape[0]
-    check_budget("cut norm exact search", 1 << (r * m), budget)
+    check_budget("cut norm exact search", 1 << (r * m))
     s = _subset_matrix(m)
     if r == 1:
         pos, neg = t[t > 0].sum(), t[t < 0].sum()
@@ -299,11 +299,11 @@ def _exact_plain(t: np.ndarray, budget: int | None) -> tuple[float, list[tuple[i
 
 
 def _exact_cutp(
-    t: np.ndarray, classes: np.ndarray, tq: int, budget: int | None
+    t: np.ndarray, classes: np.ndarray, tq: int
 ) -> tuple[float, list[tuple[int, ...]], np.ndarray]:
     """Exact cut-P optimum: enumerate first sets, close the last per class."""
     r, m = t.ndim, t.shape[0]
-    check_budget("cut-P-norm exact search", 1 << (r * m), budget)
+    check_budget("cut-P-norm exact search", 1 << (r * m))
     onehot = (np.asarray(classes)[:, None] == np.arange(tq)).astype(float)
     members = [np.flatnonzero(np.asarray(classes) == j) for j in range(tq)]
     s = _subset_matrix(m)
@@ -491,7 +491,6 @@ def _solve(
     classes: np.ndarray | None,
     tq: int | None,
     mode: str,
-    budget: int | None = None,
     restarts: int = 16,
     seed: int = 0,
 ) -> tuple[float, CutWitness]:
@@ -499,9 +498,9 @@ def _solve(
     signs = None
     if mode == "exact":
         if classes is None:
-            value, sets = _exact_plain(t, budget)
+            value, sets = _exact_plain(t)
         else:
-            value, sets, signs = _exact_cutp(t, classes, tq, budget)
+            value, sets, signs = _exact_cutp(t, classes, tq)
     elif mode == "heuristic":
         if classes is None:
             value, sets = _heuristic_plain(t, restarts, seed)
@@ -522,9 +521,9 @@ def _solve(
     return value, witness
 
 
-def cutnorm_exact(a: np.ndarray, budget: int | None = None) -> tuple[float, CutWitness]:
+def cutnorm_exact(a: np.ndarray) -> tuple[float, CutWitness]:
     """Exact array cut norm by exhaustive symmetric-set search."""
-    return _solve("array", *_array_problem(a), "exact", budget)
+    return _solve("array", *_array_problem(a), "exact")
 
 
 def cutnorm_heuristic(
@@ -538,35 +537,32 @@ def cutnorm_p(
     a: np.ndarray,
     p: TuplePartition,
     mode: str = "exact",
-    budget: int | None = None,
     restarts: int = 16,
     seed: int = 0,
 ) -> tuple[float, CutWitness]:
     """Array cut-P-norm; exact or coordinate-ascent mode."""
-    return _solve("array", *_array_problem(a, p), mode, budget, restarts, seed)
+    return _solve("array", *_array_problem(a, p), mode, restarts, seed)
 
 
 def kernel_cutnorm(
     kern: StepKernel,
     mode: str = "exact",
-    budget: int | None = None,
     restarts: int = 16,
     seed: int = 0,
 ) -> tuple[float, CutWitness]:
     """Cut norm of a step kernel over symmetric measurable sets (exact on orbits)."""
-    return _solve("kernel", *_kernel_problem(kern, None), mode, budget, restarts, seed)
+    return _solve("kernel", *_kernel_problem(kern, None), mode, restarts, seed)
 
 
 def kernel_cutnorm_p(
     kern: StepKernel,
     qpart: GridPartition,
     mode: str = "exact",
-    budget: int | None = None,
     restarts: int = 16,
     seed: int = 0,
 ) -> tuple[float, CutWitness]:
     """Cut-P-norm of a step kernel for a symmetric grid partition."""
-    return _solve("kernel", *_kernel_problem(kern, qpart), mode, budget, restarts, seed)
+    return _solve("kernel", *_kernel_problem(kern, qpart), mode, restarts, seed)
 
 
 def difference_kernel(u: StepGraphon, w: StepGraphon, color: int) -> StepKernel:
@@ -599,7 +595,6 @@ def cut_distance(
     w: ColoredHypergraph | StepGraphon | VertexGraphon,
     p: TuplePartition | GridPartition | None = None,
     mode: str = "exact",
-    budget: int | None = None,
     restarts: int = 16,
     seed: int = 0,
 ) -> float:
@@ -630,7 +625,7 @@ def cut_distance(
                     for alpha, diff in diffs.items())
     total = 0.0
     for alpha, problem in problems:
-        value, _ = _solve(kind, *problem, mode, budget, restarts, derive_seed(seed, alpha))
+        value, _ = _solve(kind, *problem, mode, restarts, derive_seed(seed, alpha))
         total += value
     return total
 
@@ -675,7 +670,6 @@ def sup_cutnorm_over_partitions(
     obj: np.ndarray | StepKernel,
     t: int,
     mode: str = "exact",
-    budget: int | None = None,
     restarts: int = 16,
     seed: int = 0,
 ) -> float:
@@ -688,8 +682,7 @@ def sup_cutnorm_over_partitions(
     if mode == "heuristic":
         from . import energy
 
-        return energy.sup_cutnorm_via_energy(obj, t, budget=budget,
-                                             restarts=restarts, seed=seed)
+        return energy.sup_cutnorm_via_energy(obj, t, restarts=restarts, seed=seed)
     if mode != "exact":
         raise ValueError(f"unknown mode {mode!r}")
     atoms, tensor, _, _ = (
@@ -697,11 +690,11 @@ def sup_cutnorm_over_partitions(
     )
     m = len(atoms)
     n_parts = _count_growth_strings(m, t)
-    check_budget("supremum over partitions", n_parts * (1 << ((tensor.ndim - 1) * m)), budget)
+    check_budget("supremum over partitions", n_parts * (1 << ((tensor.ndim - 1) * m)))
     best = 0.0
     for labels in _growth_strings(m, t):
         tq = max(labels) + 1
-        value, _, _ = _exact_cutp(tensor, np.asarray(labels), tq, budget)
+        value, _, _ = _exact_cutp(tensor, np.asarray(labels), tq)
         best = max(best, value)
     return best
 

@@ -135,7 +135,7 @@ def _step_edge_probs(w: StepGraphon, cells: np.ndarray, q: int) -> list[np.ndarr
 # densities
 
 
-def density_graph(f: GraphLike, g: ColoredHypergraph, budget: int | None = None) -> float:
+def density_graph(f: GraphLike, g: ColoredHypergraph) -> float:
     """Probability that a sorted q-vertex sample of g equals f exactly."""
     q = f.n
     if (f.r, f.k) != (g.r, g.k):
@@ -147,18 +147,13 @@ def density_graph(f: GraphLike, g: ColoredHypergraph, budget: int | None = None)
     check_budget(
         "density_graph subset enumeration (use density_mc for an estimate)",
         comb(g.n, q),
-        budget,
     )
     pattern = np.asarray(f.colors)
     hits = sum(int(np.all(rows == pattern, axis=1).sum()) for rows in induced_sweep(g, q))
     return hits / comb(g.n, q)
 
 
-def density_graphon(
-    f: GraphLike,
-    w: GraphonLike,
-    budget: int | None = None,
-) -> float:
+def density_graphon(f: GraphLike, w: GraphonLike) -> float:
     """Probability that a q-vertex sample of w equals f.
 
     Exact: sums over all assignments of grid cells (or vertices) to the
@@ -175,7 +170,7 @@ def density_graphon(
         needed = w.n**q
     else:
         needed = w.partition.resolution**ncoords
-    check_budget("density_graphon grid summation", needed, budget)
+    check_budget("density_graphon grid summation", needed)
 
     if isinstance(w, VertexGraphon):
         verts = np.indices((w.n,) * q).reshape(q, -1).T
@@ -246,7 +241,6 @@ def density_mc(
 def sample_distribution(
     source: ColoredHypergraph | SampledColoredGraph | GraphonLike,
     q: int,
-    budget: int | None = None,
 ) -> SampleDistribution:
     """The exact law mu(q, source) over labeled color patterns."""
     r, k = source.r, source.k
@@ -255,8 +249,8 @@ def sample_distribution(
     if isinstance(source, (ColoredHypergraph, SampledColoredGraph)):
         has_iota = isinstance(source, SampledColoredGraph) and source.has_iota()
         support = (k + 1) ** n_edges if has_iota else k**n_edges
-        check_budget("sample_distribution support", support, budget)
-        check_budget("sample_distribution subset sweep", comb(source.n, q), budget)
+        check_budget("sample_distribution support", support)
+        check_budget("sample_distribution subset sweep", comb(source.n, q))
         total = comb(source.n, q)
         probs = {p: 0.0 for p in all_patterns(q, r, k, with_iota=has_iota)}
         for pattern, c in pattern_counts(induced_sweep(source, q)).items():
@@ -264,8 +258,8 @@ def sample_distribution(
         return SampleDistribution(q, r, k, has_iota, probs)
 
     if isinstance(source, VertexGraphon):
-        check_budget("sample_distribution support", (k + 1) ** n_edges, budget)
-        check_budget("sample_distribution cell sweep", source.n**q, budget)
+        check_budget("sample_distribution support", (k + 1) ** n_edges)
+        check_budget("sample_distribution cell sweep", source.n**q)
         verts = np.indices((source.n,) * q).reshape(q, -1).T
         induced = _induced_columns(source.graph, verts)
         probs = {p: 0.0 for p in all_patterns(q, r, k, with_iota=True)}
@@ -279,12 +273,10 @@ def sample_distribution(
         raise TypeError(f"unsupported sample source {type(source).__name__}")
     has_iota = source.has_iota
     channels = source.channel_order
-    check_budget(
-        "sample_distribution support", (k + 1 if has_iota else k) ** n_edges, budget
-    )
+    check_budget("sample_distribution support", (k + 1 if has_iota else k) ** n_edges)
     g = source.partition.resolution
     ncoords = len(sample_coordinates(q, r))
-    check_budget("sample_distribution grid summation", g**ncoords, budget)
+    check_budget("sample_distribution grid summation", g**ncoords)
     cells = np.indices((g,) * ncoords).reshape(ncoords, -1).T
     per_edge = _step_edge_probs(source, cells, q)
     letters = "abcdefghijklmnopqrstuvwxyz"
@@ -311,7 +303,6 @@ def sample_laws(
     a: ColoredHypergraph | SampledColoredGraph | GraphonLike,
     b: ColoredHypergraph | SampledColoredGraph | GraphonLike,
     q: int,
-    budget: int | None = None,
 ) -> tuple[SampleDistribution, SampleDistribution]:
     """Both exact q-sample laws, on one support.
 
@@ -319,8 +310,8 @@ def sample_laws(
     gains the reserved patterns at probability 0, so the two compare
     directly (:func:`tv_distance` itself rejects mismatched supports).
     """
-    la = sample_distribution(a, q, budget=budget)
-    lb = sample_distribution(b, q, budget=budget)
+    la = sample_distribution(a, q)
+    lb = sample_distribution(b, q)
     if la.has_iota == lb.has_iota:
         return la, lb
 
@@ -412,9 +403,7 @@ def variation_constant(q: int, r: int, k: int) -> float:
     return k ** (q**r) * q**r / (2 * factorial(r))
 
 
-def counting_bound_check(
-    u: StepGraphon, w: StepGraphon, q: int, budget: int | None = None
-) -> dict[str, float]:
+def counting_bound_check(u: StepGraphon, w: StepGraphon, q: int) -> dict[str, float]:
     """Verify density and variation bounds against the exact cut distance.
 
     Checks |t(F,u) - t(F,w)| <= C(q,r) * d for every pattern F and
@@ -422,8 +411,8 @@ def counting_bound_check(
     """
     from .cutnorm import cut_distance
 
-    dist = cut_distance(u, w, mode="exact", budget=budget)
-    mu_u, mu_w = sample_laws(u, w, q, budget=budget)
+    dist = cut_distance(u, w, mode="exact")
+    mu_u, mu_w = sample_laws(u, w, q)
     per_pattern_bound = counting_constant(q, u.r) * dist
     worst_gap = 0.0
     violations = 0

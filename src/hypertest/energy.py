@@ -174,7 +174,6 @@ def gse(
     j: CouplingArray,
     mode: str = "exact",
     seed: int = 0,
-    budget: int | None = None,
     restarts: int = 8,
 ) -> tuple[float, TuplePartition]:
     """Ground state energy: maximize the partition energy over q-class labelings."""
@@ -183,7 +182,7 @@ def gse(
     tensors = _graph_instance(h, range(1, h.k + 1))
     js = [j.arrays[a] for a in range(1, h.k + 1)]
     m = comb(h.n, h.r - 1)
-    value, labels = _maximize(tensors, js, m, j.q, mode, seed, budget, restarts)
+    value, labels = _maximize(tensors, js, m, j.q, mode, seed, restarts)
     partition = TuplePartition(h.n, h.r - 1, tuple(int(c) for c in labels), j.q, allow_empty=True)
     return value, partition
 
@@ -193,7 +192,6 @@ def gse_graphon(
     j: CouplingArray,
     mode: str = "exact",
     seed: int = 0,
-    budget: int | None = None,
     restarts: int = 8,
 ) -> float:
     """GSE over symmetric partitions built from grid-cell orbits.
@@ -207,7 +205,7 @@ def gse_graphon(
     tensors = _graphon_instance(w, range(1, w.k + 1))
     js = [j.arrays[a] for a in range(1, w.k + 1)]
     m = tensors[0].shape[0]
-    value, _ = _maximize(tensors, js, m, j.q, mode, seed, budget, restarts)
+    value, _ = _maximize(tensors, js, m, j.q, mode, seed, restarts)
     return value
 
 
@@ -218,11 +216,10 @@ def _maximize(
     q: int,
     mode: str,
     seed: int,
-    budget: int | None,
     restarts: int,
 ) -> tuple[float, np.ndarray]:
     if mode == "exact":
-        check_budget("gse exact labeling enumeration", q**m, budget)
+        check_budget("gse exact labeling enumeration", q**m)
         value, labels, _ = _all_labeling_energies(tensors, js, m, q)
         return value, labels
     if mode != "anneal":
@@ -430,7 +427,6 @@ def sup_cutnorm_via_energy(
     obj: np.ndarray | StepKernel,
     t: int,
     mode: str = "anneal",
-    budget: int | None = None,
     restarts: int = 8,
     seed: int = 0,
 ) -> float:
@@ -457,9 +453,9 @@ def sup_cutnorm_via_energy(
     m = tensors[0].shape[0]
     n_signs = 2 ** (t**r)
     if mode == "exact":
-        check_budget("sign-array sweep", n_signs * (t * 2**r) ** m, budget)
+        check_budget("sign-array sweep", n_signs * (t * 2**r) ** m)
     else:
-        check_budget("sign-array sweep", n_signs, budget)
+        check_budget("sign-array sweep", n_signs)
     best = 0.0
     for bits in range(n_signs):
         signs = np.array(
@@ -468,7 +464,7 @@ def sup_cutnorm_via_energy(
         coupling = make_reduction_arrays(signs, [float(y) for y in values])
         js = [coupling.arrays[a] for a in range(1, coupling.k + 1)]
         value, _ = _maximize(
-            tensors, js, m, coupling.q, mode, derive_seed(seed, bits), budget, restarts
+            tensors, js, m, coupling.q, mode, derive_seed(seed, bits), restarts
         )
         best = max(best, value)
     return best

@@ -42,7 +42,7 @@ from typing import Any, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .budget import BudgetError, check_budget, current_budget
+from .budget import check_budget
 from .hypercore import (
     IOTA,
     ColoredHypergraph,
@@ -79,6 +79,8 @@ __all__ = [
 ]
 
 _LETTERS = string.ascii_letters
+# cells per slab of the r = 3 class-tuple weight chain (``_pairwise_r3``)
+_SLAB_CELLS = 10**6
 
 
 def subsets_card_lex(ground: Sequence[int], max_size: int) -> tuple[tuple[int, ...], ...]:
@@ -479,7 +481,6 @@ def sample_graphon(
     q: int,
     seed: int,
     condition_no_iota: bool = False,
-    rejection_budget: int = 10_000,
 ) -> SampledColoredGraph:
     """Draw the random q-vertex colored graph of a graphon.
 
@@ -487,8 +488,8 @@ def sample_graphon(
     of [q] (colex order); the edge uniform picks the color through the
     cumulative distribution at the projected type point (:func:`colors_at`).
     With ``condition_no_iota`` (embedded graphs only) the whole draw
-    repeats until no reserved color appears, up to ``rejection_budget``
-    attempts.
+    repeats until no reserved color appears; the attempts count against
+    the enumeration budget.
     """
     r = w.r
     if q < r:
@@ -508,13 +509,11 @@ def sample_graphon(
             return SampledColoredGraph(q, r, w.k, colors_at(w, q, xs, ues), coords=coords)
         cells = tuple(_vertex_cells(w, xs, q).tolist())
         if condition_no_iota and len(set(cells)) < q:
-            if attempts >= rejection_budget:
-                raise BudgetError(
-                    f"sample_graphon rejection (reserved color still present "
-                    f"after {attempts} attempts)",
-                    attempts + 1,
-                    rejection_budget,
-                )
+            check_budget(
+                f"sample_graphon rejection (reserved color still present "
+                f"after {attempts} attempts)",
+                attempts + 1,
+            )
             continue
         return SampledColoredGraph(q, r, w.k, colors_at(w, q, xs, ues),
                                    vertices=cells, coords=coords)
@@ -639,7 +638,7 @@ def class_tuple_weights(p: GridPartition) -> np.ndarray:
     class histograms (one-hot labels with the block's private axes
     averaged out) over the shared axes. For r = 3 that contraction is an
     explicit pairwise chain whose g^2 t^2-cell intermediate is built in
-    budgeted slabs (see ``_pairwise_r3``).
+    slabs (see ``_pairwise_r3``).
     """
     return _weights_from_labels(p.r_minus_1 + 1, p.labels, p.t)
 
@@ -691,13 +690,15 @@ def _pairwise_r3(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
 
     Contracting c first gives a (b, g, a, h) intermediate of g^2 t^2
     cells; the chain runs over slabs of b so that each slab holds at most
-    the budget's worth of cells, and refuses through the budget when a
-    single b-row (g t^2 cells) does not fit.
+    ``_SLAB_CELLS`` cells (one b-row when a row is larger), and refuses
+    through the budget when a single b-row (g t^2 cells) exceeds it. The
+    slabs do not follow the budget, so neither the summation order nor
+    the memory does.
     """
     g, t = x.shape[0], x.shape[2]
     row = g * t * t
     check_budget("class-tuple weights (r=3 pairwise intermediate)", row)
-    step = max(1, current_budget() // row)
+    step = max(1, _SLAB_CELLS // row)
     out = np.zeros((t,) * 3)
     for lo in range(0, g, step):
         b = slice(lo, lo + step)

@@ -350,7 +350,7 @@ def _refined_with(g, betas: Sequence[int], k: int):
     return ColoredHypergraph(g.n, g.r, g.k * k, colors)
 
 
-def enumerate_colorings(g, k: int, budget: int | None = None):
+def enumerate_colorings(g, k: int):
     """Every [t] x [k]-coloring refining ``g``, in a fixed deterministic order.
 
     Yields the ``k ** m`` refinements over the m non-reserved edges of
@@ -360,7 +360,7 @@ def enumerate_colorings(g, k: int, budget: int | None = None):
     search (``max_over_refinements``).
     """
     m = sum(1 for c in g.colors if c != IOTA)
-    check_budget("refinement enumeration", k**m, budget)
+    check_budget("refinement enumeration", k**m)
     for betas in product(range(1, k + 1), repeat=m):
         yield _refined_with(g, betas, k)
 

@@ -78,7 +78,6 @@ def sup_partition_distance(
     w: StepGraphon | VertexGraphon,
     limit: int,
     mode: str = "exact",
-    budget: int | None = None,
     restarts: int = 16,
     seed: int = 0,
 ) -> tuple[float, GridPartition, list[CutWitness]]:
@@ -104,8 +103,7 @@ def sup_partition_distance(
     if limit >= orbit.t or mode == "heuristic":
         candidates: Any = [orbit]
     elif mode == "exact":
-        check_budget("residual partition sweep",
-                     _count_growth_strings(orbit.t, limit), budget)
+        check_budget("residual partition sweep", _count_growth_strings(orbit.t, limit))
         candidates = (
             GridPartition(us.r - 1, g, np.asarray(rgs)[orbit.labels], max(rgs) + 1)
             for rgs in _growth_strings(orbit.t, limit)
@@ -119,8 +117,8 @@ def sup_partition_distance(
     for qp in candidates:
         total, wits = 0.0, []
         for i, kern in enumerate(kernels):
-            value, wit = kernel_cutnorm_p(kern, qp, mode=mode, budget=budget,
-                                          restarts=restarts, seed=derive_seed(seed, i))
+            value, wit = kernel_cutnorm_p(kern, qp, mode=mode, restarts=restarts,
+                                          seed=derive_seed(seed, i))
             total += value
             wits.append(wit)
         if total > best:
@@ -150,7 +148,6 @@ def weak_regularize(
     t: int | None = None,
     max_rounds: int | None = None,
     mode: str = "auto",
-    budget: int | None = None,
     restarts: int = 16,
     seed: int = 0,
 ) -> tuple[StepGraphon, GridPartition, list[dict[str, Any]]]:
@@ -196,8 +193,7 @@ def weak_regularize(
     trace: list[dict[str, Any]] = []
     while True:
         v = step_average(w, p)
-        sweep = partial(sup_partition_distance, w, v, limit, budget=budget,
-                        restarts=restarts, seed=seed)
+        sweep = partial(sup_partition_distance, w, v, limit, restarts=restarts, seed=seed)
         (residual, qpart, wits), ran = exact_or_heuristic(
             mode, partial(sweep, mode="exact"), partial(sweep, mode="heuristic"))
         if not trace or residual < best_res:

@@ -220,7 +220,6 @@ def nd_parameter(
     g: ColoredHypergraph,
     mode: str = "exact",
     seed: int = 0,
-    budget: int | None = None,
     restarts: int = 8,
 ) -> NdResult:
     """Best witness value over the refinements of ``g``.
@@ -238,19 +237,13 @@ def nd_parameter(
             f"witness palette {f_witness.k} does not refine the graph palette {g.k}"
         )
     arity = f_witness.k // g.k
-    search = partial(max_over_refinements, g, arity, f_witness, budget=budget,
-                     restarts=restarts, seed=seed)
+    search = partial(max_over_refinements, g, arity, f_witness, restarts=restarts, seed=seed)
     (value, witness), ran = exact_or_heuristic(
         mode, partial(search, mode="exact"), partial(search, mode="heuristic"))
     return NdResult(float(value), ran == "exact", witness)
 
 
-def witness_sample_density(
-    p_witness: PropertyFn,
-    h: ColoredHypergraph,
-    q: int,
-    budget: int | None = None,
-) -> float:
+def witness_sample_density(p_witness: PropertyFn, h: ColoredHypergraph, q: int) -> float:
     """Fraction of induced q-subsets of ``h`` in the witness sample property.
 
     The predicate runs once per distinct induced pattern, weighted by
@@ -258,7 +251,7 @@ def witness_sample_density(
     """
     if not h.r <= q <= h.n:
         raise ValueError(f"need r <= q <= n, got q={q} for n={h.n}")
-    check_budget("sample property density", comb(h.n, q), budget)
+    check_budget("sample property density", comb(h.n, q))
     predicate = p_witness.sample_predicate()
     if q == h.n and type(h) is ColoredHypergraph:
         # the one q-subset is the whole vertex set, whose pattern is h itself
@@ -276,7 +269,6 @@ def property_tester(
     eps: float,
     seed: int = 0,
     mode: str = "auto",
-    budget: int | None = None,
     restarts: int = 8,
 ) -> tuple[bool, dict[str, Any]]:
     """Accept ``h`` when some coloring passes the witness sample test.
@@ -285,8 +277,8 @@ def property_tester(
     of ``h`` whose witness sample-property density at the witness
     tester's own sample size reaches 3/5. The search over colorings is
     exact at desk scale (mode "heuristic" trades the certificate for a
-    one-sided search; "auto" falls back to it when the budget refuses). The witness sample size is capped at the size of
-    ``h`` itself.
+    one-sided search; "auto" falls back to it when the budget refuses).
+    The witness sample size is capped at the size of ``h`` itself.
     """
     if isinstance(h, SampledColoredGraph):
         h = ColoredHypergraph(h.n, h.r, h.k, h.colors)
@@ -300,11 +292,10 @@ def property_tester(
     q_w = min(max(p_witness.sample_size(eps), h.r), h.n)
 
     def density(refined) -> float:
-        return witness_sample_density(p_witness, refined, q_w, budget=budget)
+        return witness_sample_density(p_witness, refined, q_w)
 
     best, best_g = max_over_refinements(
-        h, arity, density, mode=mode, budget=budget,
-        restarts=restarts, seed=seed,
+        h, arity, density, mode=mode, restarts=restarts, seed=seed
     )
     accept = bool(best >= SAMPLE_THRESHOLD - 1e-12)
     trace = {
@@ -327,7 +318,6 @@ def property_acceptance_rate(
     trials: int = 400,
     seed: int = 0,
     mode: str = "auto",
-    budget: int | None = None,
 ) -> dict[str, Any]:
     """Acceptance frequency of the constructed tester over random q-samples.
 
@@ -336,10 +326,7 @@ def property_acceptance_rate(
     accepted = 0
     for trial in range(trials):
         sub = sample_subgraph(g, q, derive_seed(seed, trial))
-        ok, _ = property_tester(
-            p_witness, sub, eps, seed=derive_seed(seed, trial),
-            mode=mode, budget=budget,
-        )
+        ok, _ = property_tester(p_witness, sub, eps, seed=derive_seed(seed, trial), mode=mode)
         accepted += int(ok)
     low, high = wilson_interval(accepted, trials)
     return {
@@ -353,11 +340,9 @@ def property_acceptance_rate(
     }
 
 
-def _brute_force_distance(
-    prop: PropertyFn, g: ColoredHypergraph, budget: int | None
-) -> int:
+def _brute_force_distance(prop: PropertyFn, g: ColoredHypergraph) -> int:
     m = len(g.colors)
-    check_budget("property edit distance", prop.k ** m, budget)
+    check_budget("property edit distance", prop.k ** m)
     best = None
     for colors in itertools.product(range(1, prop.k + 1), repeat=m):
         candidate = ColoredHypergraph(g.n, g.r, g.k, colors)
@@ -374,7 +359,6 @@ def far_from_property(
     g: ColoredHypergraph,
     eps: float,
     normalization: str = "subsets",
-    budget: int | None = None,
 ) -> dict[str, Any]:
     """Whether ``g`` needs more than the eps-allowance of edits to enter.
 
@@ -389,7 +373,7 @@ def far_from_property(
     if prop.distance_to is not None:
         distance = int(prop.distance_to(g))
     else:
-        distance = _brute_force_distance(prop, g, budget)
+        distance = _brute_force_distance(prop, g)
     if normalization == "subsets":
         allowance = eps * comb(g.n, g.r)
     else:

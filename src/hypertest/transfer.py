@@ -180,7 +180,6 @@ def transfer_bound_report(
     v: StepGraphon,
     p: GridPartition,
     mode: str = "exact",
-    budget: int | None = None,
     restarts: int = 16,
     seed: int = 0,
 ) -> dict[str, Any]:
@@ -193,10 +192,10 @@ def transfer_bound_report(
     """
     v_hat = transfer_coloring(u_hat, v, p)
     k = u_hat.k // v.k
-    refined = cut_distance(u_hat, v_hat, p=p, mode=mode, budget=budget,
-                           restarts=restarts, seed=derive_seed(seed, 0))
-    base = cut_distance(discolor_step(u_hat, k), v, p=p, mode=mode, budget=budget,
-                        restarts=restarts, seed=derive_seed(seed, 1))
+    refined = cut_distance(u_hat, v_hat, p=p, mode=mode, restarts=restarts,
+                           seed=derive_seed(seed, 0))
+    base = cut_distance(discolor_step(u_hat, k), v, p=p, mode=mode, restarts=restarts,
+                        seed=derive_seed(seed, 1))
     return {
         "arity": k,
         "refined_distance": refined,
@@ -243,10 +242,7 @@ def base_case_transfer(
 
 
 def product_tv(
-    a: Sequence[float] | np.ndarray,
-    b: Sequence[float] | np.ndarray,
-    q0: int,
-    budget: int | None = None,
+    a: Sequence[float] | np.ndarray, b: Sequence[float] | np.ndarray, q0: int
 ) -> float:
     """Variation distance between the q0-fold products of two finite laws.
 
@@ -262,7 +258,7 @@ def product_tv(
     for name, vec in (("first", pa), ("second", pb)):
         if vec.min(initial=0.0) < -1e-12 or abs(vec.sum() - 1.0) > 1e-9:
             raise ValueError(f"{name} argument is not a probability vector")
-    check_budget("product law expansion", pa.size ** q0, budget)
+    check_budget("product law expansion", pa.size ** q0)
     ta, tb = pa, pb
     for _ in range(q0 - 1):
         ta = np.multiply.outer(ta, pa).ravel()
@@ -275,7 +271,6 @@ def base_case_report(
     v_hat: Sequence[Sequence[float]] | np.ndarray,
     k: int,
     q0: int,
-    budget: int | None = None,
 ) -> dict[str, Any]:
     """Transfer the volumes and measure the q0-sample variation distance.
 
@@ -291,7 +286,7 @@ def base_case_report(
     b_hat = base_case_transfer(u, v_hat, k)
     a_hat = np.asarray(v_hat, dtype=float)
     dev = np.abs(a_hat.sum(axis=1) - np.asarray(u, dtype=float))
-    tv = product_tv(b_hat, a_hat, q0, budget=budget)
+    tv = product_tv(b_hat, a_hat, q0)
     max_dev = float(dev.max(initial=0.0))
     max_form = 0.5 * q0 ** (k + 1) * max_dev
     sub_form = 0.5 * q0 * float(dev.sum())
@@ -357,7 +352,7 @@ def _measurable_grid(part: GridPartition, r: int) -> bool:
     return part.resolution ** 3 <= 5000
 
 
-def _mu_tv(a: StepGraphon, b: StepGraphon, q0: int, budget: int | None) -> float:
+def _mu_tv(a: StepGraphon, b: StepGraphon, q0: int) -> float:
     """Exact q0-sample variation distance."""
     if q0 < a.r:
         return 0.0
@@ -365,7 +360,7 @@ def _mu_tv(a: StepGraphon, b: StepGraphon, q0: int, budget: int | None) -> float
         ma, mb = color_mass(a), color_mass(b)
         keys = set(ma) | set(mb)
         return 0.5 * sum(abs(ma.get(c, 0.0) - mb.get(c, 0.0)) for c in keys)
-    return tv_distance(*sample_laws(a, b, q0, budget=budget))
+    return tv_distance(*sample_laws(a, b, q0))
 
 
 def _measured(measure: Callable[[], float]) -> float | None:
@@ -377,11 +372,10 @@ def _measured(measure: Callable[[], float]) -> float | None:
 # the lifting pipeline
 
 
-def _regularize_stage(w, eps, mode, budget, restarts, max_rounds, seed):
+def _regularize_stage(w, eps, mode, restarts, max_rounds, seed):
     try:
-        v, p, trace = weak_regularize(w, eps, mode=mode, budget=budget,
-                                      restarts=restarts, max_rounds=max_rounds,
-                                      seed=seed)
+        v, p, trace = weak_regularize(w, eps, mode=mode, restarts=restarts,
+                                      max_rounds=max_rounds, seed=seed)
         return v, p, trace, True
     except RegularityError as err:
         return err.v, err.p, err.trace, False
@@ -488,7 +482,6 @@ def lift_coloring(
     max_rounds: int = 4,
     restarts: int = 4,
     mode: str = "auto",
-    budget: int | None = None,
 ) -> tuple[StepGraphon, dict[str, Any]]:
     """Pull a coloring of a q-vertex sample back onto the source graphon.
 
@@ -583,7 +576,7 @@ def lift_coloring(
         )
         delta_eff = max(delta_paper, reg_floor)
         w1, p_part, trace1, ok1 = _regularize_stage(
-            u, delta_eff / 2, mode, budget, restarts, max_rounds, derive_seed(seed, 1)
+            u, delta_eff / 2, mode, restarts, max_rounds, derive_seed(seed, 1)
         )
         g1 = p_part.resolution
         rec.update({
@@ -601,7 +594,7 @@ def lift_coloring(
     # stage 3: regularize the sample coloring
     with _stage("regularize_sample_coloring", stages) as rec:
         z_hat, r_part, trace3, ok3 = _regularize_stage(
-            v_hat, delta_eff, mode, budget, restarts, max_rounds, derive_seed(seed, 3)
+            v_hat, delta_eff, mode, restarts, max_rounds, derive_seed(seed, 3)
         )
         t_r = r_part.t
         rec.update({
@@ -632,9 +625,7 @@ def lift_coloring(
         if r == 2:
             counts = np.zeros((p_part.t, t_r))
             np.add.at(counts, (p_prime.labels, r_part.labels), 1.0)
-            volume_report = base_case_report(
-                p_part.class_volumes(), counts / q, t_r, q0, budget=budget
-            )
+            volume_report = base_case_report(p_part.class_volumes(), counts / q, t_r, q0)
             b_hat = np.asarray(volume_report["refined_target_volumes"])
             p_second, realized = _stack_1d(p_part, b_hat, t_r)
             quantization = float(np.abs(realized - b_hat).max())
@@ -668,7 +659,7 @@ def lift_coloring(
                 w_marg, q, u_marg_hat, delta / 4, q0, derive_seed(seed, 5),
                 sample=inner_sample, edge_uniforms=inner_ues,
                 reg_floor=reg_floor, max_rounds=max_rounds,
-                restarts=restarts, mode=mode, budget=budget,
+                restarts=restarts, mode=mode,
             )
             m_out = step_average(w_marg_hat, ident_g1)
             fracs = np.stack([
@@ -723,7 +714,7 @@ def lift_coloring(
             "measured_base_distance": d_base,
         })
 
-    final_tv = _measured(lambda: _mu_tv(u_hat, v_hat, q0, budget))
+    final_tv = _measured(lambda: _mu_tv(u_hat, v_hat, q0))
 
     diagnostics = {
         "r": r,
@@ -749,7 +740,6 @@ def max_over_refinements(
     k: int,
     value_fn: Callable[[Any], float],
     mode: str = "auto",
-    budget: int | None = None,
     restarts: int = 8,
     seed: int = 0,
 ) -> tuple[float, Any]:
@@ -767,7 +757,7 @@ def max_over_refinements(
 
     def enumerate_all() -> tuple[float, Any]:
         best, best_g = -np.inf, None
-        for candidate in enumerate_colorings(g, k, budget):
+        for candidate in enumerate_colorings(g, k):
             value = value_fn(candidate)
             if value > best:
                 best, best_g = value, candidate
@@ -844,7 +834,6 @@ def nd_estimate_pipeline(
     k: int = 2,
     delta: float = 0.1,
     mode: str = "auto",
-    budget: int | None = None,
     restarts: int = 8,
 ) -> dict[str, Any]:
     """Estimate a best-k-refinement parameter of ``g`` from a q-sample.
@@ -855,11 +844,11 @@ def nd_estimate_pipeline(
     on the true maximum; the report carries both numbers, their gap, the
     exact maximum when the budget allows it, and the lift diagnostics.
     ``mode`` ("exact", "heuristic" or "auto") picks the search over the
-    sample's refinements; the lift always runs in "auto". ``budget`` caps
-    every enumeration, the lift's included. Sampling avoids reserved
-    colors by rejection when the collision-free probability is workable,
-    otherwise reserved edges flow through (the witness callback sees
-    them).
+    sample's refinements; the lift always runs in "auto". The budget in
+    force (``budget.limit``) caps every enumeration, the lift's included.
+    Sampling avoids reserved colors by rejection when the collision-free
+    probability is workable, otherwise reserved edges flow through (the
+    witness callback sees them).
     """
     if g.r not in (2, 3):
         raise ValueError("the estimation pipeline supports r in (2, 3)")
@@ -869,13 +858,11 @@ def nd_estimate_pipeline(
     sample = sample_graphon(emb, q, derive_seed(seed, 0),
                             condition_no_iota=conditioned)
     f_hat, best_sample = max_over_refinements(
-        sample, k, witness_g, mode=mode, budget=budget,
-        restarts=restarts, seed=derive_seed(seed, 1),
+        sample, k, witness_g, mode=mode, restarts=restarts, seed=derive_seed(seed, 1)
     )
     v_hat = embed_sample(best_sample)
     u_hat, diag = lift_coloring(
-        emb.to_step(), q, v_hat, delta, q0, derive_seed(seed, 2), sample=sample,
-        budget=budget,
+        emb.to_step(), q, v_hat, delta, q0, derive_seed(seed, 2), sample=sample
     )
     rounded = _round_coloring(g, u_hat, k, derive_seed(seed, 3))
     transferred = float(witness_g(rounded))
@@ -889,7 +876,7 @@ def nd_estimate_pipeline(
         "coloring": list(rounded.colors),
         "lift": diag,
     }
-    report["f_exact"] = _measured(lambda: float(max_over_refinements(
-        g, k, witness_g, mode="exact", budget=budget,
-    )[0]))
+    report["f_exact"] = _measured(
+        lambda: float(max_over_refinements(g, k, witness_g, mode="exact")[0])
+    )
     return report

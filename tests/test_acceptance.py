@@ -20,6 +20,7 @@ from math import comb
 import numpy as np
 import pytest
 
+from hypertest.budget import limit
 from hypertest.cutnorm import (
     TuplePartition,
     cut_distance,
@@ -318,8 +319,8 @@ def test_criterion_08_weak_regularity():
         for alpha in (1, 2):
             kern = difference_kernel(w, v, alpha)
             cap = min(16 * t_mult, kern.partition.t)
-            residual += sup_cutnorm_over_partitions(kern, cap, mode="exact",
-                                                    budget=10**7)
+            with limit(10**7):
+                residual += sup_cutnorm_over_partitions(kern, cap, mode="exact")
         worst_overall = max(worst_overall, residual)
         assert residual <= eps + 1e-9
     verdict(8, "weak regularity", True,

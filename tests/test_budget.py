@@ -7,6 +7,7 @@ from hypertest.budget import (
     check_budget,
     current_budget,
     exact_or_heuristic,
+    limit,
 )
 
 
@@ -18,7 +19,49 @@ def test_default_budget(monkeypatch: pytest.MonkeyPatch) -> None:
 def test_env_override(monkeypatch: pytest.MonkeyPatch) -> None:
     monkeypatch.setenv(ENV_VAR, "123")
     assert current_budget() == 123
-    assert current_budget(override=9) == 9
+    with limit(9):
+        assert current_budget() == 9
+    assert current_budget() == 123
+
+
+def test_nested_limits_restore_the_outer_value(monkeypatch: pytest.MonkeyPatch) -> None:
+    monkeypatch.delenv(ENV_VAR, raising=False)
+    with limit(50):
+        with limit(7):
+            assert current_budget() == 7
+            with pytest.raises(BudgetError) as err:
+                check_budget("inner", 8)
+            assert err.value.budget == 7
+        assert current_budget() == 50
+        with pytest.raises(ZeroDivisionError):
+            with limit(3):
+                raise ZeroDivisionError
+        assert current_budget() == 50
+    assert current_budget() == DEFAULT_BUDGET
+
+
+def test_limit_none_inherits(monkeypatch: pytest.MonkeyPatch) -> None:
+    monkeypatch.setenv(ENV_VAR, "77")
+    with limit(None):
+        assert current_budget() == 77
+    with limit(12), limit(None):
+        assert current_budget() == 12
+
+
+@pytest.mark.parametrize("bad", [0, -3])
+def test_limit_rejects_nonpositive(bad: int) -> None:
+    with pytest.raises(ValueError, match="budget must be positive"):
+        with limit(bad):
+            pass
+
+
+def test_env_applies_outside_any_limit(monkeypatch: pytest.MonkeyPatch) -> None:
+    monkeypatch.setenv(ENV_VAR, "5")
+    with limit(100):
+        check_budget("inside", 100)
+    with pytest.raises(BudgetError) as err:
+        check_budget("outside", 100)
+    assert err.value.budget == 5
 
 
 def test_env_rejects_garbage(monkeypatch: pytest.MonkeyPatch) -> None:
@@ -38,7 +81,7 @@ def test_check_budget_raises_with_details(monkeypatch: pytest.MonkeyPatch) -> No
     assert err.value.stage == "huge enumeration"
     assert err.value.needed == DEFAULT_BUDGET + 1
     assert err.value.budget == DEFAULT_BUDGET
-    assert ENV_VAR in str(err.value)
+    assert ENV_VAR in str(err.value) and "budget.limit" in str(err.value)
 
 
 def _recorder(calls: list[str], name: str, refuse: bool = False):
@@ -87,6 +130,18 @@ def test_auto_propagates_other_errors() -> None:
     with pytest.raises(ZeroDivisionError):
         exact_or_heuristic("auto", broken, _recorder(seen, "heuristic"))
     assert seen == ["exact"]
+
+
+def test_auto_falls_back_under_a_limit(monkeypatch: pytest.MonkeyPatch) -> None:
+    monkeypatch.delenv(ENV_VAR, raising=False)
+
+    def exact() -> str:
+        check_budget("exact sweep", 1000)
+        return "exact result"
+
+    with limit(999):
+        assert exact_or_heuristic("auto", exact, lambda: "fallback") == ("fallback", "heuristic")
+    assert exact_or_heuristic("auto", exact, lambda: "fallback") == ("exact result", "exact")
 
 
 def test_unknown_mode_is_named() -> None:

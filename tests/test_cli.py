@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from hypertest import cli
+from hypertest import cli, cutnorm, graphon
 from hypertest.cutnorm import cutnorm_exact
 from hypertest.energy import CouplingArray, gse
 from hypertest.graphon import random_step_graphon, step_graphon_to_json
@@ -229,13 +229,6 @@ class TestPipelines:
         assert cli.run(base + ["--q-grid", "3,oops"]) == 1
         assert cli.run(base + ["--q-grid", ""]) == 1
 
-    def test_probe_threads_do_not_change_numbers(self, graph_file: str, capsys) -> None:
-        base = ["probe", "--in", graph_file, "--parameter", "edge-density",
-                "--eps", "0.3", "--q-grid", "3,4", "--trials", "30", "--seed", "5"]
-        one = run_json(capsys, base + ["--threads", "1"])
-        four = run_json(capsys, base + ["--threads", "4"])
-        assert one == four
-
     def test_prop_test_trials_need_q(self, graph_file: str) -> None:
         rc = cli.run([
             "prop-test", "--in", graph_file, "--property", "complete-witness",
@@ -284,6 +277,19 @@ class TestBudgetEnv:
     def test_explicit_budget_beats_env(self, graph_file: str, monkeypatch: pytest.MonkeyPatch) -> None:
         monkeypatch.setenv("HYPERTEST_BUDGET", "2")
         assert cli.run(["cutnorm", "--in", graph_file, "--budget", "100000"]) == 0
+
+    def test_budget_reaches_the_class_tuple_weights(self, tmp_path: Path, capsys) -> None:
+        # the r = 3 orbit weights of a resolution-4 grid need a 6400-cell
+        # intermediate row; --budget must refuse it as HYPERTEST_BUDGET does.
+        # Cached orbits skip that enumeration, so start from empty caches.
+        cutnorm._orbit_atoms.cache_clear()
+        graphon.orbit_partition.cache_clear()
+        w = random_step_graphon(3, 2, t=3, resolution=4, seed=5)
+        wf = write_json(tmp_path / "w3.json", step_graphon_to_json(w))
+        rc = cli.run(["regularize", "--in", wf, "--eps", "0.3", "--mode", "heuristic",
+                      "--max-rounds", "1", "--seed", "1", "--budget", "1000"])
+        assert rc == 2
+        assert "class-tuple weights" in capsys.readouterr().err
 
 
 class TestOracleSuite:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hypertest.budget import BudgetError
+from hypertest.budget import BudgetError, limit
 from hypertest.cutnorm import (
     CutWitness,
     StepKernel,
@@ -130,8 +130,8 @@ class TestExactArray:
     def test_structural_cap_and_budget(self):
         with pytest.raises(BudgetError):
             cutnorm_exact(random_symmetric_array(13, 2, 0))
-        with pytest.raises(BudgetError):
-            cutnorm_exact(random_symmetric_array(8, 2, 0), budget=100)
+        with limit(100), pytest.raises(BudgetError):
+            cutnorm_exact(random_symmetric_array(8, 2, 0))
 
     @pytest.mark.parametrize("via_env", [False, True])
     def test_raised_budget_runs_past_two_to_the_24(self, monkeypatch, via_env):
@@ -141,7 +141,8 @@ class TestExactArray:
             monkeypatch.setenv("HYPERTEST_BUDGET", str(10**9))
             value, witness = cutnorm_exact(a)
         else:
-            value, witness = cutnorm_exact(a, budget=2**26)
+            with limit(2**26):
+                value, witness = cutnorm_exact(a)
         assert evaluate_witness(a, witness) == pytest.approx(value, abs=1e-12)
         assert value >= cutnorm_heuristic(a, seed=0)[0] - 1e-12
 

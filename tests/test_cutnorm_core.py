@@ -24,7 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypertest import cli
-from hypertest.budget import BudgetError
+from hypertest.budget import BudgetError, limit
 from hypertest.cutnorm import (
     _array_problem,
     _class_sums,
@@ -483,7 +483,7 @@ def test_exact_cutp_r4_matches_brute_force(m, tq, seed) -> None:
     rng = generator(seed)
     t = rng.uniform(-1, 1, size=(m,) * 4)
     classes = np.arange(m) % tq
-    value, sets, signs = _exact_cutp(t, classes, tq, None)
+    value, sets, signs = _exact_cutp(t, classes, tq)
     assert value == pytest.approx(_brute_cutp(t, classes, tq), abs=1e-12)
     onehot = (classes[:, None] == np.arange(tq)).astype(float)
     inner = _replayed_class_sums(t, onehot, sets)
@@ -497,8 +497,8 @@ def test_exact_cutp_r4_public_entry_point() -> None:
     value, witness = cutnorm_p(a, TuplePartition.trivial(4, 3), mode="exact")
     assert value == pytest.approx(cutnorm_exact(a)[0], abs=1e-12)
     assert len(witness.sets) == 4 and witness.signs.shape == (1,) * 4
-    with pytest.raises(BudgetError, match="cut-P-norm exact search"):
-        cutnorm_p(a, TuplePartition.trivial(4, 3), mode="exact", budget=1000)
+    with limit(1000), pytest.raises(BudgetError, match="cut-P-norm exact search"):
+        cutnorm_p(a, TuplePartition.trivial(4, 3), mode="exact")
 
 
 @pytest.mark.parametrize("value", [np.inf, -np.inf])

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hypertest.budget import BudgetError
+from hypertest.budget import BudgetError, limit
 from hypertest.density import (
     SampleDistribution,
     all_patterns,
@@ -92,8 +92,8 @@ class TestDensityGraph:
             density_graph(make_hypergraph(2, 2, 3, [1]), C5)
         with pytest.raises(ValueError, match="sample size"):
             density_graph(make_hypergraph(6, 2, 2, [1] * 15), C5)
-        with pytest.raises(BudgetError, match="density_mc"):
-            density_graph(EDGE, C5, budget=3)
+        with limit(3), pytest.raises(BudgetError, match="density_mc"):
+            density_graph(EDGE, C5)
 
 
 class TestDensityGraphon:
@@ -157,8 +157,8 @@ class TestDensityGraphon:
     def test_budget_and_fallback(self):
         w = random_step_graphon(2, 2, 2, 6, seed=0)
         f = make_hypergraph(4, 2, 2, [1] * 6)
-        with pytest.raises(BudgetError):
-            density_graphon(f, w, budget=100)
+        with limit(100), pytest.raises(BudgetError):
+            density_graphon(f, w)
         est, se = density_mc(f, w, trials=2000, seed=5)
         assert 0.0 <= est <= 1.0 and se >= 0.0
 
@@ -215,8 +215,8 @@ class TestSampleDistribution:
             assert abs(freq - p) < 4 * np.sqrt(max(p * (1 - p), 1e-4) / trials) + 0.01
 
     def test_support_budget(self):
-        with pytest.raises(BudgetError):
-            sample_distribution(C5, 4, budget=50)
+        with limit(50), pytest.raises(BudgetError):
+            sample_distribution(C5, 4)
 
     def test_sampled_graph_matches_equivalent_hypergraph(self):
         s = sample_subgraph(C5, 4, seed=3)

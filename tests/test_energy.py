@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hypertest.budget import BudgetError
+from hypertest.budget import BudgetError, limit
 from hypertest.cutnorm import (
     StepKernel,
     TuplePartition,
@@ -180,8 +180,8 @@ class TestGse:
     def test_budget_refusal_and_bad_mode(self):
         g = random_hypergraph(8, 2, 2, seed=27)
         j = ising_coupling(q=6)
-        with pytest.raises(BudgetError):
-            gse(g, j, mode="exact", budget=1000)
+        with limit(1000), pytest.raises(BudgetError):
+            gse(g, j, mode="exact")
         with pytest.raises(ValueError, match="mode"):
             gse(g, ising_coupling(), mode="solve")
 
@@ -236,8 +236,8 @@ class TestLocalFields:
     def test_anneal_never_beats_exact(self, shape):
         r, m, q, k, seed = shape
         tensors, js, _ = random_instance(r, m, q, k, seed)
-        exact, _ = _maximize(tensors, js, m, q, "exact", 0, None, 1)
-        heur, labels = _maximize(tensors, js, m, q, "anneal", seed, None, 2)
+        exact, _ = _maximize(tensors, js, m, q, "exact", 0, 1)
+        heur, labels = _maximize(tensors, js, m, q, "anneal", seed, 2)
         assert heur <= exact + 1e-12
         assert heur == pytest.approx(_labeling_energy(tensors, js, labels), abs=1e-12)
 

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hypertest.budget import BudgetError
+from hypertest import graphon
+from hypertest.budget import BudgetError, limit
 from hypertest.graphon import (
     GridPartition,
     StepGraphon,
@@ -221,12 +222,22 @@ def test_class_tuple_weights_r3_slabs_and_refusal(monkeypatch) -> None:
     part = orbit_partition(2, 3)
     row = 3 * part.t ** 2  # one b-row of the (b, g, a, h) intermediate
     whole = class_tuple_weights(part)
-    monkeypatch.setenv("HYPERTEST_BUDGET", str(2 * row))  # slabs of two rows
+    monkeypatch.setattr(graphon, "_SLAB_CELLS", 2 * row)  # slabs of two rows
     assert np.allclose(class_tuple_weights(part), whole, rtol=0, atol=1e-15)
-    monkeypatch.setenv("HYPERTEST_BUDGET", str(row - 1))
-    with pytest.raises(BudgetError, match="r=3 pairwise intermediate") as err:
+    with limit(row - 1), pytest.raises(BudgetError, match="r=3 pairwise intermediate") as err:
         class_tuple_weights(part)
     assert err.value.needed == row
+
+
+def test_class_tuple_weights_do_not_follow_the_budget() -> None:
+    # a 12-grid with 200 classes: rows of 12 * 200**2 cells, so a budget
+    # sized slab would group the summation differently under each budget
+    part = random_grid_partition(2, 12, 200, seed=3)
+    with limit(10**6):
+        low = class_tuple_weights(part)
+    with limit(10**8):
+        high = class_tuple_weights(part)
+    assert np.array_equal(low, high)
 
 
 def test_class_tuple_weights_r2_is_volume_product() -> None:
@@ -287,8 +298,8 @@ def test_sample_rejection_budget_reports_attempts() -> None:
             bad_seed = seed
             break
     assert bad_seed is not None
-    with pytest.raises(BudgetError, match="attempts"):
-        sample_graphon(w, 2, seed=bad_seed, condition_no_iota=True, rejection_budget=1)
+    with limit(1), pytest.raises(BudgetError, match="attempts"):
+        sample_graphon(w, 2, seed=bad_seed, condition_no_iota=True)
 
 
 def test_sample_empirical_frequency_constant_graphon() -> None:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hypertest.budget import BudgetError
+from hypertest.budget import BudgetError, limit
 from hypertest.hypercore import (
     ColoredHypergraph,
     SampledColoredGraph,
@@ -103,14 +103,14 @@ def test_enumerate_colorings_skips_reserved_edges() -> None:
     assert [r.colors for r in refined] == [(0, 1, 3), (0, 1, 4), (0, 2, 3), (0, 2, 4)]
     assert all(isinstance(r, SampledColoredGraph) and r.k == 4 for r in refined)
     assert all(r.vertices == (2, 5, 7) and discolor(r, 2) == s for r in refined)
-    with pytest.raises(BudgetError, match="refinement enumeration"):
-        list(enumerate_colorings(s, 2, budget=3))
+    with limit(3), pytest.raises(BudgetError, match="refinement enumeration"):
+        list(enumerate_colorings(s, 2))
 
 
 def test_enumerate_colorings_budget_refusal() -> None:
     g = make_hypergraph(4, 2, 1, [1] * 6)
-    with pytest.raises(BudgetError):
-        list(enumerate_colorings(g, 2, budget=63))
+    with limit(63), pytest.raises(BudgetError):
+        list(enumerate_colorings(g, 2))
 
 
 def test_discolor_roundtrip_exhaustive() -> None:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.stats import binomtest
 
-from hypertest.budget import BudgetError
+from hypertest.budget import BudgetError, limit
 from hypertest.hypercore import ColoredHypergraph, make_hypergraph
 from hypertest.seeds import generator
 from hypertest.testers import (
@@ -137,10 +137,11 @@ class TestNdParameter:
     def test_auto_respects_budget(self):
         f = PARAMETERS["signed-split"]
         g = random_graph(6, seed=2)
-        out = nd_parameter(f, g, mode="auto", budget=100)
-        assert not out.certified
-        with pytest.raises(BudgetError):
-            nd_parameter(f, g, mode="exact", budget=100)
+        with limit(100):
+            out = nd_parameter(f, g, mode="auto")
+            assert not out.certified
+            with pytest.raises(BudgetError):
+                nd_parameter(f, g, mode="exact")
 
 
 class TestPropertyTester:
@@ -192,18 +193,16 @@ class TestPropertyTester:
         assert good["ci_low"] <= good["rate"] <= good["ci_high"]
 
     def test_budget_refusal_propagates(self):
-        with pytest.raises(BudgetError):
-            property_tester(PROPERTIES["complete-witness"], complete_graph(7),
-                            0.3, mode="exact", budget=50)
+        with limit(50), pytest.raises(BudgetError):
+            property_tester(PROPERTIES["complete-witness"], complete_graph(7), 0.3, mode="exact")
 
     def test_auto_passes_a_witness_refusal_through(self):
         # arity 1: the single refinement fits the budget, but the witness
         # density at sample size 4 needs C(8, 4) = 70 subsets. The refusal
         # comes from the value callback, so auto must not answer with the
         # heuristic: the heuristic refuses too, with the same stage.
-        with pytest.raises(BudgetError) as err:
-            property_tester(PROPERTIES["complete"], complete_graph(8), 2.0,
-                            mode="auto", budget=10)
+        with limit(10), pytest.raises(BudgetError) as err:
+            property_tester(PROPERTIES["complete"], complete_graph(8), 2.0, mode="auto")
         assert err.value.stage == "sample property density"
         assert err.value.needed == comb(8, 4)
 

@@ -7,7 +7,7 @@ from math import comb, log
 import numpy as np
 import pytest
 
-from hypertest.budget import BudgetError
+from hypertest.budget import BudgetError, limit
 from hypertest.density import sample_distribution, tv_distance
 from hypertest.graphon import (
     GridPartition,
@@ -213,8 +213,8 @@ class TestProductTV:
         assert product_tv(a, b, q0) == pytest.approx(1.0 - overlap)
 
     def test_budget_refusal(self):
-        with pytest.raises(BudgetError):
-            product_tv(np.full(6, 1 / 6), np.full(6, 1 / 6), 5, budget=100)
+        with limit(100), pytest.raises(BudgetError):
+            product_tv(np.full(6, 1 / 6), np.full(6, 1 / 6), 5)
 
 
 class TestBaseCaseReport:
@@ -409,13 +409,15 @@ class TestMaxOverRefinements:
 
     def test_auto_falls_back_when_budget_refuses(self):
         g = make_hypergraph(5, 2, 1, [1] * 10)
-        best, _ = max_over_refinements(g, 2, self.monochrome_score,
-                                       mode="auto", budget=100, seed=2)
+        with limit(100):
+            best, _ = max_over_refinements(g, 2, self.monochrome_score, mode="auto", seed=2)
         assert best == pytest.approx(1.0)
         # 10 edges: 2**10 refinements, refused at 100 and enumerated at 2**10
         f = ParameterFn("monochrome", 2, 2, self.monochrome_score)
-        assert not nd_parameter(f, g, mode="auto", budget=100, seed=2).certified
-        assert nd_parameter(f, g, mode="auto", budget=2**10).certified
+        with limit(100):
+            assert not nd_parameter(f, g, mode="auto", seed=2).certified
+        with limit(2**10):
+            assert nd_parameter(f, g, mode="auto").certified
 
     @pytest.mark.parametrize("restarts", [0, -3])
     def test_local_search_rejects_nonpositive_restarts(self, restarts):
@@ -466,7 +468,7 @@ class TestEstimationPipeline:
         # refinement search
         rng = generator(8)
         g = make_hypergraph(8, 2, 2, [int(c) for c in rng.integers(1, 3, size=28)])
-        with pytest.raises(BudgetError) as err:
-            nd_estimate_pipeline(g, self.signed_score, 5, 2, seed=11, k=2, budget=1000)
+        with limit(1000), pytest.raises(BudgetError) as err:
+            nd_estimate_pipeline(g, self.signed_score, 5, 2, seed=11, k=2)
         assert err.value.stage == "lift stage 'refine_source_partition': product law expansion"
         assert (err.value.needed, err.value.budget) == (1600, 1000)
