@@ -10,15 +10,18 @@ class and maximizes the sum of per-class-tuple absolute scores.
 The exact optimizer enumerates the first r-1 sets and closes the last
 one: with the others fixed, the last set's contribution is linear per
 atom (plain norm) and independent across classes (cut-P-norm), so the
-best completion is computed, not searched. This avoids the 2^{t^r}
-sign-pattern sweep entirely. The heuristic is sign-guided coordinate
-ascent; it evaluates the true objective, so it is always a lower bound.
+best completion is computed, not searched, and the 2^{t^r} sign-pattern
+sweep is avoided. One search per norm serves every r: the plain one
+scores all choices of the first r-1 sets in one contraction, the cut-P
+one loops over the first r-2 sets and contracts over set r-1. The
+heuristic is sign-guided coordinate ascent; it evaluates the true
+objective, so it is always a lower bound.
 
 Per-class-tuple sums (``_class_sums``) are gathered, not contracted
 against one-hot class masks: T is indexed on the chosen atoms, and each
 axis is contracted with the class rows of those atoms only. The ascent,
-the witness signs, ``evaluate_witness`` and the exact r >= 4 loop all
-use it. Kernel problems share one cached set of cell orbits per
+the witness signs, ``evaluate_witness`` and the exact cut-P prefix loop
+all use it. Kernel problems share one cached set of cell orbits per
 (r, grid) pair.
 
 Every entry point, ``cut_distance`` included, builds its problem and
@@ -255,53 +258,34 @@ def _mask_indices(mask: int, m: int) -> tuple[int, ...]:
 
 
 def _exact_plain(t: np.ndarray) -> tuple[float, list[tuple[int, ...]]]:
+    """Exact cut norm: contract the first r-1 axes with all subsets, close the last by sign.
+
+    Rows run over choices in mask order, first set slowest; they take
+    2^(m(r-1)) * m floats, at most half the budget checked here.
+    """
     r, m = t.ndim, t.shape[0]
     check_budget("cut norm exact search", 1 << (r * m))
     s = _subset_matrix(m)
-    if r == 1:
-        pos, neg = t[t > 0].sum(), t[t < 0].sum()
-        if pos >= -neg:
-            return float(pos), [tuple(np.flatnonzero(t > 0))]
-        return float(-neg), [tuple(np.flatnonzero(t < 0))]
-    if r == 2:
-        c = s @ t
-        pos = np.clip(c, 0, None).sum(axis=1)
-        neg = -np.clip(c, None, 0).sum(axis=1)
-        vals = np.maximum(pos, neg)
-        i = int(np.argmax(vals))
-        row = c[i]
-        last = row > 0 if pos[i] >= neg[i] else row < 0
-        return float(vals[i]), [_mask_indices(i, m), tuple(np.flatnonzero(last))]
-    if r == 3:
-        c = np.einsum("am,bn,mno->abo", s, s, t, optimize=True)
-        pos = np.clip(c, 0, None).sum(axis=2)
-        neg = -np.clip(c, None, 0).sum(axis=2)
-        vals = np.maximum(pos, neg)
-        i, j = np.unravel_index(int(np.argmax(vals)), vals.shape)
-        row = c[i, j]
-        last = row > 0 if pos[i, j] >= neg[i, j] else row < 0
-        return (
-            float(vals[i, j]),
-            [_mask_indices(int(i), m), _mask_indices(int(j), m), tuple(np.flatnonzero(last))],
-        )
-    best, best_sets = -1.0, [()] * r
-    for masks in itertools.product(range(1 << m), repeat=r - 1):
-        cur = t
-        for mask in masks:
-            cur = np.tensordot(s[mask], cur, axes=([0], [0]))
-        pos, neg = cur[cur > 0].sum(), -cur[cur < 0].sum()
-        val = max(pos, neg)
-        if val > best:
-            last = cur > 0 if pos >= neg else cur < 0
-            best = float(val)
-            best_sets = [_mask_indices(mk, m) for mk in masks] + [tuple(np.flatnonzero(last))]
-    return best, best_sets
+    c = t.reshape(1, -1)  # (choices so far, axes left)
+    for k in range(r - 1, 0, -1):
+        c = (s @ c.reshape(len(c), m, m**k)).reshape(len(c) << m, m**k)
+    pos = np.clip(c, 0, None).sum(axis=1)
+    neg = -np.clip(c, None, 0).sum(axis=1)
+    vals = np.maximum(pos, neg)
+    i = int(np.argmax(vals))
+    last = c[i] > 0 if pos[i] >= neg[i] else c[i] < 0
+    masks = np.unravel_index(i, (1 << m,) * (r - 1))
+    return float(vals[i]), [_mask_indices(int(k), m) for k in masks] + [tuple(np.flatnonzero(last))]
 
 
 def _exact_cutp(
     t: np.ndarray, classes: np.ndarray, tq: int
 ) -> tuple[float, list[tuple[int, ...]], np.ndarray]:
-    """Exact cut-P optimum: enumerate first sets, close the last per class."""
+    """Exact cut-P optimum: enumerate first sets, close the last per class.
+
+    For r >= 2 a loop runs over the first r-2 sets and one contraction
+    over set r-1, 2^m * tq^(r-1) * m floats per prefix.
+    """
     r, m = t.ndim, t.shape[0]
     check_budget("cut-P-norm exact search", 1 << (r * m))
     onehot = (np.asarray(classes)[:, None] == np.arange(tq)).astype(float)
@@ -330,32 +314,17 @@ def _exact_cutp(
         take_pos = (pos >= -neg)[classes]
         best_val = float(np.maximum(pos, -neg).sum())
         best_sets = [tuple(np.flatnonzero(np.where(take_pos, t > 0, t < 0)))]
-    elif r == 2:
-        w = np.einsum("sa,aj,ab->sjb", s, onehot, t, optimize=True)
-        best_val, best_sets = -1.0, None
-        for i in range(1 << m):
-            val, last = close_last(w[i])
-            if val > best_val:
-                best_val, best_sets = val, [_mask_indices(i, m), last]
-    elif r == 3:
-        best_val, best_sets = -1.0, None
-        for i in range(1 << m):
-            w = np.einsum("a,aj,tb,bk,abc->tjkc", s[i], onehot, s, onehot, t, optimize=True)
-            flatw = w.reshape(1 << m, tq * tq, m)
-            for jdx in range(1 << m):
-                val, last = close_last(flatw[jdx])
-                if val > best_val:
-                    best_val = val
-                    best_sets = [_mask_indices(i, m), _mask_indices(jdx, m), last]
     else:
         best_val, best_sets = -1.0, None
-        for masks in itertools.product(range(1 << m), repeat=r - 1):
-            first = [_mask_indices(mask, m) for mask in masks]
-            w = _class_sums(t, onehot, first)  # (atom, first-class tuples...)
-            val, last = close_last(w.reshape(m, -1).T)
-            if val > best_val:
-                best_val, best_sets = val, first + [last]
-    signs = _cutp_signs(t, onehot, best_sets)
+        for masks in itertools.product(range(1 << m), repeat=r - 2):
+            prefix = [_mask_indices(mask, m) for mask in masks]
+            inner = _class_sums(t, onehot, prefix)  # (atom, atom, prefix-class tuples...)
+            w = np.einsum("sa,aj,ab...->s...jb", s, onehot, inner, optimize=True)
+            for i in range(1 << m):
+                val, last = close_last(w[i])
+                if val > best_val:
+                    best_val, best_sets = val, prefix + [_mask_indices(i, m), last]
+    signs = _cutp_signs(_class_sums(t, onehot, best_sets))
     return best_val, best_sets, signs
 
 
@@ -380,8 +349,8 @@ def _class_sums(t: np.ndarray, onehot: np.ndarray, sets: Sequence[Sequence[int]]
     return out
 
 
-def _cutp_signs(t: np.ndarray, onehot: np.ndarray, sets: Sequence[Sequence[int]]) -> np.ndarray:
-    inner = _class_sums(t, onehot, sets)
+def _cutp_signs(inner: np.ndarray) -> np.ndarray:
+    """The sign of each class tuple's inner sum, +1 where it is 0."""
     signs = np.sign(inner)
     signs[signs == 0] = 1.0
     signs.flags.writeable = False
@@ -469,14 +438,12 @@ def _heuristic_cutp(
                 value = max(value, new_value)
                 break
             value = new_value
-            signs = np.sign(inner)
-            signs[signs == 0] = 1.0
-            t_eff = t * signs[np.ix_(*([idx] * r))]
+            t_eff = t * _cutp_signs(inner)[np.ix_(*([idx] * r))]
             sets = _ascend(t_eff, sets)
         if value > best_val:
             best_val = value
             best_sets = [tuple(np.flatnonzero(v)) for v in sets]
-    signs = _cutp_signs(t, onehot, best_sets)
+    signs = _cutp_signs(_class_sums(t, onehot, best_sets))
     return float(best_val), best_sets, signs
 
 
@@ -650,20 +617,11 @@ def _growth_strings(m: int, t: int):
 
 
 def _count_growth_strings(m: int, t: int) -> int:
-    # Stirling triangle capped at t classes
-    table = [1] + [0] * (min(m, t))
-    count = 0
+    # Stirling triangle capped at t classes: row[j] counts partitions into j classes
+    row = [1] + [0] * t
     for _ in range(m):
-        new = [0] * (min(m, t) + 1)
-        for j, v in enumerate(table):
-            if v == 0:
-                continue
-            if j + 1 <= min(m, t):
-                new[j + 1] += v
-            if j >= 1:
-                new[j] += v * j
-        table = new
-    return sum(table)
+        row = [0] + [row[j - 1] + j * row[j] for j in range(1, t + 1)]
+    return sum(row)
 
 
 def sup_cutnorm_over_partitions(

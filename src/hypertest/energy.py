@@ -37,6 +37,8 @@ __all__ = [
     "concentration_experiment",
 ]
 
+_LABELING_CHUNK = 20000  # labelings scored per batch by the exact search
+
 
 @dataclass(frozen=True)
 class CouplingArray:
@@ -147,26 +149,22 @@ def _batched_gather(j: np.ndarray, labels: np.ndarray) -> np.ndarray:
 
 
 def _all_labeling_energies(
-    tensors: Sequence[np.ndarray], js: Sequence[np.ndarray], m: int, q: int, chunk: int = 20000
-) -> tuple[float, np.ndarray, float]:
-    """(max value, argmax labels, min value) over all q^m labelings."""
-    r = tensors[0].ndim
-    letters = "abcdefgh"[:r]
-    expr = f"{letters},n{letters}->n"
+    tensors: Sequence[np.ndarray], js: Sequence[np.ndarray], m: int, q: int
+) -> tuple[float, np.ndarray]:
+    """(max value, argmax labels) over all q^m labelings."""
     total = q**m
-    best_val, best_labels, worst_val = -np.inf, None, np.inf
+    best_val, best_labels = -np.inf, None
     radix = q ** np.arange(m)
-    for start in range(0, total, chunk):
-        codes = np.arange(start, min(start + chunk, total))
+    for start in range(0, total, _LABELING_CHUNK):
+        codes = np.arange(start, min(start + _LABELING_CHUNK, total))
         labels = (codes[:, None] // radix) % q
         vals = np.zeros(len(codes))
         for t, j in zip(tensors, js):
-            vals += np.einsum(expr, t, _batched_gather(j, labels), optimize=True)
+            vals += _batched_gather(j, labels).reshape(len(codes), -1) @ t.ravel()
         i = int(np.argmax(vals))
         if vals[i] > best_val:
             best_val, best_labels = float(vals[i]), labels[i].copy()
-        worst_val = min(worst_val, float(vals.min()))
-    return best_val, best_labels, worst_val
+    return best_val, best_labels
 
 
 def gse(
@@ -220,8 +218,7 @@ def _maximize(
 ) -> tuple[float, np.ndarray]:
     if mode == "exact":
         check_budget("gse exact labeling enumeration", q**m)
-        value, labels, _ = _all_labeling_energies(tensors, js, m, q)
-        return value, labels
+        return _all_labeling_energies(tensors, js, m, q)
     if mode != "anneal":
         raise ValueError(f"unknown mode {mode!r}")
     if restarts < 1:

@@ -204,9 +204,6 @@ class GridPartition:
             raise ValueError(f"point needs {self.dim} coordinates, got {len(point)}")
         return int(self.labels[tuple(_cell(x, self.resolution) for x in point)])
 
-    def onehot(self) -> np.ndarray:
-        return (self.labels[..., None] == np.arange(self.t)).astype(float)
-
     def refined(self, factor: int) -> "GridPartition":
         """The same partition expressed on a grid ``factor`` times finer."""
         if factor < 1:

@@ -7,7 +7,9 @@ below must stay byte-identical. The array-problem digests were recorded
 from the rank-dict product loop that the bulk colex-rank gather replaced.
 Property tests replay that loop, the former per-channel,
 per-permutation ``np.allclose`` loop against the one stacked symmetry
-check, and the one-hot einsum against the gathered class sums.
+check, the one-hot einsum against the gathered class sums, and the
+per-combination loops of the exact cut-norm searches against the one
+search per norm.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from hypertest.cutnorm import (
     _array_problem,
     _class_sums,
     _exact_cutp,
+    _exact_plain,
     _kernel_problem,
     _orbit_atoms,
     StepKernel,
@@ -478,17 +481,100 @@ def _brute_cutp(t: np.ndarray, classes: np.ndarray, tq: int) -> float:
     return best
 
 
-@pytest.mark.parametrize("m,tq,seed", [(1, 1, 0), (2, 1, 1), (2, 2, 2), (3, 2, 3), (3, 3, 4)])
-def test_exact_cutp_r4_matches_brute_force(m, tq, seed) -> None:
+_BRUTE_CASES = [(1, 1, 0), (2, 1, 1), (2, 2, 2), (3, 2, 3), (3, 3, 4)]
+
+
+# ids without an r prefix are the r = 4 cases, so existing test ids stay valid
+@pytest.mark.parametrize("r,m,tq,seed", [
+    pytest.param(r, m, tq, seed, id=f"{m}-{tq}-{seed}" if r == 4 else f"r{r}-{m}-{tq}-{seed}")
+    for r in (4, 2, 3) for m, tq, seed in _BRUTE_CASES
+])
+def test_exact_cutp_r4_matches_brute_force(r, m, tq, seed) -> None:
     rng = generator(seed)
-    t = rng.uniform(-1, 1, size=(m,) * 4)
+    t = rng.uniform(-1, 1, size=(m,) * r)
     classes = np.arange(m) % tq
     value, sets, signs = _exact_cutp(t, classes, tq)
     assert value == pytest.approx(_brute_cutp(t, classes, tq), abs=1e-12)
     onehot = (classes[:, None] == np.arange(tq)).astype(float)
     inner = _replayed_class_sums(t, onehot, sets)
     assert float(np.abs(inner).sum()) == pytest.approx(value, abs=1e-12)
-    assert signs.shape == (tq,) * 4 and np.array_equal(signs, np.where(inner < 0, -1.0, 1.0))
+    assert signs.shape == (tq,) * r and np.array_equal(signs, np.where(inner < 0, -1.0, 1.0))
+
+
+# ----------------------------------------------------------------------
+# the one exact search per norm against the per-combination loops it replaced
+
+
+def _mask_set(mask: int, m: int) -> tuple[int, ...]:
+    return tuple(i for i in range(m) if mask >> i & 1)
+
+
+def _looped_plain(t: np.ndarray) -> tuple[float, list[tuple[int, ...]]]:
+    """One set combination per iteration, as the r >= 4 plain search ran."""
+    r, m = t.ndim, t.shape[0]
+    s = ((np.arange(1 << m)[:, None] >> np.arange(m)) & 1).astype(float)
+    best, best_sets = -1.0, [()] * r
+    for masks in itertools.product(range(1 << m), repeat=r - 1):
+        cur = t
+        for mask in masks:
+            cur = np.tensordot(s[mask], cur, axes=([0], [0]))
+        pos, neg = cur[cur > 0].sum(), -cur[cur < 0].sum()
+        val = max(pos, neg)
+        if val > best:
+            last = cur > 0 if pos >= neg else cur < 0
+            best = float(val)
+            best_sets = [_mask_set(mk, m) for mk in masks] + [tuple(np.flatnonzero(last))]
+    return best, best_sets
+
+
+def _looped_cutp(t: np.ndarray, classes: np.ndarray, tq: int) -> tuple[float, list[tuple[int, ...]]]:
+    """One set combination per iteration, as the r >= 4 cut-P search ran."""
+    r, m = t.ndim, t.shape[0]
+    onehot = (classes[:, None] == np.arange(tq)).astype(float)
+    members = [np.flatnonzero(classes == j) for j in range(tq)]
+
+    def close_last(flat: np.ndarray) -> tuple[float, tuple[int, ...]]:
+        total, chosen = 0.0, []
+        for j in range(tq):
+            if len(members[j]) == 0:
+                continue
+            size = len(members[j])
+            sub = ((np.arange(1 << size)[:, None] >> np.arange(size)) & 1).astype(float)
+            scores = np.abs(sub @ flat[:, members[j]].T).sum(axis=1)
+            best = int(np.argmax(scores))
+            total += float(scores[best])
+            chosen.extend(members[j][i] for i in _mask_set(best, size))
+        return total, tuple(sorted(chosen))
+
+    best_val, best_sets = -1.0, None
+    for masks in itertools.product(range(1 << m), repeat=r - 1):
+        first = [_mask_set(mask, m) for mask in masks]
+        w = _class_sums(t, onehot, first)
+        val, last = close_last(w.reshape(m, -1).T)
+        if val > best_val:
+            best_val, best_sets = val, first + [last]
+    return best_val, best_sets
+
+
+@settings(max_examples=50, deadline=None)
+@given(r=st.integers(1, 4), m=st.integers(1, 4), tq_kind=st.sampled_from(("one", "two", "each")),
+       entries=st.sampled_from(("rounded", "binary")), seed=st.integers(0, 2**16))
+def test_exact_searches_match_per_combination_loops(r, m, tq_kind, entries, seed) -> None:
+    rng = generator(seed)
+    if entries == "rounded":  # coarse values force ties between set choices
+        t = np.round(rng.uniform(-1, 1, size=(m,) * r), 1)
+    else:
+        t = rng.integers(0, 2, size=(m,) * r).astype(float)
+    value, sets = _exact_plain(t)
+    want_value, want_sets = _looped_plain(t)
+    assert value == want_value and sets == want_sets
+    if r == 1:  # the cut-P search keeps its closed form there
+        return
+    tq = {"one": 1, "two": 2, "each": m}[tq_kind]
+    classes = rng.permutation(np.arange(m) % tq)  # with tq = 2 and m = 1 a class stays empty
+    value, sets, _ = _exact_cutp(t, classes, tq)
+    want_value, want_sets = _looped_cutp(t, classes, tq)
+    assert value == want_value and sets == want_sets
 
 
 def test_exact_cutp_r4_public_entry_point() -> None:

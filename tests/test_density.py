@@ -31,9 +31,11 @@ from hypertest.graphon import (
     embed,
     evaluate,
     random_step_graphon,
+    sample_coordinates,
     sample_graphon,
+    subsets_card_lex,
 )
-from hypertest.hypercore import SampledColoredGraph, make_hypergraph, sample_subgraph
+from hypertest.hypercore import SampledColoredGraph, colex_edges, make_hypergraph, sample_subgraph
 from hypertest.seeds import derive_seed
 
 # cycle 0-1-2-3-4-0 written in colex pair order
@@ -239,6 +241,35 @@ class TestSampleDistribution:
         payload = json.loads(json.dumps(mu.to_json()))
         back = SampleDistribution.from_json(payload)
         assert back == mu
+
+    @settings(max_examples=40, deadline=None)
+    @given(r=st.sampled_from((2, 3)), extra=st.integers(0, 1), g=st.integers(1, 3),
+           t=st.integers(1, 3), seed=st.integers(0, 10**6), with_iota=st.booleans())
+    def test_step_law_matches_cell_enumeration(self, r, extra, g, t, seed, with_iota):
+        q = r + extra
+        if r == 3 and extra:
+            g = min(g, 2)  # 3^10 coordinate cells would make the oracle slow
+        w = random_step_graphon(r, 2, t, g, seed=seed, with_iota=with_iota)
+        coords = sample_coordinates(q, r)
+        edges = colex_edges(q, r).tolist()
+        law = np.zeros((len(w.channel_order),) * len(edges))
+        # every assignment of grid cells to sample coordinates is equally likely;
+        # given one, the edges take their colors independently, each by the
+        # graphon's value at the cell centres of its own type point
+        for cells in itertools.product(range(g), repeat=len(coords)):
+            x = {s: (c + 0.5) / g for s, c in zip(coords, cells)}
+            cell_law = np.ones(())
+            for e in edges:
+                point = [x[s] for s in subsets_card_lex(e, r - 1)]
+                probs = [w.evaluate(alpha, point) for alpha in w.channel_order]
+                cell_law = np.multiply.outer(cell_law, probs)
+            law += cell_law / g ** len(coords)
+        mu = sample_distribution(w, q)
+        assert mu.has_iota == with_iota
+        assert len(mu.probs) == law.size
+        for idx in itertools.product(range(len(w.channel_order)), repeat=len(edges)):
+            pattern = tuple(w.channel_order[i] for i in idx)
+            assert mu.prob(pattern) == pytest.approx(law[idx], rel=0, abs=1e-12)
 
 
 class TestVariationDistance:
