@@ -131,6 +131,28 @@ def _step_edge_probs(w: StepGraphon, cells: np.ndarray, q: int) -> list[np.ndarr
     ]
 
 
+_EINSUM_LABELS = 52  # numpy's einsum takes at most 52 distinct labels
+
+
+def _mean_outer(per_edge: list[np.ndarray]) -> np.ndarray:
+    """Mean over cells n of prod_e per_edge[e][n, x_e], flat in C order of (x_1..x_E).
+
+    One einsum in integer-sublist form: edge e is label e, the cell axis
+    the last label. Past numpy's label limit the edges so far are folded
+    into one axis, keeping the cell axis until the last call.
+    """
+    cell = _EINSUM_LABELS - 1
+    operands: list[Any] = []
+    labels: list[int] = []
+    for probs in per_edge:
+        if len(labels) == cell:
+            folded = np.einsum(*operands, [cell, *labels], optimize=True)
+            operands, labels = [folded.reshape(len(folded), -1), [cell, 0]], [0]
+        operands += [probs, [cell, len(labels)]]
+        labels.append(len(labels))
+    return (np.einsum(*operands, labels, optimize=True) / len(per_edge[0])).ravel()
+
+
 # ----------------------------------------------------------------------
 # densities
 
@@ -279,19 +301,10 @@ def sample_distribution(
     check_budget("sample_distribution grid summation", g**ncoords)
     cells = np.indices((g,) * ncoords).reshape(ncoords, -1).T
     per_edge = _step_edge_probs(source, cells, q)
-    letters = "abcdefghijklmnopqrstuvwxyz"
-    if n_edges > len(letters):
-        raise ValueError("too many edges to accumulate")
-    expr = ",".join(f"n{letters[i]}" for i in range(n_edges)) + "->" + letters[:n_edges]
-    tensor = (
-        np.einsum(expr, *per_edge, optimize=True) / len(cells)
-        if n_edges
-        else np.array(1.0)
-    )
+    law = _mean_outer(per_edge).tolist() if n_edges else [1.0]
     probs = {p: 0.0 for p in all_patterns(q, r, k, with_iota=has_iota)}
-    for idx in itertools.product(range(len(channels)), repeat=n_edges):
-        pattern = tuple(channels[i] for i in idx)
-        probs[pattern] = float(tensor[idx])
+    for idx, value in zip(itertools.product(range(len(channels)), repeat=n_edges), law):
+        probs[tuple(channels[i] for i in idx)] = value
     return SampleDistribution(q, r, k, has_iota, probs)
 
 

@@ -25,7 +25,7 @@ from .budget import check_budget
 from .cutnorm import StepKernel, TuplePartition, _array_problem, _kernel_problem
 from .graphon import StepGraphon, VertexGraphon, _as_step, subsets_card_lex
 from .hypercore import ColoredHypergraph, sample_subgraph
-from .seeds import derive_seed, generator
+from .seeds import derive_seed, generator, scalar_draws
 
 __all__ = [
     "CouplingArray",
@@ -352,29 +352,32 @@ def _exact_hits(t: np.ndarray, j: np.ndarray, size: int) -> tuple[np.ndarray, np
     return x, kappa
 
 
-def _anneal_once(fields: _LocalFields, rng) -> tuple[float, np.ndarray]:
+def _anneal_once(fields: _LocalFields, rng: np.random.Generator) -> tuple[float, np.ndarray]:
+    """One annealing run from a random labeling, then a greedy polish.
+
+    Its scalar draws replay the generator's stream exactly (``scalar_draws``).
+    """
     m, q = fields.m, fields.q
     labels = rng.integers(0, q, size=m)
     fields.reset(labels)
     delta, move = fields.delta, fields.move
-    # warmup pass measures the move scale to set the starting temperature
-    moves = max(2 * m, 20)
-    scale = max(
-        (abs(delta(int(rng.integers(m)), int(rng.integers(q)))) for _ in range(moves)),
-        default=0.0,
-    )
-    temp = max(scale, 1e-12)
-    floor = temp * 1e-4
-    while temp > floor:
-        for _ in range(m):
-            atom = int(rng.integers(m))
-            cls = int(rng.integers(q))
-            if cls == labels[atom]:
-                continue
-            d = delta(atom, cls)
-            if d >= 0 or rng.random() < exp(d / temp):
-                move(atom, cls)
-        temp *= 0.95
+    with scalar_draws(rng) as draws:
+        integers, random = draws
+        # warmup pass measures the move scale to set the starting temperature
+        moves = max(2 * m, 20)
+        scale = max(abs(delta(integers(m), integers(q))) for _ in range(moves))
+        temp = max(scale, 1e-12)
+        floor = temp * 1e-4
+        while temp > floor:
+            for _ in range(m):
+                atom = integers(m)
+                cls = integers(q)
+                if cls == labels[atom]:
+                    continue
+                d = delta(atom, cls)
+                if d >= 0 or random() < exp(d / temp):
+                    move(atom, cls)
+            temp *= 0.95
     # greedy polish: strictly improving single moves until stable
     improved = True
     while improved:

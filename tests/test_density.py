@@ -10,8 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypertest.budget import BudgetError, limit
+from functools import reduce
+
 from hypertest.density import (
     SampleDistribution,
+    _mean_outer,
     all_patterns,
     counting_bound_check,
     counting_constant,
@@ -270,6 +273,31 @@ class TestSampleDistribution:
         for idx in itertools.product(range(len(w.channel_order)), repeat=len(edges)):
             pattern = tuple(w.channel_order[i] for i in idx)
             assert mu.prob(pattern) == pytest.approx(law[idx], rel=0, abs=1e-12)
+
+    @pytest.mark.parametrize("q", [8, 12])
+    def test_single_channel_law_past_einsum_labels(self, q):
+        # 28 and 66 edges: more than one einsum string's letters, and 66
+        # more than numpy's 52 einsum labels and 64 array dimensions
+        mu = sample_distribution(constant_graphon(2, 1, [1.0]), q)
+        assert mu.probs == {(1,) * comb(q, 2): 1.0}
+
+    def test_fourteen_edges_two_channels(self):
+        # edge 14 once shared the einsum letter of the cell axis
+        mu = sample_distribution(constant_graphon(2, 2, [0.3, 0.7]), 6)
+        assert len(mu.probs) == 2**15
+        pattern = (1,) * 5 + (2,) * 10
+        assert mu.prob(pattern) == pytest.approx(0.3**5 * 0.7**10, rel=1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(ones=st.integers(0, 125), wide=st.lists(st.sampled_from((2, 3)), max_size=4),
+           cells=st.integers(1, 4), seed=st.integers(0, 10**6))
+    def test_mean_outer_matches_kron(self, ones, wide, cells, seed):
+        # up to 129 edges, so the fold past numpy's 52 einsum labels runs
+        rng = np.random.default_rng(seed)
+        sizes = rng.permutation([1] * ones + wide + [2]).tolist()
+        per_edge = [rng.uniform(0, 1, (cells, c)) for c in sizes]
+        kron = np.mean([reduce(np.kron, [p[n] for p in per_edge]) for n in range(cells)], axis=0)
+        assert np.allclose(_mean_outer(per_edge), kron, rtol=1e-12, atol=0)
 
 
 class TestVariationDistance:

@@ -1,13 +1,22 @@
-"""Partition energies, ground states, and the sign-array reduction."""
+"""Partition energies, ground states, and the sign-array reduction.
 
+The annealer golden digests were recorded before its draws moved from
+scalar ``Generator`` calls to ``seeds.scalar_draws``: every annealed
+value and labeling below must stay bit-identical.
+"""
+
+import hashlib
 import itertools
+import json
 from math import comb, factorial
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hypertest import cli
 from hypertest.budget import BudgetError, limit
 from hypertest.cutnorm import (
     StepKernel,
@@ -18,6 +27,7 @@ from hypertest.cutnorm import (
 from hypertest.energy import (
     CouplingArray,
     _labeling_energy,
+    _anneal_once,
     _LocalFields,
     _maximize,
     concentration_experiment,
@@ -27,8 +37,15 @@ from hypertest.energy import (
     make_reduction_arrays,
     sup_cutnorm_via_energy,
 )
-from hypertest.graphon import GridPartition, constant_graphon, embed
-from hypertest.hypercore import colex_subsets, make_hypergraph
+from hypertest.graphon import (
+    GridPartition,
+    constant_graphon,
+    embed,
+    random_step_graphon,
+    step_graphon_to_json,
+)
+from hypertest.hypercore import colex_subsets, hypergraph_to_json, make_hypergraph
+from hypertest.seeds import generator
 
 
 def k33():
@@ -351,3 +368,96 @@ class TestConcentration:
         tail = rep["tails"][0]
         assert tail["bound"] == pytest.approx(2 * np.exp(-0.25 * 4 / 32))
         assert 0.0 <= tail["empirical"] <= 1.0
+
+
+# ----------------------------------------------------------------------
+# annealer goldens
+
+
+def _digest(payload) -> str:
+    return hashlib.sha256(json.dumps(payload).encode()).hexdigest()
+
+
+def _random_coupling(k, q, r, seed):
+    rng = np.random.default_rng(seed)
+    return CouplingArray(k, q, r, {a: rng.uniform(-1, 1, (q,) * r) for a in range(1, k + 1)})
+
+
+def _anneal_payloads():
+    out = {}
+    # instances large enough that different draws end in different optima
+    g2 = random_hypergraph(24, 2, 2, seed=40)
+    for seed, restarts in ((0, 1), (1, 3)):
+        val, part = gse(g2, _random_coupling(2, 4, 2, 52), mode="anneal", seed=seed,
+                        restarts=restarts)
+        out[f"gse-r2-restarts{restarts}"] = [val.hex(), list(part.classes)]
+    # r = 3 instances carry tuples that hit an atom at two positions with a
+    # third one free, so proposals go through the partial-correction terms
+    g3 = random_hypergraph(8, 3, 2, seed=41)
+    for restarts in (1, 2):
+        val, part = gse(g3, _random_coupling(2, 3, 3, 42), mode="anneal", seed=0,
+                        restarts=restarts)
+        out[f"gse-r3-restarts{restarts}"] = [val.hex(), list(part.classes)]
+    w = random_step_graphon(2, 2, t=3, resolution=8, seed=43)
+    out["gse-graphon-r2"] = gse_graphon(w, _random_coupling(2, 4, 2, 44), mode="anneal",
+                                        seed=1, restarts=2).hex()
+    w3 = random_step_graphon(3, 2, t=2, resolution=2, seed=45)
+    out["gse-graphon-r3"] = gse_graphon(w3, _random_coupling(2, 2, 3, 46), mode="anneal",
+                                        seed=8, restarts=2).hex()
+    rep = concentration_experiment(random_hypergraph(14, 2, 2, seed=47), ising_coupling(),
+                                   sample_size=9, trials=6, seed=9, restarts=2)
+    out["concentration-values"] = [v.hex() for v in rep["values"]]
+    a = random_symmetric_array(4, 2, seed=48, lo=-1.0, hi=1.0)
+    out["sup-cutnorm-via-energy"] = sup_cutnorm_via_energy(a, 2, mode="anneal", restarts=2,
+                                                           seed=10).hex()
+    # one restart with the generator's state after it: later draws depend on it
+    tensors, js, _ = random_instance(2, 7, 3, 2, seed=53)
+    rng = generator(54)
+    val, labels = _anneal_once(_LocalFields(tensors, js, 3), rng)
+    out["anneal-once-end-state"] = [val.hex(), labels.tolist(), rng.bit_generator.state,
+                                    rng.random().hex()]
+    return out
+
+
+GOLDEN_ANNEAL = {
+    "anneal-once-end-state": "7e6b6d7a9f22ae0083f568560424738e5414a480172f147146f3e8d7bee4088f",
+    "concentration-values": "563254e69843ff06f48fe271fa0aedfc47b8fbb33ff2383cb0d2a49ad113e46c",
+    "gse-graphon-r2": "016477ef0f7e09960f238c4faa312da458a7c328224c45168b764572bcf8f053",
+    "gse-graphon-r3": "bf35e17722c94efa499ac17c701ead7069db8a2e202a842d24030ccd22d80f62",
+    "gse-r2-restarts1": "060d51a60bfe2ece2d13ebde22d9e8bcdff5a7fa9302e707ef113bc90bf1cbb4",
+    "gse-r2-restarts3": "ca72bf4bbbeddf4c84442584b0dae2ed2e5c17e0efb648957a7ac686a22610e1",
+    "gse-r3-restarts1": "fd2ed87fca5c63788bd8070a2adecb970bad805157f51dfb36a745e36eef3534",
+    "gse-r3-restarts2": "471cb988797876c75463e22099198385b028f62d97c97b67b76fdf955508adf5",
+    "sup-cutnorm-via-energy": "93f9c8354cecb2a1dd0ee0366eccfc0aac6cc5e1e453128130e4ace7d884e588",
+}
+
+
+@pytest.fixture(scope="module")
+def anneal_payloads():
+    return _anneal_payloads()
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_ANNEAL))
+def test_golden_anneal(name, anneal_payloads):
+    assert _digest(anneal_payloads[name]) == GOLDEN_ANNEAL[name]
+
+
+GOLDEN_CLI_GSE = {
+    "graph": "46ad15981747aca9229a2d6e34c2235c7440c9c841f6ffba8cef4dc406c2992d",
+    "graphon": "3a117b7d9df32b3f60d05a6f05282b193de4a95549b5042fb6b8f228c1c389bc",
+}
+
+
+@pytest.mark.parametrize("source", sorted(GOLDEN_CLI_GSE))
+def test_golden_cli_gse_heuristic(source, tmp_path: Path):
+    payloads = {
+        "graph": hypergraph_to_json(random_hypergraph(8, 2, 2, seed=49)),
+        "graphon": step_graphon_to_json(random_step_graphon(2, 2, t=3, resolution=4, seed=51)),
+    }
+    src, cpl, out = tmp_path / "in.json", tmp_path / "j.json", tmp_path / "out.json"
+    src.write_text(json.dumps(payloads[source]))
+    cpl.write_text(json.dumps(_random_coupling(2, 3, 2, 50).to_json()))
+    argv = ["gse", "--in", str(src), "--coupling", str(cpl), "--mode", "heuristic",
+            "--restarts", "3", "--seed", "11", "--out", str(out)]
+    assert cli.run(argv) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_CLI_GSE[source]
