@@ -423,7 +423,7 @@ def _heuristic_cutp(
     r, m = t.ndim, t.shape[0]
     onehot = (np.asarray(classes)[:, None] == np.arange(tq)).astype(float)
     idx = np.asarray(classes)
-    best_val, best_sets = -1.0, None
+    best_val, best_sets, best_inner = -1.0, None, None
     for restart in range(restarts):
         if restart == 0:
             sets = [np.ones(m) for _ in range(r)]
@@ -440,11 +440,14 @@ def _heuristic_cutp(
             value = new_value
             t_eff = t * _cutp_signs(inner)[np.ix_(*([idx] * r))]
             sets = _ascend(t_eff, sets)
+        else:
+            inner = None  # the last sums predate the last ascent
         if value > best_val:
-            best_val = value
+            best_val, best_inner = value, inner
             best_sets = [tuple(np.flatnonzero(v)) for v in sets]
-    signs = _cutp_signs(_class_sums(t, onehot, best_sets))
-    return float(best_val), best_sets, signs
+    if best_inner is None:
+        best_inner = _class_sums(t, onehot, best_sets)
+    return float(best_val), best_sets, _cutp_signs(best_inner)
 
 
 # ----------------------------------------------------------------------

@@ -9,7 +9,10 @@ moves with geometric cooling and a greedy polish. It keeps per-atom
 local fields (the energy each atom would see in each class, summed over
 colors and positions), so a proposal's energy change is a table lookup:
 O(1) for r = 2, whatever k is. An accepted move updates the fields in
-O(m^(r-1) q) per color and position pair.
+O(m^(r-1) q) per color and position pair; at r = 2 that update is one
+matrix product with a coupling difference tabulated once per (new, old)
+class pair. The labels and field rows are mirrored in Python lists, so
+a proposal reads Python floats, not numpy scalars.
 """
 
 from __future__ import annotations
@@ -246,7 +249,15 @@ class _LocalFields:
     atom (for r = 2 that is every correction, so a proposal is a table
     lookup); the others are gathered per proposal, and only for atoms
     that carry such tuples. An accepted move of b updates the fields by
-    telescoping over the positions where b can sit.
+    telescoping over the positions where b can sit. For r = 2 no position
+    is free, so that update is one product of b's weight slice with a
+    coupling difference tabulated per (new, old) class pair.
+
+    The labels and the field rows are mirrored in Python lists
+    (``label_list`` beside the ``labels`` array, ``f_rows`` beside ``f``),
+    refreshed by ``reset`` and every ``move``, so a proposal reads Python
+    floats, not numpy scalars. The float operations are the same, and so
+    are the results, bit for bit.
     """
 
     def __init__(self, tensors: Sequence[np.ndarray], js: Sequence[np.ndarray], q: int) -> None:
@@ -259,6 +270,8 @@ class _LocalFields:
         pairs = list(itertools.permutations(range(r), 2))
         terms = [(t, j, p, s) for t, j in zip(tensors, js) for p, s in pairs]
         n_terms, n_free = len(terms), max(r - 2, 0)
+        # the weight slices, and the class-pair table when no position is free
+        check_budget("annealer local fields", n_terms * (m**r + (q**3 if n_free == 0 else 0)))
         t_pairs = np.empty((m, m, n_terms, m**n_free))
         self._j_pairs = np.empty((q, n_terms, q, q**n_free))
         self._use_new = np.empty((n_terms, n_free), dtype=bool)
@@ -272,8 +285,16 @@ class _LocalFields:
         self._free_atoms = np.indices((m,) * n_free).reshape(n_free, m**n_free)
         self._rows = np.arange(n_terms)[:, None]
         self._no_codes = np.zeros((n_terms, m**n_free), dtype=np.intp)
+        # with no free position the update's coupling difference depends on
+        # the class pair alone: table[new][old] is the r >= 3 gather at code 0
+        self._table = None
+        if n_free == 0:
+            self._table = [
+                [(self._j_pairs[new] - self._j_pairs[old]).reshape(-1, q) for old in range(q)]
+                for new in range(q)
+            ]
         # corrections for tuples hitting an atom exactly at positions U, |U| >= 2
-        self._diag = np.zeros((m, q, q))
+        diag = np.zeros((m, q, q))
         self._partial_terms = []
         partial = np.zeros(m, dtype=bool)
         for size in range(2, r + 1):
@@ -286,15 +307,17 @@ class _LocalFields:
                     kappas.append(kappa)
                 x, kappa = np.stack(xs, axis=1), np.stack(kappas)
                 if not free:
-                    self._diag += np.einsum("ai,ico->aco", x[:, :, 0], kappa[..., 0])
+                    diag += np.einsum("ai,ico->aco", x[:, :, 0], kappa[..., 0])
                 else:
                     partial |= x.reshape(m, -1).any(axis=1)
                     self._partial_terms.append((len(free), x.reshape(m, -1), kappa))
+        self._diag = diag.tolist()
         self._partial = partial.tolist()
 
     def reset(self, labels: np.ndarray) -> None:
         """Adopt a labeling (kept by reference and updated by moves) and build its fields."""
         self.labels = labels
+        self.label_list = labels.tolist()
         r, m, q = self.tensors[0].ndim, self.m, self.q
         codes = _tuple_codes(labels, r - 1, q)
         self.f = np.zeros((m, q))
@@ -303,14 +326,15 @@ class _LocalFields:
                 order = (p, *(i for i in range(r) if i != p))
                 gathered = j.transpose(order).reshape(q, -1)[:, codes]
                 self.f += t.transpose(order).reshape(m, -1) @ gathered.T
+        self.f_rows = self.f.tolist()
 
     def delta(self, atom: int, cls: int) -> float:
         """Energy change from relabeling one atom."""
-        old = self.labels[atom]
+        old = self.label_list[atom]
         if cls == old:
             return 0.0
-        row = self.f[atom]
-        d = row[cls] - row[old] + self._diag[atom, cls, old]
+        row = self.f_rows[atom]
+        d = row[cls] - row[old] + self._diag[atom][cls][old]
         if self._partial[atom]:
             for width, x, kappa in self._partial_terms:
                 codes = _tuple_codes(self.labels, width, self.q)
@@ -320,14 +344,20 @@ class _LocalFields:
     def move(self, atom: int, cls: int) -> None:
         """Relabel one atom and update every field it enters."""
         labels, q = self.labels, self.q
-        codes = self._no_codes
-        for slot, idx in enumerate(self._free_atoms):
-            old = labels[idx]
-            new = np.where(idx == atom, cls, old)
-            codes = codes * q + np.where(self._use_new[:, slot, None], new, old)
-        jd = self._j_pairs[cls] - self._j_pairs[labels[atom]]
-        self.f += self._t_pairs[atom] @ jd[self._rows, :, codes].reshape(-1, q)
+        old = self.label_list[atom]
+        if self._table is not None:
+            jd = self._table[cls][old]
+        else:
+            codes = self._no_codes
+            for slot, idx in enumerate(self._free_atoms):
+                was = labels[idx]
+                now = np.where(idx == atom, cls, was)
+                codes = codes * q + np.where(self._use_new[:, slot, None], now, was)
+            jd = (self._j_pairs[cls] - self._j_pairs[old])[self._rows, :, codes].reshape(-1, q)
+        self.f += self._t_pairs[atom] @ jd
         labels[atom] = cls
+        self.label_list[atom] = cls
+        self.f_rows = self.f.tolist()
 
 
 def _exact_hits(t: np.ndarray, j: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
@@ -360,7 +390,7 @@ def _anneal_once(fields: _LocalFields, rng: np.random.Generator) -> tuple[float,
     m, q = fields.m, fields.q
     labels = rng.integers(0, q, size=m)
     fields.reset(labels)
-    delta, move = fields.delta, fields.move
+    delta, move, label_list = fields.delta, fields.move, fields.label_list
     with scalar_draws(rng) as draws:
         integers, random = draws
         # warmup pass measures the move scale to set the starting temperature
@@ -372,7 +402,7 @@ def _anneal_once(fields: _LocalFields, rng: np.random.Generator) -> tuple[float,
             for _ in range(m):
                 atom = integers(m)
                 cls = integers(q)
-                if cls == labels[atom]:
+                if cls == label_list[atom]:
                     continue
                 d = delta(atom, cls)
                 if d >= 0 or random() < exp(d / temp):

@@ -30,8 +30,10 @@ from hypertest.budget import BudgetError, limit
 from hypertest.cutnorm import (
     _array_problem,
     _class_sums,
+    _cutp_signs,
     _exact_cutp,
     _exact_plain,
+    _heuristic_cutp,
     _kernel_problem,
     _orbit_atoms,
     StepKernel,
@@ -575,6 +577,20 @@ def test_exact_searches_match_per_combination_loops(r, m, tq_kind, entries, seed
     value, sets, _ = _exact_cutp(t, classes, tq)
     want_value, want_sets = _looped_cutp(t, classes, tq)
     assert value == want_value and sets == want_sets
+
+
+@settings(max_examples=80, deadline=None)
+@given(r=st.integers(2, 3), m=st.integers(1, 7), tq=st.integers(1, 4),
+       restarts=st.integers(1, 4), seed=st.integers(0, 2**16))
+def test_heuristic_cutp_signs_match_returned_sets(r, m, tq, restarts, seed) -> None:
+    # the signs reuse the best restart's last class sums; they must be the
+    # signs of the sums over the sets the search returns
+    rng = generator(seed)
+    t = rng.uniform(-1, 1, size=(m,) * r)
+    classes = rng.integers(0, tq, size=m)  # classes may stay empty
+    onehot = (classes[:, None] == np.arange(tq)).astype(float)
+    _, sets, signs = _heuristic_cutp(t, classes, tq, restarts, seed)
+    assert np.array_equal(signs, _cutp_signs(_class_sums(t, onehot, sets)))
 
 
 def test_exact_cutp_r4_public_entry_point() -> None:

@@ -259,6 +259,81 @@ class TestLocalFields:
         assert heur == pytest.approx(_labeling_energy(tensors, js, labels), abs=1e-12)
 
 
+def _gathered_r2_update(fields, atom, old, new):
+    """The r = 2 field update as gathered per move before the class-pair table."""
+    n_terms, q = fields._j_pairs.shape[1], fields.q
+    rows = np.arange(n_terms)[:, None]
+    codes = np.zeros((n_terms, 1), dtype=np.intp)  # no free position: code 0
+    jd = fields._j_pairs[new] - fields._j_pairs[old]
+    return fields._t_pairs[atom] @ jd[rows, :, codes].reshape(-1, q)
+
+
+class TestLocalFieldMirrors:
+    @given(
+        r=st.sampled_from([2, 3]),
+        m=st.integers(1, 6),
+        q=st.integers(1, 4),
+        k=st.integers(1, 2),
+        seed=st.integers(0, 2**32 - 1),
+        moves=st.lists(st.tuples(st.integers(0, 5), st.integers(0, 3), st.booleans()),
+                       min_size=1, max_size=12),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_mirrors_and_table_follow_every_move(self, r, m, q, k, seed, moves):
+        tensors, js, rng = random_instance(r, m, q, k, seed)
+        labels = rng.integers(0, q, size=m)
+        fields = _LocalFields(tensors, js, q)
+        fields.reset(labels)
+        assert fields.f_rows == fields.f.tolist()
+        assert fields.label_list == labels.tolist()
+        for atom, cls, stay in moves:
+            atom %= m
+            cls = int(labels[atom]) if stay else cls % q
+            if r == 2:
+                want = fields.f + _gathered_r2_update(fields, atom, int(labels[atom]), cls)
+            fields.move(atom, cls)
+            assert fields.f_rows == fields.f.tolist()
+            assert fields.label_list == labels.tolist()
+            if r == 2:
+                assert np.array_equal(fields.f, want)
+
+
+class TestAnnealerBudget:
+    def _instance(self, n):
+        return random_hypergraph(n, 3, 2, seed=60), _random_coupling(2, 2, 3, 61)
+
+    def test_field_table_refused_past_budget(self):
+        # 12 terms (2 colors x 6 position pairs) x m^3 entries, m = C(n, 2)
+        g, j = self._instance(10)
+        with limit(10**6), pytest.raises(BudgetError) as err:
+            gse(g, j, mode="anneal", restarts=1)
+        assert err.value.stage == "annealer local fields"
+        assert err.value.needed == 12 * 45**3
+        g9, _ = self._instance(9)
+        with limit(10**6):
+            gse(g9, j, mode="anneal", restarts=1)
+
+    def test_class_pair_table_counted_at_r2(self):
+        # 2 terms x (m^2 + q^3) entries: the table dominates at large q
+        tensors, js, _ = random_instance(2, 2, 80, 1, seed=62)
+        with limit(10**6), pytest.raises(BudgetError) as err:
+            _LocalFields(tensors, js, 80)
+        assert err.value.stage == "annealer local fields"
+        assert err.value.needed == 2 * (2**2 + 80**3)
+
+    def test_cli_refuses_and_runs_under_raised_budget(self, tmp_path: Path):
+        g, j = self._instance(10)
+        src, cpl, out = tmp_path / "in.json", tmp_path / "j.json", tmp_path / "out.json"
+        src.write_text(json.dumps(hypergraph_to_json(g)))
+        cpl.write_text(json.dumps(j.to_json()))
+        argv = ["gse", "--in", str(src), "--coupling", str(cpl), "--mode", "heuristic",
+                "--restarts", "1", "--seed", "1", "--out", str(out)]
+        assert cli.run(argv + ["--budget", "1000000"]) == 2
+        assert not out.exists()
+        assert cli.run(argv + ["--budget", "2000000"]) == 0
+        assert len(json.loads(out.read_text())["labels"]) == 45
+
+
 class TestGseGraphon:
     def test_embedded_graph_matches_r2(self):
         # r=2 cell orbits are exactly the vertices, so the search spaces agree
