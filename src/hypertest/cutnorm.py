@@ -13,16 +13,17 @@ atom (plain norm) and independent across classes (cut-P-norm), so the
 best completion is computed, not searched, and the 2^{t^r} sign-pattern
 sweep is avoided. One search per norm serves every r: the plain one
 scores all choices of the first r-1 sets in one contraction, the cut-P
-one loops over the first r-2 sets and contracts over set r-1. The
-heuristic is sign-guided coordinate ascent; it evaluates the true
-objective, so it is always a lower bound.
+one loops over the first r-2 sets, scores every choice of set r-1 in
+one contraction and closes the last set for all those choices at once,
+one product per class. The heuristic is sign-guided coordinate ascent;
+it evaluates the true objective, so it is always a lower bound.
 
 Per-class-tuple sums (``_class_sums``) are gathered, not contracted
 against one-hot class masks: T is indexed on the chosen atoms, and each
 axis is contracted with the class rows of those atoms only. The ascent,
-the witness signs, ``evaluate_witness`` and the exact cut-P prefix loop
-all use it. Kernel problems share one cached set of cell orbits per
-(r, grid) pair.
+the witness signs, ``evaluate_witness`` and the exact cut-P search's
+sums over each prefix all use it. Kernel problems share one cached set
+of cell orbits per (r, grid) pair.
 
 Every entry point, ``cut_distance`` included, builds its problem and
 hands it to the one dispatch ``_solve``: plain or cut-P by whether a
@@ -74,6 +75,7 @@ __all__ = [
 ]
 
 _ASCENT_SWEEPS = 200  # coordinate-ascent sweeps before giving up on a fixed point
+_CLOSE_FLOATS = 1 << 16  # floats per product in the exact cut-P close: bounds its memory
 
 
 @dataclass(frozen=True)
@@ -107,13 +109,19 @@ class TuplePartition:
 
     @classmethod
     def random(cls, n: int, r_minus_1: int, q: int, seed: int) -> "TuplePartition":
-        rng = generator(seed)
+        """Uniform labels in q nonempty classes. If 200 draws all miss a class,
+        the last draw is relabelled to the classes it hits (as in
+        ``graphon.random_grid_partition``), so q shrinks to their count."""
         m = comb(n, r_minus_1)
+        if q > m:
+            raise ValueError(f"{q} nonempty classes need at least {q} atoms, got {m}")
+        rng = generator(seed)
         for _ in range(200):
-            labels = tuple(int(x) for x in rng.integers(0, q, size=m))
-            if len(set(labels)) == q:
-                return cls(n, r_minus_1, labels, q)
-        return cls(n, r_minus_1, (0,) * m, q, allow_empty=True)
+            labels = rng.integers(0, q, size=m)
+            if len(np.unique(labels)) == q:
+                break
+        _, labels = np.unique(labels, return_inverse=True)
+        return cls(n, r_minus_1, tuple(labels.tolist()), int(labels.max()) + 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -283,30 +291,13 @@ def _exact_cutp(
 ) -> tuple[float, list[tuple[int, ...]], np.ndarray]:
     """Exact cut-P optimum: enumerate first sets, close the last per class.
 
-    For r >= 2 a loop runs over the first r-2 sets and one contraction
-    over set r-1, 2^m * tq^(r-1) * m floats per prefix.
+    For r >= 2 a loop runs over the first r-2 sets; per prefix, a class of
+    k atoms closes the last set for all 2^m choices of set r-1 in one
+    product of 2^m * 2^k * tq^(r-1) floats, taken in ``_CLOSE_FLOATS`` blocks.
     """
     r, m = t.ndim, t.shape[0]
     check_budget("cut-P-norm exact search", 1 << (r * m))
     onehot = (np.asarray(classes)[:, None] == np.arange(tq)).astype(float)
-    members = [np.flatnonzero(np.asarray(classes) == j) for j in range(tq)]
-    s = _subset_matrix(m)
-
-    def close_last(w: np.ndarray) -> tuple[float, tuple[int, ...]]:
-        # w: (first-class tuples..., atom); per class the best subset of its
-        # members maximizes the summed absolute inner products independently
-        flat = w.reshape(-1, m)
-        total, chosen = 0.0, []
-        for j in range(tq):
-            if len(members[j]) == 0:
-                continue
-            sub = _subset_matrix(len(members[j]))
-            scores = np.abs(sub @ flat[:, members[j]].T).sum(axis=1)
-            best = int(np.argmax(scores))
-            total += float(scores[best])
-            chosen.extend(members[j][i] for i in _mask_indices(best, len(members[j])))
-        return total, tuple(sorted(chosen))
-
     if r == 1:
         # per class the larger of the positive and the negative mass
         pos = np.bincount(classes, weights=np.clip(t, 0, None), minlength=tq)
@@ -315,15 +306,31 @@ def _exact_cutp(
         best_val = float(np.maximum(pos, -neg).sum())
         best_sets = [tuple(np.flatnonzero(np.where(take_pos, t > 0, t < 0)))]
     else:
+        s = _subset_matrix(m)
+        by_class = onehot.T.reshape((tq, m) + (1,) * (r - 1))
+        members = [idx for idx in map(np.flatnonzero, onehot.T) if len(idx)]
         best_val, best_sets = -1.0, None
         for masks in itertools.product(range(1 << m), repeat=r - 2):
             prefix = [_mask_indices(mask, m) for mask in masks]
             inner = _class_sums(t, onehot, prefix)  # (atom, atom, prefix-class tuples...)
-            w = np.einsum("sa,aj,ab...->s...jb", s, onehot, inner, optimize=True)
-            for i in range(1 << m):
-                val, last = close_last(w[i])
-                if val > best_val:
-                    best_val, best_sets = val, prefix + [_mask_indices(i, m), last]
+            rows = np.tensordot(s, by_class * inner, axes=([1], [1]))  # (choice, class, atom, ...)
+            rows = np.moveaxis(rows, (1, 2), (-2, -1)).reshape(1 << m, -1, m)
+            # per class the best subset of its members for every choice of set r-1;
+            # rows stay last and contiguous, so each score is numpy's pairwise row sum
+            total, last = np.zeros(1 << m), np.zeros(1 << m, dtype=np.int64)  # last: atom masks
+            for idx in members:
+                sub, cols = _subset_matrix(len(idx)), rows[:, :, idx].transpose(0, 2, 1)
+                atom_masks = (sub @ (1 << idx)).astype(np.int64)
+                step = max(1, _CLOSE_FLOATS // (len(sub) * cols.shape[2]))
+                for lo in range(0, 1 << m, step):
+                    scores = sub @ cols[lo:lo + step]
+                    scores = np.abs(scores, out=scores).sum(axis=-1)
+                    total[lo:lo + step] += scores.max(axis=1)
+                    last[lo:lo + step] += atom_masks[scores.argmax(axis=1)]
+            i = int(np.argmax(total))
+            if total[i] > best_val:
+                best_val = float(total[i])
+                best_sets = prefix + [_mask_indices(i, m), _mask_indices(int(last[i]), m)]
     signs = _cutp_signs(_class_sums(t, onehot, best_sets))
     return best_val, best_sets, signs
 
@@ -546,18 +553,10 @@ def graph_difference_arrays(g: ColoredHypergraph, h: ColoredHypergraph) -> dict[
     if (g.r, g.k) != (h.r, h.k):
         raise ValueError("graphs must share uniformity and palette")
     n = lcm(g.n, h.n)
-
-    def blow_up(a: np.ndarray, factor: int) -> np.ndarray:
-        for axis in range(a.ndim):
-            a = np.repeat(a, factor, axis=axis)
-        return a
-
-    out = {}
-    for alpha in range(1, g.k + 1):
-        out[alpha] = blow_up(g.adjacency_array(alpha), n // g.n) - blow_up(
-            h.adjacency_array(alpha), n // h.n
-        )
-    return out
+    # vertex cell i of the common grid lies in vertex i // factor of each graph
+    gi, hi = (np.ix_(*[np.arange(n) // (n // x.n)] * x.r) for x in (g, h))
+    return {alpha: g.adjacency_array(alpha)[gi] - h.adjacency_array(alpha)[hi]
+            for alpha in range(1, g.k + 1)}
 
 
 def cut_distance(

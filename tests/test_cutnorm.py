@@ -240,6 +240,15 @@ class TestCutP:
             hits += abs(heur - exact) < 1e-7
         assert hits >= 15
 
+    def test_random_partition_keeps_its_classes_nonempty(self):
+        # 200 draws of 10 labels all miss one of 10 classes: the last draw
+        # is relabelled to the classes it hits, not replaced by one class
+        for seed in range(5):
+            p = TuplePartition.random(10, 1, 10, seed)
+            assert 1 < p.q < 10 and sorted(set(p.classes)) == list(range(p.q))
+        with pytest.raises(ValueError, match="nonempty classes need at least 5 atoms"):
+            TuplePartition.random(3, 1, 5, 0)
+
     def test_partition_validation(self):
         with pytest.raises(ValueError, match="class labels"):
             TuplePartition(4, 1, (0, 1, 2, 0), 2)

@@ -559,7 +559,7 @@ def _looped_cutp(t: np.ndarray, classes: np.ndarray, tq: int) -> tuple[float, li
 
 
 @settings(max_examples=50, deadline=None)
-@given(r=st.integers(1, 4), m=st.integers(1, 4), tq_kind=st.sampled_from(("one", "two", "each")),
+@given(r=st.integers(1, 4), m=st.integers(1, 4), tq_kind=st.sampled_from(("one", "two", "each", "many")),
        entries=st.sampled_from(("rounded", "binary")), seed=st.integers(0, 2**16))
 def test_exact_searches_match_per_combination_loops(r, m, tq_kind, entries, seed) -> None:
     rng = generator(seed)
@@ -572,11 +572,25 @@ def test_exact_searches_match_per_combination_loops(r, m, tq_kind, entries, seed
     assert value == want_value and sets == want_sets
     if r == 1:  # the cut-P search keeps its closed form there
         return
-    tq = {"one": 1, "two": 2, "each": m}[tq_kind]
-    classes = rng.permutation(np.arange(m) % tq)  # with tq = 2 and m = 1 a class stays empty
+    # with more classes than atoms some stay empty (their rows are zero), and
+    # at r = 2 the close then sums 9 rows per subset, numpy's pairwise regime
+    tq = {"one": 1, "two": 2, "each": m, "many": 9}[tq_kind]
+    classes = rng.permutation(np.arange(m) % tq)
     value, sets, _ = _exact_cutp(t, classes, tq)
     want_value, want_sets = _looped_cutp(t, classes, tq)
     assert value == want_value and sets == want_sets
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_exact_cutp_sums_eight_or_more_rows_like_the_looped_close(seed) -> None:
+    # at r = 2 each atom in its own class gives m >= 8 nonzero rows per
+    # subset, so the close must keep numpy's pairwise order to stay equal
+    rng = generator(seed)
+    m, tq = 8 + seed % 2, 9 + seed % 4
+    t = rng.uniform(-1, 1, size=(m, m))
+    classes = rng.permutation(m)
+    value, sets, _ = _exact_cutp(t, classes, tq)
+    assert (value, sets) == _looped_cutp(t, classes, tq)
 
 
 @settings(max_examples=80, deadline=None)
