@@ -255,9 +255,13 @@ class _LocalFields:
 
     The labels and the field rows are mirrored in Python lists
     (``label_list`` beside the ``labels`` array, ``f_rows`` beside ``f``),
-    refreshed by ``reset`` and every ``move``, so a proposal reads Python
-    floats, not numpy scalars. The float operations are the same, and so
-    are the results, bit for bit.
+    built by ``reset`` and updated in place by every ``move``, so a
+    proposal reads Python floats, not numpy scalars, and a caller may hold
+    the lists across moves. The float operations are the same, and so are
+    the results, bit for bit. ``_partial[a]`` says whether atom a carries
+    partial terms (never at r = 2); ``delta`` of any other atom is exactly
+    ``row[cls] - row[old] + _diag[a][cls][old]``, which ``_anneal_once``
+    evaluates inline.
     """
 
     def __init__(self, tensors: Sequence[np.ndarray], js: Sequence[np.ndarray], q: int) -> None:
@@ -329,7 +333,13 @@ class _LocalFields:
         self.f_rows = self.f.tolist()
 
     def delta(self, atom: int, cls: int) -> float:
-        """Energy change from relabeling one atom."""
+        """Energy change from relabeling one atom.
+
+        The sweep loop of ``_anneal_once`` repeats the expression for an
+        atom without partial terms, ``row[cls] - row[old] + _diag[atom][cls][old]``,
+        inline; edit the two together (``TestAnnealOracle`` checks that
+        they agree).
+        """
         old = self.label_list[atom]
         if cls == old:
             return 0.0
@@ -357,7 +367,7 @@ class _LocalFields:
         self.f += self._t_pairs[atom] @ jd
         labels[atom] = cls
         self.label_list[atom] = cls
-        self.f_rows = self.f.tolist()
+        self.f_rows[:] = self.f.tolist()
 
 
 def _exact_hits(t: np.ndarray, j: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
@@ -385,26 +395,37 @@ def _exact_hits(t: np.ndarray, j: np.ndarray, size: int) -> tuple[np.ndarray, np
 def _anneal_once(fields: _LocalFields, rng: np.random.Generator) -> tuple[float, np.ndarray]:
     """One annealing run from a random labeling, then a greedy polish.
 
-    Its scalar draws replay the generator's stream exactly (``scalar_draws``).
+    Its scalar draws replay the generator's stream exactly (``scalar_draws``);
+    each proposal's (atom, class) comes from one ``pairs`` item. A sweep
+    proposal for an atom with no partial terms (every atom at r = 2) is
+    scored in the loop by ``delta``'s own expression, ``row[cls] - row[old]
+    + diag[atom][cls][old]``: the same float operations in the same order,
+    so the same scores and the same accepted moves as through ``delta``.
+    The warm-up (max(2m, 20) proposals, against about 180m in the
+    sweeps) and the polish call ``delta``.
     """
     m, q = fields.m, fields.q
     labels = rng.integers(0, q, size=m)
     fields.reset(labels)
     delta, move, label_list = fields.delta, fields.move, fields.label_list
+    f_rows, diag, partial = fields.f_rows, fields._diag, fields._partial
     with scalar_draws(rng) as draws:
-        integers, random = draws
+        random, props = draws.random, draws.pairs(m, q)
         # warmup pass measures the move scale to set the starting temperature
         moves = max(2 * m, 20)
-        scale = max(abs(delta(integers(m), integers(q))) for _ in range(moves))
+        scale = max(abs(delta(atom, cls)) for _, (atom, cls) in zip(range(moves), props))
         temp = max(scale, 1e-12)
         floor = temp * 1e-4
         while temp > floor:
-            for _ in range(m):
-                atom = integers(m)
-                cls = integers(q)
-                if cls == label_list[atom]:
+            for _, (atom, cls) in zip(range(m), props):
+                old = label_list[atom]
+                if cls == old:
                     continue
-                d = delta(atom, cls)
+                if partial[atom]:
+                    d = delta(atom, cls)
+                else:
+                    row = f_rows[atom]
+                    d = row[cls] - row[old] + diag[atom][cls][old]
                 if d >= 0 or random() < exp(d / temp):
                     move(atom, cls)
             temp *= 0.95
@@ -518,6 +539,8 @@ def concentration_experiment(
     Report-only: heuristic optimization adds noise, so the bound is shown
     alongside the empirical tail frequencies, never asserted.
     """
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
     values = []
     for i in range(trials):
         sample = sample_subgraph(h, sample_size, seed=derive_seed(seed, i, 0))

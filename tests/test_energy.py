@@ -8,7 +8,8 @@ value and labeling below must stay bit-identical.
 import hashlib
 import itertools
 import json
-from math import comb, factorial
+import warnings
+from math import comb, exp, factorial
 from pathlib import Path
 
 import numpy as np
@@ -298,6 +299,70 @@ class TestLocalFieldMirrors:
                 assert np.array_equal(fields.f, want)
 
 
+def _anneal_once_scalar(fields, rng):
+    """The annealing run with one Generator call per draw and ``delta`` for every proposal.
+
+    The oracle for ``_anneal_once``, which draws each proposal's pair at
+    once from a replay of the same stream and scores most proposals inline.
+    """
+    m, q = fields.m, fields.q
+    labels = rng.integers(0, q, size=m)
+    fields.reset(labels)
+    moves = max(2 * m, 20)
+    scale = max(abs(fields.delta(int(rng.integers(m)), int(rng.integers(q))))
+                for _ in range(moves))
+    temp = max(scale, 1e-12)
+    floor = temp * 1e-4
+    while temp > floor:
+        for _ in range(m):
+            atom = int(rng.integers(m))
+            cls = int(rng.integers(q))
+            if cls == fields.label_list[atom]:
+                continue
+            d = fields.delta(atom, cls)
+            if d >= 0 or rng.random() < exp(d / temp):
+                fields.move(atom, cls)
+        temp *= 0.95
+    improved = True
+    while improved:
+        improved = False
+        for atom in range(m):
+            for cls in range(q):
+                if fields.delta(atom, cls) > 1e-13:
+                    fields.move(atom, cls)
+                    improved = True
+    return _labeling_energy(fields.tensors, fields.js, labels), labels
+
+
+class TestAnnealOracle:
+    @given(
+        r=st.sampled_from([2, 3]),
+        m=st.integers(1, 7),
+        q=st.integers(1, 4),
+        k=st.integers(1, 2),
+        seed=st.integers(0, 2**32 - 1),
+        thin=st.lists(st.booleans(), min_size=7, max_size=7),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_same_run_as_scalar_draws_and_delta(self, r, m, q, k, seed, thin):
+        tensors, js, _ = random_instance(r, m, q, k, seed)
+        if r == 3:
+            # thinned atoms carry no tuple that repeats them, so no partial
+            # terms: an r = 3 run scores some proposals inline, some by delta
+            for t in tensors:
+                for a in range(m):
+                    if thin[a]:
+                        t[a, a, :] = t[a, :, a] = t[:, a, a] = 0.0
+        fields = _LocalFields(tensors, js, q)
+        assert not any(partial and (r == 2 or thin[a]) for a, partial in enumerate(fields._partial))
+        want_rng, rng = generator(seed + 1), generator(seed + 1)
+        want_val, want_labels = _anneal_once_scalar(fields, want_rng)
+        val, labels = _anneal_once(fields, rng)
+        assert val == want_val
+        assert np.array_equal(labels, want_labels)
+        assert rng.bit_generator.state == want_rng.bit_generator.state
+
+
 class TestAnnealerBudget:
     def _instance(self, n):
         return random_hypergraph(n, 3, 2, seed=60), _random_coupling(2, 2, 3, 61)
@@ -435,6 +500,13 @@ class TestConcentration:
         small = concentration_experiment(g, j, sample_size=4, trials=24, seed=2, restarts=2)
         large = concentration_experiment(g, j, sample_size=11, trials=24, seed=2, restarts=2)
         assert small["iqr"] >= large["iqr"]
+
+    @pytest.mark.parametrize("trials", [0, -2])
+    def test_no_trials_rejected(self, trials):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="trials must be at least 1"):
+                concentration_experiment(k33(), ising_coupling(), sample_size=4, trials=trials)
 
     def test_report_shape(self):
         rep = concentration_experiment(k33(), ising_coupling(), sample_size=4, trials=5,
