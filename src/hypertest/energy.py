@@ -12,7 +12,9 @@ O(1) for r = 2, whatever k is. An accepted move updates the fields in
 O(m^(r-1) q) per color and position pair; at r = 2 that update is one
 matrix product with a coupling difference tabulated once per (new, old)
 class pair. The labels and field rows are mirrored in Python lists, so
-a proposal reads Python floats, not numpy scalars.
+a proposal reads Python floats, not numpy scalars. The schedule fixes
+every proposal count before a run starts, so a run takes all of its
+draws up front in a few bulk generator calls and loops over plain lists.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from .budget import check_budget
 from .cutnorm import StepKernel, TuplePartition, _array_problem, _kernel_problem
 from .graphon import StepGraphon, VertexGraphon, _as_step, subsets_card_lex
 from .hypercore import ColoredHypergraph, sample_subgraph
-from .seeds import derive_seed, generator, scalar_draws
+from .seeds import derive_seed, generator
 
 __all__ = [
     "CouplingArray",
@@ -60,6 +62,8 @@ class CouplingArray:
             arr = np.array(arr, dtype=float)
             if arr.shape != (self.q,) * self.r:
                 raise ValueError(f"J^{alpha} has shape {arr.shape}, want {(self.q,) * self.r}")
+            if not np.isfinite(arr).all():
+                raise ValueError(f"J^{alpha} has a non-finite entry")
             if np.abs(arr).max(initial=0.0) > 1.0 + 1e-12:
                 raise ValueError(f"J^{alpha} exceeds sup norm 1")
             arr.flags.writeable = False
@@ -259,9 +263,8 @@ class _LocalFields:
     proposal reads Python floats, not numpy scalars, and a caller may hold
     the lists across moves. The float operations are the same, and so are
     the results, bit for bit. ``_partial[a]`` says whether atom a carries
-    partial terms (never at r = 2); ``delta`` of any other atom is exactly
-    ``row[cls] - row[old] + _diag[a][cls][old]``, which ``_anneal_once``
-    evaluates inline.
+    partial terms (never at r = 2); ``delta`` of any other atom is the
+    table lookup ``row[cls] - row[old] + _diag[a][cls][old]``.
     """
 
     def __init__(self, tensors: Sequence[np.ndarray], js: Sequence[np.ndarray], q: int) -> None:
@@ -333,13 +336,7 @@ class _LocalFields:
         self.f_rows = self.f.tolist()
 
     def delta(self, atom: int, cls: int) -> float:
-        """Energy change from relabeling one atom.
-
-        The sweep loop of ``_anneal_once`` repeats the expression for an
-        atom without partial terms, ``row[cls] - row[old] + _diag[atom][cls][old]``,
-        inline; edit the two together (``TestAnnealOracle`` checks that
-        they agree).
-        """
+        """Energy change from relabeling one atom; the annealer scores every proposal here."""
         old = self.label_list[atom]
         if cls == old:
             return 0.0
@@ -392,43 +389,48 @@ def _exact_hits(t: np.ndarray, j: np.ndarray, size: int) -> tuple[np.ndarray, np
     return x, kappa
 
 
+def _temperatures(scale: float) -> list[float]:
+    """One temperature per sweep: the warm-up scale (at least 1e-12), x0.95 while above 1e-4 of it."""
+    temp = max(scale, 1e-12)
+    floor = temp * 1e-4
+    temps = []
+    while temp > floor:
+        temps.append(temp)
+        temp *= 0.95
+    return temps
+
+
 def _anneal_once(fields: _LocalFields, rng: np.random.Generator) -> tuple[float, np.ndarray]:
     """One annealing run from a random labeling, then a greedy polish.
 
-    Its scalar draws replay the generator's stream exactly (``scalar_draws``);
-    each proposal's (atom, class) comes from one ``pairs`` item. A sweep
-    proposal for an atom with no partial terms (every atom at r = 2) is
-    scored in the loop by ``delta``'s own expression, ``row[cls] - row[old]
-    + diag[atom][cls][old]``: the same float operations in the same order,
-    so the same scores and the same accepted moves as through ``delta``.
-    The warm-up (max(2m, 20) proposals, against about 180m in the
-    sweeps) and the polish call ``delta``.
+    The run takes its draws up front, in this order: the initial labels
+    (``integers(0, q, m)``); the W = max(2m, 20) warm-up atoms and then
+    their classes (``integers(0, m, W)``, ``integers(0, q, W)``); and,
+    once the warm-up's largest |delta| has fixed the temperatures (one
+    sweep of m proposals each, see ``_temperatures``), the N = sweeps * m
+    sweep atoms, N classes and N uniforms (``integers(0, m, N)``,
+    ``integers(0, q, N)``, ``random(N)``). A proposal that keeps its
+    atom's class is skipped; any other is scored by ``delta`` and taken
+    when d >= 0, or when its uniform is below exp(d / temp). The polish
+    draws nothing.
     """
     m, q = fields.m, fields.q
     labels = rng.integers(0, q, size=m)
     fields.reset(labels)
     delta, move, label_list = fields.delta, fields.move, fields.label_list
-    f_rows, diag, partial = fields.f_rows, fields._diag, fields._partial
-    with scalar_draws(rng) as draws:
-        random, props = draws.random, draws.pairs(m, q)
-        # warmup pass measures the move scale to set the starting temperature
-        moves = max(2 * m, 20)
-        scale = max(abs(delta(atom, cls)) for _, (atom, cls) in zip(range(moves), props))
-        temp = max(scale, 1e-12)
-        floor = temp * 1e-4
-        while temp > floor:
-            for _, (atom, cls) in zip(range(m), props):
-                old = label_list[atom]
-                if cls == old:
-                    continue
-                if partial[atom]:
-                    d = delta(atom, cls)
-                else:
-                    row = f_rows[atom]
-                    d = row[cls] - row[old] + diag[atom][cls][old]
-                if d >= 0 or random() < exp(d / temp):
+    # warmup pass measures the move scale to set the starting temperature
+    warm = max(2 * m, 20)
+    warm_atoms, warm_classes = rng.integers(0, m, warm).tolist(), rng.integers(0, q, warm).tolist()
+    temps = _temperatures(max(abs(delta(a, c)) for a, c in zip(warm_atoms, warm_classes)))
+    n = len(temps) * m
+    atoms, classes, uniforms = rng.integers(0, m, n), rng.integers(0, q, n), rng.random(n)
+    props = zip(atoms.tolist(), classes.tolist(), uniforms.tolist())
+    for temp in temps:
+        for atom, cls, u in itertools.islice(props, m):
+            if cls != label_list[atom]:
+                d = delta(atom, cls)
+                if d >= 0 or u < exp(d / temp):
                     move(atom, cls)
-            temp *= 0.95
     # greedy polish: strictly improving single moves until stable
     improved = True
     while improved:

@@ -36,7 +36,7 @@ import itertools
 import string
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import comb, factorial, lcm
 from typing import Any, Iterable, Mapping, Sequence
 
@@ -302,6 +302,18 @@ class StepGraphon:
     def channel_order(self) -> tuple[int, ...]:
         return tuple(sorted(self.arrays))
 
+    @cached_property
+    def _cumulative(self) -> np.ndarray:
+        """Running channel sums in channel order, channels first: the sampler's decode table.
+
+        ``cumsum`` adds the channels one at a time, exactly as a running
+        sum does, so a gather from this table equals the cumulative sum
+        of the gathered channels, bit for bit.
+        """
+        acc = np.cumsum(np.stack([self.arrays[c] for c in self.channel_order]), axis=0)
+        acc.flags.writeable = False
+        return acc
+
     def channel(self, color: int) -> np.ndarray:
         return self.arrays[color]
 
@@ -467,9 +479,7 @@ def colors_at(
     g = w.partition.resolution
     cells = np.minimum((np.asarray(coords) * g).astype(np.intp), g - 1)[None, :]
     classes = _block_classes(w.partition, cells, _edge_layout(q, w.r))
-    # cumsum adds the channels one at a time in channel order, exactly as a
-    # running sum does, so seeded samples do not depend on the vectorization
-    acc = np.cumsum(_channel_probs(w, classes)[:, 0], axis=0)
+    acc = w._cumulative[(slice(None),) + classes][:, 0]
     return tuple(np.asarray(w.channel_order)[_inverse_cdf(acc, edge_uniforms)].tolist())
 
 

@@ -162,9 +162,9 @@ def _validate_colors(n: int, r: int, k: int, colors: tuple[int, ...], allow_iota
     if len(colors) != expected:
         raise ValueError(f"expected {expected} edge colors for n={n}, r={r}, got {len(colors)}")
     lo = IOTA if allow_iota else 1
-    for c in colors:
-        if not (lo <= c <= k):
-            raise ValueError(f"edge color {c} outside palette [{lo}..{k}]")
+    if min(colors) < lo or max(colors) > k:
+        bad = next(c for c in colors if not lo <= c <= k)
+        raise ValueError(f"edge color {bad} outside palette [{lo}..{k}]")
 
 
 @dataclass(frozen=True)
@@ -189,7 +189,7 @@ class ColoredHypergraph:
     colors: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "colors", tuple(int(c) for c in self.colors))
+        object.__setattr__(self, "colors", tuple(map(int, self.colors)))
         _validate_colors(self.n, self.r, self.k, self.colors, allow_iota=False)
 
     def edges(self) -> Iterator[tuple[int, ...]]:
@@ -275,7 +275,7 @@ class SampledColoredGraph:
     coords: tuple[float, ...] | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "colors", tuple(int(c) for c in self.colors))
+        object.__setattr__(self, "colors", tuple(map(int, self.colors)))
         _validate_colors(self.q, self.r, self.k, self.colors, allow_iota=True)
 
     @property

@@ -1,8 +1,9 @@
 """Partition energies, ground states, and the sign-array reduction.
 
-The annealer golden digests were recorded before its draws moved from
-scalar ``Generator`` calls to ``seeds.scalar_draws``: every annealed
-value and labeling below must stay bit-identical.
+The annealer golden digests are recorded on the bulk-draw rule of
+``energy._anneal_once`` (each run's draws taken up front as arrays, in
+the documented order): every annealed value and labeling below must
+stay bit-identical.
 """
 
 import hashlib
@@ -31,6 +32,7 @@ from hypertest.energy import (
     _anneal_once,
     _LocalFields,
     _maximize,
+    _temperatures,
     concentration_experiment,
     energy,
     gse,
@@ -73,6 +75,29 @@ class TestCouplingArray:
             CouplingArray(1, 2, 2, {1: np.zeros((2, 3))})
         with pytest.raises(ValueError, match="sup norm"):
             CouplingArray(1, 2, 2, {1: 1.5 * np.ones((2, 2))})
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_entries_rejected(self, bad):
+        # NaN passes a sup-norm test (every comparison is False), so it
+        # must be refused by name before gse compares energies
+        with pytest.raises(ValueError, match=r"J\^2 has a non-finite entry"):
+            CouplingArray(2, 2, 2, {1: np.zeros((2, 2)), 2: [[bad, -0.5], [-0.5, 0.25]]})
+
+    def test_non_finite_json_rejected(self):
+        # Python's json reads NaN and Infinity
+        payload = json.loads('{"k": 1, "q": 2, "r": 2, "arrays": {"1": [NaN, -0.5, -0.5, 0.25]}}')
+        with pytest.raises(ValueError, match=r"J\^1 has a non-finite entry"):
+            CouplingArray.from_json(payload)
+
+    def test_cli_gse_refuses_non_finite_coupling(self, tmp_path: Path):
+        src, cpl, out = tmp_path / "in.json", tmp_path / "j.json", tmp_path / "out.json"
+        src.write_text(json.dumps(hypergraph_to_json(make_hypergraph(4, 2, 1, [1] * 6))))
+        cpl.write_text('{"k": 1, "q": 2, "r": 2, "arrays": {"1": [NaN, -0.5, -0.5, 0.25]}}')
+        for mode in ("exact", "heuristic"):
+            argv = ["gse", "--in", str(src), "--coupling", str(cpl), "--mode", mode,
+                    "--out", str(out)]
+            assert cli.run(argv) == 1
+            assert not out.exists()
 
     def test_json_roundtrip(self):
         j = CouplingArray(2, 3, 2, {1: np.eye(3), 2: -0.5 * np.ones((3, 3))})
@@ -299,30 +324,32 @@ class TestLocalFieldMirrors:
                 assert np.array_equal(fields.f, want)
 
 
-def _anneal_once_scalar(fields, rng):
-    """The annealing run with one Generator call per draw and ``delta`` for every proposal.
+def _anneal_reference(fields, rng):
+    """The annealing run written from its documented draw order, one proposal at a time.
 
-    The oracle for ``_anneal_once``, which draws each proposal's pair at
-    once from a replay of the same stream and scores most proposals inline.
+    The oracle for ``_anneal_once``: the same bulk draws, indexed as numpy
+    arrays, with the temperature of proposal i taken from sweep i // m.
     """
     m, q = fields.m, fields.q
     labels = rng.integers(0, q, size=m)
     fields.reset(labels)
-    moves = max(2 * m, 20)
-    scale = max(abs(fields.delta(int(rng.integers(m)), int(rng.integers(q))))
-                for _ in range(moves))
-    temp = max(scale, 1e-12)
+    warm = max(2 * m, 20)
+    warm_atoms, warm_classes = rng.integers(0, m, warm), rng.integers(0, q, warm)
+    scale = max(abs(fields.delta(int(a), int(c))) for a, c in zip(warm_atoms, warm_classes))
+    temps, temp = [], max(scale, 1e-12)
     floor = temp * 1e-4
     while temp > floor:
-        for _ in range(m):
-            atom = int(rng.integers(m))
-            cls = int(rng.integers(q))
-            if cls == fields.label_list[atom]:
-                continue
-            d = fields.delta(atom, cls)
-            if d >= 0 or rng.random() < exp(d / temp):
-                fields.move(atom, cls)
+        temps.append(temp)
         temp *= 0.95
+    n = len(temps) * m
+    atoms, classes, uniforms = rng.integers(0, m, n), rng.integers(0, q, n), rng.random(n)
+    for i in range(n):
+        atom, cls = int(atoms[i]), int(classes[i])
+        if cls == fields.label_list[atom]:
+            continue
+        d = fields.delta(atom, cls)
+        if d >= 0 or uniforms[i] < exp(d / temps[i // m]):
+            fields.move(atom, cls)
     improved = True
     while improved:
         improved = False
@@ -334,33 +361,32 @@ def _anneal_once_scalar(fields, rng):
     return _labeling_energy(fields.tensors, fields.js, labels), labels
 
 
-class TestAnnealOracle:
+class TestAnnealReference:
     @given(
         r=st.sampled_from([2, 3]),
         m=st.integers(1, 7),
         q=st.integers(1, 4),
         k=st.integers(1, 2),
         seed=st.integers(0, 2**32 - 1),
-        thin=st.lists(st.booleans(), min_size=7, max_size=7),
     )
     @settings(max_examples=60, deadline=None)
-    def test_same_run_as_scalar_draws_and_delta(self, r, m, q, k, seed, thin):
+    def test_same_run_as_reference_loop(self, r, m, q, k, seed):
         tensors, js, _ = random_instance(r, m, q, k, seed)
-        if r == 3:
-            # thinned atoms carry no tuple that repeats them, so no partial
-            # terms: an r = 3 run scores some proposals inline, some by delta
-            for t in tensors:
-                for a in range(m):
-                    if thin[a]:
-                        t[a, a, :] = t[a, :, a] = t[:, a, a] = 0.0
         fields = _LocalFields(tensors, js, q)
-        assert not any(partial and (r == 2 or thin[a]) for a, partial in enumerate(fields._partial))
         want_rng, rng = generator(seed + 1), generator(seed + 1)
-        want_val, want_labels = _anneal_once_scalar(fields, want_rng)
+        want_val, want_labels = _anneal_reference(fields, want_rng)
         val, labels = _anneal_once(fields, rng)
         assert val == want_val
         assert np.array_equal(labels, want_labels)
         assert rng.bit_generator.state == want_rng.bit_generator.state
+
+    @pytest.mark.parametrize("scale", [0.0, 1e-6, 1.0, 1e6])
+    def test_180_sweeps_at_every_scale(self, scale):
+        # 0.95**180 < 1e-4 < 0.95**179; a zero scale starts at the 1e-12 floor
+        temps = _temperatures(scale)
+        assert len(temps) == 180
+        assert temps[0] == max(scale, 1e-12)
+        assert all(b == a * 0.95 for a, b in zip(temps, temps[1:]))
 
 
 class TestAnnealerBudget:
@@ -567,14 +593,14 @@ def _anneal_payloads():
 
 
 GOLDEN_ANNEAL = {
-    "anneal-once-end-state": "7e6b6d7a9f22ae0083f568560424738e5414a480172f147146f3e8d7bee4088f",
+    "anneal-once-end-state": "4afb18f640b5f12099b148668081422c0a51e885cc354e02572c864a64a68d61",
     "concentration-values": "563254e69843ff06f48fe271fa0aedfc47b8fbb33ff2383cb0d2a49ad113e46c",
-    "gse-graphon-r2": "016477ef0f7e09960f238c4faa312da458a7c328224c45168b764572bcf8f053",
+    "gse-graphon-r2": "cef255c4ec05990df1a3db8285a8c1bbf216482c74445848b33a6783fde56897",
     "gse-graphon-r3": "bf35e17722c94efa499ac17c701ead7069db8a2e202a842d24030ccd22d80f62",
     "gse-r2-restarts1": "060d51a60bfe2ece2d13ebde22d9e8bcdff5a7fa9302e707ef113bc90bf1cbb4",
-    "gse-r2-restarts3": "ca72bf4bbbeddf4c84442584b0dae2ed2e5c17e0efb648957a7ac686a22610e1",
-    "gse-r3-restarts1": "fd2ed87fca5c63788bd8070a2adecb970bad805157f51dfb36a745e36eef3534",
-    "gse-r3-restarts2": "471cb988797876c75463e22099198385b028f62d97c97b67b76fdf955508adf5",
+    "gse-r2-restarts3": "060d51a60bfe2ece2d13ebde22d9e8bcdff5a7fa9302e707ef113bc90bf1cbb4",
+    "gse-r3-restarts1": "d78373a6ad8a76f196c579a42b082e50e28a8c39b571f7bfc3c4e59e6f34f586",
+    "gse-r3-restarts2": "d78373a6ad8a76f196c579a42b082e50e28a8c39b571f7bfc3c4e59e6f34f586",
     "sup-cutnorm-via-energy": "93f9c8354cecb2a1dd0ee0366eccfc0aac6cc5e1e453128130e4ace7d884e588",
 }
 
@@ -590,7 +616,7 @@ def test_golden_anneal(name, anneal_payloads):
 
 
 GOLDEN_CLI_GSE = {
-    "graph": "46ad15981747aca9229a2d6e34c2235c7440c9c841f6ffba8cef4dc406c2992d",
+    "graph": "4651d3c28e941b76be16c965b3413f6d47c3c9221c90c21325ea2ec1056393db",
     "graphon": "3a117b7d9df32b3f60d05a6f05282b193de4a95549b5042fb6b8f228c1c389bc",
 }
 

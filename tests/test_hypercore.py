@@ -265,3 +265,54 @@ def test_json_roundtrip_and_relabel_counts(nr, rnd) -> None:
     for i, p in enumerate(perm):
         inv[p] = i
     assert h.relabeled(inv) == g
+
+
+def _loop_validated_colors(n, r, k, colors, allow_iota) -> tuple[int, ...]:
+    """The color conversion and validation as one Python loop per color, the oracle."""
+    colors = tuple(int(c) for c in colors)
+    if r < 1:
+        raise ValueError(f"uniformity r must be >= 1, got {r}")
+    if n < r:
+        raise ValueError(f"need n >= r, got n={n}, r={r}")
+    if k < 1:
+        raise ValueError(f"palette size k must be >= 1, got {k}")
+    expected = comb(n, r)
+    if len(colors) != expected:
+        raise ValueError(f"expected {expected} edge colors for n={n}, r={r}, got {len(colors)}")
+    lo = 0 if allow_iota else 1
+    for c in colors:
+        if not (lo <= c <= k):
+            raise ValueError(f"edge color {c} outside palette [{lo}..{k}]")
+    return colors
+
+
+@st.composite
+def color_inputs(draw):
+    n, r, k = draw(st.integers(0, 5)), draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    size = comb(n, r) + draw(st.sampled_from([0, 0, 0, -1, 1]))
+    colors = draw(st.lists(st.integers(-2, k + 2), min_size=max(size, 0), max_size=max(size, 0)))
+    kind = draw(st.sampled_from(["list", "tuple", "int64", "uint8", "float"]))
+    if kind == "tuple":
+        colors = tuple(colors)
+    elif kind == "int64":
+        colors = np.array(colors, dtype=np.int64)
+    elif kind == "uint8":
+        colors = np.array([c % 256 for c in colors], dtype=np.uint8)
+    elif kind == "float":
+        colors = [c + 0.5 for c in colors]
+    return n, r, k, colors
+
+
+@settings(max_examples=300, deadline=None)
+@given(color_inputs(), st.booleans())
+def test_color_validation_matches_loop_rule(case, sampled) -> None:
+    n, r, k, colors = case
+    cls = SampledColoredGraph if sampled else ColoredHypergraph
+    try:
+        want = _loop_validated_colors(n, r, k, colors, allow_iota=sampled)
+    except ValueError as err:
+        with pytest.raises(ValueError) as got:
+            cls(n, r, k, colors)
+        assert str(got.value) == str(err)
+    else:
+        assert cls(n, r, k, colors).colors == want
