@@ -21,8 +21,8 @@ from .graphon import (
     StepGraphon,
     VertexGraphon,
     _block_classes,
-    _channel_probs,
     _edge_layout,
+    _grid_cells,
     sample_coordinates,
 )
 from .hypercore import (
@@ -125,10 +125,45 @@ def _induced_columns(g: ColoredHypergraph, verts: np.ndarray) -> np.ndarray:
 
 def _step_edge_probs(w: StepGraphon, cells: np.ndarray, q: int) -> list[np.ndarray]:
     """Per-edge color distributions (N, channels) given coordinate cells (N, ncoords)."""
+    stack = np.stack([w.arrays[c] for c in w.channel_order])
     return [
-        _channel_probs(w, _block_classes(w.partition, cells, blocks)).T
+        stack[(slice(None),) + _block_classes(w.partition, cells, blocks)].T
         for blocks in _edge_layout(q, w.r)
     ]
+
+
+def _all_rows(w: GraphonLike, q: int, stage: str) -> np.ndarray:
+    """Every vertex tuple (embedded graph) or sample-coordinate cell tuple (step graphon).
+
+    The enumeration is budgeted under the name ``stage``.
+    """
+    if isinstance(w, VertexGraphon):
+        side, width = w.n, q
+    else:
+        side, width = w.partition.resolution, len(sample_coordinates(q, w.r))
+    check_budget(stage, side**width)
+    return np.indices((side,) * width).reshape(width, -1).T
+
+
+def _match_probs(
+    source: ColoredHypergraph | GraphonLike, rows: np.ndarray, q: int, pattern: tuple[int, ...]
+) -> np.ndarray:
+    """Probability, per row of vertices or cells, that the q-sample there shows ``pattern``.
+
+    For graphs it is the match indicator, for step graphons the product of
+    the edges' color probabilities.
+    """
+    if not isinstance(source, StepGraphon):
+        graph = source.graph if isinstance(source, VertexGraphon) else source
+        return np.all(_induced_columns(graph, rows) == np.asarray(pattern), axis=1).astype(float)
+    if any(c not in source.arrays for c in pattern):
+        return np.zeros(len(rows))
+    probs = _step_edge_probs(source, rows, q)
+    chan_idx = {c: i for i, c in enumerate(source.channel_order)}
+    value = np.ones(len(rows))
+    for col, color in enumerate(pattern):
+        value = value * probs[col][:, chan_idx[color]]
+    return value
 
 
 _EINSUM_LABELS = 52  # numpy's einsum takes at most 52 distinct labels
@@ -186,29 +221,8 @@ def density_graphon(f: GraphLike, w: GraphonLike) -> float:
     q = f.n
     if (f.r, f.k) != (w.r, w.k):
         raise ValueError("palettes must match")
-    pattern = f.colors
-    ncoords = len(sample_coordinates(q, w.r))
-    if isinstance(w, VertexGraphon):
-        needed = w.n**q
-    else:
-        needed = w.partition.resolution**ncoords
-    check_budget("density_graphon grid summation", needed)
-
-    if isinstance(w, VertexGraphon):
-        verts = np.indices((w.n,) * q).reshape(q, -1).T
-        induced = _induced_columns(w.graph, verts)
-        return float(np.mean(np.all(induced == np.asarray(pattern), axis=1)))
-
-    if any(c not in w.arrays for c in pattern):
-        return 0.0
-    g = w.partition.resolution
-    cells = np.indices((g,) * ncoords).reshape(ncoords, -1).T
-    probs = _step_edge_probs(w, cells, q)
-    chan_idx = {c: i for i, c in enumerate(w.channel_order)}
-    value = np.ones(len(cells))
-    for col, color in enumerate(pattern):
-        value = value * probs[col][:, chan_idx[color]]
-    return float(value.mean())
+    rows = _all_rows(w, q, "density_graphon grid summation")
+    return float(_match_probs(w, rows, q, f.colors).mean())
 
 
 def density_mc(
@@ -221,36 +235,27 @@ def density_mc(
 
     Coordinates (or vertex subsets) are sampled; the conditional match
     probability given the coordinates is averaged, which for graphs is the
-    plain hit indicator.
+    plain hit indicator. ``trials`` must be at least 1.
     """
     q = f.n
     if (f.r, f.k) != (source.r, source.k):
         raise ValueError("palettes must match")
-    pattern = np.asarray(f.colors)
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
     rng = generator(seed)
 
     if isinstance(source, ColoredHypergraph):
-        if IOTA in pattern:
+        if IOTA in f.colors:
             return 0.0, 0.0
-        keys = rng.random((trials, source.n)).argsort(axis=1)[:, :q]
-        verts = np.sort(keys, axis=1)
-        induced = _induced_columns(source, verts)
-        x = np.all(induced == pattern, axis=1).astype(float)
+        rows = np.sort(rng.random((trials, source.n)).argsort(axis=1)[:, :q], axis=1)
     elif isinstance(source, VertexGraphon):
-        verts = rng.integers(0, source.n, size=(trials, q))
-        induced = _induced_columns(source.graph, verts)
-        x = np.all(induced == pattern, axis=1).astype(float)
+        rows = rng.integers(0, source.n, size=(trials, q))
     else:
         if any(c not in source.arrays for c in f.colors):
             return 0.0, 0.0
-        g = source.partition.resolution
         ncoords = len(sample_coordinates(q, source.r))
-        cells = np.minimum((rng.random((trials, ncoords)) * g).astype(int), g - 1)
-        probs = _step_edge_probs(source, cells, q)
-        chan_idx = {c: i for i, c in enumerate(source.channel_order)}
-        x = np.ones(trials)
-        for col, color in enumerate(f.colors):
-            x = x * probs[col][:, chan_idx[color]]
+        rows = _grid_cells(rng.random((trials, ncoords)), source.partition.resolution)
+    x = _match_probs(source, rows, q, f.colors)
     estimate = float(x.mean())
     stderr = float(x.std(ddof=1) / np.sqrt(trials)) if trials > 1 else float("inf")
     return estimate, stderr
@@ -281,8 +286,7 @@ def sample_distribution(
 
     if isinstance(source, VertexGraphon):
         check_budget("sample_distribution support", (k + 1) ** n_edges)
-        check_budget("sample_distribution cell sweep", source.n**q)
-        verts = np.indices((source.n,) * q).reshape(q, -1).T
+        verts = _all_rows(source, q, "sample_distribution cell sweep")
         induced = _induced_columns(source.graph, verts)
         probs = {p: 0.0 for p in all_patterns(q, r, k, with_iota=True)}
         probs.update(pattern_counts([induced]))
@@ -296,10 +300,7 @@ def sample_distribution(
     has_iota = source.has_iota
     channels = source.channel_order
     check_budget("sample_distribution support", (k + 1 if has_iota else k) ** n_edges)
-    g = source.partition.resolution
-    ncoords = len(sample_coordinates(q, r))
-    check_budget("sample_distribution grid summation", g**ncoords)
-    cells = np.indices((g,) * ncoords).reshape(ncoords, -1).T
+    cells = _all_rows(source, q, "sample_distribution grid summation")
     per_edge = _step_edge_probs(source, cells, q)
     law = _mean_outer(per_edge).tolist() if n_edges else [1.0]
     probs = {p: 0.0 for p in all_patterns(q, r, k, with_iota=has_iota)}

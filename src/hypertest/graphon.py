@@ -21,20 +21,21 @@ Coordinate conventions, fixed once for the whole package:
 This module owns the sampling layout and the sample embedding for the
 whole package. ``_edge_layout(q, r)`` is the one coordinate/block
 layout of q-vertex samples: for each colex edge and deleted position,
-the indices of the sample coordinates forming that block. ``_block_classes``
-maps coordinate cells through it to partition classes by fancy indexing,
-and ``colors_at`` is the one sampler: it decodes every edge color at
-once by inverse CDF. ``sample_graphon``, the Monte Carlo and exact
-densities and the lift pipeline all draw through these. ``embed_sample``
-is the one embedding of a sample as a step graphon, and
+the indices of the sample coordinates forming that block; its first
+edge is the block structure of one type point, which
+``class_tuple_weights`` contracts over. ``_sample_uniforms`` is the one
+draw order, ``_grid_cells`` the one bulk coordinate-to-cell rule, and
+``_block_classes`` maps coordinate cells through the layout to partition
+classes by fancy indexing. ``colors_at`` is the one sampler: it decodes
+every edge color at once by inverse CDF. ``sample_graphon``, the Monte
+Carlo and exact densities and the lift pipeline all draw through these.
+``embed_sample`` is the one embedding of a sample as a step graphon, and
 ``VertexGraphon.to_step`` is that embedding on a finer grid.
 """
 
 from __future__ import annotations
 
 import itertools
-import string
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import comb, factorial, lcm
@@ -78,7 +79,6 @@ __all__ = [
     "sample_coordinates",
 ]
 
-_LETTERS = string.ascii_letters
 # cells per slab of the r = 3 class-tuple weight chain (``_pairwise_r3``)
 _SLAB_CELLS = 10**6
 
@@ -432,23 +432,24 @@ def _block_classes(p: GridPartition, cells: np.ndarray, blocks: np.ndarray) -> t
 
     ``cells`` holds the grid cells of sample coordinates, shape
     (N, ncoords); ``blocks`` is a selection of :func:`_edge_layout`, shape
-    (..., r, dim). Returns r arrays of shape (N, ...).
+    (..., r, dim). Returns r arrays of shape (N, ...), read-only for r = 1.
     """
-    shape = cells.shape[:1] + blocks.shape[:-2]
+    if p.dim == 0:  # r = 1: one class, no coordinates to gather
+        return (np.broadcast_to(p.labels, cells.shape[:1] + blocks.shape[:-2]),)
     return tuple(
-        np.broadcast_to(p.labels[tuple(cells[:, blocks[..., l, j]] for j in range(p.dim))], shape)
+        p.labels[tuple(cells[:, blocks[..., l, j]] for j in range(p.dim))]
         for l in range(blocks.shape[-2])
     )
 
 
-def _channel_probs(w: StepGraphon, classes: tuple[np.ndarray, ...]) -> np.ndarray:
-    """Color distribution at class tuples, channels (in channel order) first."""
-    stack = np.stack([w.arrays[c] for c in w.channel_order])
-    return stack[(slice(None),) + classes]
+def _grid_cells(coords: np.ndarray, g: int) -> np.ndarray:
+    """The one bulk coordinate-to-cell rule: :func:`_cell` without the range check."""
+    return np.minimum((np.asarray(coords) * g).astype(np.intp), g - 1)
 
 
-def _vertex_cells(w: VertexGraphon, coords: np.ndarray, q: int) -> np.ndarray:
-    return (np.asarray(coords[:q]) * w.n).astype(np.intp)
+def _sample_uniforms(rng: np.random.Generator, q: int, r: int) -> tuple[np.ndarray, np.ndarray]:
+    """The one draw order of a q-vertex sample: ``colors_at``'s coords, then its edge uniforms."""
+    return rng.random(len(sample_coordinates(q, r))), rng.random(comb(q, r))
 
 
 def _inverse_cdf(acc: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
@@ -474,10 +475,9 @@ def colors_at(
     into the cells of their singleton coordinates.
     """
     if isinstance(w, VertexGraphon):
-        cells = _vertex_cells(w, coords, q)[None, :]
+        cells = _grid_cells(coords[:q], w.n)[None, :]
         return tuple(induced_patterns(w.graph, cells, colex_edges(q, w.r))[0].tolist())
-    g = w.partition.resolution
-    cells = np.minimum((np.asarray(coords) * g).astype(np.intp), g - 1)[None, :]
+    cells = _grid_cells(coords, w.partition.resolution)[None, :]
     classes = _block_classes(w.partition, cells, _edge_layout(q, w.r))
     acc = w._cumulative[(slice(None),) + classes][:, 0]
     return tuple(np.asarray(w.channel_order)[_inverse_cdf(acc, edge_uniforms)].tolist())
@@ -491,30 +491,21 @@ def sample_graphon(
 ) -> SampledColoredGraph:
     """Draw the random q-vertex colored graph of a graphon.
 
-    One uniform per coordinate subset (axis order), then one per r-subset
-    of [q] (colex order); the edge uniform picks the color through the
-    cumulative distribution at the projected type point (:func:`colors_at`).
-    With ``condition_no_iota`` (embedded graphs only) the whole draw
-    repeats until no reserved color appears; the attempts count against
-    the enumeration budget.
+    The uniforms come in the order of :func:`_sample_uniforms`; the edge
+    uniform picks the color through the cumulative distribution at the
+    projected type point (:func:`colors_at`). With ``condition_no_iota``
+    (embedded graphs only) the whole draw repeats until no reserved color
+    appears; the attempts count against the enumeration budget.
     """
     r = w.r
     if q < r:
         raise ValueError(f"sample size q={q} below uniformity r={r}")
     if condition_no_iota and not isinstance(w, VertexGraphon):
         raise ValueError("condition_no_iota applies to embedded graphs only")
-    n_coords = len(sample_coordinates(q, r))
-    n_edges = comb(q, r)
     rng = generator(seed)
-    attempts = 0
-    while True:
-        attempts += 1
-        xs = rng.random(n_coords)
-        ues = rng.random(n_edges)
-        coords = tuple(xs.tolist())
-        if not isinstance(w, VertexGraphon):
-            return SampledColoredGraph(q, r, w.k, colors_at(w, q, xs, ues), coords=coords)
-        cells = tuple(_vertex_cells(w, xs, q).tolist())
+    for attempts in itertools.count(1):
+        xs, ues = _sample_uniforms(rng, q, r)
+        cells = tuple(_grid_cells(xs[:q], w.n).tolist()) if isinstance(w, VertexGraphon) else None
         if condition_no_iota and len(set(cells)) < q:
             check_budget(
                 f"sample_graphon rejection (reserved color still present "
@@ -523,7 +514,7 @@ def sample_graphon(
             )
             continue
         return SampledColoredGraph(q, r, w.k, colors_at(w, q, xs, ues),
-                                   vertices=cells, coords=coords)
+                                   vertices=cells, coords=tuple(xs.tolist()))
 
 
 def _embedding(sample: SampledColoredGraph | ColoredHypergraph, factor: int) -> StepGraphon:
@@ -642,54 +633,32 @@ def class_tuple_weights(p: GridPartition) -> np.ndarray:
 
     The r projected blocks share coordinates, so for r >= 3 this is not a
     product of class volumes; it is the exact contraction of per-block
-    class histograms (one-hot labels with the block's private axes
-    averaged out) over the shared axes. For r = 3 that contraction is an
-    explicit pairwise chain whose g^2 t^2-cell intermediate is built in
-    slabs (see ``_pairwise_r3``).
+    class histograms over the shared axes. Each block's top coordinate
+    (its full (r-1)-subset, the last grid axis) belongs to that block
+    alone, so every block sees the same histogram ``m``: the class counts
+    along the last axis of each column, over g. The other 2^r - 2 - r
+    coordinates are shared, and each averages over its g cells. For r = 3
+    the contraction is an explicit pairwise chain whose g^2 t^2-cell
+    intermediate is built in slabs (see ``_pairwise_r3``).
     """
-    return _weights_from_labels(p.r_minus_1 + 1, p.labels, p.t)
-
-
-def _weights_from_labels(r: int, labels: np.ndarray, t: int) -> np.ndarray:
+    r, t = p.r_minus_1 + 1, p.t
+    g = p.resolution if p.dim else 1
+    columns = p.labels.reshape(-1, g)
+    codes = np.arange(len(columns))[:, None] * t + columns
+    m = np.bincount(codes.ravel(), minlength=len(columns) * t).reshape(
+        p.labels.shape[:-1] + (t,)) / g
     if r == 1:
-        out = np.zeros(t)
-        out[int(labels.ravel()[0])] = 1.0
-        return out
-    n_coords = 2 ** r - 2
-    class_letters = _LETTERS[n_coords: n_coords + r]
-    onehot = (labels[..., None] == np.arange(t)).astype(float)
-    subs = [
-        "".join(_LETTERS[i] for i in block) + class_letters[l]
-        for l, block in enumerate(_edge_layout(r, r)[0])
-    ]
-    # grid axes private to a single slot (the block containing both other
-    # vertices) integrate out to plain means; reducing them first keeps the
-    # einsum from dragging dead axes through the contraction
-    shared = {ch for ch, n in Counter(ch for s in subs for ch in s).items() if n > 1}
-    operands = []
-    reduced_subs = []
-    for sub in subs:
-        arr = onehot
-        kept = []
-        axis = 0
-        for ch in sub:
-            if ch in class_letters or ch in shared:
-                kept.append(ch)
-                axis += 1
-            else:
-                arr = arr.mean(axis=axis)
-        operands.append(arr)
-        reduced_subs.append("".join(kept))
-    g = labels.shape[0] if labels.ndim else 1
+        return m
     if r == 2:  # both blocks are private: a product of class volumes
-        out = np.multiply.outer(*operands)
-    elif r == 3:
-        out = _pairwise_r3(*operands)
-    else:
-        expr = ",".join(reduced_subs) + "->" + "".join(class_letters)
-        out = np.einsum(expr, *operands, optimize=True)
-    remaining = {ch for s in reduced_subs for ch in s if ch not in class_letters}
-    return out / float(g) ** len(remaining)
+        return np.multiply.outer(m, m)
+    if r == 3:
+        return _pairwise_r3(m, m, m) / float(g) ** 3
+    n_coords = 2 ** r - 2
+    operands: list[Any] = []
+    for l, block in enumerate(_edge_layout(r, r)[0].tolist()):
+        operands += [m, block[:-1] + [n_coords + l]]
+    out = np.einsum(*operands, list(range(n_coords, n_coords + r)), optimize=True)
+    return out / float(g) ** (n_coords - r)
 
 
 def _pairwise_r3(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:

@@ -8,7 +8,7 @@ than by reference to an external library.
 
 Conventions used throughout the package:
 
-* experiment trial ``i`` runs with seed ``base + i``;
+* experiment trial ``i`` runs with ``derive_seed(seed, i)``;
 * pipeline stage ``s`` inside a seeded routine runs with
   ``derive_seed(seed, s)``; nested stages append further indices.
 

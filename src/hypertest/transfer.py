@@ -38,7 +38,9 @@ from .graphon import (
     _as_step,
     _block_classes,
     _edge_layout,
+    _grid_cells,
     _inverse_cdf,
+    _sample_uniforms,
     color_mass,
     colors_at,
     common_refinement,
@@ -342,10 +344,10 @@ def _measurable_grid(part: GridPartition, r: int) -> bool:
     """Whether cut-P machinery on this grid stays within desk memory.
 
     The kernel problems intersect the grid with its symmetry orbits, so
-    for r = 3 the atom count grows with the cube of the resolution. This
-    is a memory guard the budget cannot replace: the orbit weights build a
-    cells-by-orbits one-hot before their budgeted step (74088 x 37926
-    floats on a 42-grid).
+    for r = 3 the orbit count m grows with the cube of the resolution,
+    and the orbit-tuple weights are a dense m^3 tensor. This is a memory
+    guard the budget cannot replace: the weights' class histogram (g^2 x m,
+    1764 x 37926 floats on a 42-grid) comes before their budgeted step.
     """
     if r == 2:
         return part.resolution <= 2048
@@ -389,20 +391,16 @@ def _induced_partition(p: GridPartition, coords: np.ndarray, q: int, r: int) -> 
     partition's own fiber structure, scaled onto the sample grid.
     """
     g = p.resolution
-    cells = np.minimum((coords * g).astype(np.int64), g - 1)
+    cells = _grid_cells(coords, g)
     if r == 2:
         return GridPartition(1, q, p.labels[cells[:q]], p.t, allow_empty=True)
-    subs = sample_coordinates(q, 3)
-    index = {s: i for i, s in enumerate(subs)}
-    z_map = np.minimum(np.arange(q) * g // q, g - 1)
+    # the sample coordinates are the q singletons, then the pairs in lex order
+    a, b = np.triu_indices(q, 1)
+    single = cells[:q, None]
     labels = np.empty((q, q, q), dtype=np.int64)
-    for a in range(q):
-        ca = cells[index[(a,)]]
-        labels[a, a, :] = p.labels[ca, ca, z_map]
-        for b in range(a + 1, q):
-            cls = p.labels[ca, cells[index[(b,)]], cells[index[(a, b)]]]
-            labels[a, b, :] = cls
-            labels[b, a, :] = cls
+    labels[a, b] = labels[b, a] = p.labels[cells[a], cells[b], cells[q:]][:, None]
+    z_map = np.minimum(np.arange(q) * g // q, g - 1)
+    labels[np.arange(q), np.arange(q)] = p.labels[single, single, z_map]
     return GridPartition(2, q, labels, p.t, allow_empty=True)
 
 
@@ -538,14 +536,8 @@ def lift_coloring(
     # stage 0: the sample behind v_hat
     with _stage("sample", stages) as rec:
         if sample is None:
-            drawn = sample_graphon(u, q, derive_seed(seed, 0))
-            coords = np.asarray(drawn.coords, dtype=float)
-            rng0 = generator(derive_seed(seed, 0))
-            replay = rng0.random(n_coords)
-            ues = rng0.random(n_edges)
-            if not np.array_equal(replay, coords):
-                raise RuntimeError("sample stream replay diverged; seeds misused")
-            base_sample = drawn
+            base_sample = sample_graphon(u, q, derive_seed(seed, 0))
+            coords, ues = _sample_uniforms(generator(derive_seed(seed, 0)), q, r)
         else:
             if sample.coords is None:
                 raise ValueError("provided sample lacks coordinate provenance")
@@ -560,8 +552,9 @@ def lift_coloring(
                 ues = np.asarray(edge_uniforms, dtype=float)
                 if ues.size != n_edges:
                     raise ValueError(f"need {n_edges} edge uniforms")
-            else:
-                ues = generator(derive_seed(seed, 0)).random(n_edges)
+            else:  # edge uniforms for a given sample: the first n_edges of the stage-0 stream
+                ues = np.concatenate(_sample_uniforms(generator(derive_seed(seed, 0)), q, r))
+                ues = ues[:n_edges]
             base_sample = sample
         v_base = embed_sample(base_sample)
         if l1_distance(discolor_step(v_hat, k), v_base) > 1e-9:
@@ -805,13 +798,10 @@ def _round_coloring(
     sampler's decode rule (``graphon._inverse_cdf``); the base color is
     the graph's own, so discoloring returns the graph.
     """
-    rng = generator(seed)
     n, r = g.n, g.r
-    coords = rng.random(len(sample_coordinates(n, r)))
+    coords, edge_us = _sample_uniforms(generator(seed), n, r)
     coords[:n] = (np.arange(n) + coords[:n]) / n  # the singletons come first
-    edge_us = rng.random(comb(n, r))
-    res = u_hat.partition.resolution
-    cells = np.minimum((coords * res).astype(np.intp), res - 1)[None, :]
+    cells = _grid_cells(coords, u_hat.partition.resolution)[None, :]
     classes = _block_classes(u_hat.partition, cells, _edge_layout(n, r)[:, None])
     # each edge's k subcolors of its base color, gathered at its type point
     comps = composite_color(np.asarray(g.colors)[:, None], np.arange(1, k + 1), k)

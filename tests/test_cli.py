@@ -142,6 +142,15 @@ class TestValuesAgainstModules:
         assert payload["value"] == pytest.approx(expected, abs=1e-12)
         assert len(payload["labels"]) == 4
 
+    def test_density_mc_rejects_zero_trials(self, graph_file: str, tmp_path: Path) -> None:
+        f = write_json(tmp_path / "f.json", hypergraph_to_json(make_hypergraph(2, 2, 2, [1])))
+        out = tmp_path / "d.json"
+        assert cli.run([
+            "density", "--pattern", f, "--in", graph_file, "--mode", "mc",
+            "--trials", "0", "--seed", "1", "--out", str(out),
+        ]) == 1
+        assert not out.exists()
+
     def test_density_mc_carries_stderr(self, graph_file: str, tmp_path: Path, capsys) -> None:
         f = write_json(tmp_path / "f.json", hypergraph_to_json(make_hypergraph(2, 2, 2, [1])))
         payload = run_json(capsys, [

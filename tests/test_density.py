@@ -159,6 +159,19 @@ class TestDensityGraphon:
                 bad += 1
         assert bad == 0
 
+    def test_a_color_without_a_channel_has_density_zero(self):
+        w = random_step_graphon(2, 2, 2, 2, seed=1)  # no reserved channel
+        f = SampledColoredGraph(q=3, r=2, k=2, colors=(1, 0, 2))
+        assert density_graphon(f, w) == 0.0
+        assert density_mc(f, w, trials=50, seed=0) == (0.0, 0.0)
+
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_monte_carlo_needs_a_trial(self, trials):
+        f = make_hypergraph(3, 2, 2, [1, 2, 1])
+        for source in (random_step_graphon(2, 2, 2, 2, seed=1), embed(C5), C5):
+            with pytest.raises(ValueError, match="trials must be at least 1"):
+                density_mc(f, source, trials=trials, seed=0)
+
     def test_budget_and_fallback(self):
         w = random_step_graphon(2, 2, 2, 6, seed=0)
         f = make_hypergraph(4, 2, 2, [1] * 6)

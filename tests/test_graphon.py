@@ -4,7 +4,7 @@ from math import comb
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hypertest import graphon
@@ -146,15 +146,15 @@ def _block_axes(r: int) -> tuple[tuple, list[list[int]]]:
     return coords, blocks
 
 
-def _cellwise_weights_r3(part: GridPartition) -> np.ndarray:
-    """Class-tuple weights by visiting every cell of the 6-axis type cube."""
-    g = part.resolution
-    coords, blocks = _block_axes(3)
-    want = np.zeros((part.t,) * 3)
+def _cellwise_weights(part: GridPartition) -> np.ndarray:
+    """Class-tuple weights by visiting every cell of the (2^r - 2)-axis type cube."""
+    r, g = part.r_minus_1 + 1, part.resolution
+    coords, blocks = _block_axes(r)
+    want = np.zeros((part.t,) * r)
     for cells in itertools.product(range(g), repeat=len(coords)):
-        tup = tuple(part.class_of_cell([cells[i] for i in blocks[l]]) for l in range(3))
-        want[tup] += 1.0 / g ** len(coords)
-    return want
+        tup = tuple(part.class_of_cell([cells[i] for i in blocks[l]]) for l in range(r))
+        want[tup] += 1.0
+    return want / g ** len(coords)
 
 
 def _cellwise_average(w: StepGraphon, p: GridPartition) -> dict[int, np.ndarray]:
@@ -205,7 +205,7 @@ def test_step_average_matches_cellwise_averaging(data) -> None:
 def test_class_tuple_weights_r3_oracle() -> None:
     part = random_grid_partition(2, 2, 3, seed=3)
     got = class_tuple_weights(part)
-    assert np.allclose(got, _cellwise_weights_r3(part), atol=1e-12)
+    assert np.allclose(got, _cellwise_weights(part), atol=1e-12)
     assert got.sum() == pytest.approx(1.0)
 
 
@@ -214,8 +214,22 @@ def test_class_tuple_weights_r3_oracle() -> None:
 def test_class_tuple_weights_r3_cellwise(g, t, seed) -> None:
     part = random_grid_partition(2, g, t, seed)
     got = class_tuple_weights(part)
-    assert np.allclose(got, _cellwise_weights_r3(part), rtol=0, atol=1e-14)
+    assert np.allclose(got, _cellwise_weights(part), rtol=0, atol=1e-14)
     assert got.sum() == pytest.approx(1.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(r=st.sampled_from((1, 2, 3, 4)), g=st.integers(1, 128), t=st.integers(1, 6),
+       seed=st.integers(0, 10**6))
+@example(r=4, g=2, t=3, seed=0)
+@example(r=3, g=5, t=6, seed=0)
+def test_class_tuple_weights_match_the_cellwise_histogram(r, g, t, seed) -> None:
+    # every r up to 4 on type cubes of at most 2**14 cells (r = 4: g <= 2)
+    g = min(g, 4 if r == 1 else int(2 ** (14 / (2 ** r - 2)) + 1e-9))
+    part = random_grid_partition(r - 1, g, t, seed)
+    got = class_tuple_weights(part)
+    assert got.shape == (part.t,) * r
+    assert np.allclose(got, _cellwise_weights(part), rtol=0, atol=1e-14)
 
 
 def test_class_tuple_weights_r3_slabs_and_refusal(monkeypatch) -> None:
@@ -437,6 +451,32 @@ def test_channel_differences_reject_mixed_uniformity() -> None:
     with pytest.raises(ValueError, match="uniformities differ"):
         channel_differences(random_step_graphon(2, 2, 2, 2, seed=1),
                             random_step_graphon(3, 2, 2, 2, seed=1))
+
+
+def test_grid_cells_boundaries_match_the_scalar_rule() -> None:
+    for g in (1, 2, 3, 7, 40):
+        assert graphon._grid_cells(np.array([0.0, 1.0]), g).tolist() == [0, g - 1]
+        edges = np.arange(g + 1) / g
+        xs = np.concatenate([generator(g).random(500), edges, np.nextafter(edges[1:], 0.0)])
+        assert graphon._grid_cells(xs, g).tolist() == [graphon._cell(x, g) for x in xs]
+
+
+@settings(max_examples=40, deadline=None)
+@given(r=st.sampled_from((1, 2, 3)), extra=st.integers(0, 4), vertex=st.booleans(),
+       seed=st.integers(0, 2**32))
+def test_sample_graphon_draws_in_the_one_draw_order(r, extra, vertex, seed) -> None:
+    if vertex and r > 1:  # an r = 1 type point has no vertex coordinates
+        g = make_hypergraph(4, r, 2, generator(seed).integers(1, 3, comb(4, r)).tolist())
+        w = embed(g)
+    else:
+        w = random_step_graphon(r, 2, t=3, resolution=3, seed=seed, with_iota=seed % 2 == 0)
+    q = r + extra
+    coords, ues = graphon._sample_uniforms(generator(seed + 1), q, r)
+    sample = sample_graphon(w, q, seed + 1)
+    assert sample.colors == graphon.colors_at(w, q, coords, ues)
+    assert sample.coords == tuple(coords.tolist())
+    if vertex and r > 1:
+        assert sample.vertices == tuple(graphon._grid_cells(coords[:q], 4).tolist())
 
 
 def test_inverse_cdf_tie_takes_the_next_choice() -> None:

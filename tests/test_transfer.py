@@ -7,6 +7,7 @@ from math import comb, log
 import numpy as np
 import pytest
 
+from hypertest import transfer
 from hypertest.budget import BudgetError, limit
 from hypertest.density import sample_distribution, tv_distance
 from hypertest.graphon import (
@@ -16,7 +17,9 @@ from hypertest.graphon import (
     color_mass,
     constant_graphon,
     l1_distance,
+    random_grid_partition,
     random_step_graphon,
+    sample_coordinates,
     sample_graphon,
 )
 from hypertest.hypercore import (
@@ -267,6 +270,32 @@ class TestSampleRequirement:
     def test_rejects_nonpositive_delta(self):
         with pytest.raises(ValueError):
             base_sample_requirement(0.0, 1, 1, 1)
+
+
+def _looped_induced_partition(p: GridPartition, coords: np.ndarray, q: int) -> np.ndarray:
+    """The r = 3 sample-grid labels, one sample vertex pair at a time."""
+    g = p.resolution
+    cells = [min(int(x * g), g - 1) for x in coords]
+    index = {s: i for i, s in enumerate(sample_coordinates(q, 3))}
+    labels = np.empty((q, q, q), dtype=np.int64)
+    for a in range(q):
+        ca = cells[index[(a,)]]
+        for z in range(q):
+            labels[a, a, z] = p.labels[ca, ca, min(z * g // q, g - 1)]
+        for b in range(a + 1, q):
+            cls = p.labels[ca, cells[index[(b,)]], cells[index[(a, b)]]]
+            labels[a, b, :] = labels[b, a, :] = cls
+    return labels
+
+
+@pytest.mark.parametrize("q,g,t,seed", [(3, 1, 1, 0), (3, 2, 2, 1), (4, 3, 3, 2),
+                                        (5, 4, 5, 3), (7, 3, 4, 4), (8, 5, 6, 5)])
+def test_induced_partition_matches_the_pairwise_loop(q, g, t, seed) -> None:
+    p = random_grid_partition(2, g, t, seed)
+    coords = generator(seed).random(len(sample_coordinates(q, 3)))
+    got = transfer._induced_partition(p, coords, q, 3)
+    assert np.array_equal(got.labels, _looped_induced_partition(p, coords, q))
+    assert (got.t, got.resolution) == (p.t, q)
 
 
 class TestLiftColoring:
