@@ -22,7 +22,7 @@ import subprocess
 import sys
 import time
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -42,7 +42,6 @@ from .density import (
 )
 from .energy import CouplingArray, gse, gse_graphon
 from .graphon import (
-    StepGraphon,
     embed,
     sample_graphon,
     step_graphon_from_json,
@@ -87,95 +86,72 @@ def _load_json(path: str) -> Any:
         ) from err
 
 
-def _load_graph(path: str) -> ColoredHypergraph:
+# each file kind the CLI reads: the keys that identify it, and its parser
+_KINDS: dict[str, tuple[frozenset[str], Callable[[dict[str, Any]], Any]]] = {
+    "hypergraph": (frozenset({"n", "colors"}), hypergraph_from_json),
+    "sample": (frozenset({"q", "colors"}), lambda d: SampledColoredGraph(
+        int(d["q"]), int(d["r"]), int(d["k"]), tuple(int(c) for c in d["colors"]))),
+    "step-graphon": (frozenset({"arrays", "labels"}), step_graphon_from_json),
+    "array": (frozenset({"array"}), lambda d: np.array(d["array"], dtype=float)),
+    "partition": (frozenset({"n", "r_minus_1", "classes", "q"}), lambda d: TuplePartition(
+        int(d["n"]), int(d["r_minus_1"]), tuple(int(c) for c in d["classes"]), int(d["q"]),
+        allow_empty=True)),
+    "coupling": (frozenset({"q", "arrays"}), CouplingArray.from_json),
+}
+
+# a graph or graphon source; a step graphon is recognized first
+_SOURCE = ("step-graphon", "hypergraph")
+
+
+def _load(path: str, *kinds: str) -> Any:
+    """Parse ``path`` as the first of ``kinds`` whose identifying keys it has."""
     d = _load_json(path)
-    if not isinstance(d, dict) or "colors" not in d or "n" not in d:
-        raise CliError(f"{path} is not a hypergraph file (need n/r/k/colors)")
-    return hypergraph_from_json(d)
-
-
-def _load_pattern(path: str) -> ColoredHypergraph | SampledColoredGraph:
-    d = _load_json(path)
-    if isinstance(d, dict) and "q" in d and "colors" in d:
-        return SampledColoredGraph(
-            int(d["q"]), int(d["r"]), int(d["k"]), tuple(int(c) for c in d["colors"])
-        )
-    if isinstance(d, dict) and "n" in d and "colors" in d:
-        return hypergraph_from_json(d)
-    raise CliError(f"{path} is neither a hypergraph nor a sample file")
-
-
-def _load_source(path: str) -> ColoredHypergraph | StepGraphon:
-    d = _load_json(path)
-    if isinstance(d, dict) and "arrays" in d and "labels" in d:
-        return step_graphon_from_json(d)
-    if isinstance(d, dict) and "colors" in d and "n" in d:
-        return hypergraph_from_json(d)
-    raise CliError(f"{path} is neither a hypergraph nor a step-graphon file")
+    for kind in kinds:
+        keys, parse = _KINDS[kind]
+        if isinstance(d, dict) and keys <= d.keys():
+            try:
+                return parse(d)
+            except (KeyError, TypeError, ValueError) as err:
+                raise CliError(f"{path} is a malformed {kind} file: {err}") from err
+    names = " or ".join(kinds)
+    raise CliError(f"{path} is not {'an' if names[0] in 'aeiou' else 'a'} {names} file")
 
 
 def _load_array(path: str, color: int) -> np.ndarray:
-    d = _load_json(path)
-    if isinstance(d, dict) and "array" in d:
-        return np.array(d["array"], dtype=float)
-    if isinstance(d, dict) and "colors" in d and "n" in d:
-        return hypergraph_from_json(d).adjacency_array(color)
-    raise CliError(f"{path} is neither an array nor a hypergraph file")
+    """An array file, else that hypergraph's channel ``color``."""
+    x = _load(path, "array", "hypergraph")
+    return x if isinstance(x, np.ndarray) else x.adjacency_array(color)
 
 
-def _load_tuple_partition(path: str) -> TuplePartition:
-    d = _load_json(path)
-    needed = {"n", "r_minus_1", "classes", "q"}
-    if not isinstance(d, dict) or needed - set(d):
-        raise CliError(f"{path} is not a partition file (need n/r_minus_1/classes/q)")
-    return TuplePartition(
-        int(d["n"]),
-        int(d["r_minus_1"]),
-        tuple(int(c) for c in d["classes"]),
-        int(d["q"]),
-        allow_empty=True,
-    )
+def _split_timings(payload: Any) -> tuple[Any, dict[str, Any]]:
+    """Plain JSON of a payload, with every "seconds" field moved out.
 
+    Wall-clock times are metadata, not results. numpy scalars and arrays
+    become Python values and lists, tuples become lists, keys strings.
+    """
+    timings: dict[str, Any] = {}
 
-def _jsonable(x: Any) -> Any:
-    if isinstance(x, dict):
-        return {str(key): _jsonable(v) for key, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_jsonable(v) for v in x]
-    if isinstance(x, np.ndarray):
-        return _jsonable(x.tolist())
-    if isinstance(x, np.bool_):
-        return bool(x)
-    if isinstance(x, np.integer):
-        return int(x)
-    if isinstance(x, np.floating):
-        return float(x)
-    return x
-
-
-def _split_timings(payload: Any) -> tuple[Any, dict[str, float]]:
-    """Strip every "seconds" field; wall-clock times are metadata, not results."""
-    timings: dict[str, float] = {}
-
-    def strip(node: Any, path: str) -> Any:
+    def plain(node: Any, path: str) -> Any:
         if isinstance(node, dict):
             out = {}
             for key, v in node.items():
-                here = f"{path}.{key}" if path else str(key)
+                key = str(key)
                 if key == "seconds":
-                    timings[path or "total"] = v
+                    timings[path or "total"] = plain(v, path)
                 else:
-                    out[key] = strip(v, here)
+                    out[key] = plain(v, f"{path}.{key}" if path else key)
             return out
-        if isinstance(node, list):
-            return [strip(v, f"{path}[{i}]") for i, v in enumerate(node)]
-        return node
+        if isinstance(node, np.ndarray):
+            return plain(node.tolist(), path)
+        if isinstance(node, (list, tuple)):
+            return [plain(v, f"{path}[{i}]") for i, v in enumerate(node)]
+        return node.item() if isinstance(node, np.generic) else node
 
-    return strip(payload, ""), timings
+    return plain(payload, ""), timings
 
 
 def _emit(args: argparse.Namespace, payload: dict[str, Any]) -> None:
-    cleaned, timings = _split_timings(_jsonable(payload))
+    cleaned, timings = _split_timings(payload)
     text = json.dumps(cleaned, indent=2, sort_keys=True)
     out = getattr(args, "out", None)
     if out is None:
@@ -215,10 +191,10 @@ def _registry_get(table: dict[str, Any], name: str, kind: str) -> Any:
 
 
 def _cmd_density(args: argparse.Namespace) -> dict[str, Any]:
-    pattern = _load_pattern(args.pattern)
-    source = _load_source(args.infile)
+    pattern = _load(args.pattern, "sample", "hypergraph")
+    source = _load(args.infile, *_SOURCE)
     q = pattern.q if isinstance(pattern, SampledColoredGraph) else pattern.n
-    out: dict[str, Any] = {"command": "density", "mode": args.mode, "q": q}
+    out: dict[str, Any] = {"mode": args.mode, "q": q}
     if args.mode == "exact":
         if isinstance(source, ColoredHypergraph):
             out["value"] = density_graph(pattern, source)
@@ -232,13 +208,8 @@ def _cmd_density(args: argparse.Namespace) -> dict[str, Any]:
 
 
 def _cmd_tvdist(args: argparse.Namespace) -> dict[str, Any]:
-    da, db = sample_laws(_load_source(args.a), _load_source(args.b), args.q)
-    return {
-        "command": "tvdist",
-        "mode": "exact",
-        "q": args.q,
-        "value": tv_distance(da, db),
-    }
+    da, db = sample_laws(_load(args.a, *_SOURCE), _load(args.b, *_SOURCE), args.q)
+    return {"mode": "exact", "q": args.q, "value": tv_distance(da, db)}
 
 
 def _cmd_cutnorm(args: argparse.Namespace) -> dict[str, Any]:
@@ -248,34 +219,23 @@ def _cmd_cutnorm(args: argparse.Namespace) -> dict[str, Any]:
     else:
         seed = _resolved_seed(args, True)
         value, witness = cutnorm_heuristic(arr, restarts=args.restarts, seed=seed)
-    return {
-        "command": "cutnorm",
-        "mode": args.mode,
-        "value": value,
-        "witness": witness.to_json(),
-    }
+    return {"mode": args.mode, "value": value, "witness": witness.to_json()}
 
 
 def _cmd_cutnorm_p(args: argparse.Namespace) -> dict[str, Any]:
     arr = _load_array(args.infile, args.color)
-    part = _load_tuple_partition(args.partition)
+    part = _load(args.partition, "partition")
     seed = _resolved_seed(args, args.mode != "exact")
     value, witness = cutnorm_p(arr, part, mode=args.mode, restarts=args.restarts, seed=seed)
-    return {
-        "command": "cutnorm-p",
-        "mode": args.mode,
-        "classes": part.q,
-        "value": value,
-        "witness": witness.to_json(),
-    }
+    return {"mode": args.mode, "classes": part.q, "value": value, "witness": witness.to_json()}
 
 
 def _cmd_gse(args: argparse.Namespace) -> dict[str, Any]:
-    source = _load_source(args.infile)
-    coupling = CouplingArray.from_json(_load_json(args.coupling))
+    source = _load(args.infile, *_SOURCE)
+    coupling = _load(args.coupling, "coupling")
     seed = _resolved_seed(args, args.mode != "exact")
     module_mode = "exact" if args.mode == "exact" else "anneal"
-    out: dict[str, Any] = {"command": "gse", "mode": args.mode, "classes": coupling.q}
+    out: dict[str, Any] = {"mode": args.mode, "classes": coupling.q}
     if isinstance(source, ColoredHypergraph):
         value, part = gse(
             source, coupling, mode=module_mode, seed=seed, restarts=args.restarts
@@ -289,7 +249,7 @@ def _cmd_gse(args: argparse.Namespace) -> dict[str, Any]:
 
 
 def _cmd_regularize(args: argparse.Namespace) -> dict[str, Any]:
-    source = _load_source(args.infile)
+    source = _load(args.infile, *_SOURCE)
     w = embed(source) if isinstance(source, ColoredHypergraph) else source
     seed = _resolved_seed(args, args.mode != "exact")
     v, p, trace = weak_regularize(
@@ -299,7 +259,6 @@ def _cmd_regularize(args: argparse.Namespace) -> dict[str, Any]:
     if args.trace:
         Path(args.trace).write_text(trace_csv(trace))
     return {
-        "command": "regularize",
         "mode": args.mode,
         "eps": args.eps,
         "classes": p.t,
@@ -310,46 +269,37 @@ def _cmd_regularize(args: argparse.Namespace) -> dict[str, Any]:
 
 
 def _cmd_sample(args: argparse.Namespace) -> dict[str, Any]:
-    source = _load_source(args.infile)
+    source = _load(args.infile, *_SOURCE)
     if isinstance(source, ColoredHypergraph):
         s = sample_subgraph(source, args.q, args.seed)
     else:
         s = sample_graphon(source, args.q, args.seed)
     return {
-        "command": "sample",
         "mode": "mc",
         "seed": args.seed,
         "q": s.q,
         "r": s.r,
         "k": s.k,
-        "colors": list(s.colors),
-        "vertices": None if s.vertices is None else list(s.vertices),
-        "coords": None if s.coords is None else list(s.coords),
+        "colors": s.colors,
+        "vertices": s.vertices,
+        "coords": s.coords,
     }
 
 
 def _cmd_transfer(args: argparse.Namespace) -> dict[str, Any]:
-    source = _load_source(args.source)
+    source = _load(args.source, *_SOURCE)
     u = embed(source) if isinstance(source, ColoredHypergraph) else source
-    d = _load_json(args.witness)
-    if not isinstance(d, dict) or "arrays" not in d:
-        raise CliError(f"{args.witness} is not a step-graphon file")
-    v_hat = step_graphon_from_json(d)
+    v_hat = _load(args.witness, "step-graphon")
     u_hat, diag = lift_coloring(
         u, args.q, v_hat, args.delta, args.q0, args.seed,
         reg_floor=args.reg_floor, max_rounds=args.max_rounds,
         restarts=args.restarts, mode=args.mode,
     )
-    return {
-        "command": "transfer",
-        "mode": args.mode,
-        "diagnostics": diag,
-        "graphon": step_graphon_to_json(u_hat),
-    }
+    return {"mode": args.mode, "diagnostics": diag, "graphon": step_graphon_to_json(u_hat)}
 
 
 def _cmd_nd_estimate(args: argparse.Namespace) -> dict[str, Any]:
-    g = _load_graph(args.infile)
+    g = _load(args.infile, "hypergraph")
     witness = _registry_get(PARAMETERS, args.witness, "parameter")
     if witness.r != g.r or witness.k != g.k * args.k:
         raise CliError(
@@ -360,11 +310,11 @@ def _cmd_nd_estimate(args: argparse.Namespace) -> dict[str, Any]:
         g, witness, args.q, args.q0, args.seed,
         k=args.k, delta=args.delta, mode=args.mode, restarts=args.restarts,
     )
-    return {"command": "nd-estimate", "mode": args.mode, "witness": args.witness, **report}
+    return {"mode": args.mode, "witness": args.witness, **report}
 
 
 def _cmd_probe(args: argparse.Namespace) -> dict[str, Any]:
-    g = _load_graph(args.infile)
+    g = _load(args.infile, "hypergraph")
     f = _registry_get(PARAMETERS, args.parameter, "parameter")
     try:
         grid = [int(x) for x in args.q_grid.split(",") if x.strip()]
@@ -375,11 +325,11 @@ def _cmd_probe(args: argparse.Namespace) -> dict[str, Any]:
     report = probe_sample_complexity(
         f, g, args.eps, grid, trials=args.trials, seed=args.seed,
     )
-    return {"command": "probe", "mode": "mc", "seed": args.seed, **report}
+    return {"mode": "mc", "seed": args.seed, **report}
 
 
 def _cmd_prop_test(args: argparse.Namespace) -> dict[str, Any]:
-    g = _load_graph(args.infile)
+    g = _load(args.infile, "hypergraph")
     prop = _registry_get(PROPERTIES, args.property, "property")
     if args.trials > 0:
         if args.q is None:
@@ -388,18 +338,11 @@ def _cmd_prop_test(args: argparse.Namespace) -> dict[str, Any]:
             prop, g, args.q, args.eps, trials=args.trials, seed=args.seed,
             mode=args.mode,
         )
-        return {
-            "command": "prop-test",
-            "mode": "mc",
-            "property": args.property,
-            "seed": args.seed,
-            **report,
-        }
+        return {"mode": "mc", "property": args.property, "seed": args.seed, **report}
     accept, trace = property_tester(
         prop, g, args.eps, seed=args.seed, mode=args.mode, restarts=args.restarts
     )
     return {
-        "command": "prop-test",
         "mode": args.mode,
         "property": args.property,
         "epsilon": args.eps,
@@ -422,75 +365,66 @@ def _cmd_oracle_suite(args: argparse.Namespace) -> int:
 # parser
 
 
-def _add_out(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--out", help="write the JSON artifact here instead of stdout")
-
-
-def _add_budget(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument(
-        "--budget", type=int, default=None,
-        help="enumeration cap (default: HYPERTEST_BUDGET when set, else 10**6)",
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hypertest",
         description="colored hypergraphs, step graphons, cut norms, and sampling testers",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
+    budget = argparse.ArgumentParser(add_help=False)
+    budget.add_argument(
+        "--budget", type=int, default=None,
+        help="enumeration cap (default: HYPERTEST_BUDGET when set, else 10**6)",
+    )
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", help="write the JSON artifact here instead of stdout")
 
-    sp = sub.add_parser("density", help="induced pattern density in a graph or graphon")
+    sp = sub.add_parser("density", parents=[budget, out],
+                        help="induced pattern density in a graph or graphon")
     sp.add_argument("--pattern", required=True, help="pattern graph or sample JSON")
     sp.add_argument("--in", dest="infile", required=True, help="target graph or graphon JSON")
     sp.add_argument("--mode", choices=["exact", "mc"], default="exact")
     sp.add_argument("--trials", type=int, default=100_000)
     sp.add_argument("--seed", type=int, default=None)
-    _add_budget(sp)
-    _add_out(sp)
     sp.set_defaults(handler=_cmd_density)
 
-    sp = sub.add_parser("tvdist", help="variation distance between q-sample laws")
+    sp = sub.add_parser("tvdist", parents=[budget, out],
+                        help="variation distance between q-sample laws")
     sp.add_argument("--a", required=True)
     sp.add_argument("--b", required=True)
     sp.add_argument("--q", type=int, required=True)
-    _add_budget(sp)
-    _add_out(sp)
     sp.set_defaults(handler=_cmd_tvdist)
 
-    sp = sub.add_parser("cutnorm", help="cut norm of an array or a graph channel")
+    sp = sub.add_parser("cutnorm", parents=[budget, out],
+                        help="cut norm of an array or a graph channel")
     sp.add_argument("--in", dest="infile", required=True, help="array or graph JSON")
     sp.add_argument("--color", type=int, default=1, help="channel for graph inputs")
     sp.add_argument("--mode", choices=["exact", "heuristic"], default="exact")
     sp.add_argument("--restarts", type=int, default=16)
     sp.add_argument("--seed", type=int, default=None)
-    _add_budget(sp)
-    _add_out(sp)
     sp.set_defaults(handler=_cmd_cutnorm)
 
-    sp = sub.add_parser("cutnorm-p", help="cut norm restricted to a tuple partition")
+    sp = sub.add_parser("cutnorm-p", parents=[budget, out],
+                        help="cut norm restricted to a tuple partition")
     sp.add_argument("--in", dest="infile", required=True, help="array or graph JSON")
     sp.add_argument("--partition", required=True, help="tuple-partition JSON")
     sp.add_argument("--color", type=int, default=1, help="channel for graph inputs")
     sp.add_argument("--mode", choices=["exact", "heuristic"], default="exact")
     sp.add_argument("--restarts", type=int, default=16)
     sp.add_argument("--seed", type=int, default=None)
-    _add_budget(sp)
-    _add_out(sp)
     sp.set_defaults(handler=_cmd_cutnorm_p)
 
-    sp = sub.add_parser("gse", help="ground state energy for a coupling array")
+    sp = sub.add_parser("gse", parents=[budget, out],
+                        help="ground state energy for a coupling array")
     sp.add_argument("--in", dest="infile", required=True, help="graph or graphon JSON")
     sp.add_argument("--coupling", required=True, help="coupling-array JSON")
     sp.add_argument("--mode", choices=["exact", "heuristic"], default="exact",
                     help="heuristic = restarted annealing")
     sp.add_argument("--restarts", type=int, default=8)
     sp.add_argument("--seed", type=int, default=None)
-    _add_budget(sp)
-    _add_out(sp)
     sp.set_defaults(handler=_cmd_gse)
 
-    sp = sub.add_parser("regularize", help="weak regularity decomposition")
+    sp = sub.add_parser("regularize", parents=[budget, out], help="weak regularity decomposition")
     sp.add_argument("--in", dest="infile", required=True, help="graph or graphon JSON")
     sp.add_argument("--eps", type=float, required=True)
     sp.add_argument("--t", type=int, default=None, help="class multiplier")
@@ -499,18 +433,16 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--restarts", type=int, default=16)
     sp.add_argument("--seed", type=int, default=None)
     sp.add_argument("--trace", help="write the round trace to this CSV file")
-    _add_budget(sp)
-    _add_out(sp)
     sp.set_defaults(handler=_cmd_regularize)
 
-    sp = sub.add_parser("sample", help="draw a q-vertex sample")
+    sp = sub.add_parser("sample", parents=[out], help="draw a q-vertex sample")
     sp.add_argument("--in", dest="infile", required=True, help="graph or graphon JSON")
     sp.add_argument("--q", type=int, required=True)
     sp.add_argument("--seed", type=int, required=True)
-    _add_out(sp)
     sp.set_defaults(handler=_cmd_sample)
 
-    sp = sub.add_parser("transfer", help="lift a sample coloring onto its source graphon")
+    sp = sub.add_parser("transfer", parents=[budget, out],
+                        help="lift a sample coloring onto its source graphon")
     sp.add_argument("--source", required=True, help="graph or graphon JSON")
     sp.add_argument("--witness", required=True, help="colored-sample step graphon JSON")
     sp.add_argument("--q", type=int, required=True, help="sample size the witness colors")
@@ -521,11 +453,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--max-rounds", type=int, default=4)
     sp.add_argument("--mode", choices=["exact", "heuristic", "auto"], default="auto")
     sp.add_argument("--restarts", type=int, default=4)
-    _add_budget(sp)
-    _add_out(sp)
     sp.set_defaults(handler=_cmd_transfer)
 
-    sp = sub.add_parser("nd-estimate", help="sample-and-lift estimate of a best-coloring parameter")
+    sp = sub.add_parser("nd-estimate", parents=[budget, out],
+                        help="sample-and-lift estimate of a best-coloring parameter")
     sp.add_argument("--in", dest="infile", required=True, help="graph JSON")
     sp.add_argument("--witness", required=True, help="registered parameter name")
     sp.add_argument("--q", type=int, required=True)
@@ -535,21 +466,19 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--delta", type=float, default=0.1)
     sp.add_argument("--mode", choices=["exact", "heuristic", "auto"], default="auto")
     sp.add_argument("--restarts", type=int, default=8)
-    _add_budget(sp)
-    _add_out(sp)
     sp.set_defaults(handler=_cmd_nd_estimate)
 
-    sp = sub.add_parser("probe", help="empirical sample-size probe for a parameter")
+    sp = sub.add_parser("probe", parents=[out], help="empirical sample-size probe for a parameter")
     sp.add_argument("--in", dest="infile", required=True, help="graph JSON")
     sp.add_argument("--parameter", required=True, help="registered parameter name")
     sp.add_argument("--eps", type=float, required=True)
     sp.add_argument("--q-grid", required=True, help="comma-separated sample sizes")
     sp.add_argument("--trials", type=int, default=400)
     sp.add_argument("--seed", type=int, required=True)
-    _add_out(sp)
     sp.set_defaults(handler=_cmd_probe)
 
-    sp = sub.add_parser("prop-test", help="run the constructed property tester")
+    sp = sub.add_parser("prop-test", parents=[budget, out],
+                        help="run the constructed property tester")
     sp.add_argument("--in", dest="infile", required=True, help="graph JSON")
     sp.add_argument("--property", required=True, help="registered property name")
     sp.add_argument("--eps", type=float, required=True)
@@ -559,11 +488,10 @@ def build_parser() -> argparse.ArgumentParser:
                     help="when positive, measure the acceptance rate over q-samples")
     sp.add_argument("--mode", choices=["exact", "heuristic", "auto"], default="auto")
     sp.add_argument("--restarts", type=int, default=8)
-    _add_budget(sp)
-    _add_out(sp)
     sp.set_defaults(handler=_cmd_prop_test)
 
-    sp = sub.add_parser("oracle-suite", help="run the acceptance suite and pass its exit code through")
+    sp = sub.add_parser("oracle-suite",
+                        help="run the acceptance suite and pass its exit code through")
     sp.add_argument("--level", choices=["desk"], default="desk")
     sp.set_defaults(handler=_cmd_oracle_suite)
 
@@ -592,7 +520,7 @@ def run(argv: Sequence[str] | None = None) -> int:
         return 1
     if isinstance(result, int):
         return result
-    _emit(args, result)
+    _emit(args, {"command": args.subcommand, **result})
     return 0
 
 

@@ -462,6 +462,13 @@ def _inverse_cdf(acc: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
     return np.where(hit.any(axis=0), hit.argmax(axis=0), len(acc) - 1)
 
 
+def _check_embedded_arity(w: VertexGraphon) -> None:
+    # an r = 1 type point has no coordinates, so nothing places the vertices
+    if w.r == 1:
+        raise ValueError("cannot sample an embedded r = 1 graph: its type points have no "
+                         "coordinates to place vertices with")
+
+
 def colors_at(
     w: StepGraphon | VertexGraphon, q: int, coords: np.ndarray, edge_uniforms: np.ndarray
 ) -> tuple[int, ...]:
@@ -475,6 +482,7 @@ def colors_at(
     into the cells of their singleton coordinates.
     """
     if isinstance(w, VertexGraphon):
+        _check_embedded_arity(w)
         cells = _grid_cells(coords[:q], w.n)[None, :]
         return tuple(induced_patterns(w.graph, cells, colex_edges(q, w.r))[0].tolist())
     cells = _grid_cells(coords, w.partition.resolution)[None, :]
@@ -495,12 +503,15 @@ def sample_graphon(
     uniform picks the color through the cumulative distribution at the
     projected type point (:func:`colors_at`). With ``condition_no_iota``
     (embedded graphs only) the whole draw repeats until no reserved color
-    appears; the attempts count against the enumeration budget.
+    appears; the attempts count against the enumeration budget. An
+    embedded r = 1 graph raises ValueError: nothing places its vertices.
     """
     r = w.r
     if q < r:
         raise ValueError(f"sample size q={q} below uniformity r={r}")
-    if condition_no_iota and not isinstance(w, VertexGraphon):
+    if isinstance(w, VertexGraphon):
+        _check_embedded_arity(w)
+    elif condition_no_iota:
         raise ValueError("condition_no_iota applies to embedded graphs only")
     rng = generator(seed)
     for attempts in itertools.count(1):

@@ -157,8 +157,9 @@ def weak_regularize(
     with at most cap*t classes, where cap = min(max_rounds, ceil(1/eps^2))
     bounds the refinement rounds; meeting that is stricter than the
     per-round target of rounds*t classes. ``t`` defaults to the class
-    count of w's own partition. If w already fits in t classes the loop
-    exits at round zero with w itself.
+    count of w's own partition. If w already fits in t classes, round
+    zero keeps w's partition and, after one full residual sweep, returns
+    ``step_average(w, w.partition)``, which equals w up to rounding.
 
     mode "exact" certifies every residual by enumeration, "heuristic"
     estimates them by sign ascent, and "auto" tries exact first and falls

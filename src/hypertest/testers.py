@@ -74,7 +74,6 @@ class ParameterFn:
     r: int
     k: int
     fn: Callable[[Any], float]
-    lipschitz: float | None = None
 
     def __call__(self, g) -> float:
         return float(self.fn(g))

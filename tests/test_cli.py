@@ -6,6 +6,9 @@ oracles the commands wrap.
 """
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -34,6 +37,29 @@ def graph_file(tmp_path: Path) -> str:
 def graphon_file(tmp_path: Path) -> str:
     w = random_step_graphon(2, 2, 2, 4, seed=7)
     return write_json(tmp_path / "w.json", step_graphon_to_json(w))
+
+
+@pytest.fixture
+def transfer_files(tmp_path: Path) -> tuple[str, str]:
+    """A source graphon and the embedded 10-sample of a 4-color refinement of it."""
+    from hypertest.graphon import StepGraphon, sample_graphon
+    from hypertest.seeds import derive_seed
+    from hypertest.transfer import embed_sample
+
+    u = random_step_graphon(2, 2, 2, 4, seed=9)
+    uf = write_json(tmp_path / "u.json", step_graphon_to_json(u))
+    refined = StepGraphon(2, 4, u.partition, {
+        1: u.arrays[1] * 0.5, 2: u.arrays[1] * 0.5,
+        3: u.arrays[2] * 0.5, 4: u.arrays[2] * 0.5,
+    })
+    witness = embed_sample(sample_graphon(refined, 10, derive_seed(21, 0)))
+    return uf, write_json(tmp_path / "vhat.json", step_graphon_to_json(witness))
+
+
+SUBCOMMANDS = [
+    "density", "tvdist", "cutnorm", "cutnorm-p", "gse", "regularize", "sample",
+    "transfer", "nd-estimate", "probe", "prop-test", "oracle-suite",
+]
 
 
 def run_json(capsys, argv: list[str]) -> dict:
@@ -93,6 +119,54 @@ class TestExitCodes:
         assert cli.run(["cutnorm", "--in", str(bad)]) == 1
         err = capsys.readouterr().err
         assert "line 2" in err and "column 8" in err
+
+    @pytest.mark.parametrize("name", SUBCOMMANDS)
+    def test_every_subcommand_has_help(self, name: str) -> None:
+        assert cli.run([name, "--help"]) == 0
+
+    @pytest.mark.parametrize("flag", ["cutnorm --in", "cutnorm-p --partition", "transfer --witness"])
+    def test_flags_refuse_a_file_of_the_wrong_kind(
+        self, flag: str, graph_file: str, tmp_path: Path, capsys
+    ) -> None:
+        coupling = CouplingArray(2, 2, 2, {1: np.eye(2), 2: -np.eye(2)}).to_json()
+        argv = {
+            "cutnorm --in": ["cutnorm", "--in", write_json(tmp_path / "j.json", coupling)],
+            "cutnorm-p --partition": ["cutnorm-p", "--in", graph_file, "--partition", graph_file],
+            "transfer --witness": [
+                "transfer", "--source", graph_file, "--q", "4", "--q0", "2", "--seed", "1",
+                "--witness", write_json(tmp_path / "a.json", {"array": [[0.0, 1.0], [1.0, 0.0]]}),
+            ],
+        }[flag]
+        assert cli.run(argv) == 1
+        assert "is not a" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,payload", [
+        ("cutnorm", {"n": 3, "r": 2, "k": 2, "colors": None}),
+        ("cutnorm", {"n": 3, "r": 2, "k": 2, "colors": 5}),
+        ("cutnorm-p", {"n": 3, "r_minus_1": 1, "classes": None, "q": 2}),
+    ])
+    def test_malformed_field_is_exit_1_naming_the_file(
+        self, command: str, payload: dict, graph_file: str, tmp_path: Path, capsys
+    ) -> None:
+        bad = write_json(tmp_path / "bad.json", payload)
+        if command == "cutnorm":
+            argv = ["cutnorm", "--in", bad]
+        else:
+            argv = ["cutnorm-p", "--in", graph_file, "--partition", bad]
+        assert cli.run(argv) == 1
+        assert bad in capsys.readouterr().err
+
+    def test_malformed_field_prints_no_traceback(self, tmp_path: Path) -> None:
+        bad = write_json(tmp_path / "bad.json", {"n": 3, "r": 2, "k": 2, "colors": None})
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run(
+            [sys.executable, "-m", "hypertest.cli", "cutnorm", "--in", bad],
+            capture_output=True, text=True, env=env, check=False,
+        )
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert bad in proc.stderr
 
 
 class TestSeedPolicy:
@@ -178,18 +252,57 @@ class TestArtifacts:
         assert out.read_bytes() == first
         assert "created_unix" not in out.read_text()
 
-    def test_every_numeric_payload_has_mode(self, graph_file: str, graphon_file: str, tmp_path, capsys) -> None:
+    def test_every_numeric_payload_has_mode(
+        self, graph_file: str, graphon_file: str, transfer_files: tuple[str, str],
+        tmp_path, capsys,
+    ) -> None:
         f = write_json(tmp_path / "f.json", hypergraph_to_json(make_hypergraph(2, 2, 2, [1])))
+        part = write_json(tmp_path / "p.json",
+                          {"n": 4, "r_minus_1": 1, "classes": [0, 1, 0, 1], "q": 2})
+        j = CouplingArray(2, 2, 2, {1: np.eye(2), 2: -np.eye(2)})
+        jf = write_json(tmp_path / "j.json", j.to_json())
+        g5 = write_json(tmp_path / "g5.json", hypergraph_to_json(
+            make_hypergraph(5, 2, 2, [1, 2, 1, 1, 2, 1, 2, 1, 2, 1])))
+        uf, vf = transfer_files
         commands = [
             ["density", "--pattern", f, "--in", graph_file],
             ["tvdist", "--a", graph_file, "--b", graph_file, "--q", "2"],
             ["cutnorm", "--in", graph_file],
+            ["cutnorm-p", "--in", graph_file, "--partition", part],
+            ["gse", "--in", graph_file, "--coupling", jf],
             ["regularize", "--in", graphon_file, "--eps", "0.4", "--seed", "0"],
             ["sample", "--in", graph_file, "--q", "3", "--seed", "2"],
+            ["transfer", "--source", uf, "--witness", vf, "--q", "10", "--q0", "2",
+             "--seed", "21"],
+            ["nd-estimate", "--in", g5, "--witness", "signed-split",
+             "--q", "5", "--q0", "2", "--seed", "4"],
+            ["probe", "--in", graph_file, "--parameter", "edge-density",
+             "--eps", "0.3", "--q-grid", "3", "--trials", "4", "--seed", "1"],
+            ["prop-test", "--in", graph_file, "--property", "complete-witness",
+             "--eps", "0.3", "--seed", "2"],
         ]
+        assert sorted(argv[0] for argv in commands) == sorted(set(SUBCOMMANDS) - {"oracle-suite"})
         for argv in commands:
             payload = run_json(capsys, argv)
             assert payload["mode"] in ("exact", "heuristic", "mc", "auto"), argv
+            assert payload["command"] == argv[0]
+
+    def test_split_timings_makes_plain_json(self) -> None:
+        payload = {
+            "a": np.float64(0.5), "b": np.int64(3), "c": np.bool_(True),
+            "d": np.arange(3), "e": np.array(2.5), "f": (1, np.int64(2)),
+            7: {"seconds": np.float64(1.5), "x": 1}, "rows": [{"seconds": 0.1}],
+            "seconds": 2.0,
+        }
+        cleaned, timings = cli._split_timings(payload)
+        assert cleaned == {
+            "a": 0.5, "b": 3, "c": True, "d": [0, 1, 2], "e": 2.5, "f": [1, 2],
+            "7": {"x": 1}, "rows": [{}],
+        }
+        assert [type(cleaned[key]) for key in "abce"] == [float, int, bool, float]
+        assert type(cleaned["f"][1]) is int
+        assert timings == {"7": 1.5, "rows[0]": 0.1, "total": 2.0}
+        assert type(timings["7"]) is float
 
     def test_sample_is_seed_deterministic(self, graphon_file: str, capsys) -> None:
         a = run_json(capsys, ["sample", "--in", graphon_file, "--q", "6", "--seed", "4"])
@@ -256,19 +369,8 @@ class TestPipelines:
         assert payload["accept"] is True
         assert payload["best_density"] == 1.0
 
-    def test_transfer_lift_roundtrip(self, tmp_path: Path, capsys) -> None:
-        from hypertest.graphon import StepGraphon, sample_graphon
-        from hypertest.seeds import derive_seed
-        from hypertest.transfer import embed_sample
-
-        u = random_step_graphon(2, 2, 2, 4, seed=9)
-        uf = write_json(tmp_path / "u.json", step_graphon_to_json(u))
-        refined = StepGraphon(2, 4, u.partition, {
-            1: u.arrays[1] * 0.5, 2: u.arrays[1] * 0.5,
-            3: u.arrays[2] * 0.5, 4: u.arrays[2] * 0.5,
-        })
-        witness = embed_sample(sample_graphon(refined, 10, derive_seed(21, 0)))
-        vf = write_json(tmp_path / "vhat.json", step_graphon_to_json(witness))
+    def test_transfer_lift_roundtrip(self, transfer_files: tuple[str, str], capsys) -> None:
+        uf, vf = transfer_files
         payload = run_json(capsys, [
             "transfer", "--source", uf, "--witness", vf,
             "--q", "10", "--q0", "2", "--seed", "21",

@@ -107,6 +107,12 @@ class TestDensityGraphon:
         f = make_hypergraph(3, 2, 2, [1, 1, 1])
         assert density_graphon(f, w) == pytest.approx(0.3**3)
 
+    def test_embedded_r1_graph_keeps_its_exact_laws(self):
+        # sampling refuses an embedded r = 1 graph; its exact laws do not
+        w = embed(make_hypergraph(4, 1, 2, [1, 2, 1, 2]))
+        assert density_graphon(make_hypergraph(2, 1, 2, [1, 2]), w) == pytest.approx(0.25)
+        assert sum(sample_distribution(w, 2).probs.values()) == pytest.approx(1.0)
+
     def test_matches_pointwise_integral(self):
         # oracle: sum evaluate() over cell centers, all grid assignments
         from hypertest.graphon import subsets_card_lex

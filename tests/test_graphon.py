@@ -316,6 +316,17 @@ def test_sample_rejection_budget_reports_attempts() -> None:
         sample_graphon(w, 2, seed=bad_seed, condition_no_iota=True)
 
 
+@pytest.mark.parametrize("condition_no_iota", [False, True])
+def test_sample_refuses_an_embedded_r1_graph(condition_no_iota: bool) -> None:
+    # an r = 1 type point has no coordinates, so nothing places the vertices;
+    # the refusal comes before the first draw, never from the budget
+    w = embed(make_hypergraph(4, 1, 2, [1, 2, 1, 2]))
+    with limit(10), pytest.raises(ValueError, match="r = 1"):
+        sample_graphon(w, 2, 0, condition_no_iota=condition_no_iota)
+    with pytest.raises(ValueError, match="r = 1"):
+        graphon.colors_at(w, 2, np.zeros(0), np.zeros(2))
+
+
 def test_sample_empirical_frequency_constant_graphon() -> None:
     w = constant_graphon(2, 2, [0.3, 0.7])
     trials, q = 10**5, 5
