@@ -12,11 +12,16 @@ HYPERTEST_BUDGET environment variable when set, else 10**6; ``run``
 scopes it over the whole call with ``budget.limit``, so every
 enumeration the subcommand reaches sees the same number.
 Commands whose selected mode draws randomness require ``--seed``.
+
+``run`` parses with one parser per process, built by :func:`build_parser`
+on first use and reused by every later call; ``build_parser`` itself
+still returns a fresh parser.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import subprocess
 import sys
@@ -331,6 +336,8 @@ def _cmd_probe(args: argparse.Namespace) -> dict[str, Any]:
 def _cmd_prop_test(args: argparse.Namespace) -> dict[str, Any]:
     g = _load(args.infile, "hypergraph")
     prop = _registry_get(PROPERTIES, args.property, "property")
+    if args.trials < 0:
+        raise CliError(f"--trials must be non-negative, got {args.trials}")
     if args.trials > 0:
         if args.q is None:
             raise CliError("--q is required when --trials is positive")
@@ -366,6 +373,7 @@ def _cmd_oracle_suite(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A fresh parser for every subcommand; changing it changes no other parser."""
     parser = argparse.ArgumentParser(
         prog="hypertest",
         description="colored hypergraphs, step graphons, cut norms, and sampling testers",
@@ -498,11 +506,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def run(argv: Sequence[str] | None = None) -> int:
+    """Run one subcommand on ``argv`` (default ``sys.argv[1:]``); returns the exit code.
+
+    The parser is built once per process and reused: parsing returns a
+    new namespace each call, no option keeps state between calls, and
+    each handler looks up its own module globals when it runs. A handler
+    replaced as ``cli._cmd_*`` after the first call is not picked up,
+    since the parser holds the function it was built with.
+    """
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if not exc.code else 1
     args.raw_argv = argv

@@ -142,7 +142,7 @@ def _all_rows(w: GraphonLike, q: int, stage: str) -> np.ndarray:
     else:
         side, width = w.partition.resolution, len(sample_coordinates(q, w.r))
     check_budget(stage, side**width)
-    return np.indices((side,) * width).reshape(width, -1).T
+    return np.indices((side,) * width).reshape(width, side**width).T
 
 
 def _match_probs(
@@ -269,7 +269,13 @@ def sample_distribution(
     source: ColoredHypergraph | SampledColoredGraph | GraphonLike,
     q: int,
 ) -> SampleDistribution:
-    """The exact law mu(q, source) over labeled color patterns."""
+    """The exact law mu(q, source) over labeled color patterns.
+
+    Raises ``ValueError`` when q is negative; at q = 0 every source has
+    the one empty pattern, at probability 1.
+    """
+    if q < 0:
+        raise ValueError(f"sample size q must be non-negative, got q={q}")
     r, k = source.r, source.k
     n_edges = comb(q, r)
 

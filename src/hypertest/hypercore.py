@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations, islice, permutations, product
 from math import comb
+from operator import add
 from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -335,15 +336,25 @@ def discolor(g, k: int):
     return ColoredHypergraph(g.n, g.r, t, new_colors)
 
 
-def _refined_with(g, betas: Sequence[int], k: int):
-    """The one refinement constructor: subcolor ``betas[i]`` on the i-th non-reserved edge.
+def _refinement_layout(g, k: int) -> tuple[tuple[int, ...], tuple[Sequence[int], ...]]:
+    """Per-edge base offsets and subcolor ranges of the k-refinements of ``g``.
 
-    Colors pair as (alpha, beta) -> (alpha-1)*k + beta; reserved edges stay reserved.
+    A refined color is the edge's offset plus its subcolor, which is
+    :func:`composite_color`: offset (alpha-1)*k with subcolors 1..k, or
+    offset 0 with the single subcolor 0 on a reserved edge.
     """
-    it = iter(betas)
-    colors = tuple(
-        c if c == IOTA else composite_color(c, int(next(it)), k) for c in g.colors
-    )
+    base = tuple(IOTA if c == IOTA else (c - 1) * k for c in g.colors)
+    ranges = tuple((IOTA,) if c == IOTA else range(1, k + 1) for c in g.colors)
+    return base, ranges
+
+
+def _refined_with(g, base: Sequence[int], betas: Sequence[int], k: int):
+    """The one refinement constructor: colors ``base[i] + betas[i]`` on every edge.
+
+    ``base`` comes from :func:`_refinement_layout`; ``betas`` holds one
+    subcolor per edge, 0 on the reserved ones.
+    """
+    colors = tuple(map(add, base, betas))
     if isinstance(g, SampledColoredGraph):
         return SampledColoredGraph(g.q, g.r, g.k * k, colors,
                                    vertices=g.vertices, coords=g.coords)
@@ -361,8 +372,9 @@ def enumerate_colorings(g, k: int):
     """
     m = sum(1 for c in g.colors if c != IOTA)
     check_budget("refinement enumeration", k**m)
-    for betas in product(range(1, k + 1), repeat=m):
-        yield _refined_with(g, betas, k)
+    base, ranges = _refinement_layout(g, k)
+    for betas in product(*ranges):
+        yield _refined_with(g, base, betas, k)
 
 
 def sample_subgraph(g: ColoredHypergraph, q: int, seed: int) -> SampledColoredGraph:

@@ -177,6 +177,8 @@ def weak_regularize(
         t = w.partition.t
     if t < 1:
         raise ValueError("class multiplier t must be >= 1")
+    if max_rounds is not None and max_rounds < 0:
+        raise ValueError(f"max_rounds must be non-negative, got {max_rounds}")
     cap = ceil(1.0 / eps**2)
     if max_rounds is not None:
         cap = min(cap, max_rounds)

@@ -56,6 +56,7 @@ from .hypercore import (
     ColoredHypergraph,
     SampledColoredGraph,
     _refined_with,
+    _refinement_layout,
     colex_edges,
     composite_color,
     enumerate_colorings,
@@ -746,7 +747,6 @@ def max_over_refinements(
     """
     if k < 1:
         raise ValueError("refinement arity k must be >= 1")
-    m = sum(1 for c in g.colors if c != IOTA)
 
     def enumerate_all() -> tuple[float, Any]:
         best, best_g = -np.inf, None
@@ -760,21 +760,25 @@ def max_over_refinements(
         if restarts < 1:
             raise ValueError(f"restarts must be at least 1, got {restarts}")
         best, best_g = -np.inf, None
+        base, _ = _refinement_layout(g, k)
+        free = [i for i, c in enumerate(g.colors) if c != IOTA]
         for restart in range(restarts):
             rng = generator(derive_seed(seed, restart))
-            betas = rng.integers(1, k + 1, size=m)
-            current = _refined_with(g, betas, k)
+            betas = [IOTA] * len(base)
+            for i, beta in zip(free, rng.integers(1, k + 1, size=len(free)).tolist()):
+                betas[i] = beta
+            current = _refined_with(g, base, betas, k)
             value = value_fn(current)
             improved = True
             while improved:
                 improved = False
-                for pos in range(m):
+                for pos in free:
                     old = betas[pos]
                     for nb in range(1, k + 1):
                         if nb == old:
                             continue
                         betas[pos] = nb
-                        candidate = _refined_with(g, betas, k)
+                        candidate = _refined_with(g, base, betas, k)
                         cand_value = value_fn(candidate)
                         if cand_value > value + 1e-12:
                             value, current, improved = cand_value, candidate, True

@@ -5,6 +5,7 @@ be asserted directly; values are cross-checked against the module-level
 oracles the commands wrap.
 """
 
+import argparse
 import json
 import os
 import subprocess
@@ -204,6 +205,13 @@ class TestValuesAgainstModules:
         payload = run_json(capsys, ["tvdist", "--a", graph_file, "--b", w, "--q", "2"])
         assert 0.0 < payload["value"] < 1.0
 
+    def test_tvdist_sample_size_zero_and_negative(self, graphon_file: str, capsys) -> None:
+        payload = run_json(capsys, ["tvdist", "--a", graphon_file, "--b", graphon_file,
+                                    "--q", "0"])
+        assert payload["value"] == 0.0
+        assert cli.run(["tvdist", "--a", graphon_file, "--b", graphon_file, "--q", "-1"]) == 1
+        assert "q=-1" in capsys.readouterr().err
+
     def test_gse_matches_module(self, graph_file: str, tmp_path: Path, capsys) -> None:
         j = CouplingArray(
             2, 2, 2,
@@ -358,6 +366,25 @@ class TestPipelines:
         ])
         assert rc == 1
 
+    def test_prop_test_refuses_negative_trials(self, graph_file: str, capsys) -> None:
+        base = ["prop-test", "--in", graph_file, "--property", "complete-witness",
+                "--eps", "0.3", "--seed", "2"]
+        assert cli.run(base + ["--trials", "-5"]) == 1
+        assert "--trials must be non-negative, got -5" in capsys.readouterr().err
+        # zero trials is the single shot, as when --trials is left out
+        assert run_json(capsys, base + ["--trials", "0"]) == run_json(capsys, base)
+
+    def test_negative_round_caps_are_exit_1(
+        self, graphon_file: str, transfer_files: tuple[str, str], capsys
+    ) -> None:
+        assert cli.run(["regularize", "--in", graphon_file, "--eps", "0.3", "--seed", "0",
+                        "--max-rounds", "-1"]) == 1
+        assert "max_rounds must be non-negative" in capsys.readouterr().err
+        uf, vf = transfer_files
+        assert cli.run(["transfer", "--source", uf, "--witness", vf, "--q", "10",
+                        "--q0", "2", "--seed", "21", "--max-rounds", "-1"]) == 1
+        assert "max_rounds must be non-negative" in capsys.readouterr().err
+
     def test_prop_test_single_shot(self, tmp_path: Path, capsys) -> None:
         n = 6
         complete = make_hypergraph(n, 2, 2, [1] * (n * (n - 1) // 2))
@@ -378,6 +405,63 @@ class TestPipelines:
         assert payload["graphon"]["k"] == 4
         stages = [row["stage"] for row in payload["diagnostics"]["stages"]]
         assert stages[0] == "sample" and stages[-1] == "transfer_to_source"
+
+
+def parser_shape(parser) -> dict:
+    """Every subcommand's option strings, dests, defaults and required flags."""
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return {
+        name: (sp._defaults, [(a.option_strings, a.dest, a.default, a.required)
+                              for a in sp._actions])
+        for name, sp in sub.choices.items()
+    }
+
+
+class TestParserCache:
+    def test_run_reuses_one_parser_shaped_like_a_fresh_one(self) -> None:
+        assert cli._parser() is cli._parser()
+        fresh = cli.build_parser()
+        assert fresh is not cli._parser()
+        assert parser_shape(cli._parser()) == parser_shape(fresh)
+
+    def test_cached_parser_gives_the_fresh_parser_results(
+        self, graph_file: str, graphon_file: str, tmp_path: Path,
+        capsys, monkeypatch: pytest.MonkeyPatch,
+    ) -> None:
+        big = write_json(tmp_path / "big.json", step_graphon_to_json(
+            random_step_graphon(2, 2, 6, 12, seed=13)))
+        calls = [
+            ["--help"],
+            ["cutnorm", "--mode", "sideways"],
+            ["cutnorm", "--in", graph_file, "--mode", "heuristic", "--restarts", "3",
+             "--seed", "5"],
+            ["cutnorm", "--in", graph_file],
+            ["regularize", "--in", big, "--eps", "0.2", "--t", "2", "--seed", "0"],
+            ["regularize", "--in", big, "--eps", "0.2", "--seed", "0"],
+        ]
+
+        def results() -> list:
+            seen = []
+            for i, argv in enumerate(calls):
+                out = tmp_path / f"out{i}.json"
+                out.unlink(missing_ok=True)
+                rc = cli.run(argv + ["--out", str(out)] if argv[0] != "--help" else argv)
+                printed = capsys.readouterr()
+                seen.append((rc, printed.out, printed.err,
+                             out.read_bytes() if out.exists() else None))
+            return seen
+
+        cli.run(["cutnorm", "--in", graph_file])  # the cached parser exists from here on
+        capsys.readouterr()
+        cached = results()
+        monkeypatch.setattr(cli, "_parser", cli.build_parser)
+        assert cached == results()
+        assert [rc for rc, *_ in cached] == [0, 1, 0, 0, 0, 0]
+        assert "usage: hypertest" in cached[0][1]
+        heuristic, exact, with_t, without_t = (json.loads(c[3]) for c in cached[2:])
+        assert (heuristic["mode"], exact["mode"]) == ("heuristic", "exact")
+        # --t 2 leaves the 6-class partition in round 0; the default t keeps it
+        assert (with_t["classes"], without_t["classes"]) == (12, 6)
 
 
 class TestBudgetEnv:

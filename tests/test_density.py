@@ -196,6 +196,24 @@ class TestDensityGraphon:
 
 
 class TestSampleDistribution:
+    SOURCES = {
+        "graph": C5,
+        "vertex-graphon": embed(C5),
+        "step-graphon": random_step_graphon(2, 2, 2, 4, seed=3),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(SOURCES))
+    def test_empty_sample_has_the_law_of_a_one_vertex_sample(self, kind):
+        # below r vertices there are no edges: one empty pattern, at probability 1
+        zero, one = (sample_distribution(self.SOURCES[kind], q) for q in (0, 1))
+        assert zero.probs == one.probs == {(): 1.0}
+        assert zero.has_iota == one.has_iota
+
+    @pytest.mark.parametrize("kind", sorted(SOURCES))
+    def test_negative_sample_size_is_refused_naming_q(self, kind):
+        with pytest.raises(ValueError, match="q=-1"):
+            sample_distribution(self.SOURCES[kind], -1)
+
     def test_graph_normalization(self):
         mu = sample_distribution(C5, 3)
         assert sum(mu.probs.values()) == pytest.approx(1.0, abs=1e-12)

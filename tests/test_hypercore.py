@@ -1,4 +1,4 @@
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 from math import comb
 
 import numpy as np
@@ -8,10 +8,12 @@ from hypothesis import strategies as st
 
 from hypertest.budget import BudgetError, limit
 from hypertest.hypercore import (
+    IOTA,
     ColoredHypergraph,
     SampledColoredGraph,
     colex_rank,
     colex_subsets,
+    composite_color,
     discolor,
     enumerate_colorings,
     hypergraph_from_json,
@@ -105,6 +107,45 @@ def test_enumerate_colorings_skips_reserved_edges() -> None:
     assert all(r.vertices == (2, 5, 7) and discolor(r, 2) == s for r in refined)
     with limit(3), pytest.raises(BudgetError, match="refinement enumeration"):
         list(enumerate_colorings(s, 2))
+
+
+def per_edge_refinements(g, k: int) -> list[tuple[int, ...]]:
+    # oracle: one composite_color call per edge, subcolors row-major over
+    # the non-reserved edges
+    m = sum(1 for c in g.colors if c != IOTA)
+    out = []
+    for betas in product(range(1, k + 1), repeat=m):
+        it = iter(betas)
+        out.append(tuple(c if c == IOTA else composite_color(c, next(it), k)
+                         for c in g.colors))
+    return out
+
+
+@st.composite
+def refinable_graphs(draw):
+    # at most six non-reserved edges, so k ** m stays small for k <= 3
+    n, r = draw(st.sampled_from([(1, 1), (3, 1), (3, 2), (4, 2), (4, 3), (5, 2), (5, 3)]))
+    t = draw(st.integers(1, 3))
+    edges = comb(n, r)
+    if draw(st.booleans()) and edges <= 6:
+        colors = draw(st.lists(st.integers(1, t), min_size=edges, max_size=edges))
+        return ColoredHypergraph(n, r, t, tuple(colors))
+    free = draw(st.sets(st.integers(0, edges - 1), max_size=6))
+    colors = [draw(st.integers(1, t)) if i in free else IOTA for i in range(edges)]
+    coords = draw(st.none() | st.just(tuple(np.linspace(0.1, 0.9, n).tolist())))
+    return SampledColoredGraph(n, r, t, tuple(colors), vertices=tuple(range(1, 2 * n, 2)),
+                               coords=coords)
+
+
+@settings(max_examples=80, deadline=None)
+@given(g=refinable_graphs(), k=st.sampled_from([1, 2, 3]))
+def test_enumerate_colorings_matches_per_edge_oracle(g, k: int) -> None:
+    refined = list(enumerate_colorings(g, k))
+    assert [h.colors for h in refined] == per_edge_refinements(g, k)
+    assert all(type(h) is type(g) and (h.n, h.r, h.k) == (g.n, g.r, g.k * k) for h in refined)
+    if isinstance(g, SampledColoredGraph):
+        assert all((h.vertices, h.coords) == (g.vertices, g.coords) for h in refined)
+    assert all(discolor(h, k) == g for h in refined)
 
 
 def test_enumerate_colorings_budget_refusal() -> None:

@@ -106,6 +106,15 @@ class TestWeakRegularize:
         assert err.value.trace[-1]["residual"] == err.value.achieved
         assert err.value.v.partition == err.value.p
 
+    def test_negative_round_cap_is_refused(self):
+        w = random_step_graphon(2, 2, 4, 4, seed=3)
+        with pytest.raises(ValueError, match="max_rounds must be non-negative, got -1"):
+            weak_regularize(w, eps=0.3, max_rounds=-1)
+        # a cap of zero still measures round zero and keeps a fitting partition
+        v, p, trace = weak_regularize(w, eps=0.3, max_rounds=0)
+        assert p == w.partition
+        assert [(row["round"], row["classes"]) for row in trace] == [(0, 4)]
+
     def test_heuristic_fallback_on_big_grids(self):
         # exact partition sweep for 16 cells into <= 4 classes blows the
         # default budget; auto mode must fall back and still finish

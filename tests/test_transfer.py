@@ -345,6 +345,13 @@ class TestLiftColoring:
         with pytest.raises(ValueError, match="discolor"):
             lift_coloring(u, 10, embed_sample(other), 0.3, 2, 4321)
 
+    def test_negative_round_cap_is_refused(self):
+        u0 = random_step_graphon(2, 4, t=2, resolution=2, seed=31)
+        sample = sample_graphon(u0, 8, derive_seed(5, 0))
+        with pytest.raises(ValueError, match="max_rounds must be non-negative"):
+            lift_coloring(discolor_step(u0, 2), 8, embed_sample(sample), 0.3, 2, 5,
+                          max_rounds=-1)
+
     def test_provided_sample_drives_the_pipeline(self):
         u0 = random_step_graphon(2, 4, t=2, resolution=3, seed=8)
         u = discolor_step(u0, 2)
@@ -454,6 +461,30 @@ class TestMaxOverRefinements:
         with pytest.raises(ValueError, match="restarts must be at least 1"):
             max_over_refinements(g, 2, self.monochrome_score, mode="heuristic",
                                  restarts=restarts)
+
+    def test_local_search_keeps_its_seeded_results(self):
+        # pinned from the per-edge refinement constructor the one-map
+        # constructor replaced: same draws, same flip order, same local
+        # optimum (the pair couplings make that optimum path-dependent)
+        couple = generator(41).normal(size=(10, 10))
+
+        def score(h):
+            c = h.colors
+            return float(sum(couple[i, j] for i in range(len(c)) for j in range(i)
+                             if c[i] == c[j]))
+
+        s = SampledColoredGraph(5, 2, 2, (1, 0, 2, 2, 1, 0, 1, 2, 2, 1),
+                                vertices=(0, 2, 3, 5, 9))
+        best, best_s = max_over_refinements(s, 3, score, mode="heuristic",
+                                            restarts=3, seed=7)
+        assert best == pytest.approx(2.066065485789937, abs=1e-12)
+        assert best_s.colors == (2, 0, 4, 5, 3, 0, 3, 6, 4, 2)
+        assert (best_s.k, best_s.vertices) == (6, (0, 2, 3, 5, 9))
+        g = make_hypergraph(5, 2, 2, [1, 2, 2, 1, 1, 2, 1, 2, 2, 1])
+        best, best_g = max_over_refinements(g, 2, score, mode="heuristic",
+                                            restarts=2, seed=11)
+        assert best == pytest.approx(4.615915007594363, abs=1e-12)
+        assert best_g.colors == (1, 4, 3, 1, 2, 4, 2, 4, 4, 1)
 
     def test_reserved_edges_stay_reserved(self):
         s = SampledColoredGraph(3, 2, 1, (1, 0, 1))
