@@ -48,7 +48,12 @@ from hypertest.hypercore import (
 )
 from hypertest.seeds import derive_seed, generator
 from hypertest.testers import PropertyFn, witness_sample_density
-from hypertest.transfer import discolor_step, embed_sample, lift_coloring
+from hypertest.transfer import (
+    discolor_step,
+    embed_sample,
+    lift_coloring,
+    nd_estimate_pipeline,
+)
 
 
 def _plain(node):
@@ -175,6 +180,17 @@ GOLDEN_LAWS = {
 
 GOLDEN_LIFT = "1bd8c2def9b1ded1344b68848da59ab831d901ab3001972cfca47cb16bee5d64"
 
+# recorded before the lift's fiber stacking, palette grouping and share
+# rules each became one implementation: they cover the r = 3 recursion and
+# the rounding back onto a finite graph, which GOLDEN_LIFT does not reach
+GOLDEN_LIFT_R3 = "7c66f16a377585497b8360563a84b970116fdb95fe40f1f8306bada9ef03be0d"
+
+GOLDEN_ESTIMATES = {
+    "q-eq-n": "a3112536c2f3d510fdd84020bfc36e9473591cb373a96576b0d2d71d623be58a",
+    "q-lt-n": "e5e0ddc8bcf9aedf76dacd4fdcf128203d8a99355bada3a991a3640847525fe3",
+    "r3": "70c334e139a2c1834155f3efa9f801463ffea5bbbde624882756c7d80080f861",
+}
+
 
 @pytest.mark.parametrize("name", sorted(SAMPLE_CASES))
 def test_golden_samples(name: str) -> None:
@@ -226,6 +242,29 @@ def test_golden_lift_artifact() -> None:
     u_hat, diag = lift_coloring(u, 20, embed_sample(sample), 0.1, 2, seed)
     payload = {"u_hat": step_graphon_to_json(u_hat), "diagnostics": diag}
     assert _digest(payload) == GOLDEN_LIFT
+
+
+def test_golden_lift_artifact_r3() -> None:
+    seed = 77
+    u0 = random_step_graphon(3, 4, t=2, resolution=2, seed=11)
+    u = discolor_step(u0, 2)
+    sample = sample_graphon(u0, 6, derive_seed(seed, 0))
+    u_hat, diag = lift_coloring(u, 6, embed_sample(sample), 0.4, 3, seed)
+    payload = {"u_hat": step_graphon_to_json(u_hat), "diagnostics": diag}
+    assert _digest(payload) == GOLDEN_LIFT_R3
+
+
+def _signed_score(h) -> float:
+    return (sum(1 for c in h.colors if c == 1) - sum(1 for c in h.colors if c == 4)) / len(h.colors)
+
+
+@pytest.mark.parametrize("name,n,r,q,seed", [
+    ("q-eq-n", 6, 2, 6, 4), ("q-lt-n", 8, 2, 5, 11), ("r3", 5, 3, 5, 3),
+])
+def test_golden_estimates(name: str, n: int, r: int, q: int, seed: int) -> None:
+    g = _random_graph(n, r, 2, n)
+    rep = nd_estimate_pipeline(g, _signed_score, q, 2, seed=seed, k=2)
+    assert _digest(rep) == GOLDEN_ESTIMATES[name]
 
 
 def test_decode_boundaries() -> None:
