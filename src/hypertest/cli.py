@@ -9,8 +9,9 @@ so reruns are byte-identical; CSV appears only for traces. Exit codes:
 
 The enumeration budget is ``--budget`` when given, else the
 HYPERTEST_BUDGET environment variable when set, else 10**6; ``run``
-scopes it over the whole call with ``budget.limit``, so every
-enumeration the subcommand reaches sees the same number.
+resolves it once and scopes it over the whole call with
+``budget.limit``, so every enumeration the subcommand reaches sees the
+same number and the environment is read once per call.
 Commands whose selected mode draws randomness require ``--seed``.
 
 ``run`` parses with one parser per process, built by :func:`build_parser`
@@ -31,7 +32,7 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from .budget import BudgetError, limit
+from .budget import BudgetError, current_budget, limit
 from .cutnorm import (
     TuplePartition,
     cutnorm_exact,
@@ -527,7 +528,8 @@ def run(argv: Sequence[str] | None = None) -> int:
         return 0 if not exc.code else 1
     args.raw_argv = argv
     try:
-        with limit(getattr(args, "budget", None)):
+        budget = getattr(args, "budget", None)
+        with limit(current_budget() if budget is None else budget):
             result = args.handler(args)
     except BudgetError as err:
         print(f"budget refusal: {err}", file=sys.stderr)

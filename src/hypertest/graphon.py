@@ -26,7 +26,10 @@ edge is the block structure of one type point, which
 ``class_tuple_weights`` contracts over. ``_sample_uniforms`` is the one
 draw order, ``_grid_cells`` the one bulk coordinate-to-cell rule, and
 ``_block_classes`` maps coordinate cells through the layout to partition
-classes by fancy indexing. ``colors_at`` is the one sampler: it decodes
+classes by fancy indexing. ``_joint_counts`` is the one count of label
+pairs, ``_fiber_shares`` (the class shares along the last grid axis) is
+built on it, and ``_shares`` is the one even-split share rule.
+``colors_at`` is the one sampler: it decodes
 every edge color at once by inverse CDF. ``sample_graphon``, the Monte
 Carlo and exact densities and the lift pipeline all draw through these.
 ``embed_sample`` is the one embedding of a sample as a step graphon, and
@@ -613,11 +616,7 @@ def step_average(w: StepGraphon | VertexGraphon, p: GridPartition) -> StepGrapho
         g = max(gw, gp)
         lw = w.partition.refined(g // gw).labels.ravel()
         lp = p.refined(g // gp).labels.ravel()
-        counts = np.zeros((p.t, w.partition.t))
-        np.add.at(counts, (lp, lw), 1.0)
-        rows = counts.sum(axis=1, keepdims=True)
-        m = np.divide(counts, rows, out=np.full_like(counts, 1.0 / w.partition.t),
-                      where=rows > 0)
+        m = _shares(_joint_counts(lp, lw, p.t, w.partition.t), axis=1)
         for c, arr in w.arrays.items():
             arrays[c] = _contract_axes(arr, m, r, 1)
     else:
@@ -639,6 +638,31 @@ def step_average(w: StepGraphon | VertexGraphon, p: GridPartition) -> StepGrapho
     return StepGraphon(w.r, w.k, p, arrays)
 
 
+def _shares(parts: np.ndarray, axis: int) -> np.ndarray:
+    """Each part's share of the sum along ``axis``; an even 1/k split where that sum is 0.
+
+    The k parts along ``axis`` are the pieces of one whole: the classes of
+    one fiber, or the subcolors of one base color in the lift.
+    """
+    total = parts.sum(axis=axis, keepdims=True)
+    return np.divide(parts, total, out=np.full_like(parts, 1.0 / parts.shape[axis]),
+                     where=total > 0)
+
+
+def _joint_counts(a: np.ndarray, b: np.ndarray, ta: int, tb: int) -> np.ndarray:
+    """out[i, j] = how often a = i meets b = j, over broadcast label arrays (exact floats)."""
+    codes = (np.asarray(a) * tb + b).ravel()
+    return np.bincount(codes, minlength=ta * tb).reshape(ta, tb).astype(float)
+
+
+def _fiber_shares(labels: np.ndarray, t: int) -> np.ndarray:
+    """out[..., i] = share of class i in each fiber along the last axis (a 0-d grid is one cell)."""
+    g = labels.shape[-1] if labels.ndim else 1
+    columns = labels.reshape(-1, g)
+    counts = _joint_counts(np.arange(len(columns))[:, None], columns, len(columns), t)
+    return counts.reshape(labels.shape[:-1] + (t,)) / g
+
+
 def class_tuple_weights(p: GridPartition) -> np.ndarray:
     """Measure of each class tuple: weights[i1..ir] = vol{x : block_l(x) in P_{i_l}}.
 
@@ -646,18 +670,15 @@ def class_tuple_weights(p: GridPartition) -> np.ndarray:
     product of class volumes; it is the exact contraction of per-block
     class histograms over the shared axes. Each block's top coordinate
     (its full (r-1)-subset, the last grid axis) belongs to that block
-    alone, so every block sees the same histogram ``m``: the class counts
-    along the last axis of each column, over g. The other 2^r - 2 - r
+    alone, so every block sees the same histogram ``m``: the class shares
+    along the last axis of each column (``_fiber_shares``). The other 2^r - 2 - r
     coordinates are shared, and each averages over its g cells. For r = 3
     the contraction is an explicit pairwise chain whose g^2 t^2-cell
     intermediate is built in slabs (see ``_pairwise_r3``).
     """
-    r, t = p.r_minus_1 + 1, p.t
+    r = p.r_minus_1 + 1
     g = p.resolution if p.dim else 1
-    columns = p.labels.reshape(-1, g)
-    codes = np.arange(len(columns))[:, None] * t + columns
-    m = np.bincount(codes.ravel(), minlength=len(columns) * t).reshape(
-        p.labels.shape[:-1] + (t,)) / g
+    m = _fiber_shares(p.labels, p.t)
     if r == 1:
         return m
     if r == 2:  # both blocks are private: a product of class volumes

@@ -12,6 +12,15 @@ back. ``nd_estimate_pipeline`` sits on top and estimates a best-coloring
 parameter of a finite graph from a sample, pulling the witness coloring
 back onto the graph by the lift plus randomized rounding.
 
+Each lift concept has one rule. ``_palette`` groups a [t] x [k] palette
+by base color. ``graphon._shares`` splits a whole into its parts' shares,
+evenly where the whole is 0; base-case volumes, fiber quotas
+(``_largest_remainder``), the stage-6 subcolors and the rounding all
+split through it. ``graphon._joint_counts`` counts class pairs, and
+``graphon._fiber_shares`` gives the per-fiber class shares of the r = 3
+marginals. ``_stack_fibers`` carves the source partition for r = 2 and
+3 alike. ``_regularize_stage`` runs and records both regularizations.
+
 Everything is deterministic given its seed; pipeline stages run on
 ``derive_seed(seed, stage_index)``. Proximity numbers in the lift
 diagnostics are measured, never asserted: the pipeline's end-to-end
@@ -38,9 +47,12 @@ from .graphon import (
     _as_step,
     _block_classes,
     _edge_layout,
+    _fiber_shares,
     _grid_cells,
     _inverse_cdf,
+    _joint_counts,
     _sample_uniforms,
+    _shares,
     color_mass,
     colors_at,
     common_refinement,
@@ -84,6 +96,11 @@ __all__ = [
 # palette plumbing
 
 
+def _palette(t: int, k: int) -> list[list[int]]:
+    """A [t] x [k] palette grouped by base color: row alpha - 1 lists alpha's k subcolors."""
+    return composite_color(np.arange(1, t + 1)[:, None], np.arange(1, k + 1), k).tolist()
+
+
 def discolor_step(w: StepGraphon, k: int) -> StepGraphon:
     """Merge a composite [t] x [k] palette back to t base colors.
 
@@ -96,10 +113,8 @@ def discolor_step(w: StepGraphon, k: int) -> StepGraphon:
     arrays: dict[int, np.ndarray] = {}
     if 0 in w.arrays:
         arrays[0] = w.arrays[0]
-    for alpha in range(1, t + 1):
-        arrays[alpha] = sum(
-            w.arrays[composite_color(alpha, beta, k)] for beta in range(1, k + 1)
-        )
+    for alpha, comps in enumerate(_palette(t, k), start=1):
+        arrays[alpha] = sum(w.arrays[c] for c in comps)
     return StepGraphon(w.r, t, w.partition, arrays)
 
 
@@ -164,8 +179,7 @@ def transfer_coloring(u_hat: StepGraphon, v: StepGraphon, p: GridPartition) -> S
     arrays: dict[int, np.ndarray] = {}
     if 0 in v.arrays:
         arrays[0] = v.arrays[0][ix_v]
-    for alpha in range(1, v.k + 1):
-        comps = [composite_color(alpha, beta, k) for beta in range(1, k + 1)]
+    for alpha, comps in enumerate(_palette(v.k, k), start=1):
         fine = [u_hat.arrays[c][ix_u] for c in comps]
         base = sum(fine)
         v_base = v.arrays[alpha][ix_v]
@@ -238,10 +252,7 @@ def base_case_transfer(
     for name, total in (("target", b.sum()), ("sampled", a_hat.sum())):
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"{name} volumes sum to {total}, not 1")
-    a = a_hat.sum(axis=1)
-    share = np.divide(a_hat, a[:, None], out=np.full_like(a_hat, 1.0 / k),
-                      where=a[:, None] > 0)
-    return b[:, None] * share
+    return b[:, None] * _shares(a_hat, axis=1)
 
 
 def product_tv(
@@ -329,10 +340,7 @@ def base_sample_requirement(delta: float, q0: int, t: int, k: int) -> float:
 
 def _largest_remainder(fracs: np.ndarray, total: int) -> np.ndarray:
     """Deterministic integer split of ``total`` slots proportional to fracs."""
-    fracs = np.clip(np.asarray(fracs, dtype=float), 0.0, None)
-    s = fracs.sum()
-    fracs = fracs / s if s > 0 else np.full_like(fracs, 1.0 / fracs.size)
-    raw = fracs * total
+    raw = _shares(np.clip(np.asarray(fracs, dtype=float), 0.0, None), axis=0) * total
     counts = np.floor(raw).astype(np.int64)
     short = total - int(counts.sum())
     if short > 0:
@@ -375,13 +383,20 @@ def _measured(measure: Callable[[], float]) -> float | None:
 # the lifting pipeline
 
 
-def _regularize_stage(w, eps, mode, restarts, max_rounds, seed):
+def _regularize_stage(w, eps, mode, restarts, max_rounds, seed, rec):
+    """Regularize ``w`` toward ``eps`` and fill the stage record ``rec``.
+
+    A target missed within ``max_rounds`` keeps the best-so-far
+    approximant and records ``attained: False``.
+    """
     try:
         v, p, trace = weak_regularize(w, eps, mode=mode, restarts=restarts,
                                       max_rounds=max_rounds, seed=seed)
-        return v, p, trace, True
+        attained = True
     except RegularityError as err:
-        return err.v, err.p, err.trace, False
+        v, p, trace, attained = err.v, err.p, err.trace, False
+    rec.update(classes=p.t, target=eps, achieved=trace[-1]["residual"], attained=attained)
+    return v, p
 
 
 def _induced_partition(p: GridPartition, coords: np.ndarray, q: int, r: int) -> GridPartition:
@@ -405,48 +420,41 @@ def _induced_partition(p: GridPartition, coords: np.ndarray, q: int, r: int) -> 
     return GridPartition(2, q, labels, p.t, allow_empty=True)
 
 
-def _stack_1d(
-    p: GridPartition, shares: np.ndarray, t_r: int
-) -> tuple[GridPartition, np.ndarray]:
-    """Split every class of a 1-axis partition into t_r runs of subcells."""
-    g = p.resolution
-    labels = np.empty(g * t_r, dtype=np.int64)
-    realized = np.zeros((p.t, t_r))
-    for i in range(p.t):
-        slots = np.flatnonzero(np.repeat(p.labels == i, t_r))
-        counts = _largest_remainder(shares[i], slots.size)
-        labels[slots] = i * t_r + np.repeat(np.arange(t_r), counts)
-        realized[i] = counts / (g * t_r)
-    part = GridPartition(1, g * t_r, labels, p.t * t_r, allow_empty=True)
-    return part, realized
-
-
-def _stack_3d(
+def _stack_fibers(
     p: GridPartition, fracs: np.ndarray, t_r: int
 ) -> tuple[GridPartition, np.ndarray]:
-    """Split fibers of a 3-axis partition columnwise in given proportions.
+    """Split every class of p into t_r subclasses, fiber by fiber.
 
-    ``fracs[i, j, a, b]`` is the target fiber fraction of subclass (i, j)
-    above column (a, b); within each column the class-i cells are carved
-    into t_r runs by largest remainder.
+    A fiber is a column along the last grid axis; for r = 2 the whole
+    grid is one fiber. ``fracs[(i, j) + fiber]`` is the target share of
+    subclass (i, j) among the class-i cells of that fiber, which are
+    carved into t_r runs by largest remainder on a last axis t_r times
+    finer. The other axes are repeated t_r times, so the result lives on
+    the grid t_r times finer and subclass (i, j) is class i * t_r + j.
+    Returns it with the realized subclass volumes, shape (p.t, t_r).
     """
     g = p.resolution
-    col = np.empty((g, g, g * t_r), dtype=np.int64)
+    fibers = p.labels.shape[:-1]  # () for r = 2, (g, g) for r = 3
+    cols = np.empty(fibers + (g * t_r,), dtype=np.int64)
     realized = np.zeros((p.t, t_r))
-    for a in range(g):
-        for b in range(a, g):
-            column = p.labels[a, b, :]
-            newcol = np.empty(g * t_r, dtype=np.int64)
-            for i in np.unique(column):
-                slots = np.flatnonzero(np.repeat(column == i, t_r))
-                counts = _largest_remainder(fracs[i, :, a, b], slots.size)
-                newcol[slots] = i * t_r + np.repeat(np.arange(t_r), counts)
-                weight = 2.0 if a != b else 1.0
-                realized[i] += weight * counts / (g * t_r)
-            col[a, b] = col[b, a] = newcol
-    labels = np.repeat(np.repeat(col, t_r, axis=0), t_r, axis=1)
-    part = GridPartition(2, g * t_r, labels, p.t * t_r, allow_empty=True)
-    return part, realized / (g * g)
+    for fiber in np.ndindex(fibers):
+        # r = 3 labels are symmetric in the two singleton axes: each column
+        # is carved once, as (a, b) with a <= b, and copied to its mirror
+        if fiber[::-1] < fiber:
+            continue
+        weight = 1.0 if fiber == fiber[::-1] else 2.0
+        column = p.labels[fiber]
+        for i in np.unique(column):
+            slots = np.flatnonzero(np.repeat(column == i, t_r))
+            counts = _largest_remainder(fracs[(i, slice(None)) + fiber], slots.size)
+            cols[fiber + (slots,)] = i * t_r + np.repeat(np.arange(t_r), counts)
+            realized[i] += weight * counts / (g * t_r)
+        cols[fiber[::-1]] = cols[fiber]
+    labels = cols
+    for axis in range(len(fibers)):
+        labels = np.repeat(labels, t_r, axis=axis)
+    part = GridPartition(p.r_minus_1, g * t_r, labels, p.t * t_r, allow_empty=True)
+    return part, realized / (p.labels.size // g)
 
 
 @contextmanager
@@ -528,11 +536,22 @@ def lift_coloring(
         )
     if delta <= 0 or q0 < 1:
         raise ValueError("need delta > 0 and q0 >= 1")
+    if edge_uniforms is not None and sample is None:
+        raise ValueError("edge_uniforms needs an explicit sample")
     k = v_hat.k // u.k
     t_pal = u.k
     n_coords = len(sample_coordinates(q, r))
     n_edges = comb(q, r)
     stages: list[dict[str, Any]] = []
+
+    def measured_distance(a, b, part, stream):
+        """A stage's heuristic cut-P distance, None when unmeasurable or refused."""
+        if not _measurable_grid(part, r):
+            return None
+        return _measured(lambda: cut_distance(
+            a, b, p=part, mode="heuristic",
+            restarts=max(2, restarts // 2), seed=derive_seed(seed, stream),
+        ))
 
     # stage 0: the sample behind v_hat
     with _stage("sample", stages) as rec:
@@ -569,16 +588,9 @@ def lift_coloring(
             / (4.0 * k * float(k * t_pal) ** (q0 ** r) * q0 ** r)
         )
         delta_eff = max(delta_paper, reg_floor)
-        w1, p_part, trace1, ok1 = _regularize_stage(
-            u, delta_eff / 2, mode, restarts, max_rounds, derive_seed(seed, 1)
+        w1, p_part = _regularize_stage(
+            u, delta_eff / 2, mode, restarts, max_rounds, derive_seed(seed, 1), rec
         )
-        g1 = p_part.resolution
-        rec.update({
-            "classes": p_part.t,
-            "target": delta_eff / 2,
-            "achieved": trace1[-1]["residual"],
-            "attained": ok1,
-        })
 
     # stage 2: the sample induces a partition of its grid
     with _stage("induce_sample_partition", stages) as rec:
@@ -587,26 +599,15 @@ def lift_coloring(
 
     # stage 3: regularize the sample coloring
     with _stage("regularize_sample_coloring", stages) as rec:
-        z_hat, r_part, trace3, ok3 = _regularize_stage(
-            v_hat, delta_eff, mode, restarts, max_rounds, derive_seed(seed, 3)
+        z_hat, r_part = _regularize_stage(
+            v_hat, delta_eff, mode, restarts, max_rounds, derive_seed(seed, 3), rec
         )
         t_r = r_part.t
-        rec.update({
-            "classes": t_r,
-            "target": delta_eff,
-            "achieved": trace3[-1]["residual"],
-            "attained": ok3,
-        })
 
     # stage 4: color the sampled approximant by transfer
     with _stage("transfer_to_sample", stages) as rec:
         w2 = embed_sample(SampledColoredGraph(q, r, t_pal, colors_at(w1, q, coords, ues)))
-        d_sampled = None
-        if _measurable_grid(r_part, r):
-            d_sampled = _measured(lambda: cut_distance(
-                discolor_step(z_hat, k), w2, p=r_part, mode="heuristic",
-                restarts=max(2, restarts // 2), seed=derive_seed(seed, 4),
-            ))
+        d_sampled = measured_distance(discolor_step(z_hat, k), w2, r_part, 4)
         w2_hat = transfer_coloring(z_hat, w2, r_part)
         rec.update({
             "measured_distance": d_sampled,
@@ -617,27 +618,20 @@ def lift_coloring(
     # stage 5: refine the source partition in the sampled proportions
     with _stage("refine_source_partition", stages) as rec:
         if r == 2:
-            counts = np.zeros((p_part.t, t_r))
-            np.add.at(counts, (p_prime.labels, r_part.labels), 1.0)
+            counts = _joint_counts(p_prime.labels, r_part.labels, p_part.t, t_r)
             volume_report = base_case_report(p_part.class_volumes(), counts / q, t_r, q0)
-            b_hat = np.asarray(volume_report["refined_target_volumes"])
-            p_second, realized = _stack_1d(p_part, b_hat, t_r)
-            quantization = float(np.abs(realized - b_hat).max())
+            fracs = target = np.asarray(volume_report["refined_target_volumes"])
             extra: dict[str, Any] = {"base_case": volume_report}
         else:
+            g1 = p_part.resolution
             ident_g1 = GridPartition(1, g1, np.arange(g1), g1)
-            marg = np.stack([
-                (p_part.labels == i).mean(axis=2) for i in range(p_part.t)
-            ])
+            marg = _fiber_shares(p_part.labels, p_part.t)
             w_marg = StepGraphon(
-                2, p_part.t, ident_g1, {i + 1: marg[i] for i in range(p_part.t)}
+                2, p_part.t, ident_g1, {i + 1: marg[..., i] for i in range(p_part.t)}
             )
-            code = p_prime.labels * t_r + r_part.labels
-            m_hat = np.stack([
-                (code == comp).mean(axis=2) for comp in range(p_part.t * t_r)
-            ])
+            m_hat = _fiber_shares(p_prime.labels * t_r + r_part.labels, p_part.t * t_r)
             off_diag = 1.0 - np.eye(q)
-            arrays_m = {c + 1: m_hat[c] * off_diag for c in range(p_part.t * t_r)}
+            arrays_m = {c + 1: m_hat[..., c] * off_diag for c in range(p_part.t * t_r)}
             arrays_m[0] = np.eye(q)
             u_marg_hat = StepGraphon(
                 2, p_part.t * t_r, GridPartition(1, q, np.arange(q), q), arrays_m
@@ -657,20 +651,15 @@ def lift_coloring(
             )
             m_out = step_average(w_marg_hat, ident_g1)
             fracs = np.stack([
-                np.stack([
-                    m_out.arrays[composite_color(i + 1, j + 1, t_r)]
-                    for j in range(t_r)
-                ])
-                for i in range(p_part.t)
+                [m_out.arrays[c] for c in comps] for comps in _palette(p_part.t, t_r)
             ])
-            p_second, realized = _stack_3d(p_part, fracs, t_r)
             target = fracs.mean(axis=(2, 3))
-            quantization = float(np.abs(realized - target).max())
             extra = {"inner": inner_diag}
+        p_second, realized = _stack_fibers(p_part, fracs, t_r)
         rec.update({
             "classes": p_second.t,
             "resolution": p_second.resolution,
-            "quantization": quantization,
+            "quantization": float(np.abs(realized - target).max()),
             **extra,
         })
 
@@ -679,13 +668,9 @@ def lift_coloring(
         arrays_hat: dict[int, np.ndarray] = {}
         if 0 in w1.arrays:
             arrays_hat[0] = np.kron(w1.arrays[0], np.ones((t_r,) * r))
-        for alpha in range(1, t_pal + 1):
-            comps = [composite_color(alpha, beta, k) for beta in range(1, k + 1)]
-            fine = [z_hat.arrays[c] for c in comps]
-            base = sum(fine)
-            for c, f in zip(comps, fine):
-                share = np.divide(f, base, out=np.full_like(f, 1.0 / k),
-                                  where=base > 0)
+        for alpha, comps in enumerate(_palette(t_pal, k), start=1):
+            shares = _shares(np.stack([z_hat.arrays[c] for c in comps]), axis=0)
+            for c, share in zip(comps, shares):
                 arrays_hat[c] = np.kron(w1.arrays[alpha], np.clip(share, 0.0, 1.0))
         w1_hat = StepGraphon(r, t_pal * k, p_second, arrays_hat)
         rec["classes"] = p_second.t
@@ -693,19 +678,9 @@ def lift_coloring(
     # stage 7: transfer back onto the source
     with _stage("transfer_to_source", stages) as rec:
         u_hat = transfer_coloring(w1_hat, u, p_second)
-        d_refined = d_base = None
-        if _measurable_grid(p_second, r):
-            d_refined = _measured(lambda: cut_distance(
-                w1_hat, u_hat, p=p_second, mode="heuristic",
-                restarts=max(2, restarts // 2), seed=derive_seed(seed, 7),
-            ))
-            d_base = _measured(lambda: cut_distance(
-                w1, u, p=p_second, mode="heuristic",
-                restarts=max(2, restarts // 2), seed=derive_seed(seed, 8),
-            ))
         rec.update({
-            "measured_refined_distance": d_refined,
-            "measured_base_distance": d_base,
+            "measured_refined_distance": measured_distance(w1_hat, u_hat, p_second, 7),
+            "measured_base_distance": measured_distance(w1, u, p_second, 8),
         })
 
     final_tv = _measured(lambda: _mu_tv(u_hat, v_hat, q0))
@@ -808,11 +783,9 @@ def _round_coloring(
     cells = _grid_cells(coords, u_hat.partition.resolution)[None, :]
     classes = _block_classes(u_hat.partition, cells, _edge_layout(n, r)[:, None])
     # each edge's k subcolors of its base color, gathered at its type point
-    comps = composite_color(np.asarray(g.colors)[:, None], np.arange(1, k + 1), k)
+    comps = np.array(_palette(g.k, k))[np.asarray(g.colors) - 1]
     stack = np.stack([u_hat.arrays[c] for c in range(1, u_hat.k + 1)])
-    probs = stack[(comps - 1,) + tuple(c[0] for c in classes)]
-    total = probs.sum(axis=1, keepdims=True)
-    probs = np.divide(probs, total, out=np.full_like(probs, 1.0 / k), where=total > 0)
+    probs = _shares(stack[(comps - 1,) + tuple(c[0] for c in classes)], axis=1)
     betas = _inverse_cdf(np.cumsum(probs, axis=1).T, edge_us)
     colors = comps[np.arange(len(comps)), betas].tolist()
     return ColoredHypergraph(n, r, g.k * k, colors)

@@ -11,10 +11,11 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
-from hypertest import cli, cutnorm, graphon
+from hypertest import budget, cli, cutnorm, graphon
 from hypertest.cutnorm import cutnorm_exact
 from hypertest.energy import CouplingArray, gse
 from hypertest.graphon import random_step_graphon, step_graphon_to_json
@@ -471,6 +472,33 @@ class TestBudgetEnv:
 
     def test_explicit_budget_beats_env(self, graph_file: str, monkeypatch: pytest.MonkeyPatch) -> None:
         monkeypatch.setenv("HYPERTEST_BUDGET", "2")
+        assert cli.run(["cutnorm", "--in", graph_file, "--budget", "100000"]) == 0
+
+    def test_env_budget_is_read_once_per_call(self, graph_file: str, capsys,
+                                              monkeypatch: pytest.MonkeyPatch) -> None:
+        # prop-test checks the budget once per refinement candidate; the
+        # call resolves HYPERTEST_BUDGET once and scopes the number
+        reads = []
+
+        class CountingEnv(dict):
+            def get(self, key, default=None):
+                reads.append(key)
+                return super().get(key, default)
+
+        monkeypatch.setattr(budget, "os", SimpleNamespace(
+            environ=CountingEnv(HYPERTEST_BUDGET="100000")))
+        payload = run_json(capsys, ["prop-test", "--in", graph_file, "--property",
+                                    "complete-witness", "--eps", "0.3", "--seed", "2"])
+        assert payload["command"] == "prop-test"
+        assert reads == ["HYPERTEST_BUDGET"]
+
+    def test_malformed_env_budget_fails_every_call(self, graph_file: str, capsys,
+                                                   monkeypatch: pytest.MonkeyPatch) -> None:
+        # sampling never checks the budget, yet the call resolves it up
+        # front; an explicit --budget leaves the environment unread
+        monkeypatch.setenv("HYPERTEST_BUDGET", "lots")
+        assert cli.run(["sample", "--in", graph_file, "--q", "3", "--seed", "2"]) == 1
+        assert "HYPERTEST_BUDGET must be an integer" in capsys.readouterr().err
         assert cli.run(["cutnorm", "--in", graph_file, "--budget", "100000"]) == 0
 
     def test_budget_reaches_the_class_tuple_weights(self, tmp_path: Path, capsys) -> None:

@@ -6,6 +6,8 @@ from math import comb, log
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hypertest import transfer
 from hypertest.budget import BudgetError, limit
@@ -298,6 +300,21 @@ def test_induced_partition_matches_the_pairwise_loop(q, g, t, seed) -> None:
     assert (got.t, got.resolution) == (p.t, q)
 
 
+@settings(max_examples=60, deadline=None)
+@given(r=st.sampled_from((2, 3)), g=st.integers(1, 5), t=st.integers(1, 4),
+       t_r=st.integers(1, 3), seed=st.integers(0, 10**6), empty=st.booleans())
+def test_stack_fibers_nests_and_realizes_its_volumes(r, g, t, t_r, seed, empty) -> None:
+    p = random_grid_partition(r - 1, g, t, seed)
+    fracs = generator(seed).random((p.t, t_r) + p.labels.shape[:-1])
+    if empty:  # class 0 has no target mass anywhere: its cells split evenly
+        fracs[0] = 0.0
+    part, realized = transfer._stack_fibers(p, fracs, t_r)
+    assert (part.resolution, part.t) == (g * t_r, p.t * t_r)
+    # every subclass i * t_r + j lies inside its parent class i
+    assert np.array_equal(part.labels // t_r, p.refined(t_r).labels)
+    assert np.allclose(realized, part.class_volumes().reshape(p.t, t_r), rtol=0, atol=1e-12)
+
+
 class TestLiftColoring:
     def test_recovers_refined_coloring_r2(self):
         seed = 414
@@ -361,6 +378,13 @@ class TestLiftColoring:
         u_hat, diag = lift_coloring(u, 15, v_hat, 0.3, 2, 777, sample=base_sample)
         assert l1_distance(discolor_step(u_hat, 2), u) <= 1e-9
         assert diag["stages"][0]["collisions"] == 0
+
+    def test_edge_uniforms_need_a_sample(self):
+        u0 = random_step_graphon(2, 4, t=2, resolution=2, seed=31)
+        sample = sample_graphon(u0, 8, derive_seed(5, 0))
+        with pytest.raises(ValueError, match="edge_uniforms"):
+            lift_coloring(discolor_step(u0, 2), 8, embed_sample(sample), 0.3, 2, 5,
+                          edge_uniforms=[1.0, 2.0])
 
     def test_r3_smoke(self):
         seed = 77
