@@ -228,6 +228,15 @@ def _orbit_atoms(r: int, g: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return first, atoms, weights
 
 
+def _problem(
+    target: np.ndarray | StepKernel, p: TuplePartition | GridPartition | None
+) -> _Problem:
+    """The array or kernel problem of ``target``; a partition of the other kind is ignored."""
+    if isinstance(target, StepKernel):
+        return _kernel_problem(target, p if isinstance(p, GridPartition) else None)
+    return _array_problem(target, p if isinstance(p, TuplePartition) else None)
+
+
 def _kernel_problem(kern: StepKernel, qpart: GridPartition | None) -> _Problem:
     """Atoms (cell orbits), coefficient tensor, and optional class vector and count.
 
@@ -376,10 +385,7 @@ def _contract_except(t: np.ndarray, vecs: Sequence[np.ndarray], skip: int) -> np
 
 
 def _full_value(t: np.ndarray, vecs: Sequence[np.ndarray]) -> float:
-    out = t
-    for vec in reversed(vecs):
-        out = np.tensordot(out, vec, axes=([out.ndim - 1], [0]))
-    return float(out)
+    return float(np.tensordot(_contract_except(t, vecs, 0), vecs[0], axes=([0], [0])))
 
 
 def _ascend(t_eff: np.ndarray, sets: list[np.ndarray]) -> list[np.ndarray]:
@@ -645,9 +651,7 @@ def sup_cutnorm_over_partitions(
         return energy.sup_cutnorm_via_energy(obj, t, restarts=restarts, seed=seed)
     if mode != "exact":
         raise ValueError(f"unknown mode {mode!r}")
-    atoms, tensor, _, _ = (
-        _kernel_problem(obj, None) if isinstance(obj, StepKernel) else _array_problem(obj)
-    )
+    atoms, tensor, _, _ = _problem(obj, None)
     m = len(atoms)
     n_parts = _count_growth_strings(m, t)
     check_budget("supremum over partitions", n_parts * (1 << ((tensor.ndim - 1) * m)))
@@ -669,12 +673,7 @@ def evaluate_witness(
     p: TuplePartition | GridPartition | None = None,
 ) -> float:
     """Recompute a witness's objective value from scratch."""
-    if isinstance(target, StepKernel):
-        qpart = p if isinstance(p, GridPartition) else None
-        atoms, tensor, classes, _ = _kernel_problem(target, qpart)
-    else:
-        tpart = p if isinstance(p, TuplePartition) else None
-        atoms, tensor, classes, _ = _array_problem(target, tpart)
+    atoms, tensor, classes, _ = _problem(target, p)
     if len(atoms) != len(witness.atoms):
         raise ValueError("witness atoms do not match the target problem")
     if classes is None and witness.classes is not None:

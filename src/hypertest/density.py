@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import comb, factorial
-from typing import Any
+from typing import Any, Iterable
 
 import numpy as np
 
@@ -32,7 +32,6 @@ from .hypercore import (
     colex_edges,
     induced_patterns,
     induced_sweep,
-    pattern_counts,
 )
 from .seeds import generator
 
@@ -188,6 +187,16 @@ def _mean_outer(per_edge: list[np.ndarray]) -> np.ndarray:
     return (np.einsum(*operands, labels, optimize=True) / len(per_edge[0])).ravel()
 
 
+def _code_counts(chunks: Iterable[np.ndarray], n_edges: int, k: int, with_iota: bool) -> np.ndarray:
+    """How often each row's color pattern occurs, by its mixed-radix ``all_patterns`` index."""
+    lo = IOTA if with_iota else 1
+    base = k + 1 - lo
+    weights = base ** np.arange(n_edges - 1, -1, -1, dtype=np.int64)
+    codes = [(rows - lo) @ weights for rows in chunks]
+    return np.bincount(np.concatenate(codes or [np.zeros(0, dtype=np.int64)]),
+                       minlength=base**n_edges)
+
+
 # ----------------------------------------------------------------------
 # densities
 
@@ -271,48 +280,38 @@ def sample_distribution(
 ) -> SampleDistribution:
     """The exact law mu(q, source) over labeled color patterns.
 
-    Raises ``ValueError`` when q is negative; at q = 0 every source has
-    the one empty pattern, at probability 1.
+    Every source gives one flat array of probabilities in
+    :func:`all_patterns` order. Raises ``ValueError`` when q is negative
+    or exceeds a graph's vertex count; at q = 0 every source has the one
+    empty pattern, at probability 1.
     """
     if q < 0:
         raise ValueError(f"sample size q must be non-negative, got q={q}")
     r, k = source.r, source.k
     n_edges = comb(q, r)
-
     if isinstance(source, (ColoredHypergraph, SampledColoredGraph)):
         has_iota = isinstance(source, SampledColoredGraph) and source.has_iota()
-        support = (k + 1) ** n_edges if has_iota else k**n_edges
-        check_budget("sample_distribution support", support)
-        check_budget("sample_distribution subset sweep", comb(source.n, q))
-        total = comb(source.n, q)
-        probs = {p: 0.0 for p in all_patterns(q, r, k, with_iota=has_iota)}
-        for pattern, c in pattern_counts(induced_sweep(source, q)).items():
-            probs[pattern] = c / total
-        return SampleDistribution(q, r, k, has_iota, probs)
-
-    if isinstance(source, VertexGraphon):
-        check_budget("sample_distribution support", (k + 1) ** n_edges)
-        verts = _all_rows(source, q, "sample_distribution cell sweep")
-        induced = _induced_columns(source.graph, verts)
-        probs = {p: 0.0 for p in all_patterns(q, r, k, with_iota=True)}
-        probs.update(pattern_counts([induced]))
-        total = float(source.n**q)
-        return SampleDistribution(
-            q, r, k, True, {p: v / total for p, v in probs.items()}
-        )
-
-    if not isinstance(source, StepGraphon):
+    elif isinstance(source, (VertexGraphon, StepGraphon)):
+        has_iota = isinstance(source, VertexGraphon) or source.has_iota
+    else:
         raise TypeError(f"unsupported sample source {type(source).__name__}")
-    has_iota = source.has_iota
-    channels = source.channel_order
     check_budget("sample_distribution support", (k + 1 if has_iota else k) ** n_edges)
-    cells = _all_rows(source, q, "sample_distribution grid summation")
-    per_edge = _step_edge_probs(source, cells, q)
-    law = _mean_outer(per_edge).tolist() if n_edges else [1.0]
-    probs = {p: 0.0 for p in all_patterns(q, r, k, with_iota=has_iota)}
-    for idx, value in zip(itertools.product(range(len(channels)), repeat=n_edges), law):
-        probs[tuple(channels[i] for i in idx)] = value
-    return SampleDistribution(q, r, k, has_iota, probs)
+
+    if isinstance(source, StepGraphon):
+        # channel order is palette order: the outer product is in all_patterns order
+        cells = _all_rows(source, q, "sample_distribution grid summation")
+        law = _mean_outer(_step_edge_probs(source, cells, q)) if n_edges else np.ones(1)
+    elif isinstance(source, VertexGraphon):
+        verts = _all_rows(source, q, "sample_distribution cell sweep")
+        counts = _code_counts([_induced_columns(source.graph, verts)], n_edges, k, True)
+        law = counts / float(source.n**q)
+    else:
+        if q > source.n:
+            raise ValueError(f"sample size {q} exceeds vertex count {source.n}")
+        check_budget("sample_distribution subset sweep", comb(source.n, q))
+        law = _code_counts(induced_sweep(source, q), n_edges, k, has_iota) / comb(source.n, q)
+    patterns = all_patterns(q, r, k, with_iota=has_iota)
+    return SampleDistribution(q, r, k, has_iota, dict(zip(patterns, law.tolist())))
 
 
 # ----------------------------------------------------------------------

@@ -27,7 +27,7 @@ from typing import Any, Sequence
 import numpy as np
 
 from .budget import check_budget
-from .cutnorm import StepKernel, TuplePartition, _array_problem, _kernel_problem
+from .cutnorm import StepKernel, TuplePartition, _check_restarts, _problem
 from .graphon import StepGraphon, VertexGraphon, _as_step, subsets_card_lex
 from .hypercore import ColoredHypergraph, sample_subgraph
 from .seeds import derive_seed, generator
@@ -100,15 +100,11 @@ class CouplingArray:
 
 
 def _graph_instance(h: ColoredHypergraph, colors: Sequence[int]) -> list[np.ndarray]:
-    return [_array_problem(h.adjacency_array(alpha))[1] for alpha in colors]
+    return [_problem(h.adjacency_array(alpha), None)[1] for alpha in colors]
 
 
 def _graphon_instance(w: StepGraphon, colors: Sequence[int]) -> list[np.ndarray]:
-    out = []
-    for alpha in colors:
-        kern = StepKernel(w.partition, w.arrays[alpha])
-        out.append(_kernel_problem(kern, None)[1])
-    return out
+    return [_problem(StepKernel(w.partition, w.arrays[alpha]), None)[1] for alpha in colors]
 
 
 def _tuple_codes(labels: np.ndarray, width: int, q: int) -> np.ndarray:
@@ -228,8 +224,7 @@ def _maximize(
         return _all_labeling_energies(tensors, js, m, q)
     if mode != "anneal":
         raise ValueError(f"unknown mode {mode!r}")
-    if restarts < 1:
-        raise ValueError(f"restarts must be at least 1, got {restarts}")
+    _check_restarts(restarts)
     fields = _LocalFields(tensors, js, q)
     best_val, best_labels = -np.inf, None
     for restart in range(restarts):
@@ -489,18 +484,11 @@ def sup_cutnorm_via_energy(
     value); each sign array A yields couplings J_A whose GSE is computed
     over labelings of the atoms into 2^r * t classes.
     """
-    if isinstance(obj, StepKernel):
-        r = obj.r
-        values = np.unique(obj.array)
-        tensors = [
-            _kernel_problem(StepKernel(obj.partition, (obj.array == y).astype(float)), None)[1]
-            for y in values
-        ]
-    else:
-        arr = np.asarray(obj, dtype=float)
-        r = arr.ndim
-        values = np.unique(arr)
-        tensors = [_array_problem((arr == y).astype(float))[1] for y in values]
+    kernel = isinstance(obj, StepKernel)
+    arr = obj.array if kernel else np.asarray(obj, dtype=float)
+    r, values = arr.ndim, np.unique(arr)
+    levels = ((arr == y).astype(float) for y in values)
+    tensors = [_problem(StepKernel(obj.partition, lv) if kernel else lv, None)[1] for lv in levels]
     if np.abs(values).max(initial=0.0) > 1 + 1e-12:
         raise ValueError("values outside [-1, 1]; rescale the kernel first")
     m = tensors[0].shape[0]

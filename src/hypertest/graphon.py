@@ -139,6 +139,16 @@ def _symmetrize(arr: np.ndarray) -> np.ndarray:
     return sum(arr.transpose(perm) for perm in _permutations(arr.ndim)) / factorial(arr.ndim)
 
 
+def _check_type_point(point: Sequence[float], r: int) -> None:
+    """Reject a type point of an r-graphon: 2^r - 2 coordinates in [0, 1), full-set axis optional."""
+    n_coords = 2 ** r - 2
+    if len(point) not in (n_coords, n_coords + 1):
+        raise ValueError(f"point needs {n_coords} coordinates (full-set axis optional)")
+    for x in point[:n_coords]:
+        if not 0.0 <= x < 1.0:
+            raise ValueError(f"coordinate {x} outside [0, 1)")
+
+
 def _cell(x: float, g: int) -> int:
     if x < 0.0 or x > 1.0:
         raise ValueError(f"coordinate {x} outside [0, 1]")
@@ -322,12 +332,7 @@ class StepGraphon:
 
     def classes_at(self, point: Sequence[float]) -> tuple[int, ...]:
         """Partition class of each of the r projected blocks of ``point``."""
-        n_coords = 2 ** self.r - 2
-        if len(point) not in (n_coords, n_coords + 1):
-            raise ValueError(f"point needs {n_coords} coordinates (full-set axis optional)")
-        for x in point[:n_coords]:
-            if not 0.0 <= x < 1.0:
-                raise ValueError(f"coordinate {x} outside [0, 1)")
+        _check_type_point(point, self.r)
         return tuple(
             self.partition.class_of_point([point[i] for i in block])
             for block in _edge_layout(self.r, self.r)[0]
@@ -366,12 +371,7 @@ class VertexGraphon:
         return self.graph.n
 
     def _cells(self, point: Sequence[float]) -> tuple[int, ...]:
-        n_coords = 2 ** self.r - 2
-        if len(point) not in (n_coords, n_coords + 1):
-            raise ValueError(f"point needs {n_coords} coordinates (full-set axis optional)")
-        for x in point[:n_coords]:
-            if not 0.0 <= x < 1.0:
-                raise ValueError(f"coordinate {x} outside [0, 1)")
+        _check_type_point(point, self.r)
         return tuple(_cell(x, self.n) for x in point[: self.r])
 
     def color_at(self, point: Sequence[float]) -> int:
@@ -577,16 +577,6 @@ def _as_step(w: StepGraphon | VertexGraphon) -> StepGraphon:
     return w.to_step() if isinstance(w, VertexGraphon) else w
 
 
-def _to_step_compatible(w: VertexGraphon, resolution: int) -> StepGraphon:
-    if resolution % w.n == 0:
-        return w.to_step(resolution)
-    if w.n % resolution == 0:
-        return w.to_step(w.n)
-    raise ValueError(
-        f"incompatible resolutions: vertex grid {w.n} vs partition grid {resolution}"
-    )
-
-
 def _contract_axes(tensor: np.ndarray, m: np.ndarray, r: int, m_axis: int) -> np.ndarray:
     out = tensor
     for axis in range(r):
@@ -598,13 +588,13 @@ def step_average(w: StepGraphon | VertexGraphon, p: GridPartition) -> StepGrapho
     """Average each color channel over the class products of ``p``.
 
     This is the conditional expectation onto p-measurable step functions,
-    computed exactly; one grid resolution must divide the other. For
+    computed exactly; one grid resolution must divide the other (an
+    embedded graph's grid is its n vertex cells). For
     r >= 3 the projected blocks share coordinates, so the averaging runs
     over the joint class-tuple measure, not per-axis volume fractions;
     class tuples of measure zero get the uniform color vector.
     """
-    if isinstance(w, VertexGraphon):
-        w = _to_step_compatible(w, p.resolution)
+    w = _as_step(w)
     if p.r_minus_1 != w.r - 1:
         raise ValueError("partition dimensionality does not match the graphon")
     gw, gp = w.partition.resolution, p.resolution

@@ -283,8 +283,7 @@ class SampledColoredGraph:
     def n(self) -> int:
         return self.q
 
-    def edges(self) -> Iterator[tuple[int, ...]]:
-        return colex_subsets(self.q, self.r)
+    edges = ColoredHypergraph.edges
 
     def color_of(self, edge: Sequence[int]) -> int:
         edge = tuple(sorted(edge))

@@ -23,11 +23,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import partial
 from math import ceil, comb, log, sqrt
 from typing import Any, Callable, NamedTuple, Sequence
 
-from .budget import check_budget, exact_or_heuristic
+from .budget import check_budget
 from .hypercore import (
     ColoredHypergraph,
     SampledColoredGraph,
@@ -36,7 +35,7 @@ from .hypercore import (
     sample_subgraph,
 )
 from .seeds import derive_seed, generator
-from .transfer import max_over_refinements
+from .transfer import _refinement_search, max_over_refinements
 
 __all__ = [
     "PARAMETERS",
@@ -214,6 +213,15 @@ class NdResult(NamedTuple):
     witness: Any
 
 
+def _refinement_arity(witness: ParameterFn | PropertyFn, g) -> int:
+    """How many subcolors the witness palette gives each color of ``g``."""
+    if witness.r != g.r:
+        raise ValueError("witness uniformity does not match the graph")
+    if witness.k % g.k != 0:
+        raise ValueError(f"witness palette {witness.k} does not refine the graph palette {g.k}")
+    return witness.k // g.k
+
+
 def nd_parameter(
     f_witness: ParameterFn,
     g: ColoredHypergraph,
@@ -229,16 +237,8 @@ def nd_parameter(
     Mode "auto" enumerates and falls back to the heuristic when the
     budget refuses; ``certified`` says whether enumeration ran.
     """
-    if f_witness.r != g.r:
-        raise ValueError("witness uniformity does not match the graph")
-    if f_witness.k % g.k != 0:
-        raise ValueError(
-            f"witness palette {f_witness.k} does not refine the graph palette {g.k}"
-        )
-    arity = f_witness.k // g.k
-    search = partial(max_over_refinements, g, arity, f_witness, restarts=restarts, seed=seed)
-    (value, witness), ran = exact_or_heuristic(
-        mode, partial(search, mode="exact"), partial(search, mode="heuristic"))
+    arity = _refinement_arity(f_witness, g)
+    (value, witness), ran = _refinement_search(g, arity, f_witness, mode, restarts, seed)
     return NdResult(float(value), ran == "exact", witness)
 
 
@@ -281,13 +281,7 @@ def property_tester(
     """
     if isinstance(h, SampledColoredGraph):
         h = ColoredHypergraph(h.n, h.r, h.k, h.colors)
-    if p_witness.r != h.r:
-        raise ValueError("witness uniformity does not match the graph")
-    if p_witness.k % h.k != 0:
-        raise ValueError(
-            f"witness palette {p_witness.k} does not refine the graph palette {h.k}"
-        )
-    arity = p_witness.k // h.k
+    arity = _refinement_arity(p_witness, h)
     q_w = min(max(p_witness.sample_size(eps), h.r), h.n)
 
     def density(refined) -> float:

@@ -38,7 +38,7 @@ from typing import Any, Callable, Iterator, Sequence
 import numpy as np
 
 from .budget import BudgetError, check_budget, exact_or_heuristic
-from .cutnorm import cut_distance
+from .cutnorm import _check_restarts, cut_distance
 from .density import sample_laws, tv_distance
 from .graphon import (
     GridPartition,
@@ -553,33 +553,28 @@ def lift_coloring(
             restarts=max(2, restarts // 2), seed=derive_seed(seed, stream),
         ))
 
-    # stage 0: the sample behind v_hat
+    # stage 0: the sample behind v_hat, drawn from the stage-0 stream when not given
     with _stage("sample", stages) as rec:
         if sample is None:
-            base_sample = sample_graphon(u, q, derive_seed(seed, 0))
-            coords, ues = _sample_uniforms(generator(derive_seed(seed, 0)), q, r)
-        else:
-            if sample.coords is None:
-                raise ValueError("provided sample lacks coordinate provenance")
-            coords = np.asarray(sample.coords, dtype=float)
-            if coords.size != n_coords:
-                raise ValueError(
-                    f"sample coordinates have length {coords.size}, need {n_coords}"
-                )
-            if (sample.r, sample.k, sample.n) != (r, t_pal, q):
-                raise ValueError("provided sample does not match the source")
-            if edge_uniforms is not None:
-                ues = np.asarray(edge_uniforms, dtype=float)
-                if ues.size != n_edges:
-                    raise ValueError(f"need {n_edges} edge uniforms")
-            else:  # edge uniforms for a given sample: the first n_edges of the stage-0 stream
-                ues = np.concatenate(_sample_uniforms(generator(derive_seed(seed, 0)), q, r))
-                ues = ues[:n_edges]
-            base_sample = sample
-        v_base = embed_sample(base_sample)
-        if l1_distance(discolor_step(v_hat, k), v_base) > 1e-9:
+            sample = sample_graphon(u, q, derive_seed(seed, 0))
+            edge_uniforms = _sample_uniforms(generator(derive_seed(seed, 0)), q, r)[1]
+        if sample.coords is None:
+            raise ValueError("provided sample lacks coordinate provenance")
+        coords = np.asarray(sample.coords, dtype=float)
+        if coords.size != n_coords:
+            raise ValueError(f"sample coordinates have length {coords.size}, need {n_coords}")
+        if (sample.r, sample.k, sample.n) != (r, t_pal, q):
+            raise ValueError("provided sample does not match the source")
+        if edge_uniforms is not None:
+            ues = np.asarray(edge_uniforms, dtype=float)
+            if ues.size != n_edges:
+                raise ValueError(f"need {n_edges} edge uniforms")
+        else:  # edge uniforms for a given sample: the first n_edges of the stage-0 stream
+            stream = _sample_uniforms(generator(derive_seed(seed, 0)), q, r)
+            ues = np.concatenate(stream)[:n_edges]
+        if l1_distance(discolor_step(v_hat, k), embed_sample(sample)) > 1e-9:
             raise ValueError("v_hat does not discolor to the embedded sample")
-        rec["collisions"] = sum(1 for c in base_sample.colors if c == IOTA)
+        rec["collisions"] = sum(1 for c in sample.colors if c == IOTA)
 
     # stage 1: regularize the source
     with _stage("regularize_source", stages) as rec:
@@ -720,6 +715,11 @@ def max_over_refinements(
     to the search when the budget refuses. Returns the best value and
     the refined graph attaining it.
     """
+    return _refinement_search(g, k, value_fn, mode, restarts, seed)[0]
+
+
+def _refinement_search(g, k, value_fn, mode, restarts, seed) -> tuple[tuple[float, Any], str]:
+    """:func:`max_over_refinements` with the side that ran: "exact" or "heuristic"."""
     if k < 1:
         raise ValueError("refinement arity k must be >= 1")
 
@@ -732,8 +732,7 @@ def max_over_refinements(
         return best, best_g
 
     def local_search() -> tuple[float, Any]:
-        if restarts < 1:
-            raise ValueError(f"restarts must be at least 1, got {restarts}")
+        _check_restarts(restarts)
         best, best_g = -np.inf, None
         base, _ = _refinement_layout(g, k)
         free = [i for i, c in enumerate(g.colors) if c != IOTA]
@@ -763,7 +762,7 @@ def max_over_refinements(
                 best, best_g = value, current
         return best, best_g
 
-    return exact_or_heuristic(mode, enumerate_all, local_search)[0]
+    return exact_or_heuristic(mode, enumerate_all, local_search)
 
 
 def _round_coloring(
