@@ -56,6 +56,7 @@ from .graphon import (
 from .hypercore import (
     ColoredHypergraph,
     SampledColoredGraph,
+    _json_int,
     hypergraph_from_json,
     sample_subgraph,
 )
@@ -96,11 +97,13 @@ def _load_json(path: str) -> Any:
 _KINDS: dict[str, tuple[frozenset[str], Callable[[dict[str, Any]], Any]]] = {
     "hypergraph": (frozenset({"n", "colors"}), hypergraph_from_json),
     "sample": (frozenset({"q", "colors"}), lambda d: SampledColoredGraph(
-        int(d["q"]), int(d["r"]), int(d["k"]), tuple(int(c) for c in d["colors"]))),
+        *(_json_int(d[key], key) for key in ("q", "r", "k")),
+        tuple(_json_int(c, "colors") for c in d["colors"]))),
     "step-graphon": (frozenset({"arrays", "labels"}), step_graphon_from_json),
     "array": (frozenset({"array"}), lambda d: np.array(d["array"], dtype=float)),
     "partition": (frozenset({"n", "r_minus_1", "classes", "q"}), lambda d: TuplePartition(
-        int(d["n"]), int(d["r_minus_1"]), tuple(int(c) for c in d["classes"]), int(d["q"]),
+        _json_int(d["n"], "n"), _json_int(d["r_minus_1"], "r_minus_1"),
+        tuple(_json_int(c, "classes") for c in d["classes"]), _json_int(d["q"], "q"),
         allow_empty=True)),
     "coupling": (frozenset({"q", "arrays"}), CouplingArray.from_json),
 }
@@ -268,8 +271,8 @@ def _cmd_regularize(args: argparse.Namespace) -> dict[str, Any]:
         "mode": args.mode,
         "eps": args.eps,
         "classes": p.t,
-        "rounds": trace[-1]["round"] if trace else 0,
-        "residual": trace[-1]["residual"] if trace else 0.0,
+        "rounds": trace[-1]["round"],
+        "residual": trace[-1]["residual"],
         "graphon": step_graphon_to_json(v),
     }
 

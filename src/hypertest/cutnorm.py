@@ -110,8 +110,9 @@ class TuplePartition:
     @classmethod
     def random(cls, n: int, r_minus_1: int, q: int, seed: int) -> "TuplePartition":
         """Uniform labels in q nonempty classes. If 200 draws all miss a class,
-        the last draw is relabelled to the classes it hits (as in
-        ``graphon.random_grid_partition``), so q shrinks to their count."""
+        the 200th draw is relabelled to the classes it hits, so q shrinks to
+        their count. (``graphon.random_grid_partition`` instead relabels a
+        fresh 201st draw.)"""
         m = comb(n, r_minus_1)
         if q > m:
             raise ValueError(f"{q} nonempty classes need at least {q} atoms, got {m}")

@@ -51,6 +51,7 @@ from .hypercore import (
     IOTA,
     ColoredHypergraph,
     SampledColoredGraph,
+    _json_int,
     _permutations,
     colex_edges,
     induced_patterns,
@@ -809,9 +810,10 @@ def step_graphon_from_json(d: Mapping[str, Any]) -> StepGraphon:
     missing = required - set(d)
     if missing:
         raise ValueError(f"step graphon JSON missing fields: {sorted(missing)}")
-    r, k, t, g = int(d["r"]), int(d["k"]), int(d["t"]), int(d["resolution"])
+    r, k, t, g = (_json_int(d[key], key) for key in ("r", "k", "t", "resolution"))
     dim = 2 ** (r - 1) - 1
-    labels = np.array(d["labels"], dtype=np.int64).reshape((g,) * dim)
+    labels = np.array([_json_int(x, "labels") for x in d["labels"]],
+                      dtype=np.int64).reshape((g,) * dim)
     part = GridPartition(r - 1, g, labels, t)
     arrays = {
         int(c): np.array(vals, dtype=float).reshape((t,) * r)

@@ -284,11 +284,7 @@ class SampledColoredGraph:
         return self.q
 
     edges = ColoredHypergraph.edges
-
-    def color_of(self, edge: Sequence[int]) -> int:
-        edge = tuple(sorted(edge))
-        return self.colors[colex_rank(edge)]
-
+    color_of = ColoredHypergraph.color_of
     induced_colors = ColoredHypergraph.induced_colors
 
     def has_iota(self) -> bool:
@@ -397,9 +393,21 @@ def hypergraph_to_json(g) -> dict[str, Any]:
     return {"n": g.n, "r": g.r, "k": g.k, "colors": list(g.colors)}
 
 
+def _json_int(value: Any, name: str) -> int:
+    """The one strict integer reader of the JSON formats: a bool or a float raises ValueError."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"field {name!r} needs an integer, got {value!r}")
+    return int(value)
+
+
 def hypergraph_from_json(d: Mapping[str, Any]) -> ColoredHypergraph:
-    """Parse the interchange format, validating palette and length."""
+    """Parse the interchange format, validating palette and length.
+
+    Every field must hold JSON integers: a float such as 3.9 (or 3.0) is
+    refused, never truncated.
+    """
     missing = {"n", "r", "k", "colors"} - set(d)
     if missing:
         raise ValueError(f"hypergraph JSON missing fields: {sorted(missing)}")
-    return make_hypergraph(int(d["n"]), int(d["r"]), int(d["k"]), [int(c) for c in d["colors"]])
+    n, r, k = (_json_int(d[key], key) for key in ("n", "r", "k"))
+    return make_hypergraph(n, r, k, [_json_int(c, "colors") for c in d["colors"]])

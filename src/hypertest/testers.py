@@ -363,6 +363,8 @@ def far_from_property(
     """
     if normalization not in ("subsets", "square"):
         raise ValueError(f"unknown normalization {normalization!r}")
+    if (prop.r, prop.k) != (g.r, g.k):
+        raise ValueError(f"property {prop.name!r} expects palette ({prop.r}, {prop.k})")
     if prop.distance_to is not None:
         distance = int(prop.distance_to(g))
     else:

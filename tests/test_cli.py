@@ -146,17 +146,27 @@ class TestExitCodes:
         ("cutnorm", {"n": 3, "r": 2, "k": 2, "colors": None}),
         ("cutnorm", {"n": 3, "r": 2, "k": 2, "colors": 5}),
         ("cutnorm-p", {"n": 3, "r_minus_1": 1, "classes": None, "q": 2}),
+        # a float where an integer belongs is refused, never truncated; so is a bool
+        ("cutnorm", {"n": 3.9, "r": 2, "k": 2, "colors": [1, 2, 1]}),
+        ("cutnorm", {"n": 3, "r": 2, "k": 2, "colors": [1.7, 2, 1]}),
+        ("cutnorm-p", {"n": 4, "r_minus_1": 1, "classes": [0, 1, 0, 1], "q": 2.0}),
+        ("density", {"q": 3, "r": 2, "k": 2, "colors": [1, 2, True]}),
+        ("sample", {"r": 2, "k": 2, "t": 1, "resolution": 1, "labels": [0.0],
+                    "arrays": {"1": [0.5], "2": [0.5]}}),
     ])
     def test_malformed_field_is_exit_1_naming_the_file(
         self, command: str, payload: dict, graph_file: str, tmp_path: Path, capsys
     ) -> None:
         bad = write_json(tmp_path / "bad.json", payload)
-        if command == "cutnorm":
-            argv = ["cutnorm", "--in", bad]
-        else:
-            argv = ["cutnorm-p", "--in", graph_file, "--partition", bad]
+        argv = {
+            "cutnorm": ["cutnorm", "--in", bad],
+            "cutnorm-p": ["cutnorm-p", "--in", graph_file, "--partition", bad],
+            "density": ["density", "--in", graph_file, "--pattern", bad],
+            "sample": ["sample", "--in", bad, "--q", "3", "--seed", "1"],
+        }[command]
         assert cli.run(argv) == 1
-        assert bad in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and bad in err
 
     def test_malformed_field_prints_no_traceback(self, tmp_path: Path) -> None:
         bad = write_json(tmp_path / "bad.json", {"n": 3, "r": 2, "k": 2, "colors": None})
@@ -243,6 +253,19 @@ class TestValuesAgainstModules:
         assert payload["mode"] == "mc"
         assert payload["stderr"] >= 0.0
         assert abs(payload["value"] - 4 / 6) < 0.1
+
+    def test_density_exact_on_a_step_graphon_matches_the_module(
+        self, graphon_file: str, tmp_path: Path, capsys
+    ) -> None:
+        from hypertest.density import density_graphon
+
+        f = make_hypergraph(3, 2, 2, [1, 2, 1])
+        pf = write_json(tmp_path / "f.json", hypergraph_to_json(f))
+        payload = run_json(capsys, ["density", "--pattern", pf, "--in", graphon_file,
+                                    "--mode", "exact"])
+        w = graphon.step_graphon_from_json(json.loads(Path(graphon_file).read_text()))
+        assert payload == {"command": "density", "mode": "exact", "q": 3,
+                           "value": density_graphon(f, w)}
 
 
 class TestArtifacts:
@@ -385,6 +408,29 @@ class TestPipelines:
         assert cli.run(["transfer", "--source", uf, "--witness", vf, "--q", "10",
                         "--q0", "2", "--seed", "21", "--max-rounds", "-1"]) == 1
         assert "max_rounds must be non-negative" in capsys.readouterr().err
+
+    def test_regularize_missing_its_target_is_exit_1(self, tmp_path: Path, capsys) -> None:
+        w = random_step_graphon(2, 2, t=6, resolution=6, seed=1)
+        wf = write_json(tmp_path / "w6.json", step_graphon_to_json(w))
+        rc = cli.run(["regularize", "--in", wf, "--eps", "0.01", "--t", "1",
+                      "--max-rounds", "0", "--mode", "exact"])
+        captured = capsys.readouterr()
+        assert rc == 1 and captured.out == ""
+        assert captured.err.startswith("error: regularity target not met")
+
+    def test_prop_test_rate_mode_is_byte_stable(self, graph_file: str, capsys) -> None:
+        argv = ["prop-test", "--in", graph_file, "--property", "complete-witness",
+                "--eps", "0.3", "--seed", "3", "--trials", "5", "--q", "4"]
+        assert cli.run(argv) == 0
+        first = capsys.readouterr().out
+        assert cli.run(argv) == 0
+        assert capsys.readouterr().out == first
+        payload = json.loads(first)
+        assert set(payload) == {"command", "mode", "property", "seed", "q", "epsilon",
+                                "trials", "accepted", "rate", "ci_low", "ci_high"}
+        assert payload["mode"] == "mc" and payload["trials"] == 5 and payload["q"] == 4
+        assert payload["rate"] == payload["accepted"] / 5
+        assert payload["ci_low"] <= payload["rate"] <= payload["ci_high"]
 
     def test_prop_test_single_shot(self, tmp_path: Path, capsys) -> None:
         n = 6

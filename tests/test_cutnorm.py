@@ -382,6 +382,16 @@ class TestSupOverPartitions:
         assert sup_cutnorm_over_partitions(kern, 2) >= plain - 1e-12
 
 
+    @pytest.mark.parametrize("seed", [3, 8])
+    def test_heuristic_mode_is_the_annealed_energy_reduction(self, seed):
+        from hypertest.energy import sup_cutnorm_via_energy
+
+        a = random_symmetric_array(3, 2, seed)
+        got = sup_cutnorm_over_partitions(a, 2, mode="heuristic", restarts=2, seed=seed)
+        assert got == sup_cutnorm_via_energy(a, 2, mode="anneal", restarts=2, seed=seed)
+        assert got <= sup_cutnorm_over_partitions(a, 2, mode="exact") + 1e-12
+
+
 class TestWitness:
     def test_reevaluation_within_tolerance(self):
         a = random_symmetric_array(5, 2, 23)

@@ -214,6 +214,12 @@ class TestSampleDistribution:
         with pytest.raises(ValueError, match="q=-1"):
             sample_distribution(self.SOURCES[kind], -1)
 
+    @pytest.mark.parametrize("sampled", [False, True])
+    def test_sample_larger_than_the_graph_is_refused(self, sampled):
+        g = SampledColoredGraph(5, 2, 2, C5.colors) if sampled else C5
+        with pytest.raises(ValueError, match="sample size 6 exceeds vertex count 5"):
+            sample_distribution(g, 6)
+
     def test_graph_normalization(self):
         mu = sample_distribution(C5, 3)
         assert sum(mu.probs.values()) == pytest.approx(1.0, abs=1e-12)

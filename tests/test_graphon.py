@@ -397,6 +397,26 @@ def test_step_average_incompatible_resolution() -> None:
         step_average(w, GridPartition(1, 3, np.array([0, 1, 1]), 2))
 
 
+@pytest.mark.parametrize("r,n,resolution", [(2, 3, 6), (2, 4, 2), (3, 3, 6), (3, 4, 2)])
+def test_step_average_of_an_embedded_graph_is_that_of_its_step_form(r, n, resolution) -> None:
+    rng = generator(r * 10 + n)
+    g = make_hypergraph(n, r, 2, rng.integers(1, 3, size=comb(n, r)).tolist())
+    p = random_grid_partition(r - 1, resolution, 2, seed=n)
+    got = step_average(embed(g), p)
+    # the vertex grid and, when p is finer, p's own grid give the same bits
+    forms = [embed(g).to_step()]
+    if resolution % n == 0:
+        forms.append(embed(g).to_step(resolution))
+    for form in forms:
+        want = step_average(form, p)
+        assert got.partition == want.partition == p
+        assert got.arrays.keys() == want.arrays.keys()
+        for c in want.arrays:
+            assert np.array_equal(got.arrays[c], want.arrays[c])
+    with pytest.raises(ValueError, match="incompatible resolutions"):
+        step_average(embed(g), random_grid_partition(r - 1, n + 1, 2, seed=n))
+
+
 def test_common_refinement_tracks_parents() -> None:
     a = GridPartition(1, 2, np.array([0, 1]), 2)
     b = GridPartition(1, 4, np.array([0, 1, 0, 1]), 2)

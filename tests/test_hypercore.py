@@ -281,6 +281,34 @@ def test_sampled_graph_allows_iota_and_strips_provenance() -> None:
     assert bare == s and bare.vertices is None
 
 
+@pytest.mark.parametrize("edge,reason", [
+    ((0, 0), "not an r-subset"),
+    ((2, 2), "not an r-subset"),
+    ((1, 5), "outside range"),
+    ((0, 1, 2), "not an r-subset"),
+])
+def test_sampled_graph_color_of_validates_its_edge(edge, reason) -> None:
+    s = SampledColoredGraph(4, 2, 2, (1, 2, 1, 2, 1, 2))
+    with pytest.raises(ValueError, match=reason) as err:
+        s.color_of(edge)
+    assert str(edge) in str(err.value)
+    # a valid edge in either order reads the same colex slot as the hypergraph rule
+    assert s.color_of((3, 1)) == s.color_of((1, 3)) == s.colors[colex_rank((1, 3))]
+    assert list(s.edges()) == list(colex_subsets(4, 2))
+
+
+@pytest.mark.parametrize("payload,field", [
+    ({"n": 3.9, "r": 2, "k": 2, "colors": [1, 2, 1]}, "n"),
+    ({"n": 3, "r": 2.0, "k": 2, "colors": [1, 2, 1]}, "r"),
+    ({"n": 3, "r": 2, "k": True, "colors": [1, 2, 1]}, "k"),
+    ({"n": 3, "r": 2, "k": 2, "colors": [1.7, 2, 1]}, "colors"),
+    ({"n": 3, "r": 2, "k": 2, "colors": [1, False, 1]}, "colors"),
+])
+def test_json_reader_refuses_non_integers(payload, field) -> None:
+    with pytest.raises(ValueError, match=f"field '{field}' needs an integer"):
+        hypergraph_from_json(payload)
+
+
 @given(
     st.integers(min_value=2, max_value=6).flatmap(
         lambda n: st.tuples(

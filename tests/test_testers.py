@@ -229,6 +229,19 @@ class TestFarness:
         with pytest.raises(ValueError, match="no members"):
             far_from_property(impossible, random_graph(4, seed=1), 0.1)
 
+    def test_property_of_another_uniformity_is_refused(self):
+        # distance_to would count the 6 pair edges as if they were triples
+        triples = PropertyFn("all-first-triples", 3, 2, lambda h: all(c == 1 for c in h.colors),
+                             distance_to=lambda h: sum(1 for c in h.colors if c != 1))
+        with pytest.raises(ValueError, match=r"'all-first-triples' expects palette \(3, 2\)"):
+            far_from_property(triples, empty_graph(4), 0.1)
+
+    def test_property_of_another_palette_is_refused(self):
+        # without distance_to the brute force would build 4-colored graphs on a 2-palette
+        fourth = PropertyFn("all-fourth", 2, 4, lambda h: all(c == 4 for c in h.colors))
+        with pytest.raises(ValueError, match=r"'all-fourth' expects palette \(2, 4\)"):
+            far_from_property(fourth, empty_graph(4), 0.1)
+
     def test_unknown_normalization_rejected(self):
         with pytest.raises(ValueError, match="normalization"):
             far_from_property(PROPERTIES["complete"], empty_graph(4), 0.1,
