@@ -192,9 +192,8 @@ def _code_counts(chunks: Iterable[np.ndarray], n_edges: int, k: int, with_iota: 
     lo = IOTA if with_iota else 1
     base = k + 1 - lo
     weights = base ** np.arange(n_edges - 1, -1, -1, dtype=np.int64)
-    codes = [(rows - lo) @ weights for rows in chunks]
-    return np.bincount(np.concatenate(codes or [np.zeros(0, dtype=np.int64)]),
-                       minlength=base**n_edges)
+    codes = np.concatenate([(rows - lo) @ weights for rows in chunks])
+    return np.bincount(codes, minlength=base**n_edges)
 
 
 # ----------------------------------------------------------------------

@@ -394,7 +394,7 @@ def hypergraph_to_json(g) -> dict[str, Any]:
 
 
 def _json_int(value: Any, name: str) -> int:
-    """The one strict integer reader of the JSON formats: a bool or a float raises ValueError."""
+    """The one strict integer reader of the JSON formats: a bool, float or string raises."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"field {name!r} needs an integer, got {value!r}")
     return int(value)
