@@ -185,6 +185,12 @@ GOLDEN_LIFT = "1bd8c2def9b1ded1344b68848da59ab831d901ab3001972cfca47cb16bee5d64"
 # the rounding back onto a finite graph, which GOLDEN_LIFT does not reach
 GOLDEN_LIFT_R3 = "7c66f16a377585497b8360563a84b970116fdb95fe40f1f8306bada9ef03be0d"
 
+# the GOLDEN_LIFT and GOLDEN_LIFT_R3 cases, u_hat and final_tv only
+GOLDEN_LIFTED_COLORING = {
+    "r2": "50c5f21527a75a8d184b1ec877af06d1dbfe099b82331b163713755891bfd35a",
+    "r3": "4cc85935c9f39121f88774eb1872210908b71e53ef8c2b75ce107000f6c8c56e",
+}
+
 GOLDEN_ESTIMATES = {
     "q-eq-n": "a3112536c2f3d510fdd84020bfc36e9473591cb373a96576b0d2d71d623be58a",
     "q-lt-n": "e5e0ddc8bcf9aedf76dacd4fdcf128203d8a99355bada3a991a3640847525fe3",
@@ -234,24 +240,37 @@ def test_golden_laws_and_densities() -> None:
     assert got == GOLDEN_LAWS
 
 
+# name -> (r, source resolution, q, delta, q0, seed)
+LIFT_CASES = {"r2": (2, 4, 20, 0.1, 2, 4242), "r3": (3, 2, 6, 0.4, 3, 77)}
+
+
+def _lift_case(name: str):
+    r, resolution, q, delta, q0, seed = LIFT_CASES[name]
+    u0 = random_step_graphon(r, 4, t=2, resolution=resolution, seed=41 if r == 2 else 11)
+    sample = sample_graphon(u0, q, derive_seed(seed, 0))
+    return lift_coloring(discolor_step(u0, 2), q, embed_sample(sample), delta, q0, seed)
+
+
 def test_golden_lift_artifact() -> None:
-    seed = 4242
-    u0 = random_step_graphon(2, 4, t=2, resolution=4, seed=41)
-    u = discolor_step(u0, 2)
-    sample = sample_graphon(u0, 20, derive_seed(seed, 0))
-    u_hat, diag = lift_coloring(u, 20, embed_sample(sample), 0.1, 2, seed)
+    u_hat, diag = _lift_case("r2")
     payload = {"u_hat": step_graphon_to_json(u_hat), "diagnostics": diag}
     assert _digest(payload) == GOLDEN_LIFT
 
 
 def test_golden_lift_artifact_r3() -> None:
-    seed = 77
-    u0 = random_step_graphon(3, 4, t=2, resolution=2, seed=11)
-    u = discolor_step(u0, 2)
-    sample = sample_graphon(u0, 6, derive_seed(seed, 0))
-    u_hat, diag = lift_coloring(u, 6, embed_sample(sample), 0.4, 3, seed)
+    u_hat, diag = _lift_case("r3")
     payload = {"u_hat": step_graphon_to_json(u_hat), "diagnostics": diag}
     assert _digest(payload) == GOLDEN_LIFT_R3
+
+
+@pytest.mark.parametrize("name", sorted(LIFT_CASES))
+def test_golden_lifted_coloring(name: str) -> None:
+    # the lifted coloring and its exact q0-sample distance alone, without
+    # the measured diagnostics: how a measurement is obtained may change,
+    # what the lift returns may not
+    u_hat, diag = _lift_case(name)
+    payload = {"u_hat": step_graphon_to_json(u_hat), "final_tv": diag["final_tv"]}
+    assert _digest(payload) == GOLDEN_LIFTED_COLORING[name]
 
 
 def _signed_score(h) -> float:
