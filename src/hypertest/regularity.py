@@ -34,6 +34,7 @@ from .graphon import (
     _as_step,
     _symmetrize,
     channel_differences,
+    l1_distance,
     orbit_partition,
     step_average,
 )
@@ -158,21 +159,29 @@ def weak_regularize(
     bounds the refinement rounds; meeting that is stricter than the
     per-round target of rounds*t classes. ``t`` defaults to the class
     count of w's own partition. If w already fits in t classes, round
-    zero keeps w's partition and, after one full residual sweep, returns
-    ``step_average(w, w.partition)``, which equals w up to rounding.
+    zero keeps w's partition and its approximant
+    ``step_average(w, w.partition)`` equals w up to rounding.
 
     mode "exact" certifies every residual by enumeration, "heuristic"
     estimates them by sign ascent, and "auto" tries exact first and falls
-    back when the enumeration budget runs out.
+    back when the enumeration budget runs out. Every cut-P distance
+    integrates the difference over sets, so the residual is at most the
+    L1 distance between w and its approximant. When round zero keeps
+    w's partition, "auto" and "heuristic" take that bound as the round's
+    residual, certified, and sweep only when it is above eps; "exact"
+    always sweeps.
 
     Returns (v, p, trace) where trace rows carry round, residual, class
     count, and "mode": "exact" or "heuristic", the sweep that measured
-    that round's residual. Raises RegularityError when the budgeted
-    rounds end with the best residual still above eps.
+    that round's residual, or "bound" for the L1 bound. Raises
+    RegularityError when the budgeted rounds end with the best residual
+    still above eps.
     """
     w = _as_step(w)
     if eps <= 0:
         raise ValueError("eps must be positive")
+    if mode not in ("auto", "exact", "heuristic"):
+        raise ValueError(f"unknown mode {mode!r}")
     if t is None:
         t = w.partition.t
     if t < 1:
@@ -196,9 +205,14 @@ def weak_regularize(
     trace: list[dict[str, Any]] = []
     while True:
         v = step_average(w, p)
-        sweep = partial(sup_partition_distance, w, v, limit, restarts=restarts, seed=seed)
-        (residual, qpart, wits), ran = exact_or_heuristic(
-            mode, partial(sweep, mode="exact"), partial(sweep, mode="heuristic"))
+        # while p is w's own partition, v is w up to rounding: try the bound first
+        bound = l1_distance(w, v) if p is w.partition and mode != "exact" else np.inf
+        if bound <= eps:
+            residual, ran = bound, "bound"
+        else:
+            sweep = partial(sup_partition_distance, w, v, limit, restarts=restarts, seed=seed)
+            (residual, qpart, wits), ran = exact_or_heuristic(
+                mode, partial(sweep, mode="exact"), partial(sweep, mode="heuristic"))
         if not trace or residual < best_res:
             best_v, best_p, best_res = v, p, residual
         trace.append({"round": rounds, "residual": best_res, "classes": p.t, "mode": ran})

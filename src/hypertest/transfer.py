@@ -33,7 +33,7 @@ from __future__ import annotations
 import time
 from contextlib import contextmanager
 from math import comb, factorial, log
-from typing import Any, Callable, Iterator, Sequence
+from typing import Any, Callable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
@@ -90,6 +90,8 @@ __all__ = [
     "transfer_bound_report",
     "transfer_coloring",
 ]
+
+_T = TypeVar("_T")
 
 
 # ----------------------------------------------------------------------
@@ -349,6 +351,11 @@ def _largest_remainder(fracs: np.ndarray, total: int) -> np.ndarray:
     return counts
 
 
+# L1 distance up to which two step graphons agree: the lift's input check,
+# and the stage distances the L1 bound certifies without a search
+_AGREE_L1 = 1e-9
+
+
 def _measurable_grid(part: GridPartition, r: int) -> bool:
     """Whether cut-P machinery on this grid stays within desk memory.
 
@@ -374,9 +381,32 @@ def _mu_tv(a: StepGraphon, b: StepGraphon, q0: int) -> float:
     return tv_distance(*sample_laws(a, b, q0))
 
 
-def _measured(measure: Callable[[], float]) -> float | None:
+def _measured(measure: Callable[[], _T]) -> _T | None:
     """An optional measurement: its value, or None when the budget refuses it."""
     return exact_or_heuristic("auto", measure, lambda: None)[0]
+
+
+def _stage_distance(
+    a: StepGraphon, b: StepGraphon, part: GridPartition, restarts: int, seed: int
+) -> tuple[float | None, str | None]:
+    """A lift stage's cut-P distance on ``part`` and how it was obtained.
+
+    Every cut-P distance is at most the L1 distance, so an L1 distance of
+    at most ``_AGREE_L1`` is recorded as it stands, mode "bound". A larger
+    one goes on to a heuristic cut-P search, mode "heuristic". The
+    distance reads (None, None) when the budget refuses it or its grid is
+    too large to measure in memory.
+    """
+    def measure() -> tuple[float | None, str | None]:
+        bound = l1_distance(a, b)
+        if bound <= _AGREE_L1:
+            return bound, "bound"
+        if not _measurable_grid(part, a.r):
+            return None, None
+        return cut_distance(a, b, p=part, mode="heuristic",
+                            restarts=max(2, restarts // 2), seed=seed), "heuristic"
+
+    return _measured(measure) or (None, None)
 
 
 # ----------------------------------------------------------------------
@@ -387,7 +417,9 @@ def _regularize_stage(w, eps, mode, restarts, max_rounds, seed, rec):
     """Regularize ``w`` toward ``eps`` and fill the stage record ``rec``.
 
     A target missed within ``max_rounds`` keeps the best-so-far
-    approximant and records ``attained: False``.
+    approximant and records ``attained: False``. ``achieved_mode`` is the
+    mode of the trace row that measured ``achieved``: "bound", "exact" or
+    "heuristic".
     """
     try:
         v, p, trace = weak_regularize(w, eps, mode=mode, restarts=restarts,
@@ -395,7 +427,11 @@ def _regularize_stage(w, eps, mode, restarts, max_rounds, seed, rec):
         attained = True
     except RegularityError as err:
         v, p, trace, attained = err.v, err.p, err.trace, False
-    rec.update(classes=p.t, target=eps, achieved=trace[-1]["residual"], attained=attained)
+    achieved = trace[-1]["residual"]
+    # trace residuals are running minima: the first row at the minimum measured it
+    row = next(row for row in trace if row["residual"] == achieved)
+    rec.update(classes=p.t, target=eps, achieved=achieved, achieved_mode=row["mode"],
+               attained=attained)
     return v, p
 
 
@@ -517,10 +553,42 @@ def lift_coloring(
 
     Returns the lifted coloring (its discoloring is ``u`` up to float
     rounding) and a diagnostics record: per-stage runtimes, class counts,
-    measured cut-P distances, the base-case volume report, and the final
-    q0-sample variation distance (measured, never asserted). These
-    measurements are optional: one the budget refuses, or whose grid is
-    too large to measure in memory, reads None and the lift goes on.
+    the regularity residuals and the cut-P distances of stages 4 and 7
+    with the mode that obtained each, the base-case volume report, and
+    the final q0-sample variation distance (measured, never asserted).
+    A stage distance whose L1 bound is at most 1e-9 is that bound, mode
+    "bound"; a larger one is a heuristic cut-P search, mode "heuristic".
+    These measurements are optional: one the budget refuses, or whose
+    grid is too large to measure in memory, reads None and the lift goes
+    on.
+    """
+    u_hat, diagnostics = _lift(
+        u, q, v_hat, delta, q0, seed, sample=sample, edge_uniforms=edge_uniforms,
+        reg_floor=reg_floor, max_rounds=max_rounds, restarts=restarts, mode=mode,
+    )
+    diagnostics["final_tv"] = _measured(lambda: _mu_tv(u_hat, v_hat, q0))
+    return u_hat, diagnostics
+
+
+def _lift(
+    u: StepGraphon | VertexGraphon,
+    q: int,
+    v_hat: StepGraphon,
+    delta: float,
+    q0: int,
+    seed: int,
+    *,
+    sample: SampledColoredGraph | None,
+    edge_uniforms: Sequence[float] | None,
+    reg_floor: float,
+    max_rounds: int,
+    restarts: int,
+    mode: str,
+) -> tuple[StepGraphon, dict[str, Any]]:
+    """The stages of :func:`lift_coloring`, without its final_tv.
+
+    The r = 3 recursion calls this body: only the outer lift's q0-sample
+    distance is reported, so the inner lift computes none.
     """
     u = _as_step(u)
     r = u.r
@@ -544,15 +612,6 @@ def lift_coloring(
     n_edges = comb(q, r)
     stages: list[dict[str, Any]] = []
 
-    def measured_distance(a, b, part, stream):
-        """A stage's heuristic cut-P distance, None when unmeasurable or refused."""
-        if not _measurable_grid(part, r):
-            return None
-        return _measured(lambda: cut_distance(
-            a, b, p=part, mode="heuristic",
-            restarts=max(2, restarts // 2), seed=derive_seed(seed, stream),
-        ))
-
     # stage 0: the sample behind v_hat, drawn from the stage-0 stream when not given
     with _stage("sample", stages) as rec:
         if sample is None:
@@ -572,7 +631,7 @@ def lift_coloring(
         else:  # edge uniforms for a given sample: the first n_edges of the stage-0 stream
             stream = _sample_uniforms(generator(derive_seed(seed, 0)), q, r)
             ues = np.concatenate(stream)[:n_edges]
-        if l1_distance(discolor_step(v_hat, k), embed_sample(sample)) > 1e-9:
+        if l1_distance(discolor_step(v_hat, k), embed_sample(sample)) > _AGREE_L1:
             raise ValueError("v_hat does not discolor to the embedded sample")
         rec["collisions"] = sum(1 for c in sample.colors if c == IOTA)
 
@@ -602,10 +661,12 @@ def lift_coloring(
     # stage 4: color the sampled approximant by transfer
     with _stage("transfer_to_sample", stages) as rec:
         w2 = embed_sample(SampledColoredGraph(q, r, t_pal, colors_at(w1, q, coords, ues)))
-        d_sampled = measured_distance(discolor_step(z_hat, k), w2, r_part, 4)
+        d_sampled, d_mode = _stage_distance(
+            discolor_step(z_hat, k), w2, r_part, restarts, derive_seed(seed, 4))
         w2_hat = transfer_coloring(z_hat, w2, r_part)
         rec.update({
             "measured_distance": d_sampled,
+            "measured_distance_mode": d_mode,
             "claimed_bound": 2 * delta_eff,
             "transferred_bound": 2 * k * delta_eff,
         })
@@ -638,7 +699,7 @@ def lift_coloring(
             )
             pair_start = {s: i for i, s in enumerate(sample_coordinates(q, 3))}
             inner_ues = coords[[pair_start[pair] for pair in map(tuple, pairs.tolist())]]
-            w_marg_hat, inner_diag = lift_coloring(
+            w_marg_hat, inner_diag = _lift(
                 w_marg, q, u_marg_hat, delta / 4, q0, derive_seed(seed, 5),
                 sample=inner_sample, edge_uniforms=inner_ues,
                 reg_floor=reg_floor, max_rounds=max_rounds,
@@ -673,12 +734,15 @@ def lift_coloring(
     # stage 7: transfer back onto the source
     with _stage("transfer_to_source", stages) as rec:
         u_hat = transfer_coloring(w1_hat, u, p_second)
+        d_refined, refined_mode = _stage_distance(
+            w1_hat, u_hat, p_second, restarts, derive_seed(seed, 7))
+        d_base, base_mode = _stage_distance(w1, u, p_second, restarts, derive_seed(seed, 8))
         rec.update({
-            "measured_refined_distance": measured_distance(w1_hat, u_hat, p_second, 7),
-            "measured_base_distance": measured_distance(w1, u, p_second, 8),
+            "measured_refined_distance": d_refined,
+            "measured_refined_distance_mode": refined_mode,
+            "measured_base_distance": d_base,
+            "measured_base_distance_mode": base_mode,
         })
-
-    final_tv = _measured(lambda: _mu_tv(u_hat, v_hat, q0))
 
     diagnostics = {
         "r": r,
@@ -690,7 +754,6 @@ def lift_coloring(
         "delta_paper": delta_paper,
         "delta_effective": delta_eff,
         "stages": stages,
-        "final_tv": final_tv,
     }
     return u_hat, diagnostics
 

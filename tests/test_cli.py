@@ -551,12 +551,14 @@ class TestBudgetEnv:
         # the r = 3 orbit weights of a resolution-4 grid need a 6400-cell
         # intermediate row; --budget must refuse it as HYPERTEST_BUDGET does.
         # Cached orbits skip that enumeration, so start from empty caches.
+        # --t 1 coarsens round zero, so the residual sweep runs: on the
+        # source's own partition the L1 bound certifies it without orbits.
         cutnorm._orbit_atoms.cache_clear()
         graphon.orbit_partition.cache_clear()
         w = random_step_graphon(3, 2, t=3, resolution=4, seed=5)
         wf = write_json(tmp_path / "w3.json", step_graphon_to_json(w))
         rc = cli.run(["regularize", "--in", wf, "--eps", "0.3", "--mode", "heuristic",
-                      "--max-rounds", "1", "--seed", "1", "--budget", "1000"])
+                      "--t", "1", "--max-rounds", "1", "--seed", "1", "--budget", "1000"])
         assert rc == 2
         assert "class-tuple weights" in capsys.readouterr().err
 

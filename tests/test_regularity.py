@@ -5,10 +5,19 @@ from math import log2
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hypertest.budget import BudgetError
 from hypertest.cutnorm import cut_distance
-from hypertest.graphon import GridPartition, StepGraphon, random_grid_partition, random_step_graphon
+from hypertest.graphon import (
+    GridPartition,
+    StepGraphon,
+    l1_distance,
+    random_grid_partition,
+    random_step_graphon,
+    step_average,
+)
 from hypertest.regularity import (
     RegularityError,
     class_count_bound,
@@ -70,6 +79,27 @@ class TestWeakRegularize:
         assert p == w.partition
         for c in w.arrays:
             assert np.allclose(v.arrays[c], w.arrays[c])
+
+    def test_own_partition_is_certified_by_the_l1_bound(self):
+        w = random_step_graphon(2, 2, 3, 4, seed=5)
+        for mode in ("auto", "heuristic"):
+            v, p, trace = weak_regularize(w, eps=0.3, mode=mode)
+            assert [row["mode"] for row in trace] == ["bound"]
+            assert trace[0]["residual"] == l1_distance(w, v)
+            assert p is w.partition
+        # exact mode is asked for the exact residual, so it sweeps
+        _, _, trace = weak_regularize(w, eps=0.3, mode="exact")
+        assert [row["mode"] for row in trace] == ["exact"]
+
+    def test_bound_above_eps_falls_back_to_the_sweep(self):
+        w = random_step_graphon(2, 2, 3, 4, seed=1)
+        bound = l1_distance(w, step_average(w, w.partition))
+        assert bound > 0  # the own-partition average is a few ulps off w
+        try:
+            trace = weak_regularize(w, eps=bound / 2, max_rounds=0)[2]
+        except RegularityError as err:
+            trace = err.trace
+        assert [row["mode"] for row in trace] == ["exact"]
 
     def test_round_cap_at_half(self):
         # eps = 0.5 allows at most ceil(1/0.25) = 4 refinement rounds
@@ -145,6 +175,31 @@ class TestWeakRegularize:
             weak_regularize(w, eps=0.0)
         with pytest.raises(ValueError, match="mode"):
             weak_regularize(w, eps=0.5, mode="guess")
+
+
+@settings(max_examples=60, deadline=None)
+@given(r=st.integers(2, 3), k=st.integers(1, 3), t=st.integers(1, 3), pt=st.integers(1, 3),
+       iota=st.booleans(), pair=st.sampled_from(("independent", "coarsened", "own")),
+       seed=st.integers(0, 2**16), data=st.data())
+def test_cut_distances_never_exceed_l1(r, k, t, pt, iota, pair, seed, data):
+    # every cut-type distance integrates the difference over sets, so the
+    # L1 distance bounds each; "own" pairs sit at 0 up to rounding, the
+    # pairs the lift and round zero of weak_regularize certify by the bound
+    resolution = 4 if r == 2 else 2
+    # a class limit of 99 covers every orbit, where one evaluation attains
+    # the sup; an r = 3 sweep over 2 or 3 classes takes seconds
+    limit = data.draw(st.sampled_from((1, 2, 3, 99) if r == 2 else (1, 99)))
+    u = random_step_graphon(r, k, t, resolution, seed=seed, with_iota=iota)
+    if pair == "independent":
+        w = random_step_graphon(r, k, t, resolution, seed=seed + 1, with_iota=iota)
+    else:
+        coarse = random_grid_partition(r - 1, resolution, pt, seed=seed + 2)
+        w = step_average(u, coarse if pair == "coarsened" else u.partition)
+    p = random_grid_partition(r - 1, resolution, pt, seed=seed + 3)
+    bound = l1_distance(u, w) * (1 + 1e-12) + 1e-15
+    assert sup_partition_distance(u, w, limit, mode="exact")[0] <= bound
+    assert cut_distance(u, w, p=p, mode="exact") <= bound
+    assert cut_distance(u, w, mode="exact") <= bound
 
 
 class TestSupPartitionDistance:

@@ -9,8 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hypertest import transfer
+from hypertest import cutnorm, graphon, transfer
 from hypertest.budget import BudgetError, limit
+from hypertest.cutnorm import cut_distance
 from hypertest.density import sample_distribution, tv_distance
 from hypertest.graphon import (
     GridPartition,
@@ -23,6 +24,7 @@ from hypertest.graphon import (
     random_step_graphon,
     sample_coordinates,
     sample_graphon,
+    step_average,
 )
 from hypertest.hypercore import (
     ColoredHypergraph,
@@ -398,10 +400,11 @@ class TestLiftColoring:
         assert diag["final_tv"] is not None
         assert json.dumps(diag)
 
-    def test_refused_measurement_is_none(self, monkeypatch):
+    def test_agreeing_stage_distances_read_the_bound(self, monkeypatch):
         # at q = 3 from a resolution-2 source, stage 7's 12-grid passes the
-        # memory guard but its r = 3 orbit weights exceed the default budget:
-        # the optional cut distances read None and the lift goes on
+        # memory guard but its r = 3 orbit weights exceed the default budget;
+        # the pairs agree, so the L1 bound certifies both distances without
+        # the refused search, and the lift goes on
         monkeypatch.delenv("HYPERTEST_BUDGET", raising=False)
         u0 = random_step_graphon(3, 4, t=2, resolution=2, seed=1)
         u = discolor_step(u0, 2)
@@ -409,10 +412,55 @@ class TestLiftColoring:
         u_hat, diag = lift_coloring(u, 3, embed_sample(sample), 0.4, 3, 1)
         last = diag["stages"][-1]
         assert last["stage"] == "transfer_to_source"
-        assert last["measured_refined_distance"] is None
-        assert last["measured_base_distance"] is None
+        for name in ("refined", "base"):
+            assert last[f"measured_{name}_distance"] <= 1e-9
+            assert last[f"measured_{name}_distance_mode"] == "bound"
         assert l1_distance(discolor_step(u_hat, 2), u) <= 1e-9
         assert diag["final_tv"] is not None
+
+    def test_refused_measurement_is_none(self):
+        # a pair the bound cannot certify goes on to the heuristic search,
+        # whose r = 3 orbit weights of a 4-grid the budget refuses; cached
+        # orbits skip that enumeration, so start from empty caches
+        cutnorm._orbit_atoms.cache_clear()
+        graphon.orbit_partition.cache_clear()
+        a = random_step_graphon(3, 2, t=2, resolution=4, seed=1)
+        b = random_step_graphon(3, 2, t=2, resolution=4, seed=2)
+        with limit(1000):
+            assert l1_distance(a, b) > 1e-9
+            assert transfer._stage_distance(a, b, a.partition, 4, 0) == (None, None)
+
+    def test_stage_distance_modes(self):
+        a = random_step_graphon(2, 2, t=3, resolution=4, seed=1)
+        b = random_step_graphon(2, 2, t=3, resolution=4, seed=2)
+        own = step_average(a, a.partition)
+        d, mode = transfer._stage_distance(a, own, a.partition, 4, 7)
+        assert mode == "bound" and d == l1_distance(a, own) <= 1e-9
+        d, mode = transfer._stage_distance(a, b, a.partition, 4, 7)
+        assert mode == "heuristic"
+        assert d == cut_distance(a, b, p=a.partition, mode="heuristic", restarts=2, seed=7)
+        # a grid too large to measure in memory reads None, past the bound
+        a3 = random_step_graphon(3, 2, t=2, resolution=2, seed=3)
+        b3 = random_step_graphon(3, 2, t=2, resolution=2, seed=4)
+        big = GridPartition(2, 18, np.zeros((18,) * 3, dtype=np.int64), 1)
+        assert transfer._stage_distance(a3, b3, big, 4, 0) == (None, None)
+
+    def test_stages_record_how_each_value_was_obtained(self):
+        seed = 77
+        u0 = random_step_graphon(3, 4, t=2, resolution=2, seed=11)
+        sample = sample_graphon(u0, 6, derive_seed(seed, 0))
+        _, diag = lift_coloring(discolor_step(u0, 2), 6, embed_sample(sample), 0.4, 3, seed)
+        inner = diag["stages"][5]["inner"]
+        # only the outer lift measures its q0-sample distance
+        assert "final_tv" not in inner and diag["final_tv"] is not None
+        for d in (diag, inner):
+            stages = {rec["stage"]: rec for rec in d["stages"]}
+            for name in ("regularize_source", "regularize_sample_coloring"):
+                assert stages[name]["achieved_mode"] in ("bound", "exact", "heuristic")
+            modes = [stages["transfer_to_sample"]["measured_distance_mode"],
+                     stages["transfer_to_source"]["measured_refined_distance_mode"],
+                     stages["transfer_to_source"]["measured_base_distance_mode"]]
+            assert set(modes) <= {"bound", "heuristic", None}
 
     def test_rejects_oversized_r3_sample(self):
         u = random_step_graphon(3, 2, t=2, resolution=2, seed=1)
