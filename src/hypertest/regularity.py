@@ -7,6 +7,9 @@ partition is an exact conditional expectation, so each detected residual
 eta pushes the approximant's L2 energy up by eta^2 and the number of
 productive rounds is capped by 1/eps^2. The returned approximant is the
 best one seen, which keeps the reported residual trace nonincreasing.
+A round zero that keeps the input's own partition is certified by the
+L1 bound instead of a sweep, outside "exact" mode, whenever that bound
+meets the target.
 """
 
 from __future__ import annotations

@@ -19,7 +19,9 @@ evenly where the whole is 0; base-case volumes, fiber quotas
 split through it. ``graphon._joint_counts`` counts class pairs, and
 ``graphon._fiber_shares`` gives the per-fiber class shares of the r = 3
 marginals. ``_stack_fibers`` carves the source partition for r = 2 and
-3 alike. ``_regularize_stage`` runs and records both regularizations.
+3 alike. ``_regularize_stage`` runs and records both regularizations,
+and ``_stage_distance`` measures the stage distances; each records the
+mode behind its value, with the L1 bound certifying pairs that agree.
 
 Everything is deterministic given its seed; pipeline stages run on
 ``derive_seed(seed, stage_index)``. Proximity numbers in the lift
@@ -393,7 +395,8 @@ def _stage_distance(
 
     Every cut-P distance is at most the L1 distance, so an L1 distance of
     at most ``_AGREE_L1`` is recorded as it stands, mode "bound". A larger
-    one goes on to a heuristic cut-P search, mode "heuristic". The
+    one goes on to a heuristic cut-P search with half the lift's
+    ``restarts`` (at least 2), mode "heuristic". The
     distance reads (None, None) when the budget refuses it or its grid is
     too large to measure in memory.
     """
@@ -661,12 +664,12 @@ def _lift(
     # stage 4: color the sampled approximant by transfer
     with _stage("transfer_to_sample", stages) as rec:
         w2 = embed_sample(SampledColoredGraph(q, r, t_pal, colors_at(w1, q, coords, ues)))
-        d_sampled, d_mode = _stage_distance(
+        d_sampled, sampled_mode = _stage_distance(
             discolor_step(z_hat, k), w2, r_part, restarts, derive_seed(seed, 4))
         w2_hat = transfer_coloring(z_hat, w2, r_part)
         rec.update({
             "measured_distance": d_sampled,
-            "measured_distance_mode": d_mode,
+            "measured_distance_mode": sampled_mode,
             "claimed_bound": 2 * delta_eff,
             "transferred_bound": 2 * k * delta_eff,
         })
