@@ -6,6 +6,7 @@ oracles the commands wrap.
 """
 
 import argparse
+import hashlib
 import json
 import os
 import subprocess
@@ -20,6 +21,7 @@ from hypertest.cutnorm import cutnorm_exact
 from hypertest.energy import CouplingArray, gse
 from hypertest.graphon import random_step_graphon, step_graphon_to_json
 from hypertest.hypercore import hypergraph_to_json, make_hypergraph
+from hypertest.seeds import generator
 
 import numpy as np
 
@@ -578,3 +580,42 @@ class TestOracleSuite:
         assert cli.run(["oracle-suite", "--level", "desk"]) == 7
         assert captured["cmd"][1:3] == ["-m", "pytest"]
         assert captured["cmd"][3].endswith("test_acceptance.py")
+
+
+# Byte goldens of the refinement-search subcommands, recorded with the
+# per-candidate search: a search that scores color histograms instead
+# must return the same values and the same winning colorings. Every case
+# fits the default budget, so "auto" enumerates in both.
+SEARCH_ARGVS = {
+    "nd-estimate": ["nd-estimate", "--in", "{g6}", "--witness", "signed-split",
+                    "--q", "5", "--q0", "2", "--seed", "4"],
+    "prop-test": ["prop-test", "--in", "{g6}", "--property", "complete-witness",
+                  "--eps", "0.3", "--seed", "2"],
+    "prop-test-complete": ["prop-test", "--in", "{k6}", "--property", "complete-witness",
+                           "--eps", "0.3", "--seed", "2"],
+    "prop-test-trials": ["prop-test", "--in", "{g8}", "--property", "complete-witness",
+                         "--eps", "0.3", "--q", "4", "--trials", "5", "--seed", "3"],
+}
+
+GOLDEN_SEARCH_ARTIFACTS = {
+    "nd-estimate": "1a44a1c5fc2157c0effef11967dde44ed94754084f0eaf0843efa2db09612103",
+    "prop-test": "42d7f1947ecaeb4d0ebc2917ec0476738109df01b3be2efa1baaaae1c8aa7278",
+    "prop-test-complete": "4977cc19144832af305f37b1005a4760a1fa728cc06a1a505d2f4c6447881354",
+    "prop-test-trials": "4a5a0d7921cf1752a470b95ada9b1e6ef90e193878f306c70e0cf666d9fa1470",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SEARCH_ARGVS))
+def test_golden_search_artifacts(name: str, tmp_path: Path) -> None:
+    def random_graph(n: int, seed: int):
+        colors = generator(seed).integers(1, 3, size=n * (n - 1) // 2)
+        return make_hypergraph(n, 2, 2, [int(c) for c in colors])
+
+    graphs = {"g6": random_graph(6, 61), "g8": random_graph(8, 81),
+              "k6": make_hypergraph(6, 2, 2, [1] * 15)}
+    paths = {key: write_json(tmp_path / f"{key}.json", hypergraph_to_json(g))
+             for key, g in graphs.items()}
+    out = tmp_path / "out.json"
+    argv = [arg.format(**paths) for arg in SEARCH_ARGVS[name]] + ["--out", str(out)]
+    assert cli.run(argv) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_SEARCH_ARTIFACTS[name]
