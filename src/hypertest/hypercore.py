@@ -19,7 +19,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations, islice, permutations, product
-from math import comb
+from math import comb, prod
 from operator import add
 from typing import Any, Iterable, Iterator, Mapping, Sequence
 
@@ -370,6 +370,65 @@ def enumerate_colorings(g, k: int):
     base, ranges = _refinement_layout(g, k)
     for betas in product(*ranges):
         yield _refined_with(g, base, betas, k)
+
+
+def _color_histogram(g) -> np.ndarray:
+    """Edges per color of ``g``, shape (g.k + 1,); entry 0 counts the reserved color."""
+    return np.bincount(np.asarray(g.colors, dtype=np.intp), minlength=g.k + 1)
+
+
+@lru_cache(maxsize=256)
+def _compositions(n: int, k: int) -> np.ndarray:
+    """Every split of n into k ordered nonnegative parts, one per row (stars and bars)."""
+    bars = np.array(list(combinations(range(n + k - 1), k - 1)),
+                    dtype=np.int64).reshape(comb(n + k - 1, k - 1), k - 1)
+    fenced = np.pad(bars, ((0, 0), (1, 1)), constant_values=((0, 0), (-1, n + k - 1)))
+    parts = np.diff(fenced, axis=1) - 1
+    parts.flags.writeable = False
+    return parts
+
+
+def _refinement_splits(g, k: int) -> np.ndarray:
+    """The color histograms of the k-refinements of ``g``, one row per split.
+
+    A split gives each base color alpha of ``g`` k subcolor counts that
+    sum to alpha's edge count; every refinement with the same histogram
+    has the same split. Rows have shape (g.k * k + 1,) in refined colors
+    (:func:`composite_color`), column 0 the reserved count. There are
+    prod C(n_alpha + k - 1, k - 1) rows, in no promised order, and the
+    budget checks that number as "refinement enumeration".
+    """
+    sizes = _color_histogram(g).tolist()
+    check_budget("refinement enumeration", prod(comb(n + k - 1, k - 1) for n in sizes[1:]))
+    parts = [_compositions(n, k) for n in sizes[1:]]
+    pick = np.indices([len(p) for p in parts]).reshape(len(parts), -1)
+    hists = np.empty((pick.shape[1], g.k * k + 1), dtype=np.int64)
+    hists[:, 0] = sizes[0]
+    for alpha, (p, rows) in enumerate(zip(parts, pick)):
+        hists[:, 1 + alpha * k:1 + (alpha + 1) * k] = p[rows]
+    return hists
+
+
+def _first_subcolors(g, k: int, hists: np.ndarray) -> np.ndarray:
+    """Per histogram row, the subcolors of its first refinement in enumeration order.
+
+    In :func:`enumerate_colorings` order the first refinement with a
+    given split gives each base color's edges, in colex order, their
+    subcolors ascending: the first c_1 edges subcolor 1, the next c_2
+    subcolor 2, and so on. Returns one row of subcolors per histogram
+    row, 0 on reserved edges, ready for :func:`_refined_with`.
+    """
+    colors = np.asarray(g.colors)
+    betas = np.zeros((len(hists), len(colors)), dtype=np.min_scalar_type(k))
+    for alpha in range(1, g.k + 1):
+        edges = np.flatnonzero(colors == alpha)
+        ranks = np.arange(len(edges))
+        sub = np.ones((len(hists), len(edges)), dtype=betas.dtype)
+        # an edge of rank j has subcolor 1 + #{beta < k : j >= c_1 + ... + c_beta}
+        for bound in np.cumsum(hists[:, 1 + (alpha - 1) * k:alpha * k], axis=1).T:
+            sub += ranks >= bound[:, None]
+        betas[:, edges] = sub
+    return betas
 
 
 def sample_subgraph(g: ColoredHypergraph, q: int, seed: int) -> SampledColoredGraph:

@@ -11,6 +11,17 @@ for its colored witness property: the sample is accepted when some
 coloring of it has witness sample-property density at least 3/5, with
 outer thresholds 2/5 and 3/5.
 
+Every built-in witness is a function of the color histogram, written
+once as a counts form (an (N, K + 1) array of color counts in, N values
+out, column 0 the reserved color); its per-graph callable is derived
+from that form and carries it. A refinement search on such a witness
+scores the splits of each base color's count into k subcolor counts,
+and the budget counts those splits; a callable without the form scores
+all k**m refinements one by one, and the budget counts those. The
+heuristic search always scores refinements one by one. The density of
+``property_tester`` carries the form when the witness sample size is
+the whole graph, where the density is the predicate on the graph.
+
 Callbacks registered here must be pure functions of their argument and
 invariant under vertex relabeling; registration spot-checks the
 invariance on random permutations, because that invariance is what makes
@@ -26,10 +37,13 @@ from dataclasses import dataclass, field
 from math import ceil, comb, log, sqrt
 from typing import Any, Callable, NamedTuple, Sequence
 
+import numpy as np
+
 from .budget import check_budget
 from .hypercore import (
     ColoredHypergraph,
     SampledColoredGraph,
+    _color_histogram,
     induced_sweep,
     pattern_counts,
     sample_subgraph,
@@ -76,6 +90,14 @@ class ParameterFn:
 
     def __call__(self, g) -> float:
         return float(self.fn(g))
+
+    @property
+    def counts_form(self) -> Callable[[np.ndarray], np.ndarray] | None:
+        """``fn``'s counts form as floats, or None when ``fn`` has none."""
+        form = getattr(self.fn, "counts_form", None)
+        if form is None:
+            return None
+        return lambda counts: np.asarray(form(counts), dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -287,6 +309,12 @@ def property_tester(
     def density(refined) -> float:
         return witness_sample_density(p_witness, refined, q_w)
 
+    form = getattr(p_witness.sample_predicate(), "counts_form", None)
+    if q_w == h.n and form is not None:
+        # the one q_w-subset is the whole refined graph, so the density is
+        # the predicate on its color histogram
+        density.counts_form = lambda counts: np.asarray(form(counts), dtype=bool).astype(np.float64)
+
     best, best_g = max_over_refinements(
         h, arity, density, mode=mode, restarts=restarts, seed=seed
     )
@@ -385,25 +413,43 @@ def far_from_property(
 # built-in registry
 
 
-def _fraction_of(color: int) -> Callable[[Any], float]:
-    def fn(h) -> float:
-        return sum(1 for c in h.colors if c == color) / len(h.colors)
+def _histogram_witness(counts_form: Callable[[np.ndarray], np.ndarray]) -> Callable[[Any], Any]:
+    """The per-graph callable of a witness written on color counts.
 
+    ``counts_form`` maps an (N, K + 1) array of color counts, column 0
+    the reserved color, to N values. The callable evaluates it on one
+    graph's histogram and carries it as its ``counts_form`` attribute,
+    so a refinement search can score histograms without building graphs.
+    """
+    def fn(h):
+        return counts_form(_color_histogram(h)[None])[0].item()
+
+    fn.counts_form = counts_form
     return fn
 
 
-def _signed_split(h) -> float:
-    ones = sum(1 for c in h.colors if c == 1)
-    twos = sum(1 for c in h.colors if c == 2)
-    return (ones - twos) / len(h.colors)
+def _count(counts: np.ndarray, color: int) -> np.ndarray:
+    """Column ``color`` of a counts array; zeros for a color past its palette."""
+    return counts[:, color] if color < counts.shape[1] else np.zeros(len(counts), np.int64)
 
 
-def _all_first_color(h) -> bool:
-    return all(c == 1 for c in h.colors)
+def _fraction_of(color: int) -> Callable[[Any], float]:
+    return _histogram_witness(lambda counts: _count(counts, color) / counts.sum(axis=1))
 
 
-def _complete_defect(h) -> int:
-    return sum(1 for c in h.colors if c != 1)
+@_histogram_witness
+def _signed_split(counts: np.ndarray) -> np.ndarray:
+    return (counts[:, 1] - _count(counts, 2)) / counts.sum(axis=1)
+
+
+@_histogram_witness
+def _all_first_color(counts: np.ndarray) -> np.ndarray:
+    return counts[:, 1] == counts.sum(axis=1)
+
+
+@_histogram_witness
+def _complete_defect(counts: np.ndarray) -> np.ndarray:
+    return counts.sum(axis=1) - counts[:, 1]
 
 
 def _clean_sample_size(r: int) -> Callable[[float], int]:

@@ -69,8 +69,10 @@ from .hypercore import (
     IOTA,
     ColoredHypergraph,
     SampledColoredGraph,
+    _first_subcolors,
     _refined_with,
     _refinement_layout,
+    _refinement_splits,
     colex_edges,
     composite_color,
     enumerate_colorings,
@@ -779,7 +781,17 @@ def max_over_refinements(
     edges (budget checked), "heuristic" runs seeded first-improvement
     subcolor flips from random starts, "auto" enumerates and falls back
     to the search when the budget refuses. Returns the best value and
-    the refined graph attaining it.
+    the refined graph attaining it, the first one in enumeration order
+    when several do, also when the best value is -inf. A NaN value
+    raises ``ValueError``.
+
+    When ``value_fn`` has a ``counts_form`` attribute (a function from an
+    (N, K + 1) array of color counts to N values, column 0 the reserved
+    color), the exact side scores the prod C(n_alpha + k - 1, k - 1)
+    splits of each base color's count into k subcolor counts in one
+    call instead, budget checked by that number, and builds only the
+    winner: the same value and refinement, since the value depends on
+    the histogram alone.
     """
     return _refinement_search(g, k, value_fn, mode, restarts, seed)[0]
 
@@ -788,19 +800,39 @@ def _refinement_search(g, k, value_fn, mode, restarts, seed) -> tuple[tuple[floa
     """:func:`max_over_refinements` with the side that ran: "exact" or "heuristic"."""
     if k < 1:
         raise ValueError("refinement arity k must be >= 1")
+    base, _ = _refinement_layout(g, k)
+
+    def score(candidate) -> float:
+        value = value_fn(candidate)
+        if value != value:
+            raise ValueError("refinement value is NaN")
+        return value
 
     def enumerate_all() -> tuple[float, Any]:
         best, best_g = -np.inf, None
         for candidate in enumerate_colorings(g, k):
-            value = value_fn(candidate)
-            if value > best:
+            value = score(candidate)
+            if best_g is None or value > best:
                 best, best_g = value, candidate
         return best, best_g
+
+    def by_histogram() -> tuple[float, Any]:
+        hists = _refinement_splits(g, k)
+        values = np.asarray(counts_form(hists))
+        if values.shape != (len(hists),):
+            raise ValueError(f"counts_form gave shape {values.shape} for {len(hists)} rows")
+        if np.any(values != values):
+            raise ValueError("refinement value is NaN")
+        best = values.max()
+        # the first tied refinement in enumeration order: the lexicographically
+        # least subcolor row among the tied splits' first refinements
+        betas = _first_subcolors(g, k, hists[values == best])
+        first = betas[np.lexsort(betas.T[::-1])[0]]
+        return best.item(), _refined_with(g, base, first.tolist(), k)
 
     def local_search() -> tuple[float, Any]:
         _check_restarts(restarts)
         best, best_g = -np.inf, None
-        base, _ = _refinement_layout(g, k)
         free = [i for i, c in enumerate(g.colors) if c != IOTA]
         for restart in range(restarts):
             rng = generator(derive_seed(seed, restart))
@@ -808,7 +840,7 @@ def _refinement_search(g, k, value_fn, mode, restarts, seed) -> tuple[tuple[floa
             for i, beta in zip(free, rng.integers(1, k + 1, size=len(free)).tolist()):
                 betas[i] = beta
             current = _refined_with(g, base, betas, k)
-            value = value_fn(current)
+            value = score(current)
             improved = True
             while improved:
                 improved = False
@@ -819,16 +851,18 @@ def _refinement_search(g, k, value_fn, mode, restarts, seed) -> tuple[tuple[floa
                             continue
                         betas[pos] = nb
                         candidate = _refined_with(g, base, betas, k)
-                        cand_value = value_fn(candidate)
+                        cand_value = score(candidate)
                         if cand_value > value + 1e-12:
                             value, current, improved = cand_value, candidate, True
                             break
                         betas[pos] = old
-            if value > best:
+            if best_g is None or value > best:
                 best, best_g = value, current
         return best, best_g
 
-    return exact_or_heuristic(mode, enumerate_all, local_search)
+    counts_form = getattr(value_fn, "counts_form", None)
+    exact = enumerate_all if counts_form is None else by_histogram
+    return exact_or_heuristic(mode, exact, local_search)
 
 
 def _round_coloring(

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 from scipy.stats import binomtest
 
-from hypertest.budget import BudgetError, limit
-from hypertest.hypercore import ColoredHypergraph, make_hypergraph
+from hypertest.budget import DEFAULT_BUDGET, BudgetError, limit
+from hypertest.hypercore import ColoredHypergraph, discolor, make_hypergraph
 from hypertest.seeds import generator
 from hypertest.testers import (
     PARAMETERS,
@@ -23,6 +23,7 @@ from hypertest.testers import (
     wilson_interval,
     witness_sample_density,
 )
+from hypertest.transfer import nd_estimate_pipeline
 
 
 def complete_graph(n, r=2):
@@ -135,13 +136,31 @@ class TestNdParameter:
             assert not local.certified
 
     def test_auto_respects_budget(self):
+        # 5 and 10 edges of the two base colors split into 6 * 11 = 66
+        # subcolor histograms, which a budget of 50 refuses
         f = PARAMETERS["signed-split"]
         g = random_graph(6, seed=2)
-        with limit(100):
+        with limit(50):
             out = nd_parameter(f, g, mode="auto")
             assert not out.certified
             with pytest.raises(BudgetError):
                 nd_parameter(f, g, mode="exact")
+
+
+    def test_auto_certifies_by_histogram(self):
+        # K8 has 28 edges, so 2**28 refinements, far over the default
+        # budget; signed-split depends on the color histogram alone, and
+        # the 15 and 13 edges of the two base colors split 16 * 14 ways
+        f = PARAMETERS["signed-split"]
+        g = random_graph(8, seed=4)
+        assert 2 ** len(g.colors) > DEFAULT_BUDGET
+        out = nd_parameter(f, g, mode="auto")
+        assert out.certified
+        # the best split puts every first-color edge in the positive class
+        assert out.value == sum(1 for c in g.colors if c == 1) / len(g.colors)
+        assert discolor(out.witness, 2) == g
+        report = nd_estimate_pipeline(g, f, 5, 2, seed=1, k=2)
+        assert report["f_exact"] == out.value
 
 
 class TestPropertyTester:
@@ -193,7 +212,8 @@ class TestPropertyTester:
         assert good["ci_low"] <= good["rate"] <= good["ci_high"]
 
     def test_budget_refusal_propagates(self):
-        with limit(50), pytest.raises(BudgetError):
+        # the 21 edges of K7 split into 22 subcolor histograms
+        with limit(20), pytest.raises(BudgetError):
             property_tester(PROPERTIES["complete-witness"], complete_graph(7), 0.3, mode="exact")
 
     def test_auto_passes_a_witness_refusal_through(self):

@@ -31,11 +31,20 @@ from hypertest.hypercore import (
     SampledColoredGraph,
     composite_color,
     discolor,
+    enumerate_colorings,
     make_hypergraph,
     split_color,
 )
 from hypertest.seeds import derive_seed, generator
-from hypertest.testers import ParameterFn, nd_parameter
+from hypertest.testers import (
+    PARAMETERS,
+    PROPERTIES,
+    ParameterFn,
+    PropertyFn,
+    _histogram_witness,
+    nd_parameter,
+    property_tester,
+)
 from hypertest.transfer import (
     base_case_report,
     base_case_transfer,
@@ -554,6 +563,99 @@ class TestMaxOverRefinements:
                                             mode="exact")
         assert best_g.colors[1] == 0
         assert best_g.k == 2
+
+
+    @pytest.mark.parametrize("mode", ["exact", "heuristic", "auto"])
+    @pytest.mark.parametrize("histogram", [False, True])
+    def test_a_nan_value_raises(self, mode, histogram):
+        g = make_hypergraph(4, 2, 2, [1, 2, 1, 2, 1, 2])
+        nan = (_histogram_witness(lambda counts: np.full(len(counts), np.nan)) if histogram
+               else lambda h: float("nan"))
+        with pytest.raises(ValueError, match="NaN"):
+            max_over_refinements(g, 2, nan, mode=mode, seed=1)
+
+    def test_a_counts_form_owes_one_value_per_row(self):
+        g = make_hypergraph(4, 2, 2, [1, 2, 1, 2, 1, 2])
+        scalar = _histogram_witness(lambda counts: counts[0, 1] / counts.sum())
+        with pytest.raises(ValueError, match=r"shape \(\) for 16 rows"):
+            max_over_refinements(g, 2, scalar, mode="exact")
+
+    @pytest.mark.parametrize("histogram", [False, True])
+    def test_minus_infinity_still_returns_the_first_refinement(self, histogram):
+        g = make_hypergraph(4, 2, 2, [1, 2, 1, 2, 1, 2])
+        never = (_histogram_witness(lambda counts: np.full(len(counts), -np.inf)) if histogram
+                 else lambda h: -np.inf)
+        best, best_g = max_over_refinements(g, 2, never, mode="exact")
+        assert best == -np.inf and best_g == next(enumerate_colorings(g, 2))
+        best, best_g = max_over_refinements(g, 2, never, mode="heuristic", seed=1)
+        assert best == -np.inf and discolor(best_g, 2) == g
+        out = nd_parameter(ParameterFn("never", 2, 4, never), g)
+        assert out.certified and out.witness == next(enumerate_colorings(g, 2))
+
+
+def _witness_graph(data, r: int, t: int, reserved: bool):
+    """A random t-colored r-graph, or a sample with reserved edges; at most 7 free edges."""
+    if not reserved:
+        n = data.draw(st.sampled_from([n for n in range(r, r + 3) if comb(n, r) <= 7]), label="n")
+        colors = data.draw(st.lists(st.integers(1, t), min_size=comb(n, r),
+                                    max_size=comb(n, r)), label="colors")
+        return make_hypergraph(n, r, t, colors)
+    n = data.draw(st.integers(r, r + 3), label="n")
+    colors = data.draw(st.lists(st.integers(0, t), min_size=comb(n, r),
+                                max_size=comb(n, r)), label="colors")
+    free = [i for i, c in enumerate(colors) if c != 0]
+    for i in free[7:]:
+        colors[i] = 0
+    coords = tuple(data.draw(st.lists(st.floats(0, 1), min_size=2, max_size=2), label="coords"))
+    return SampledColoredGraph(n, r, t, tuple(colors), vertices=tuple(range(1, n + 1)),
+                               coords=coords)
+
+
+def _same_search(found, oracle) -> None:
+    (value, best), (want, best_want) = found, oracle
+    assert type(value) is type(want) and float(value).hex() == float(want).hex()
+    assert best.colors == best_want.colors and best.k == best_want.k
+    assert type(best) is type(best_want)
+    if isinstance(best_want, SampledColoredGraph):
+        assert (best.vertices, best.coords) == (best_want.vertices, best_want.coords)
+
+
+HISTOGRAM_WITNESSES = {
+    **{name: f for name, f in PARAMETERS.items()
+       if name in ("edge-density", "triple-density", "signed-split", "triple-signed-split")},
+    "all-first-color": PROPERTIES["complete-witness"].member,
+    "complete-defect": PROPERTIES["complete-witness"].distance_to,
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), r=st.sampled_from((2, 3)), k=st.integers(1, 3), t=st.integers(1, 3),
+       reserved=st.booleans(), name=st.sampled_from(sorted(HISTOGRAM_WITNESSES)))
+def test_histogram_search_matches_the_per_candidate_search(data, r, k, t, reserved, name):
+    # the same callable with its counts form stripped runs the per-candidate
+    # path: values bit for bit and the first winner in enumeration order
+    g = _witness_graph(data, r, t, reserved)
+    f = HISTOGRAM_WITNESSES[name]
+    assert f.counts_form is not None
+    _same_search(max_over_refinements(g, k, f, mode="exact"),
+                 max_over_refinements(g, k, lambda h: f(h), mode="exact"))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), k=st.integers(1, 3), t=st.integers(1, 3))
+def test_histogram_density_matches_the_per_candidate_density(data, k, t):
+    # prop-test's density at witness sample size q_w = n is the predicate
+    # on the whole refined graph, scored by its counts form
+    g = _witness_graph(data, 2, t, reserved=False)
+    base = PROPERTIES["complete-witness"]
+    witness = PropertyFn(base.name, 2, t * k, base.member, sample_size=base.sample_size)
+    stripped = PropertyFn(base.name, 2, t * k, lambda h: base.member(h),
+                          sample_size=base.sample_size)
+    accept, trace = property_tester(witness, g, 0.3)
+    want_accept, want = property_tester(stripped, g, 0.3)
+    assert trace["witness_sample_size"] == g.n
+    assert accept == want_accept and trace == want
+    assert float(trace["best_density"]).hex() == float(want["best_density"]).hex()
 
 
 class TestEstimationPipeline:
