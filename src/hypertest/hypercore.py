@@ -210,10 +210,7 @@ class ColoredHypergraph:
 
     def color_counts(self) -> dict[int, int]:
         """Number of edges per color, including zero counts."""
-        counts = {alpha: 0 for alpha in range(1, self.k + 1)}
-        for c in self.colors:
-            counts[c] += 1
-        return counts
+        return dict(enumerate(_color_histogram(self)[1:].tolist(), start=1))
 
     def adjacency_array(self, alpha: int) -> np.ndarray:
         """Symmetric 0/1 indicator array of color class ``alpha``.

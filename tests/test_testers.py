@@ -146,7 +146,6 @@ class TestNdParameter:
             with pytest.raises(BudgetError):
                 nd_parameter(f, g, mode="exact")
 
-
     def test_auto_certifies_by_histogram(self):
         # K8 has 28 edges, so 2**28 refinements, far over the default
         # budget; signed-split depends on the color histogram alone, and

@@ -564,7 +564,6 @@ class TestMaxOverRefinements:
         assert best_g.colors[1] == 0
         assert best_g.k == 2
 
-
     @pytest.mark.parametrize("mode", ["exact", "heuristic", "auto"])
     @pytest.mark.parametrize("histogram", [False, True])
     def test_a_nan_value_raises(self, mode, histogram):
