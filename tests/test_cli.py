@@ -8,6 +8,7 @@ oracles the commands wrap.
 import argparse
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -619,3 +620,38 @@ def test_golden_search_artifacts(name: str, tmp_path: Path) -> None:
     argv = [arg.format(**paths) for arg in SEARCH_ARGVS[name]] + ["--out", str(out)]
     assert cli.run(argv) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_SEARCH_ARTIFACTS[name]
+
+
+# Byte goldens of the probe subcommand, recorded with one sample_subgraph
+# and one parameter call per trial: a probe that draws each q's trials as
+# one batch and scores them by color histogram must write the same bytes.
+PROBE_ARGVS = {
+    "edge-density": ["probe", "--in", "{g30}", "--parameter", "edge-density",
+                     "--eps", "0.1", "--q-grid", "6,20", "--trials", "60", "--seed", "5"],
+    "signed-split": ["probe", "--in", "{s20}", "--parameter", "signed-split",
+                     "--eps", "0.2", "--q-grid", "4,9,16", "--trials", "50", "--seed", "6"],
+    "triple-density": ["probe", "--in", "{t12}", "--parameter", "triple-density",
+                       "--eps", "0.15", "--q-grid", "3,7,12", "--trials", "40", "--seed", "7"],
+}
+
+GOLDEN_PROBE_ARTIFACTS = {
+    "edge-density": "a4271cba502801cb45353b0843c5411300e93c98643265af9e90833b45d53828",
+    "signed-split": "32d552e9794b00313735e6ef52a5f735dfe7fcbe2aa11bb0a4451ff921f4bfd9",
+    "triple-density": "48b2572f03b5a3225e04886c8b53bd33784bcbde3db9dee94871826b6444231f",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PROBE_ARGVS))
+def test_golden_probe_artifacts(name: str, tmp_path: Path) -> None:
+    def random_graph(n: int, r: int, k: int, seed: int):
+        colors = generator(seed).integers(1, k + 1, size=math.comb(n, r))
+        return make_hypergraph(n, r, k, [int(c) for c in colors])
+
+    graphs = {"g30": random_graph(30, 2, 2, 301), "s20": random_graph(20, 2, 4, 201),
+              "t12": random_graph(12, 3, 2, 121)}
+    paths = {key: write_json(tmp_path / f"{key}.json", hypergraph_to_json(g))
+             for key, g in graphs.items()}
+    out = tmp_path / "out.json"
+    argv = [arg.format(**paths) for arg in PROBE_ARGVS[name]] + ["--out", str(out)]
+    assert cli.run(argv) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_PROBE_ARTIFACTS[name]

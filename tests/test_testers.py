@@ -1,5 +1,7 @@
 """Tester harnesses: probes, best-coloring parameters, property testing."""
 
+import hashlib
+import json
 from math import comb
 
 import numpy as np
@@ -7,7 +9,7 @@ import pytest
 from scipy.stats import binomtest
 
 from hypertest.budget import DEFAULT_BUDGET, BudgetError, limit
-from hypertest.hypercore import ColoredHypergraph, discolor, make_hypergraph
+from hypertest.hypercore import ColoredHypergraph, colex_edges, discolor, make_hypergraph
 from hypertest.seeds import generator
 from hypertest.testers import (
     PARAMETERS,
@@ -75,6 +77,16 @@ class TestRegistry:
         assert "first-slot" not in PARAMETERS
 
 
+def _max_first_degree(h):
+    """Largest first-color degree over n - 1: relabeling-invariant, not a histogram function."""
+    hits = colex_edges(h.n, 2)[np.asarray(h.colors) == 1]
+    return np.bincount(hits.ravel(), minlength=h.n).max() / (h.n - 1)
+
+
+PROBE_FAILURES = [27, 21, 0]
+GOLDEN_PROBE_REPORT = "dea5c32f9f27ff3e857ecc83d0415f7e9833cd6279f379368867f91905e09cbc"
+
+
 class TestProbe:
     def test_constant_parameter_never_fails(self):
         f = PARAMETERS["edge-density"]
@@ -109,6 +121,18 @@ class TestProbe:
         f = PARAMETERS["edge-density"]
         with pytest.raises(ValueError, match="palette"):
             probe_sample_complexity(f, random_graph(8, seed=1, r=3), 0.1, [4])
+
+    def test_golden_report_without_counts_form(self):
+        # recorded with one sample_subgraph and one parameter call per trial;
+        # a parameter that is no function of the color histogram keeps
+        # scoring its samples one graph at a time
+        f = ParameterFn("max-first-degree", 2, 2, _max_first_degree)
+        assert f.counts_form is None
+        report = probe_sample_complexity(f, random_graph(16, seed=41), 0.15,
+                                         [5, 9, 16], trials=60, seed=8)
+        assert [row["failures"] for row in report["rows"]] == PROBE_FAILURES
+        digest = hashlib.sha256(json.dumps(report).encode()).hexdigest()
+        assert digest == GOLDEN_PROBE_REPORT
 
 
 class TestNdParameter:
