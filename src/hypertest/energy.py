@@ -29,7 +29,7 @@ import numpy as np
 from .budget import check_budget
 from .cutnorm import StepKernel, TuplePartition, _check_restarts, _problem
 from .graphon import StepGraphon, VertexGraphon, _as_step, subsets_card_lex
-from .hypercore import ColoredHypergraph, sample_subgraph
+from .hypercore import ColoredHypergraph, sample_subgraphs
 from .seeds import derive_seed, generator
 
 __all__ = [
@@ -531,10 +531,10 @@ def concentration_experiment(
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
+    _, colors = sample_subgraphs(h, sample_size, [derive_seed(seed, i, 0) for i in range(trials)])
     values = []
-    for i in range(trials):
-        sample = sample_subgraph(h, sample_size, seed=derive_seed(seed, i, 0))
-        sub = ColoredHypergraph(sample_size, h.r, h.k, sample.colors)
+    for i, row in enumerate(colors.tolist()):
+        sub = ColoredHypergraph(sample_size, h.r, h.k, row)
         val, _ = gse(sub, j, mode="anneal", seed=derive_seed(seed, i, 1), restarts=restarts)
         values.append(val)
     arr = np.array(values)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations, islice, permutations, product
 from math import comb, prod
 from operator import add
@@ -44,6 +44,7 @@ __all__ = [
     "split_color",
     "discolor",
     "enumerate_colorings",
+    "sample_subgraphs",
     "sample_subgraph",
     "hypergraph_to_json",
     "hypergraph_from_json",
@@ -128,7 +129,7 @@ def induced_patterns(g: ColoredHypergraph, verts: np.ndarray, edges: np.ndarray)
     _check_vertices(g, verts)
     sub = np.sort(verts[:, edges], axis=-1)
     distinct = np.all(np.diff(sub, axis=-1) > 0, axis=-1)
-    colors = np.asarray(g.colors, dtype=np.int64)
+    colors = g.color_array
     return np.where(distinct, colors[np.minimum(colex_ranks(sub, g.n), len(colors) - 1)], IOTA)
 
 
@@ -140,11 +141,10 @@ def induced_sweep(g, q: int) -> Iterator[np.ndarray]:
     the working set independent of C(n, q).
     """
     edges = colex_edges(q, g.r)
-    colors = np.asarray(g.colors, dtype=np.int64)
     subsets = combinations(range(g.n), q)
     while chunk := list(islice(subsets, _SWEEP_ROWS)):
         verts = np.array(chunk, dtype=np.intp).reshape(len(chunk), q)
-        yield colors[colex_ranks(verts[:, edges], g.n)]
+        yield g.color_array[colex_ranks(verts[:, edges], g.n)]
 
 
 def pattern_counts(chunks: Iterable[np.ndarray]) -> Counter:
@@ -197,6 +197,13 @@ class ColoredHypergraph:
         """Edge subsets in storage (colex) order."""
         return colex_subsets(self.n, self.r)
 
+    @cached_property
+    def color_array(self) -> np.ndarray:
+        """``colors`` as a read-only int64 array, built once per graph."""
+        arr = np.array(self.colors, dtype=np.int64)
+        arr.flags.writeable = False
+        return arr
+
     def color_of(self, edge: Sequence[int]) -> int:
         """Color of one r-subset (given as sorted 0-based vertices)."""
         edge = tuple(edge)
@@ -221,7 +228,7 @@ class ColoredHypergraph:
         if not (1 <= alpha <= self.k):
             raise ValueError(f"color {alpha} outside palette [1..{self.k}]")
         a = np.zeros((self.n,) * self.r, dtype=np.float64)
-        hit = colex_edges(self.n, self.r)[np.asarray(self.colors) == alpha]
+        hit = colex_edges(self.n, self.r)[self.color_array == alpha]
         a[tuple(hit[:, _permutations(self.r)].T)] = 1.0
         return a
 
@@ -281,6 +288,7 @@ class SampledColoredGraph:
         return self.q
 
     edges = ColoredHypergraph.edges
+    color_array = ColoredHypergraph.color_array
     color_of = ColoredHypergraph.color_of
     induced_colors = ColoredHypergraph.induced_colors
 
@@ -371,7 +379,14 @@ def enumerate_colorings(g, k: int):
 
 def _color_histogram(g) -> np.ndarray:
     """Edges per color of ``g``, shape (g.k + 1,); entry 0 counts the reserved color."""
-    return np.bincount(np.asarray(g.colors, dtype=np.intp), minlength=g.k + 1)
+    return np.bincount(g.color_array, minlength=g.k + 1)
+
+
+def _color_histograms(colors: np.ndarray, k: int) -> np.ndarray:
+    """Edges per color of each row of ``colors``, shape (N, k + 1); column 0 counts the reserved color."""
+    rows = len(colors)
+    shifted = colors + (k + 1) * np.arange(rows)[:, None]
+    return np.bincount(shifted.ravel(), minlength=rows * (k + 1)).reshape(rows, k + 1)
 
 
 @lru_cache(maxsize=256)
@@ -415,7 +430,7 @@ def _first_subcolors(g, k: int, hists: np.ndarray) -> np.ndarray:
     subcolor 2, and so on. Returns one row of subcolors per histogram
     row, 0 on reserved edges, ready for :func:`_refined_with`.
     """
-    colors = np.asarray(g.colors)
+    colors = g.color_array
     betas = np.zeros((len(hists), len(colors)), dtype=np.min_scalar_type(k))
     for alpha in range(1, g.k + 1):
         edges = np.flatnonzero(colors == alpha)
@@ -428,20 +443,36 @@ def _first_subcolors(g, k: int, hists: np.ndarray) -> np.ndarray:
     return betas
 
 
-def sample_subgraph(g: ColoredHypergraph, q: int, seed: int) -> SampledColoredGraph:
-    """Induced subgraph on a uniform random q-subset of the vertices.
+def sample_subgraphs(g: ColoredHypergraph, q: int, seeds: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Induced subgraphs on uniform random q-subsets of the vertices, one per seed.
 
-    The chosen vertices are sorted and relabeled to [q]; the sample
-    records them in its ``vertices`` provenance field. Same seed, same
-    sample, bit for bit. Raises ``ValueError`` if ``q > n`` or ``q < r``.
+    Row i draws its vertices with ``generator(seeds[i]).choice(g.n, q,
+    replace=False)``; the rows are then sorted and their colors gathered
+    in one go. Returns the sorted vertex rows, shape (N, q), and the
+    induced colors in colex edge order on [q], shape (N, C(q, r)). Same
+    seeds, same rows, bit for bit. Raises ``ValueError`` if ``q > n`` or
+    ``q < r``.
     """
     if q > g.n:
         raise ValueError(f"cannot sample q={q} vertices from n={g.n}")
     if q < g.r:
         raise ValueError(f"sample size q={q} below uniformity r={g.r}")
-    rng = generator(seed)
-    verts = tuple(sorted(rng.choice(g.n, size=q, replace=False).tolist()))
-    return SampledColoredGraph(q, g.r, g.k, g.induced_colors(verts), vertices=verts)
+    verts = np.empty((len(seeds), q), dtype=np.intp)
+    for row, seed in zip(verts, seeds):
+        row[:] = generator(seed).choice(g.n, size=q, replace=False)
+    verts.sort(axis=1)
+    return verts, g.color_array[colex_ranks(verts[:, colex_edges(q, g.r)], g.n)]
+
+
+def sample_subgraph(g: ColoredHypergraph, q: int, seed: int) -> SampledColoredGraph:
+    """Induced subgraph on a uniform random q-subset of the vertices.
+
+    The one-row case of :func:`sample_subgraphs`: the chosen vertices
+    are sorted and relabeled to [q], and the sample records them in its
+    ``vertices`` provenance field.
+    """
+    verts, colors = sample_subgraphs(g, q, (seed,))
+    return SampledColoredGraph(q, g.r, g.k, colors[0].tolist(), vertices=tuple(verts[0].tolist()))
 
 
 def hypergraph_to_json(g) -> dict[str, Any]:

@@ -296,9 +296,15 @@ def symmetrized_step(r: int, k: int, partition: GridPartition,
 
 
 def trace_csv(trace: Sequence[dict[str, Any]]) -> str:
+    """The trace of :func:`weak_regularize` as CSV, one line per round.
+
+    ``mode`` names what measured the round's residual: "exact" or
+    "heuristic" for a sweep, "bound" for the L1 bound.
+    """
+    fields = ("round", "residual", "classes", "mode")
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=["round", "residual", "classes"])
+    writer = csv.DictWriter(buf, fieldnames=fields)
     writer.writeheader()
     for row in trace:
-        writer.writerow({key: row[key] for key in ("round", "residual", "classes")})
+        writer.writerow({key: row[key] for key in fields})
     return buf.getvalue()

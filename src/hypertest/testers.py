@@ -41,12 +41,14 @@ import numpy as np
 
 from .budget import check_budget
 from .hypercore import (
+    IOTA,
     ColoredHypergraph,
     SampledColoredGraph,
     _color_histogram,
+    _color_histograms,
     induced_sweep,
     pattern_counts,
-    sample_subgraph,
+    sample_subgraphs,
 )
 from .seeds import derive_seed, generator
 from .transfer import _refinement_search, max_over_refinements
@@ -77,6 +79,9 @@ OUTER_LOW = 2.0 / 5.0
 OUTER_HIGH = 3.0 / 5.0
 
 Z_95 = 1.959963984540054
+
+# edge colors per probe batch: bounds the sampled rows held at once
+_PROBE_CELLS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -196,20 +201,28 @@ def probe_sample_complexity(
     reports the smallest q whose upper confidence limit is below eps
     (the working notion of a sufficient sample size: the deviation
     probability itself should drop below the proximity target). Each
-    trial's seed is fixed by its index.
+    trial's seed is fixed by its index. A parameter with a counts form
+    scores a whole batch of samples by their color histograms in one
+    call; any other parameter is called on each sample in turn.
     """
     if f.r != g.r or f.k != g.k:
         raise ValueError(f"parameter {f.name!r} expects palette ({f.r}, {f.k})")
     if eps <= 0:
         raise ValueError("eps must be positive")
     reference = f(g)
+    form = f.counts_form
     rows = []
     for qi, q in enumerate(q_grid):
+        seeds = [derive_seed(seed, qi * trials + trial) for trial in range(trials)]
+        batch = max(1, _PROBE_CELLS // max(comb(q, g.r), 1))
         failures = 0
-        for trial in range(trials):
-            sub = sample_subgraph(g, q, derive_seed(seed, qi * trials + trial))
-            value = f(ColoredHypergraph(sub.n, sub.r, sub.k, sub.colors))
-            failures += int(abs(value - reference) > eps)
+        for start in range(0, trials, batch):
+            _, colors = sample_subgraphs(g, q, seeds[start:start + batch])
+            if form is not None:
+                values = form(_color_histograms(colors, g.k))
+            else:
+                values = np.array([f(ColoredHypergraph(q, g.r, g.k, row)) for row in colors.tolist()])
+            failures += int(np.count_nonzero(np.abs(values - reference) > eps))
         low, high = wilson_interval(failures, trials)
         rows.append({
             "q": int(q),
@@ -302,6 +315,9 @@ def property_tester(
     The witness sample size is capped at the size of ``h`` itself.
     """
     if isinstance(h, SampledColoredGraph):
+        if h.has_iota():
+            raise ValueError(f"sample has an edge of the reserved color {IOTA} (a repeated "
+                             "vertex); the tester needs a sample without reserved edges")
         h = ColoredHypergraph(h.n, h.r, h.k, h.colors)
     arity = _refinement_arity(p_witness, h)
     q_w = min(max(p_witness.sample_size(eps), h.r), h.n)
@@ -344,10 +360,12 @@ def property_acceptance_rate(
 
     Each trial's seed is fixed by its index.
     """
+    seeds = [derive_seed(seed, trial) for trial in range(trials)]
+    _, colors = sample_subgraphs(g, q, seeds)
     accepted = 0
-    for trial in range(trials):
-        sub = sample_subgraph(g, q, derive_seed(seed, trial))
-        ok, _ = property_tester(p_witness, sub, eps, seed=derive_seed(seed, trial), mode=mode)
+    for trial_seed, row in zip(seeds, colors.tolist()):
+        sub = ColoredHypergraph(q, g.r, g.k, row)
+        ok, _ = property_tester(p_witness, sub, eps, seed=trial_seed, mode=mode)
         accepted += int(ok)
     low, high = wilson_interval(accepted, trials)
     return {

@@ -356,7 +356,7 @@ class TestArtifacts:
         ])
         assert payload["classes"] <= 2 * 16
         lines = trace.read_text().strip().splitlines()
-        assert lines[0] == "round,residual,classes"
+        assert lines[0] == "round,residual,classes,mode"
         assert len(lines) >= 2
 
 

@@ -23,6 +23,7 @@ from hypertest.hypercore import (
     make_hypergraph,
     pattern_counts,
     sample_subgraph,
+    sample_subgraphs,
 )
 from hypertest.seeds import generator
 
@@ -252,6 +253,32 @@ def test_sweeps_match_scalar_rank_rule(r, extra, k, seed, sampled) -> None:
         for pattern in expected:
             counts[pattern] = counts.get(pattern, 0) + 1
         assert pattern_counts(induced_sweep(g, q)) == counts
+
+
+@settings(max_examples=60, deadline=None)
+@given(r=st.integers(1, 3), extra=st.integers(0, 6), k=st.integers(1, 3),
+       seed=st.integers(0, 2**32), data=st.data())
+def test_batched_samples_match_one_draw_per_seed(r, extra, k, seed, data) -> None:
+    n = r + extra
+    g = make_hypergraph(n, r, k, _random_colors(n, r, k, seed))
+    q = data.draw(st.integers(r, n))
+    seeds = data.draw(st.lists(st.integers(0, 2**64 - 1), max_size=6))
+    verts, colors = sample_subgraphs(g, q, seeds)
+    assert verts.shape == (len(seeds), q) and colors.shape == (len(seeds), comb(q, r))
+    for s, row, cols in zip(seeds, verts.tolist(), colors.tolist()):
+        drawn = sorted(generator(s).choice(n, size=q, replace=False).tolist())
+        one = sample_subgraph(g, q, s)
+        assert tuple(row) == one.vertices == tuple(drawn)
+        assert tuple(cols) == one.colors == _scalar_induced(g, drawn)
+
+
+def test_sampler_refusals_keep_their_messages() -> None:
+    g = make_hypergraph(5, 3, 2, [1] * comb(5, 3))
+    for sample in (lambda q: sample_subgraphs(g, q, []), lambda q: sample_subgraph(g, q, 0)):
+        with pytest.raises(ValueError, match=r"^cannot sample q=6 vertices from n=5$"):
+            sample(6)
+        with pytest.raises(ValueError, match=r"^sample size q=2 below uniformity r=3$"):
+            sample(2)
 
 
 @settings(max_examples=60, deadline=None)

@@ -281,7 +281,14 @@ class TestTraceCsv:
         _, _, trace = weak_regularize(w, eps=0.3, t=1)
         text = trace_csv(trace)
         lines = text.strip().splitlines()
-        assert lines[0] == "round,residual,classes"
+        assert lines[0] == "round,residual,classes,mode"
         assert len(lines) == len(trace) + 1
         first = lines[1].split(",")
         assert first[0] == "0" and float(first[1]) >= 0.0
+        assert [line.split(",")[3] for line in lines[1:]] == [row["mode"] for row in trace]
+
+    def test_own_partition_row_reads_bound(self):
+        w = random_step_graphon(2, 2, 3, 4, seed=5)
+        _, _, trace = weak_regularize(w, eps=0.3)
+        first = trace_csv(trace).splitlines()[1].split(",")
+        assert first[0] == "0" and first[3] == "bound"

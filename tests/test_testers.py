@@ -6,10 +6,20 @@ from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import binomtest
 
+from hypertest import testers
+
 from hypertest.budget import DEFAULT_BUDGET, BudgetError, limit
-from hypertest.hypercore import ColoredHypergraph, colex_edges, discolor, make_hypergraph
+from hypertest.hypercore import (
+    ColoredHypergraph,
+    SampledColoredGraph,
+    colex_edges,
+    discolor,
+    make_hypergraph,
+)
 from hypertest.seeds import generator
 from hypertest.testers import (
     PARAMETERS,
@@ -134,6 +144,38 @@ class TestProbe:
         digest = hashlib.sha256(json.dumps(report).encode()).hexdigest()
         assert digest == GOLDEN_PROBE_REPORT
 
+    def test_batches_split_at_any_size_give_the_same_report(self, monkeypatch):
+        f = PARAMETERS["signed-split"]
+        g = random_graph(12, seed=3, k=4)
+        whole = probe_sample_complexity(f, g, 0.2, [3, 7], trials=25, seed=4)
+        monkeypatch.setattr(testers, "_PROBE_CELLS", 40)
+        assert probe_sample_complexity(f, g, 0.2, [3, 7], trials=25, seed=4) == whole
+
+    def test_sample_size_refusals_pass_through(self):
+        f = PARAMETERS["triple-density"]
+        g = random_graph(6, seed=1, r=3)
+        with pytest.raises(ValueError, match=r"^cannot sample q=7 vertices from n=6$"):
+            probe_sample_complexity(f, g, 0.1, [4, 7], trials=5)
+        with pytest.raises(ValueError, match=r"^sample size q=2 below uniformity r=3$"):
+            probe_sample_complexity(f, g, 0.1, [2], trials=5)
+
+
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(sorted(PARAMETERS)), extra=st.integers(0, 8),
+       seed=st.integers(0, 2**32), data=st.data())
+def test_probe_by_counts_form_matches_the_stripped_parameter(name, extra, seed, data):
+    f = PARAMETERS[name]
+    n = f.r + extra
+    g = random_graph(n, seed, r=f.r, k=f.k)
+    grid = data.draw(st.lists(st.integers(f.r, n), min_size=1, max_size=3))
+    eps = data.draw(st.sampled_from([0.05, 0.1, 0.3]))
+    trials = data.draw(st.integers(1, 30))
+    stripped = ParameterFn(f.name, f.r, f.k, lambda h: f.fn(h))
+    assert f.counts_form is not None and stripped.counts_form is None
+    by_form = probe_sample_complexity(f, g, eps, grid, trials=trials, seed=seed)
+    one_by_one = probe_sample_complexity(stripped, g, eps, grid, trials=trials, seed=seed)
+    assert json.dumps(by_form) == json.dumps(one_by_one)
+
 
 class TestNdParameter:
     def test_triangle_split_maximum(self):
@@ -208,6 +250,11 @@ class TestPropertyTester:
             assert got == float(base.sample_predicate()(h))
         assert witness_sample_density(base, complete_graph(5), 5) == 1.0
         assert witness_sample_density(base, empty_graph(5), 5) == 0.0
+
+    def test_sample_with_reserved_edges_is_refused(self):
+        sample = SampledColoredGraph(3, 2, 2, (1, 0, 1))
+        with pytest.raises(ValueError, match="reserved color 0"):
+            property_tester(PROPERTIES["complete-witness"], sample, 0.3)
 
     def test_complete_sample_accepted(self):
         accept, trace = property_tester(PROPERTIES["complete-witness"],
