@@ -383,7 +383,11 @@ def _color_histogram(g) -> np.ndarray:
 
 
 def _color_histograms(colors: np.ndarray, k: int) -> np.ndarray:
-    """Edges per color of each row of ``colors``, shape (N, k + 1); column 0 counts the reserved color."""
+    """Edges per color of each row of ``colors``, shape (N, k + 1); column 0 the reserved color.
+
+    The batch form of :func:`_color_histogram`, which stays for one graph:
+    there its plain bincount takes less than half the time.
+    """
     rows = len(colors)
     shifted = colors + (k + 1) * np.arange(rows)[:, None]
     return np.bincount(shifted.ravel(), minlength=rows * (k + 1)).reshape(rows, k + 1)
@@ -443,7 +447,8 @@ def _first_subcolors(g, k: int, hists: np.ndarray) -> np.ndarray:
     return betas
 
 
-def sample_subgraphs(g: ColoredHypergraph, q: int, seeds: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+def sample_subgraphs(g: ColoredHypergraph, q: int,
+                     seeds: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
     """Induced subgraphs on uniform random q-subsets of the vertices, one per seed.
 
     Row i draws its vertices with ``generator(seeds[i]).choice(g.n, q,

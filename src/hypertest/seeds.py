@@ -14,7 +14,10 @@ Conventions used throughout the package:
 
 A loop that needs many draws takes them from its generator in bulk, as
 arrays, before it starts (see ``energy._anneal_once``), not one scalar
-call per draw.
+call per draw. A loop over seeded trials keeps one generator per trial,
+and only the draw itself runs per trial: ``hypercore.sample_subgraphs``
+takes each trial's vertex set from its own generator, then sorts and
+colors all the rows at once.
 """
 
 from __future__ import annotations

@@ -27,7 +27,9 @@ invariant under vertex relabeling; registration spot-checks the
 invariance on random permutations, because that invariance is what makes
 the callback a graph parameter rather than a function of the adjacency
 encoding. Trials are seed-derived and independent, so their outcome does
-not depend on the order they run in.
+not depend on the order they run in: each experiment draws its trials'
+samples through the one batched sampler (``hypercore.sample_subgraphs``),
+and the probe scores a batch by the parameter's counts form in one call.
 """
 
 from __future__ import annotations
@@ -221,7 +223,8 @@ def probe_sample_complexity(
             if form is not None:
                 values = form(_color_histograms(colors, g.k))
             else:
-                values = np.array([f(ColoredHypergraph(q, g.r, g.k, row)) for row in colors.tolist()])
+                values = np.array([f(ColoredHypergraph(q, g.r, g.k, row))
+                                   for row in colors.tolist()])
             failures += int(np.count_nonzero(np.abs(values - reference) > eps))
         low, high = wilson_interval(failures, trials)
         rows.append({
