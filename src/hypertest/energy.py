@@ -29,7 +29,7 @@ import numpy as np
 from .budget import check_budget
 from .cutnorm import StepKernel, TuplePartition, _check_restarts, _problem
 from .graphon import StepGraphon, VertexGraphon, _as_step, subsets_card_lex
-from .hypercore import ColoredHypergraph, sample_subgraphs
+from .hypercore import ColoredHypergraph, _json_int, sample_subgraphs
 from .seeds import derive_seed, generator
 
 __all__ = [
@@ -87,12 +87,12 @@ class CouplingArray:
 
     @classmethod
     def from_json(cls, payload: dict[str, Any]) -> "CouplingArray":
-        q, r = payload["q"], payload["r"]
+        k, q, r = (_json_int(payload[key], key) for key in ("k", "q", "r"))
         arrays = {
             int(a): np.array(flat, dtype=float).reshape((q,) * r)
             for a, flat in payload["arrays"].items()
         }
-        return cls(payload["k"], q, r, arrays)
+        return cls(k, q, r, arrays)
 
 
 # ----------------------------------------------------------------------

@@ -665,10 +665,14 @@ def class_tuple_weights(p: GridPartition) -> np.ndarray:
     along the last axis of each column (``_fiber_shares``). The other 2^r - 2 - r
     coordinates are shared, and each averages over its g cells. For r = 3
     the contraction is an explicit pairwise chain whose g^2 t^2-cell
-    intermediate is built in slabs (see ``_pairwise_r3``).
+    intermediate is built in slabs (see ``_pairwise_r3``); one slab row
+    of g t^2 cells is checked against the budget before anything is
+    allocated, the g^2 x t histogram included.
     """
     r = p.r_minus_1 + 1
     g = p.resolution if p.dim else 1
+    if r == 3:
+        check_budget("class-tuple weights (r=3 pairwise intermediate)", g * p.t * p.t)
     m = _fiber_shares(p.labels, p.t)
     if r == 1:
         return m
@@ -689,15 +693,13 @@ def _pairwise_r3(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
 
     Contracting c first gives a (b, g, a, h) intermediate of g^2 t^2
     cells; the chain runs over slabs of b so that each slab holds at most
-    ``_SLAB_CELLS`` cells (one b-row when a row is larger), and refuses
-    through the budget when a single b-row (g t^2 cells) exceeds it. The
-    slabs do not follow the budget, so neither the summation order nor
-    the memory does.
+    ``_SLAB_CELLS`` cells (one b-row when a row is larger). The caller
+    has checked one b-row (g t^2 cells) against the budget. The slabs do
+    not follow the budget, so neither the summation order nor the memory
+    does.
     """
     g, t = x.shape[0], x.shape[2]
-    row = g * t * t
-    check_budget("class-tuple weights (r=3 pairwise intermediate)", row)
-    step = max(1, _SLAB_CELLS // row)
+    step = max(1, _SLAB_CELLS // (g * t * t))
     out = np.zeros((t,) * 3)
     for lo in range(0, g, step):
         b = slice(lo, lo + step)

@@ -181,7 +181,7 @@ def weak_regularize(
     still above eps.
     """
     w = _as_step(w)
-    if eps <= 0:
+    if not eps > 0:
         raise ValueError("eps must be positive")
     if mode not in ("auto", "exact", "heuristic"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -236,7 +236,7 @@ def weak_regularize(
 
 
 def _bound_exponent_log2(r: int, k: int, eps: float) -> float:
-    if eps <= 0:
+    if not eps > 0:
         raise ValueError("eps must be positive")
     if min(r, k) < 1:
         raise ValueError("r, k must be >= 1")

@@ -209,7 +209,7 @@ def probe_sample_complexity(
     """
     if f.r != g.r or f.k != g.k:
         raise ValueError(f"parameter {f.name!r} expects palette ({f.r}, {f.k})")
-    if eps <= 0:
+    if not eps > 0:
         raise ValueError("eps must be positive")
     reference = f(g)
     form = f.counts_form
@@ -479,7 +479,7 @@ def _clean_sample_size(r: int) -> Callable[[float], int]:
     # 1 - eps; q = r * ceil(ln 5 / eps + 1) pushes the all-clean chance
     # under 1/5
     def size(eps: float) -> int:
-        if eps <= 0:
+        if not eps > 0:
             raise ValueError("eps must be positive")
         return r * ceil(log(5.0) / eps + 1.0)
 

@@ -20,14 +20,16 @@ split through it. ``graphon._joint_counts`` counts class pairs, and
 ``graphon._fiber_shares`` gives the per-fiber class shares of the r = 3
 marginals. ``_stack_fibers`` carves the source partition for r = 2 and
 3 alike. ``_regularize_stage`` runs and records both regularizations,
-and ``_stage_distance`` measures the stage distances; each records the
-mode behind its value, with the L1 bound certifying pairs that agree.
+and ``_stage_distance`` bounds the stage distances by L1; each records
+the mode behind its value.
 
 Everything is deterministic given its seed; pipeline stages run on
 ``derive_seed(seed, stage_index)``. Proximity numbers in the lift
 diagnostics are measured, never asserted: the pipeline's end-to-end
 guarantee is probabilistic in the sample, and desk-scale samples are far
-below the sizes where the failure probability becomes negligible.
+below the sizes where the failure probability becomes negligible. The
+stage distances are upper bounds on the cut-P distances the guarantee
+speaks of, never a search's lower bound.
 """
 
 from __future__ import annotations
@@ -333,7 +335,7 @@ def base_sample_requirement(delta: float, q0: int, t: int, k: int) -> float:
     union bound over t classes gives
     3 * q0^{2k+2} * (t + ln 2 - ln delta) / (4 delta^2).
     """
-    if delta <= 0:
+    if not delta > 0:
         raise ValueError("delta must be positive")
     if min(q0, t, k) < 1:
         raise ValueError("q0, t, k must be >= 1")
@@ -355,23 +357,8 @@ def _largest_remainder(fracs: np.ndarray, total: int) -> np.ndarray:
     return counts
 
 
-# L1 distance up to which two step graphons agree: the lift's input check,
-# and the stage distances the L1 bound certifies without a search
+# L1 distance up to which two step graphons agree: the lift's input check
 _AGREE_L1 = 1e-9
-
-
-def _measurable_grid(part: GridPartition, r: int) -> bool:
-    """Whether cut-P machinery on this grid stays within desk memory.
-
-    The kernel problems intersect the grid with its symmetry orbits, so
-    for r = 3 the orbit count m grows with the cube of the resolution,
-    and the orbit-tuple weights are a dense m^3 tensor. This is a memory
-    guard the budget cannot replace: the weights' class histogram (g^2 x m,
-    1764 x 37926 floats on a 42-grid) comes before their budgeted step.
-    """
-    if r == 2:
-        return part.resolution <= 2048
-    return part.resolution ** 3 <= 5000
 
 
 def _mu_tv(a: StepGraphon, b: StepGraphon, q0: int) -> float:
@@ -390,28 +377,14 @@ def _measured(measure: Callable[[], _T]) -> _T | None:
     return exact_or_heuristic("auto", measure, lambda: None)[0]
 
 
-def _stage_distance(
-    a: StepGraphon, b: StepGraphon, part: GridPartition, restarts: int, seed: int
-) -> tuple[float | None, str | None]:
-    """A lift stage's cut-P distance on ``part`` and how it was obtained.
+def _stage_distance(a: StepGraphon, b: StepGraphon) -> tuple[float | None, str | None]:
+    """A lift stage's cut-P distance bound and how it was obtained.
 
-    Every cut-P distance is at most the L1 distance, so an L1 distance of
-    at most ``_AGREE_L1`` is recorded as it stands, mode "bound". A larger
-    one goes on to a heuristic cut-P search with half the lift's
-    ``restarts`` (at least 2), mode "heuristic". The
-    distance reads (None, None) when the budget refuses it or its grid is
-    too large to measure in memory.
+    Every cut-P distance is at most the L1 distance of the same pair, so
+    the L1 distance certifies the stage's proximity claim as an upper
+    bound, mode "bound". It reads (None, None) when the budget refuses it.
     """
-    def measure() -> tuple[float | None, str | None]:
-        bound = l1_distance(a, b)
-        if bound <= _AGREE_L1:
-            return bound, "bound"
-        if not _measurable_grid(part, a.r):
-            return None, None
-        return cut_distance(a, b, p=part, mode="heuristic",
-                            restarts=max(2, restarts // 2), seed=seed), "heuristic"
-
-    return _measured(measure) or (None, None)
+    return _measured(lambda: (l1_distance(a, b), "bound")) or (None, None)
 
 
 # ----------------------------------------------------------------------
@@ -545,8 +518,10 @@ def lift_coloring(
 
     The stages: regularize the source (target half the effective
     proximity), paint the sample grid with the source classes, regularize
-    the sample coloring, color the sampled approximant by cellwise
-    transfer, refine the source partition by stacking fibers in the
+    the sample coloring, measure it against the sampled approximant (the
+    proximity the transfer onto that approximant would pay for; the
+    transferred coloring itself is never read, so it is not built),
+    refine the source partition by stacking fibers in the
     sampled proportions (recursing on (r-1)-marginals when r = 3, volume
     vectors at the bottom), and transfer back onto the source. The
     effective proximity is max(delta * r! / (4k (kt)^{q0^r} q0^r),
@@ -561,11 +536,9 @@ def lift_coloring(
     the regularity residuals and the cut-P distances of stages 4 and 7
     with the mode that obtained each, the base-case volume report, and
     the final q0-sample variation distance (measured, never asserted).
-    A stage distance whose L1 bound is at most 1e-9 is that bound, mode
-    "bound"; a larger one is a heuristic cut-P search, mode "heuristic".
-    These measurements are optional: one the budget refuses, or whose
-    grid is too large to measure in memory, reads None and the lift goes
-    on.
+    Each stage distance is the pair's L1 distance, an upper bound on its
+    cut-P distance, mode "bound". These measurements are optional: one
+    the budget refuses reads None and the lift goes on.
     """
     u_hat, diagnostics = _lift(
         u, q, v_hat, delta, q0, seed, sample=sample, edge_uniforms=edge_uniforms,
@@ -607,7 +580,7 @@ def _lift(
         raise ValueError(
             f"sample palette {v_hat.k} does not refine the source palette {u.k}"
         )
-    if delta <= 0 or q0 < 1:
+    if not delta > 0 or q0 < 1:
         raise ValueError("need delta > 0 and q0 >= 1")
     if edge_uniforms is not None and sample is None:
         raise ValueError("edge_uniforms needs an explicit sample")
@@ -663,12 +636,10 @@ def _lift(
         )
         t_r = r_part.t
 
-    # stage 4: color the sampled approximant by transfer
+    # stage 4: the sampled approximant, against which the transfer's claim is measured
     with _stage("transfer_to_sample", stages) as rec:
         w2 = embed_sample(SampledColoredGraph(q, r, t_pal, colors_at(w1, q, coords, ues)))
-        d_sampled, sampled_mode = _stage_distance(
-            discolor_step(z_hat, k), w2, r_part, restarts, derive_seed(seed, 4))
-        w2_hat = transfer_coloring(z_hat, w2, r_part)
+        d_sampled, sampled_mode = _stage_distance(discolor_step(z_hat, k), w2)
         rec.update({
             "measured_distance": d_sampled,
             "measured_distance_mode": sampled_mode,
@@ -739,9 +710,8 @@ def _lift(
     # stage 7: transfer back onto the source
     with _stage("transfer_to_source", stages) as rec:
         u_hat = transfer_coloring(w1_hat, u, p_second)
-        d_refined, refined_mode = _stage_distance(
-            w1_hat, u_hat, p_second, restarts, derive_seed(seed, 7))
-        d_base, base_mode = _stage_distance(w1, u, p_second, restarts, derive_seed(seed, 8))
+        d_refined, refined_mode = _stage_distance(w1_hat, u_hat)
+        d_base, base_mode = _stage_distance(w1, u)
         rec.update({
             "measured_refined_distance": d_refined,
             "measured_refined_distance_mode": refined_mode,

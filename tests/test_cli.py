@@ -156,6 +156,7 @@ class TestExitCodes:
         ("density", {"q": 3, "r": 2, "k": 2, "colors": [1, 2, True]}),
         ("sample", {"r": 2, "k": 2, "t": 1, "resolution": 1, "labels": [0.0],
                     "arrays": {"1": [0.5], "2": [0.5]}}),
+        ("gse", {"k": True, "q": 2, "r": True, "arrays": {"1": [0.5, -0.5]}}),
     ])
     def test_malformed_field_is_exit_1_naming_the_file(
         self, command: str, payload: dict, graph_file: str, tmp_path: Path, capsys
@@ -166,6 +167,8 @@ class TestExitCodes:
             "cutnorm-p": ["cutnorm-p", "--in", graph_file, "--partition", bad],
             "density": ["density", "--in", graph_file, "--pattern", bad],
             "sample": ["sample", "--in", bad, "--q", "3", "--seed", "1"],
+            "gse": ["gse", "--in", write_json(tmp_path / "g1.json", hypergraph_to_json(
+                make_hypergraph(3, 1, 1, [1, 1, 1]))), "--coupling", bad, "--mode", "exact"],
         }[command]
         assert cli.run(argv) == 1
         err = capsys.readouterr().err
@@ -385,6 +388,29 @@ class TestPipelines:
                 "--eps", "0.3", "--seed", "1"]
         assert cli.run(base + ["--q-grid", "3,oops"]) == 1
         assert cli.run(base + ["--q-grid", ""]) == 1
+
+    @pytest.mark.parametrize("command", ["regularize", "probe", "prop-test", "transfer"])
+    def test_nan_proximity_is_refused_by_name(
+        self, command: str, graph_file: str, graphon_file: str,
+        transfer_files: tuple[str, str], capsys
+    ) -> None:
+        # NaN fails every comparison, so only "not x > 0" checks refuse it
+        uf, vf = transfer_files
+        argv, message = {
+            "regularize": (["regularize", "--in", graphon_file, "--eps", "nan", "--seed", "0"],
+                           "eps must be positive"),
+            "probe": (["probe", "--in", graph_file, "--parameter", "edge-density",
+                       "--eps", "nan", "--q-grid", "3", "--seed", "1"], "eps must be positive"),
+            "prop-test": (["prop-test", "--in", graph_file, "--property", "complete-witness",
+                           "--eps", "nan", "--seed", "2"], "eps must be positive"),
+            "transfer": (["transfer", "--source", uf, "--witness", vf, "--q", "10",
+                          "--q0", "2", "--seed", "21", "--delta", "nan"],
+                         "need delta > 0 and q0 >= 1"),
+        }[command]
+        assert cli.run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
 
     def test_prop_test_trials_need_q(self, graph_file: str) -> None:
         rc = cli.run([

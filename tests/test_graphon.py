@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from collections import Counter
 from math import comb
 
@@ -241,6 +242,20 @@ def test_class_tuple_weights_r3_slabs_and_refusal(monkeypatch) -> None:
     with limit(row - 1), pytest.raises(BudgetError, match="r=3 pairwise intermediate") as err:
         class_tuple_weights(part)
     assert err.value.needed == row
+
+
+def test_class_tuple_weights_r3_refuse_before_allocating() -> None:
+    # the 30-grid's g^2 x t class histogram alone is tens of MB; the
+    # budget must refuse the chain's b-row before that histogram is built
+    part = orbit_partition(2, 30)
+    tracemalloc.start()
+    try:
+        with limit(10**6), pytest.raises(BudgetError, match="r=3 pairwise intermediate"):
+            class_tuple_weights(part)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 def test_class_tuple_weights_do_not_follow_the_budget() -> None:

@@ -31,6 +31,15 @@ from hypertest.regularity import (
 )
 
 
+def test_nan_eps_is_refused_by_name():
+    # NaN fails every comparison, so only "not eps > 0" refuses it
+    w = random_step_graphon(2, 2, 2, 4, seed=7)
+    with pytest.raises(ValueError, match="^eps must be positive$"):
+        weak_regularize(w, float("nan"))
+    with pytest.raises(ValueError, match="^eps must be positive$"):
+        class_count_bound_log2(2, 2, float("nan"), 1)
+
+
 class TestClassCountBound:
     def test_base_formula_value(self):
         # (2*1)^((1*1+1)^(4/4)) = 2^2

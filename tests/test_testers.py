@@ -132,6 +132,14 @@ class TestProbe:
         with pytest.raises(ValueError, match="palette"):
             probe_sample_complexity(f, random_graph(8, seed=1, r=3), 0.1, [4])
 
+    def test_nan_eps_is_refused_by_name(self):
+        # NaN fails every comparison, so only "not eps > 0" refuses it
+        g = random_graph(8, seed=1)
+        with pytest.raises(ValueError, match="^eps must be positive$"):
+            probe_sample_complexity(PARAMETERS["edge-density"], g, float("nan"), [4])
+        with pytest.raises(ValueError, match="^eps must be positive$"):
+            PROPERTIES["complete"].sample_size(float("nan"))
+
     def test_golden_report_without_counts_form(self):
         # recorded with one sample_subgraph and one parameter call per trial;
         # a parameter that is no function of the color histogram keeps

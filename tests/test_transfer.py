@@ -9,9 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hypertest import cutnorm, graphon, transfer
+from hypertest import graphon, transfer
 from hypertest.budget import BudgetError, limit
-from hypertest.cutnorm import cut_distance
 from hypertest.density import sample_distribution, tv_distance
 from hypertest.graphon import (
     GridPartition,
@@ -284,6 +283,11 @@ class TestSampleRequirement:
         with pytest.raises(ValueError):
             base_sample_requirement(0.0, 1, 1, 1)
 
+    def test_rejects_nan_delta_by_name(self):
+        # NaN fails every comparison, so only "not delta > 0" refuses it
+        with pytest.raises(ValueError, match="^delta must be positive$"):
+            base_sample_requirement(float("nan"), 1, 1, 1)
+
 
 def _looped_induced_partition(p: GridPartition, coords: np.ndarray, q: int) -> np.ndarray:
     """The r = 3 sample-grid labels, one sample vertex pair at a time."""
@@ -390,6 +394,12 @@ class TestLiftColoring:
         assert l1_distance(discolor_step(u_hat, 2), u) <= 1e-9
         assert diag["stages"][0]["collisions"] == 0
 
+    def test_nan_delta_is_refused_by_name(self):
+        u0 = random_step_graphon(2, 4, t=2, resolution=2, seed=31)
+        sample = sample_graphon(u0, 8, derive_seed(5, 0))
+        with pytest.raises(ValueError, match=r"^need delta > 0 and q0 >= 1$"):
+            lift_coloring(discolor_step(u0, 2), 8, embed_sample(sample), float("nan"), 2, 5)
+
     def test_edge_uniforms_need_a_sample(self):
         u0 = random_step_graphon(2, 4, t=2, resolution=2, seed=31)
         sample = sample_graphon(u0, 8, derive_seed(5, 0))
@@ -416,11 +426,37 @@ class TestLiftColoring:
             assert modes == ["bound"] * 5
         assert json.dumps(diag)
 
+    def test_lift_transfers_once_and_searches_nothing(self, monkeypatch):
+        # stage 4's pair disagrees, so its L1 bound exceeds 1e-9; it is still
+        # the recorded upper bound, with no cut-P search behind it, and the
+        # one transfer per lift level is stage 7's
+        def no_search(*args, **kwargs):
+            raise AssertionError("the lift ran a cut-P search")
+
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return transfer_coloring(*args)
+
+        monkeypatch.setattr(transfer, "cut_distance", no_search)
+        monkeypatch.setattr(transfer, "transfer_coloring", counted)
+        u0 = random_step_graphon(2, 4, t=2, resolution=3, seed=8)
+        u = discolor_step(u0, 2)
+        sample = sample_graphon(u0, 15, derive_seed(55, 0))
+        _, diag = lift_coloring(u, 15, embed_sample(sample), 0.3, 2, 777,
+                                sample=discolor(sample, 2))
+        assert len(calls) == 1
+        stage4 = diag["stages"][4]
+        assert stage4["stage"] == "transfer_to_sample"
+        assert stage4["measured_distance_mode"] == "bound"
+        assert stage4["measured_distance"] > 1e-9
+
     def test_agreeing_stage_distances_read_the_bound(self, monkeypatch):
-        # at q = 3 from a resolution-2 source, stage 7's 12-grid passes the
-        # memory guard but its r = 3 orbit weights exceed the default budget;
-        # the pairs agree, so the L1 bound certifies both distances without
-        # the refused search, and the lift goes on
+        # at q = 3 from a resolution-2 source, stage 7's r = 3 orbit weights
+        # on its 12-grid exceed the default budget; the pairs agree, so the
+        # L1 bound certifies both distances with no cut-P machinery, and the
+        # lift goes on
         monkeypatch.delenv("HYPERTEST_BUDGET", raising=False)
         u0 = random_step_graphon(3, 4, t=2, resolution=2, seed=1)
         u = discolor_step(u0, 2)
@@ -435,31 +471,30 @@ class TestLiftColoring:
         assert diag["final_tv"] is not None
 
     def test_refused_measurement_is_none(self):
-        # a pair the bound cannot certify goes on to the heuristic search,
-        # whose r = 3 orbit weights of a 4-grid the budget refuses; cached
-        # orbits skip that enumeration, so start from empty caches
-        cutnorm._orbit_atoms.cache_clear()
-        graphon.orbit_partition.cache_clear()
+        # the L1 bound of an r = 3 pair sums over the class-tuple weights of
+        # its common refinement, whose pairwise chain refuses one row above
+        # the budget
         a = random_step_graphon(3, 2, t=2, resolution=4, seed=1)
         b = random_step_graphon(3, 2, t=2, resolution=4, seed=2)
-        with limit(1000):
-            assert l1_distance(a, b) > 1e-9
-            assert transfer._stage_distance(a, b, a.partition, 4, 0) == (None, None)
+        part, _ = graphon.channel_differences(a, b)
+        row = part.resolution * part.t ** 2
+        with limit(row - 1):
+            with pytest.raises(BudgetError):
+                l1_distance(a, b)
+            assert transfer._stage_distance(a, b) == (None, None)
+        with limit(row):
+            assert transfer._stage_distance(a, b) == (l1_distance(a, b), "bound")
 
     def test_stage_distance_modes(self):
         a = random_step_graphon(2, 2, t=3, resolution=4, seed=1)
         b = random_step_graphon(2, 2, t=3, resolution=4, seed=2)
         own = step_average(a, a.partition)
-        d, mode = transfer._stage_distance(a, own, a.partition, 4, 7)
+        d, mode = transfer._stage_distance(a, own)
         assert mode == "bound" and d == l1_distance(a, own) <= 1e-9
-        d, mode = transfer._stage_distance(a, b, a.partition, 4, 7)
-        assert mode == "heuristic"
-        assert d == cut_distance(a, b, p=a.partition, mode="heuristic", restarts=2, seed=7)
-        # a grid too large to measure in memory reads None, past the bound
-        a3 = random_step_graphon(3, 2, t=2, resolution=2, seed=3)
-        b3 = random_step_graphon(3, 2, t=2, resolution=2, seed=4)
-        big = GridPartition(2, 18, np.zeros((18,) * 3, dtype=np.int64), 1)
-        assert transfer._stage_distance(a3, b3, big, 4, 0) == (None, None)
+        # a pair that disagrees records its L1 distance, an upper bound on
+        # every cut-P distance, never a search's lower bound
+        d, mode = transfer._stage_distance(a, b)
+        assert mode == "bound" and d == l1_distance(a, b) > 1e-9
 
     def test_rejects_oversized_r3_sample(self):
         u = random_step_graphon(3, 2, t=2, resolution=2, seed=1)
