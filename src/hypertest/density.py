@@ -5,12 +5,17 @@ a graph sample is a uniform q-subset of vertices relabeled in ascending
 order, and a graphon sample draws one uniform coordinate per nonempty
 subset of [q] of size < r. Graph densities are therefore probabilities
 for the sorted-subset sampler, and graphon densities are exchangeable.
+
+An exact q-sample law is one flat array in :func:`all_patterns` order;
+two laws on one support (:func:`sample_laws`) compare over the aligned
+arrays, and patterns are decoded only at the boundary.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from math import comb, factorial
 from typing import Any, Iterable
 
@@ -23,6 +28,7 @@ from .graphon import (
     _block_classes,
     _edge_layout,
     _grid_cells,
+    color_mass,
     sample_coordinates,
 )
 from .hypercore import (
@@ -55,27 +61,44 @@ GraphLike = ColoredHypergraph | SampledColoredGraph
 GraphonLike = StepGraphon | VertexGraphon
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SampleDistribution:
     """The law of a q-vertex sample: probability per labeled color pattern.
 
-    Patterns are tuples of colors in colex edge order on [q]; the support
-    enumerates every pattern over the palette (with the reserved color 0
-    included only when the source can produce it).
+    ``law`` is one read-only array in :func:`all_patterns` order. Patterns
+    are tuples of colors in colex edge order on [q], over the palette,
+    with the reserved color 0 included only when the source can produce
+    it (``has_iota``). The constructor checks the law once: its length is
+    the support's size and its entries are finite, non-negative and sum
+    to 1. ``probs``, ``prob`` and the JSON form decode it by pattern;
+    compare two laws by ``law`` or ``probs``.
     """
 
     q: int
     r: int
     k: int
     has_iota: bool
-    probs: dict[tuple[int, ...], float]
+    law: np.ndarray
 
     def __post_init__(self) -> None:
-        total = sum(self.probs.values())
+        law = np.array(self.law, dtype=float)
+        size = (self.k + 1 if self.has_iota else self.k) ** comb(self.q, self.r)
+        if law.shape != (size,):
+            raise ValueError(f"law length {law.shape} does not fit the support of {size} patterns")
+        if not np.isfinite(law).all():
+            raise ValueError("law has a non-finite entry")
+        total = law.sum()
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"probabilities sum to {total}, not 1")
-        if any(p < -1e-12 for p in self.probs.values()):
+        if law.min() < -1e-12:
             raise ValueError("negative probability")
+        law.flags.writeable = False
+        object.__setattr__(self, "law", law)
+
+    @cached_property
+    def probs(self) -> dict[tuple[int, ...], float]:
+        patterns = all_patterns(self.q, self.r, self.k, with_iota=self.has_iota)
+        return dict(zip(patterns, self.law.tolist()))
 
     def prob(self, pattern: tuple[int, ...]) -> float:
         return self.probs.get(tuple(pattern), 0.0)
@@ -91,11 +114,17 @@ class SampleDistribution:
 
     @classmethod
     def from_json(cls, payload: dict[str, Any]) -> "SampleDistribution":
-        probs = {}
+        q, r, k, has_iota = (payload[key] for key in ("q", "r", "k", "has_iota"))
+        lo, n_edges = (IOTA if has_iota else 1), comb(q, r)
+        size = (k + 1 - lo) ** n_edges
+        check_budget("sample law support", size)
+        law = np.zeros(size)
         for key, p in payload["probs"].items():
-            pattern = tuple(int(c) for c in key.split(",")) if key else ()
-            probs[pattern] = float(p)
-        return cls(payload["q"], payload["r"], payload["k"], payload["has_iota"], probs)
+            pattern = [int(c) for c in key.split(",")] if key else []
+            if len(pattern) != n_edges or not all(lo <= c <= k for c in pattern):
+                raise ValueError(f"pattern key {key!r} is off the support (q={q}, r={r}, k={k})")
+            law[_pattern_codes(np.array([pattern], dtype=np.int64), k, has_iota)] = float(p)
+        return cls(q, r, k, has_iota, law)
 
 
 def all_patterns(q: int, r: int, k: int, with_iota: bool = False) -> list[tuple[int, ...]]:
@@ -187,13 +216,16 @@ def _mean_outer(per_edge: list[np.ndarray]) -> np.ndarray:
     return (np.einsum(*operands, labels, optimize=True) / len(per_edge[0])).ravel()
 
 
-def _code_counts(chunks: Iterable[np.ndarray], n_edges: int, k: int, with_iota: bool) -> np.ndarray:
-    """How often each row's color pattern occurs, by its mixed-radix ``all_patterns`` index."""
+def _pattern_codes(rows: np.ndarray, k: int, with_iota: bool) -> np.ndarray:
+    """Each row's color pattern by its mixed-radix ``all_patterns`` index."""
     lo = IOTA if with_iota else 1
-    base = k + 1 - lo
-    weights = base ** np.arange(n_edges - 1, -1, -1, dtype=np.int64)
-    codes = np.concatenate([(rows - lo) @ weights for rows in chunks])
-    return np.bincount(codes, minlength=base**n_edges)
+    return (rows - lo) @ ((k + 1 - lo) ** np.arange(rows.shape[1] - 1, -1, -1, dtype=np.int64))
+
+
+def _code_counts(chunks: Iterable[np.ndarray], n_edges: int, k: int, with_iota: bool) -> np.ndarray:
+    """How often each row's color pattern occurs, by its ``all_patterns`` index."""
+    codes = np.concatenate([_pattern_codes(rows, k, with_iota) for rows in chunks])
+    return np.bincount(codes, minlength=(k + 1 - (IOTA if with_iota else 1)) ** n_edges)
 
 
 # ----------------------------------------------------------------------
@@ -280,7 +312,9 @@ def sample_distribution(
     """The exact law mu(q, source) over labeled color patterns.
 
     Every source gives one flat array of probabilities in
-    :func:`all_patterns` order. Raises ``ValueError`` when q is negative
+    :func:`all_patterns` order, which the law holds as it is. A step
+    graphon's r-vertex sample has one edge, so its law at q = r is its
+    color mass. Raises ``ValueError`` when q is negative
     or exceeds a graph's vertex count; at q = 0 every source has the one
     empty pattern, at probability 1.
     """
@@ -297,9 +331,12 @@ def sample_distribution(
     check_budget("sample_distribution support", (k + 1 if has_iota else k) ** n_edges)
 
     if isinstance(source, StepGraphon):
-        # channel order is palette order: the outer product is in all_patterns order
-        cells = _all_rows(source, q, "sample_distribution grid summation")
-        law = _mean_outer(_step_edge_probs(source, cells, q)) if n_edges else np.ones(1)
+        # channel order is palette order: both forms are in all_patterns order
+        if q == r:
+            law = np.array(list(color_mass(source).values()))
+        else:
+            cells = _all_rows(source, q, "sample_distribution grid summation")
+            law = _mean_outer(_step_edge_probs(source, cells, q)) if n_edges else np.ones(1)
     elif isinstance(source, VertexGraphon):
         verts = _all_rows(source, q, "sample_distribution cell sweep")
         counts = _code_counts([_induced_columns(source.graph, verts)], n_edges, k, True)
@@ -309,8 +346,7 @@ def sample_distribution(
             raise ValueError(f"sample size {q} exceeds vertex count {source.n}")
         check_budget("sample_distribution subset sweep", comb(source.n, q))
         law = _code_counts(induced_sweep(source, q), n_edges, k, has_iota) / comb(source.n, q)
-    patterns = all_patterns(q, r, k, with_iota=has_iota)
-    return SampleDistribution(q, r, k, has_iota, dict(zip(patterns, law.tolist())))
+    return SampleDistribution(q, r, k, has_iota, law)
 
 
 # ----------------------------------------------------------------------
@@ -336,9 +372,11 @@ def sample_laws(
     def padded(law: SampleDistribution) -> SampleDistribution:
         if law.has_iota:
             return law
-        probs = dict.fromkeys(all_patterns(q, law.r, law.k, with_iota=True), 0.0)
-        probs.update(law.probs)
-        return SampleDistribution(q, law.r, law.k, True, probs)
+        # the patterns free of color 0 are the block [1..k]^E of the padded [0..k]^E
+        n_edges = comb(q, law.r)
+        full = np.zeros((law.k + 1,) * n_edges)
+        full[(slice(1, None),) * n_edges] = law.law.reshape((law.k,) * n_edges)
+        return SampleDistribution(q, law.r, law.k, True, full.ravel())
 
     return padded(la), padded(lb)
 
@@ -354,11 +392,8 @@ def _check_comparable(a: SampleDistribution, b: SampleDistribution) -> None:
 def tv_forms(a: SampleDistribution, b: SampleDistribution) -> tuple[float, float]:
     """(half-sum form, best-event form) of the variation distance."""
     _check_comparable(a, b)
-    keys = set(a.probs) | set(b.probs)
-    diffs = [a.prob(key) - b.prob(key) for key in keys]
-    half_sum = 0.5 * sum(abs(d) for d in diffs)
-    max_event = sum(d for d in diffs if d > 0)
-    return half_sum, max_event
+    diffs = a.law - b.law
+    return 0.5 * float(np.abs(diffs).sum()), float(diffs[diffs > 0].sum())
 
 
 def tv_distance(a: SampleDistribution, b: SampleDistribution) -> float:
@@ -380,17 +415,12 @@ def greedy_coupling(
     this construction equals the variation distance.
     """
     _check_comparable(a, b)
-    keys = sorted(set(a.probs) | set(b.probs))
-    coupling = {}
-    for key in keys:
-        shared = min(a.prob(key), b.prob(key))
-        if shared > 0:
-            coupling[(key, key)] = shared
-    surplus = [(key, a.prob(key) - b.prob(key)) for key in keys if a.prob(key) > b.prob(key)]
-    deficit = [(key, b.prob(key) - a.prob(key)) for key in keys if b.prob(key) > a.prob(key)]
+    keys = list(a.probs)  # all_patterns order, which is sorted order
+    shared, diffs = np.minimum(a.law, b.law), a.law - b.law
+    coupling = {(keys[i], keys[i]): float(shared[i]) for i in np.flatnonzero(shared > 0)}
+    surplus = [[keys[i], float(diffs[i])] for i in np.flatnonzero(diffs > 0)]
+    deficit = [[keys[i], -float(diffs[i])] for i in np.flatnonzero(diffs < 0)]
     i = j = 0
-    surplus = [[key, amt] for key, amt in surplus]
-    deficit = [[key, amt] for key, amt in deficit]
     while i < len(surplus) and j < len(deficit):
         move = min(surplus[i][1], deficit[j][1])
         if move > 1e-15:
@@ -432,13 +462,9 @@ def counting_bound_check(u: StepGraphon, w: StepGraphon, q: int) -> dict[str, fl
     dist = cut_distance(u, w, mode="exact")
     mu_u, mu_w = sample_laws(u, w, q)
     per_pattern_bound = counting_constant(q, u.r) * dist
-    worst_gap = 0.0
-    violations = 0
-    for key in set(mu_u.probs) | set(mu_w.probs):
-        gap = abs(mu_u.prob(key) - mu_w.prob(key))
-        worst_gap = max(worst_gap, gap)
-        if gap > per_pattern_bound + 1e-9:
-            violations += 1
+    gaps = np.abs(mu_u.law - mu_w.law)
+    worst_gap = float(gaps.max())
+    violations = int(np.count_nonzero(gaps > per_pattern_bound + 1e-9))
     tv = tv_distance(mu_u, mu_w)
     tv_bound = variation_constant(q, u.r, u.k) * dist
     if tv > tv_bound + 1e-9:

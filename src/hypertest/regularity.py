@@ -17,7 +17,7 @@ from __future__ import annotations
 import csv
 import io
 from functools import partial
-from math import ceil, log2
+from math import ceil, isfinite, log2
 from typing import Any, Sequence
 
 import numpy as np
@@ -181,8 +181,7 @@ def weak_regularize(
     still above eps.
     """
     w = _as_step(w)
-    if not eps > 0:
-        raise ValueError("eps must be positive")
+    _check_eps(eps)
     if mode not in ("auto", "exact", "heuristic"):
         raise ValueError(f"unknown mode {mode!r}")
     if t is None:
@@ -191,7 +190,7 @@ def weak_regularize(
         raise ValueError("class multiplier t must be >= 1")
     if max_rounds is not None and max_rounds < 0:
         raise ValueError(f"max_rounds must be non-negative, got {max_rounds}")
-    cap = ceil(1.0 / eps**2)
+    cap = _ceil_squared_ratio(1.0, eps)
     if max_rounds is not None:
         cap = min(cap, max_rounds)
     limit = max(1, cap * t)
@@ -235,12 +234,24 @@ def weak_regularize(
 # bounds and bookkeeping
 
 
-def _bound_exponent_log2(r: int, k: int, eps: float) -> float:
-    if not eps > 0:
+def _check_eps(eps: float) -> None:
+    if not eps > 0:  # NaN fails this too
         raise ValueError("eps must be positive")
+    if not isfinite(eps):
+        raise ValueError(f"eps must be finite, got {eps}")
+
+
+def _ceil_squared_ratio(c: float, eps: float) -> int:
+    """ceil(c**2 / eps**2). It is 1 for every eps >= c, so clamping eps at c
+    changes no value and keeps a huge eps from overflowing eps**2."""
+    return ceil(c**2 / min(eps, c) ** 2)
+
+
+def _bound_exponent_log2(r: int, k: int, eps: float) -> float:
+    _check_eps(eps)
     if min(r, k) < 1:
         raise ValueError("r, k must be >= 1")
-    return ceil(4.0 / eps**2) * log2(r * k + 1)
+    return _ceil_squared_ratio(2.0, eps) * log2(r * k + 1)
 
 
 def class_count_bound(r: int, k: int, eps: float, t: int) -> int:
@@ -255,7 +266,7 @@ def class_count_bound(r: int, k: int, eps: float, t: int) -> int:
     # size the result before touching big integers: log2(bound) = 2^e_log2 * log2(2t)
     if e_log2 > 60 or 2.0**e_log2 * log2(2 * t) > 1_000_000:
         raise ValueError("bound too large to materialize; compare via class_count_bound_log2")
-    return (2 * t) ** ((r * k + 1) ** ceil(4.0 / eps**2))
+    return (2 * t) ** ((r * k + 1) ** _ceil_squared_ratio(2.0, eps))
 
 
 def class_count_bound_log2(r: int, k: int, eps: float, t: int) -> float:
@@ -266,7 +277,7 @@ def class_count_bound_log2(r: int, k: int, eps: float, t: int) -> float:
     if e_log2 >= 1023:
         return float("inf")
     # the exponent fits a float exactly enough for comparisons
-    return float((r * k + 1) ** ceil(4.0 / eps**2)) * log2(2 * t)
+    return float((r * k + 1) ** _ceil_squared_ratio(2.0, eps)) * log2(2 * t)
 
 
 def growth_sequence(r: int, k: int, t: int, rounds: int,

@@ -52,6 +52,7 @@ from .hypercore import (
     pattern_counts,
     sample_subgraphs,
 )
+from .regularity import _check_eps
 from .seeds import derive_seed, generator
 from .transfer import _refinement_search, max_over_refinements
 
@@ -209,8 +210,7 @@ def probe_sample_complexity(
     """
     if f.r != g.r or f.k != g.k:
         raise ValueError(f"parameter {f.name!r} expects palette ({f.r}, {f.k})")
-    if not eps > 0:
-        raise ValueError("eps must be positive")
+    _check_eps(eps)
     reference = f(g)
     form = f.counts_form
     rows = []
@@ -317,6 +317,7 @@ def property_tester(
     one-sided search; "auto" falls back to it when the budget refuses).
     The witness sample size is capped at the size of ``h`` itself.
     """
+    _check_eps(eps)
     if isinstance(h, SampledColoredGraph):
         if h.has_iota():
             raise ValueError(f"sample has an edge of the reserved color {IOTA} (a repeated "

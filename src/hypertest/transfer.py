@@ -28,6 +28,8 @@ Everything is deterministic given its seed; pipeline stages run on
 diagnostics are measured, never asserted: the pipeline's end-to-end
 guarantee is probabilistic in the sample, and desk-scale samples are far
 below the sizes where the failure probability becomes negligible. The
+final q0-sample distance is ``density.tv_distance`` of the two exact
+laws from ``density.sample_laws``, whose q0 = r law is the color mass. The
 stage distances are upper bounds on the cut-P distances the guarantee
 speaks of, never a search's lower bound.
 """
@@ -36,7 +38,7 @@ from __future__ import annotations
 
 import time
 from contextlib import contextmanager
-from math import comb, factorial, log
+from math import comb, factorial, isfinite, log
 from typing import Any, Callable, Iterator, Sequence, TypeVar
 
 import numpy as np
@@ -57,7 +59,6 @@ from .graphon import (
     _joint_counts,
     _sample_uniforms,
     _shares,
-    color_mass,
     colors_at,
     common_refinement,
     embed,
@@ -362,14 +363,8 @@ _AGREE_L1 = 1e-9
 
 
 def _mu_tv(a: StepGraphon, b: StepGraphon, q0: int) -> float:
-    """Exact q0-sample variation distance."""
-    if q0 < a.r:
-        return 0.0
-    if q0 == a.r:
-        ma, mb = color_mass(a), color_mass(b)
-        keys = set(ma) | set(mb)
-        return 0.5 * sum(abs(ma.get(c, 0.0) - mb.get(c, 0.0)) for c in keys)
-    return tv_distance(*sample_laws(a, b, q0))
+    """Exact q0-sample variation distance (0 below r vertices, where no edge is seen)."""
+    return 0.0 if q0 < a.r else tv_distance(*sample_laws(a, b, q0))
 
 
 def _measured(measure: Callable[[], _T]) -> _T | None:
@@ -582,6 +577,10 @@ def _lift(
         )
     if not delta > 0 or q0 < 1:
         raise ValueError("need delta > 0 and q0 >= 1")
+    if not isfinite(delta):
+        raise ValueError(f"delta must be finite, got {delta}")
+    if not (reg_floor >= 0 and isfinite(reg_floor)):
+        raise ValueError(f"reg_floor must be finite and >= 0, got {reg_floor}")
     if edge_uniforms is not None and sample is None:
         raise ValueError("edge_uniforms needs an explicit sample")
     k = v_hat.k // u.k

@@ -204,7 +204,7 @@ def test_criterion_03_variation_distance_forms():
         for _ in range(2):
             vec = rng.random(len(pats)) + 1e-3
             vec /= vec.sum()
-            pair.append(SampleDistribution(q, r, k, False, dict(zip(pats, map(float, vec)))))
+            pair.append(SampleDistribution(q, r, k, False, vec))
         half_sum, max_event = tv_forms(*pair)
         worst = max(worst, abs(half_sum - max_event))
     verdict(3, "variation distance forms", worst <= 1e-9,

@@ -412,6 +412,40 @@ class TestPipelines:
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("command,option,value,message", [
+        ("regularize", "--eps", "inf", "eps must be finite, got inf"),
+        ("probe", "--eps", "inf", "eps must be finite, got inf"),
+        ("prop-test", "--eps", "inf", "eps must be finite, got inf"),
+        ("transfer", "--delta", "inf", "delta must be finite, got inf"),
+        ("transfer", "--reg-floor", "nan", "reg_floor must be finite and >= 0, got nan"),
+        ("transfer", "--reg-floor", "-1", "reg_floor must be finite and >= 0, got -1.0"),
+    ])
+    def test_non_finite_inputs_are_refused_by_name(
+        self, command: str, option: str, value: str, message: str, graph_file: str,
+        graphon_file: str, transfer_files: tuple[str, str], capsys
+    ) -> None:
+        # inf passes "x > 0", and max(delta, nan) drops a NaN floor
+        uf, vf = transfer_files
+        argv = {
+            "regularize": ["regularize", "--in", graphon_file, "--seed", "0"],
+            "probe": ["probe", "--in", graph_file, "--parameter", "edge-density",
+                      "--q-grid", "3", "--seed", "1"],
+            "prop-test": ["prop-test", "--in", graph_file, "--property", "complete-witness",
+                          "--seed", "2"],
+            "transfer": ["transfer", "--source", uf, "--witness", vf, "--q", "10",
+                         "--q0", "2", "--seed", "21"],
+        }[command]
+        assert cli.run(argv + [option, value]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    def test_huge_finite_eps_regularizes(self, graphon_file: str, capsys) -> None:
+        # eps**2 overflows past 1.3e154; the round cap is 1 from eps = 1 on
+        payload = run_json(capsys, ["regularize", "--in", graphon_file, "--eps", "1e308",
+                                    "--seed", "0"])
+        assert (payload["eps"], payload["rounds"]) == (1e308, 0)
+
     def test_prop_test_trials_need_q(self, graph_file: str) -> None:
         rc = cli.run([
             "prop-test", "--in", graph_file, "--property", "complete-witness",

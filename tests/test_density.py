@@ -2,7 +2,7 @@
 
 import itertools
 import json
-from math import comb
+from math import comb, fsum
 
 import numpy as np
 import pytest
@@ -39,7 +39,7 @@ from hypertest.graphon import (
     subsets_card_lex,
 )
 from hypertest.hypercore import SampledColoredGraph, colex_edges, make_hypergraph, sample_subgraph
-from hypertest.seeds import derive_seed
+from hypertest.seeds import derive_seed, generator
 
 # cycle 0-1-2-3-4-0 written in colex pair order
 C5 = make_hypergraph(5, 2, 2, [1, 2, 1, 2, 2, 1, 1, 2, 2, 1])
@@ -286,7 +286,26 @@ class TestSampleDistribution:
         mu = sample_distribution(C5, 3)
         payload = json.loads(json.dumps(mu.to_json()))
         back = SampleDistribution.from_json(payload)
-        assert back == mu
+        assert (back.q, back.r, back.k, back.has_iota) == (mu.q, mu.r, mu.k, mu.has_iota)
+        assert back.probs == mu.probs
+
+    @pytest.mark.parametrize("probs,message", [
+        ({"1": float("nan"), "2": float("nan")}, "non-finite"),
+        ({"7": 1.0}, "off the support"),
+        ({"1,1,1": 1.0}, "off the support"),
+    ])
+    def test_from_json_refuses_a_bad_law_by_name(self, probs, message):
+        payload = {"q": 2, "r": 2, "k": 2, "has_iota": False, "probs": probs}
+        with pytest.raises(ValueError, match=message):
+            SampleDistribution.from_json(payload)
+
+    def test_law_is_checked_once_and_read_only(self):
+        with pytest.raises(ValueError, match="law length"):
+            SampleDistribution(2, 2, 2, False, np.array([1.0]))
+        mu = SampleDistribution(2, 2, 2, False, np.array([0.25, 0.75]))
+        assert mu.probs == {(1,): 0.25, (2,): 0.75}
+        with pytest.raises(ValueError, match="read-only"):
+            mu.law[0] = 1.0
 
     @settings(max_examples=40, deadline=None)
     @given(r=st.sampled_from((2, 3)), extra=st.integers(0, 1), g=st.integers(1, 3),
@@ -375,8 +394,9 @@ class TestVariationDistance:
         heavy = object.__new__(SampleDistribution)
         for field, value in vars(mu).items():
             object.__setattr__(heavy, field, value)
-        key = next(iter(mu.probs))
-        object.__setattr__(heavy, "probs", {**mu.probs, key: mu.probs[key] + 0.5})
+        law = mu.law.copy()
+        law[0] += 0.5
+        object.__setattr__(heavy, "law", law)
         with pytest.raises(ValueError, match="forms disagree"):
             tv_distance(heavy, mu)
 
@@ -401,6 +421,39 @@ class TestVariationDistance:
                 left[x] = left.get(x, 0.0) + p
             for key, p in a.probs.items():
                 assert left.get(key, 0.0) == pytest.approx(p, abs=1e-9)
+
+
+def _law_source(kind: str, q: int, r: int, k: int, seed: int):
+    """A small source of each support kind: step graphons with and without the
+    reserved channel, a graph, and an embedded graph (which has it)."""
+    if kind.startswith("step"):
+        return random_step_graphon(r, k, 2, 2, seed=seed, with_iota=kind == "step-iota")
+    colors = generator(seed).integers(1, k + 1, size=comb(q + 1, r))
+    g = make_hypergraph(q + 1, r, k, [int(c) for c in colors])
+    return embed(g) if kind == "embedded" else g
+
+
+@settings(max_examples=150, deadline=None)
+@given(r=st.integers(1, 3), dq=st.integers(-1, 1), k=st.integers(1, 3),
+       kinds=st.tuples(*[st.sampled_from(("step", "step-iota", "graph", "embedded"))] * 2),
+       seed=st.integers(0, 10**6))
+def test_law_arrays_match_per_pattern_oracles(r, dq, k, kinds, seed):
+    q = r + dq
+    a, b = (_law_source(kind, q, r, k, seed + i) for i, kind in enumerate(kinds))
+    la, lb = sample_laws(a, b, q)
+    # padding: a dict copy of the unpadded law's probs over the padded patterns
+    for law, source in ((la, a), (lb, b)):
+        alone = sample_distribution(source, q)
+        want = dict(alone.probs)
+        if law.has_iota and not alone.has_iota:
+            want = dict.fromkeys(all_patterns(q, r, k, with_iota=True), 0.0)
+            want.update(alone.probs)
+        assert list(law.probs.items()) == list(want.items())
+    # both forms of the variation distance, one pattern at a time
+    diffs = [la.prob(p) - lb.prob(p) for p in all_patterns(q, r, k, with_iota=la.has_iota)]
+    half_sum, max_event = tv_forms(la, lb)
+    assert abs(half_sum - 0.5 * fsum(abs(d) for d in diffs)) <= 1e-15
+    assert abs(max_event - fsum(d for d in diffs if d > 0)) <= 1e-15
 
 
 def _with_zero_iota(w: StepGraphon) -> StepGraphon:

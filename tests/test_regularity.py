@@ -1,7 +1,7 @@
 """Weak regularity: round caps, class bounds, and the residual guarantee."""
 
 import itertools
-from math import log2
+from math import ceil, log2
 
 import numpy as np
 import pytest
@@ -38,6 +38,28 @@ def test_nan_eps_is_refused_by_name():
         weak_regularize(w, float("nan"))
     with pytest.raises(ValueError, match="^eps must be positive$"):
         class_count_bound_log2(2, 2, float("nan"), 1)
+
+
+def test_infinite_eps_is_refused_by_name():
+    w = random_step_graphon(2, 2, 2, 4, seed=7)
+    with pytest.raises(ValueError, match="^eps must be finite, got inf$"):
+        weak_regularize(w, float("inf"))
+    with pytest.raises(ValueError, match="^eps must be finite, got inf$"):
+        class_count_bound_log2(2, 2, float("inf"), 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(eps=st.floats(min_value=1e-3, max_value=1.3e154))
+def test_clamped_caps_equal_the_plain_formulas(eps):
+    # wherever eps**2 does not overflow, clamping eps changes no cap
+    assert regularity._ceil_squared_ratio(1.0, eps) == ceil(1.0 / eps**2)
+    assert regularity._ceil_squared_ratio(2.0, eps) == ceil(4.0 / eps**2)
+
+
+def test_huge_eps_bounds_equal_those_at_eps_two():
+    # from eps = 2 on the bound's exponent ceil(4/eps^2) is 1
+    assert class_count_bound_log2(2, 2, 1e308, 3) == class_count_bound_log2(2, 2, 2.0, 3)
+    assert class_count_bound(2, 2, 1e308, 3) == class_count_bound(2, 2, 2.0, 3)
 
 
 class TestClassCountBound:

@@ -140,6 +140,13 @@ class TestProbe:
         with pytest.raises(ValueError, match="^eps must be positive$"):
             PROPERTIES["complete"].sample_size(float("nan"))
 
+    def test_infinite_eps_is_refused_by_name(self):
+        g = random_graph(8, seed=1)
+        with pytest.raises(ValueError, match="^eps must be finite, got inf$"):
+            probe_sample_complexity(PARAMETERS["edge-density"], g, float("inf"), [4])
+        with pytest.raises(ValueError, match="^eps must be finite, got inf$"):
+            property_tester(PROPERTIES["complete"], g, float("inf"))
+
     def test_golden_report_without_counts_form(self):
         # recorded with one sample_subgraph and one parameter call per trial;
         # a parameter that is no function of the color histogram keeps
