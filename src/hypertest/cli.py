@@ -137,8 +137,11 @@ def _split_timings(payload: Any) -> tuple[Any, dict[str, Any]]:
 
     Wall-clock times are metadata, not results. numpy scalars and arrays
     become Python values and lists, tuples become lists, keys strings.
+    An array's ``tolist()`` holds no dicts or numpy scalars, so it is not
+    walked, and a list item of a plain scalar type is kept as it is.
     """
     timings: dict[str, Any] = {}
+    leaves = {float, int, str, bool, type(None)}
 
     def plain(node: Any, path: str) -> Any:
         if isinstance(node, dict):
@@ -151,9 +154,10 @@ def _split_timings(payload: Any) -> tuple[Any, dict[str, Any]]:
                     out[key] = plain(v, f"{path}.{key}" if path else key)
             return out
         if isinstance(node, np.ndarray):
-            return plain(node.tolist(), path)
+            return node.tolist()
         if isinstance(node, (list, tuple)):
-            return [plain(v, f"{path}[{i}]") for i, v in enumerate(node)]
+            return [v if type(v) in leaves else plain(v, f"{path}[{i}]")
+                    for i, v in enumerate(node)]
         return node.item() if isinstance(node, np.generic) else node
 
     return plain(payload, ""), timings

@@ -390,11 +390,25 @@ def _full_value(t: np.ndarray, vecs: Sequence[np.ndarray]) -> float:
 
 
 def _ascend(t_eff: np.ndarray, sets: list[np.ndarray]) -> list[np.ndarray]:
-    r = t_eff.ndim
+    """Sign ascent: set each axis to where its contraction with the other sets is positive.
+
+    Each sweep computes exactly :func:`_contract_except`, but the first
+    contraction's operand, ``tensordot``'s ``moveaxis(t_eff, l, 0)``
+    reshaped to (m^(r-1), m), is built once per axis and reused by the
+    same ``np.dot`` call. At r = 1 nothing is contracted.
+    """
+    r, m = t_eff.ndim, t_eff.shape[0]
+    operands = [np.moveaxis(t_eff, l, 0).reshape(m ** (r - 1), m) for l in range(r)]
     for _ in range(_ASCENT_SWEEPS):
         changed = False
         for l in range(r):
-            contrib = _contract_except(t_eff, sets, l)
+            if r == 1:
+                contrib = t_eff
+            else:
+                rest = [i for i in range(r) if i != l]
+                contrib = np.dot(operands[l], sets[rest[-1]].reshape(m, 1)).reshape((m,) * (r - 1))
+                for axis in reversed(rest[:-1]):
+                    contrib = np.tensordot(contrib, sets[axis], axes=([contrib.ndim - 1], [0]))
             new = (contrib > 0).astype(float)
             if not np.array_equal(new, sets[l]):
                 sets[l] = new

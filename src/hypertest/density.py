@@ -179,18 +179,16 @@ def _match_probs(
     """Probability, per row of vertices or cells, that the q-sample there shows ``pattern``.
 
     For graphs it is the match indicator, for step graphons the product of
-    the edges' color probabilities.
+    the edges' color probabilities, each gathered from its own channel only.
     """
     if not isinstance(source, StepGraphon):
         graph = source.graph if isinstance(source, VertexGraphon) else source
         return np.all(_induced_columns(graph, rows) == np.asarray(pattern), axis=1).astype(float)
     if any(c not in source.arrays for c in pattern):
         return np.zeros(len(rows))
-    probs = _step_edge_probs(source, rows, q)
-    chan_idx = {c: i for i, c in enumerate(source.channel_order)}
     value = np.ones(len(rows))
-    for col, color in enumerate(pattern):
-        value = value * probs[col][:, chan_idx[color]]
+    for blocks, color in zip(_edge_layout(q, source.r), pattern):
+        value = value * source.arrays[color][_block_classes(source.partition, rows, blocks)]
     return value
 
 

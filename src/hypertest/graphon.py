@@ -802,8 +802,8 @@ def step_graphon_to_json(w: StepGraphon) -> dict[str, Any]:
         "k": w.k,
         "t": w.partition.t,
         "resolution": w.partition.resolution,
-        "labels": [int(x) for x in w.partition.labels.ravel()],
-        "arrays": {str(c): [float(x) for x in arr.ravel()] for c, arr in w.arrays.items()},
+        "labels": w.partition.labels.ravel().tolist(),
+        "arrays": {str(c): arr.ravel().tolist() for c, arr in w.arrays.items()},
     }
 
 

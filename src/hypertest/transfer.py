@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import time
 from contextlib import contextmanager
-from math import comb, factorial, isfinite, log
+from math import comb, exp, factorial, isfinite, log
 from typing import Any, Callable, Iterator, Sequence, TypeVar
 
 import numpy as np
@@ -367,6 +367,21 @@ def _mu_tv(a: StepGraphon, b: StepGraphon, q0: int) -> float:
     return 0.0 if q0 < a.r else tv_distance(*sample_laws(a, b, q0))
 
 
+def _paper_schedule(delta: float, r: int, k: int, t_pal: int, q0: int) -> float:
+    """The guarantee's proximity delta r! / (4k (k t)^{q0^r} q0^r).
+
+    A power (k t)^{q0^r} past the float range takes the same quotient in
+    log space: the tiny value it is, 0.0 once that underflows.
+    """
+    numerator = delta * factorial(r)
+    if not isfinite(numerator):
+        raise ValueError(f"delta * r! overflows, got delta = {delta}")
+    try:
+        return numerator / (4.0 * k * float(k * t_pal) ** (q0 ** r) * q0 ** r)
+    except OverflowError:
+        return exp(log(numerator / (4.0 * k)) - q0 ** r * log(k * t_pal) - log(q0 ** r))
+
+
 def _measured(measure: Callable[[], _T]) -> _T | None:
     """An optional measurement: its value, or None when the budget refuses it."""
     return exact_or_heuristic("auto", measure, lambda: None)[0]
@@ -614,10 +629,7 @@ def _lift(
 
     # stage 1: regularize the source
     with _stage("regularize_source", stages) as rec:
-        delta_paper = (
-            delta * factorial(r)
-            / (4.0 * k * float(k * t_pal) ** (q0 ** r) * q0 ** r)
-        )
+        delta_paper = _paper_schedule(delta, r, k, t_pal, q0)
         delta_eff = max(delta_paper, reg_floor)
         w1, p_part = _regularize_stage(
             u, delta_eff / 2, mode, restarts, max_rounds, derive_seed(seed, 1), rec

@@ -329,18 +329,35 @@ class TestArtifacts:
         payload = {
             "a": np.float64(0.5), "b": np.int64(3), "c": np.bool_(True),
             "d": np.arange(3), "e": np.array(2.5), "f": (1, np.int64(2)),
+            "g": [np.float32(0.25), np.arange(2), np.array([[1.5], [2.5]])],
+            "h": np.arange(4).reshape(2, 2),
+            "nest": [0, {"b": [{"seconds": 3.0, "y": np.float64(4.0)}]}],
             7: {"seconds": np.float64(1.5), "x": 1}, "rows": [{"seconds": 0.1}],
             "seconds": 2.0,
         }
         cleaned, timings = cli._split_timings(payload)
         assert cleaned == {
             "a": 0.5, "b": 3, "c": True, "d": [0, 1, 2], "e": 2.5, "f": [1, 2],
-            "7": {"x": 1}, "rows": [{}],
+            "g": [0.25, [0, 1], [[1.5], [2.5]]], "h": [[0, 1], [2, 3]],
+            "nest": [0, {"b": [{"y": 4.0}]}], "7": {"x": 1}, "rows": [{}],
         }
         assert [type(cleaned[key]) for key in "abce"] == [float, int, bool, float]
         assert type(cleaned["f"][1]) is int
-        assert timings == {"7": 1.5, "rows[0]": 0.1, "total": 2.0}
+        assert [type(x) for x in (cleaned["g"][0], cleaned["g"][1][0], cleaned["g"][2][0][0])] \
+            == [float, int, float]
+        assert type(cleaned["h"][1][0]) is int
+        assert type(cleaned["nest"][1]["b"][0]["y"]) is float
+        assert timings == {"7": 1.5, "rows[0]": 0.1, "nest[1].b[0]": 3.0, "total": 2.0}
         assert type(timings["7"]) is float
+
+    def test_step_graphon_json_has_python_ints_and_floats(self) -> None:
+        w = random_step_graphon(2, 2, 2, 4, seed=7, with_iota=True)
+        d = step_graphon_to_json(w)
+        assert d["labels"] == [int(x) for x in w.partition.labels.ravel()]
+        assert {type(x) for x in d["labels"]} == {int}
+        for c, arr in w.arrays.items():
+            assert d["arrays"][str(c)] == [float(x) for x in arr.ravel()]
+            assert {type(x) for x in d["arrays"][str(c)]} == {float}
 
     def test_sample_is_seed_deterministic(self, graphon_file: str, capsys) -> None:
         a = run_json(capsys, ["sample", "--in", graphon_file, "--q", "6", "--seed", "4"])
@@ -439,6 +456,30 @@ class TestPipelines:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("q0", ["40", "200"])
+    def test_lift_schedule_past_the_float_range_reaches_the_budget(
+        self, q0: str, transfer_files: tuple[str, str], capsys
+    ) -> None:
+        # (kt)^(q0^2) overflows a float; the schedule is then tiny and the
+        # floor decides, until the q0-fold volume law refuses through the budget
+        uf, vf = transfer_files
+        assert cli.run(["transfer", "--source", uf, "--witness", vf, "--q", "10",
+                        "--q0", q0, "--seed", "21"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "budget refusal: lift stage 'refine_source_partition': product law expansion")
+
+    def test_delta_whose_schedule_numerator_overflows_is_refused_by_name(
+        self, transfer_files: tuple[str, str], capsys
+    ) -> None:
+        uf, vf = transfer_files
+        assert cli.run(["transfer", "--source", uf, "--witness", vf, "--q", "10",
+                        "--q0", "2", "--seed", "21", "--delta", "1e308"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: delta * r! overflows, got delta = 1e+308\n"
 
     def test_huge_finite_eps_regularizes(self, graphon_file: str, capsys) -> None:
         # eps**2 overflows past 1.3e154; the round cap is 1 from eps = 1 on

@@ -28,8 +28,11 @@ from hypothesis import strategies as st
 from hypertest import cli
 from hypertest.budget import BudgetError, limit
 from hypertest.cutnorm import (
+    _ASCENT_SWEEPS,
     _array_problem,
+    _ascend,
     _class_sums,
+    _contract_except,
     _cutp_signs,
     _exact_cutp,
     _exact_plain,
@@ -605,6 +608,42 @@ def test_heuristic_cutp_signs_match_returned_sets(r, m, tq, restarts, seed) -> N
     onehot = (classes[:, None] == np.arange(tq)).astype(float)
     _, sets, signs = _heuristic_cutp(t, classes, tq, restarts, seed)
     assert np.array_equal(signs, _cutp_signs(_class_sums(t, onehot, sets)))
+
+
+def _replayed_ascend(t_eff: np.ndarray, sets: list[np.ndarray]) -> list[np.ndarray]:
+    """The sign ascent before its operands were prepared: one _contract_except per step."""
+    for _ in range(_ASCENT_SWEEPS):
+        changed = False
+        for l in range(t_eff.ndim):
+            new = (_contract_except(t_eff, sets, l) > 0).astype(float)
+            if not np.array_equal(new, sets[l]):
+                sets[l] = new
+                changed = True
+        if not changed:
+            break
+    return sets
+
+
+@settings(max_examples=200, deadline=None)
+@given(r=st.integers(1, 4), m=st.integers(1, 6), seed=st.integers(0, 2**16),
+       layout=st.sampled_from(("c", "fortran", "transposed", "strided", "scaled")),
+       rounded=st.booleans())
+def test_prepared_ascent_matches_contract_except_sweeps(r, m, seed, layout, rounded) -> None:
+    rng = generator(seed)
+    t = rng.uniform(-1, 1, size=(m,) * (r - 1) + (2 * m,))
+    if rounded:  # exact ties at zero make every contraction's summation order visible
+        t = np.round(t * 4) / 4
+    t_eff = {
+        "c": np.ascontiguousarray(t[..., :m]),
+        "fortran": np.asfortranarray(t[..., :m]),
+        "transposed": t[..., :m].transpose(rng.permutation(r)),
+        "strided": t[..., ::2],
+        "scaled": -1.0 * t[..., ::2].transpose(rng.permutation(r)),
+    }[layout]
+    start = [(rng.random(m) < 0.5).astype(float) for _ in range(r)]
+    got = _ascend(t_eff, [v.copy() for v in start])
+    want = _replayed_ascend(t_eff, [v.copy() for v in start])
+    assert all(np.array_equal(a, b) for a, b in zip(got, want, strict=True))
 
 
 def test_exact_cutp_r4_public_entry_point() -> None:

@@ -14,7 +14,9 @@ from functools import reduce
 
 from hypertest.density import (
     SampleDistribution,
+    _match_probs,
     _mean_outer,
+    _step_edge_probs,
     all_patterns,
     counting_bound_check,
     counting_constant,
@@ -30,6 +32,7 @@ from hypertest.density import (
 )
 from hypertest.graphon import (
     StepGraphon,
+    _grid_cells,
     constant_graphon,
     embed,
     evaluate,
@@ -193,6 +196,36 @@ class TestDensityGraphon:
         # 2 edges out of 16 ordered pairs with distinct cells... the exact
         # value counts ordered cell assignments: 4 ordered adjacent pairs / 16
         assert density_graphon(f, vg) == pytest.approx(4 / 16)
+
+
+def _match_probs_by_all_channels(w: StepGraphon, rows, q, pattern):
+    """The all-channel gather: every channel per edge, then the pattern's column."""
+    if any(c not in w.arrays for c in pattern):
+        return np.zeros(len(rows))
+    probs = _step_edge_probs(w, rows, q)
+    chan_idx = {c: i for i, c in enumerate(w.channel_order)}
+    value = np.ones(len(rows))
+    for col, color in enumerate(pattern):
+        value = value * probs[col][:, chan_idx[color]]
+    return value
+
+
+@settings(max_examples=120, deadline=None)
+@given(r=st.integers(1, 3), dq=st.integers(0, 2), k=st.integers(1, 3), t=st.integers(1, 3),
+       g=st.integers(1, 4), iota=st.booleans(), absent=st.booleans(),
+       seed=st.integers(0, 10**6))
+def test_one_channel_gather_matches_the_all_channel_gather(r, dq, k, t, g, iota, absent, seed):
+    q = r + dq
+    w = random_step_graphon(r, k, t, g, seed=seed, with_iota=iota)
+    rng = generator(seed)
+    rows = _grid_cells(rng.random((64, len(sample_coordinates(q, r)))), g)
+    pattern = rng.integers(0 if iota else 1, k + 1, size=comb(q, r)).tolist()
+    if absent:  # a color the graphon has no channel for
+        pattern[int(rng.integers(len(pattern)))] = k + 1 if iota else 0
+    got = _match_probs(w, rows, q, tuple(pattern))
+    assert np.array_equal(got, _match_probs_by_all_channels(w, rows, q, tuple(pattern)))
+    if absent:
+        assert not got.any()
 
 
 class TestSampleDistribution:

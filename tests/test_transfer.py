@@ -2,7 +2,8 @@
 
 import itertools
 import json
-from math import comb, log
+from fractions import Fraction
+from math import comb, factorial, log
 
 import numpy as np
 import pytest
@@ -354,6 +355,30 @@ class TestLiftColoring:
         assert diag["final_tv"] is not None
         assert 0.0 <= diag["final_tv"] <= 1.0
         assert json.dumps(diag)
+
+    def test_paper_schedule_keeps_its_expression_in_the_float_range(self):
+        for delta, r, k, t, q0 in itertools.product((0.1, 0.37, 1e300), (2, 3), (1, 2, 5),
+                                                     (1, 2, 3), (1, 2, 3, 4)):
+            try:
+                want = delta * factorial(r) / (4.0 * k * float(k * t) ** (q0 ** r) * q0 ** r)
+            except OverflowError:
+                continue
+            assert transfer._paper_schedule(delta, r, k, t, q0) == want
+
+    @pytest.mark.parametrize("delta,r,k,t,q0", [
+        (1e300, 2, 2, 2, 23), (1e300, 2, 1, 2, 32), (0.25, 2, 2, 2, 40), (0.25, 3, 2, 2, 200),
+    ])
+    def test_paper_schedule_past_the_float_range_is_its_tiny_value(self, delta, r, k, t, q0):
+        with pytest.raises(OverflowError):
+            float(k * t) ** (q0 ** r)
+        exact = Fraction(delta) * factorial(r) / (4 * k * (k * t) ** (q0 ** r) * q0 ** r)
+        got = transfer._paper_schedule(delta, r, k, t, q0)
+        # the first two cases stay above the float range's bottom, the last two fall below it
+        assert got == pytest.approx(float(exact), rel=1e-9, abs=0.0)
+
+    def test_paper_schedule_refuses_an_overflowing_delta_by_name(self):
+        with pytest.raises(ValueError, match=r"delta \* r! overflows, got delta = 1e\+308"):
+            transfer._paper_schedule(1e308, 2, 2, 2, 2)
 
     def test_constant_source_reduces_to_base_case(self):
         u = constant_graphon(2, 2, [0.5, 0.5])
