@@ -52,9 +52,18 @@ class BudgetError(RuntimeError):
         self.needed = needed
         self.budget = budget
         super().__init__(
-            f"{stage}: enumeration needs {needed} items but the budget is {budget} "
-            f"(raise it via the {ENV_VAR} environment variable, --budget or budget.limit)"
+            f"{stage}: enumeration needs {_count_text(needed)} items but the budget is "
+            f"{budget} (raise it via the {ENV_VAR} environment variable, --budget or "
+            "budget.limit)"
         )
+
+
+def _count_text(n: int) -> str:
+    """``n`` in decimal, or its power of two past Python's int-to-str digit limit."""
+    try:
+        return str(n)
+    except ValueError:
+        return f"at least 2^{n.bit_length() - 1}"
 
 
 @contextmanager

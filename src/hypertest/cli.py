@@ -4,8 +4,10 @@ Each subcommand reads graphs, graphons, arrays, or couplings from JSON
 files, runs one library operation, and emits a single JSON artifact to
 stdout, or to ``--out`` with anything time-dependent segregated into a
 sibling ``<out>.meta.json``. The artifact is a pure function of argv,
-so reruns are byte-identical; CSV appears only for traces. Exit codes:
-0 success, 2 budget refusal, 1 anything else.
+so reruns are byte-identical; CSV appears only for traces. JSON is
+standard both ways: an input file holding NaN or Infinity is refused, and
+no artifact can carry one. Exit codes: 0 success, 2 budget refusal, 1
+anything else, including an artifact that cannot be written.
 
 The enumeration budget is ``--budget`` when given, else the
 HYPERTEST_BUDGET environment variable when set, else 10**6; ``run``
@@ -80,17 +82,27 @@ class CliError(Exception):
 # JSON plumbing
 
 
+def _refuse_constant(name: str) -> Any:
+    raise ValueError(f"it holds {name}, which standard JSON does not allow")
+
+
+# Python's json reads NaN, Infinity and -Infinity by default; the CLI reads standard JSON
+_DECODER = json.JSONDecoder(parse_constant=_refuse_constant)
+
+
 def _load_json(path: str) -> Any:
     try:
         text = Path(path).read_text()
     except OSError as err:
         raise CliError(f"cannot read {path}: {err}") from err
     try:
-        return json.loads(text)
+        return _DECODER.decode(text)
     except json.JSONDecodeError as err:
         raise CliError(
             f"malformed JSON in {path} at line {err.lineno} column {err.colno}: {err.msg}"
         ) from err
+    except ValueError as err:
+        raise CliError(f"{path} is not standard JSON: {err}") from err
 
 
 # each file kind the CLI reads: the keys that identify it, and its parser
@@ -164,8 +176,10 @@ def _split_timings(payload: Any) -> tuple[Any, dict[str, Any]]:
 
 
 def _emit(args: argparse.Namespace, payload: dict[str, Any]) -> None:
+    """Write the artifact and its meta file as standard JSON: NaN and
+    Infinity are refused, never written."""
     cleaned, timings = _split_timings(payload)
-    text = json.dumps(cleaned, indent=2, sort_keys=True)
+    text = json.dumps(cleaned, indent=2, sort_keys=True, allow_nan=False)
     out = getattr(args, "out", None)
     if out is None:
         print(text)
@@ -178,7 +192,8 @@ def _emit(args: argparse.Namespace, payload: dict[str, Any]) -> None:
         "output": str(path),
         "timings_seconds": timings,
     }
-    Path(str(path) + ".meta.json").write_text(json.dumps(meta, indent=2) + "\n")
+    meta_text = json.dumps(meta, indent=2, allow_nan=False)
+    Path(str(path) + ".meta.json").write_text(meta_text + "\n")
 
 
 # ----------------------------------------------------------------------
@@ -538,6 +553,9 @@ def run(argv: Sequence[str] | None = None) -> int:
         budget = getattr(args, "budget", None)
         with limit(current_budget() if budget is None else budget):
             result = args.handler(args)
+        if isinstance(result, int):
+            return result
+        _emit(args, {"command": args.subcommand, **result})
     except BudgetError as err:
         print(f"budget refusal: {err}", file=sys.stderr)
         return 2
@@ -547,9 +565,6 @@ def run(argv: Sequence[str] | None = None) -> int:
     except (CliError, ValueError, KeyError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    if isinstance(result, int):
-        return result
-    _emit(args, {"command": args.subcommand, **result})
     return 0
 
 

@@ -268,12 +268,13 @@ def density_mc(
     source: ColoredHypergraph | GraphonLike,
     trials: int = 10**5,
     seed: int = 0,
-) -> tuple[float, float]:
+) -> tuple[float, float | None]:
     """Monte-Carlo density estimate with its standard error.
 
     Coordinates (or vertex subsets) are sampled; the conditional match
     probability given the coordinates is averaged, which for graphs is the
-    plain hit indicator. ``trials`` must be at least 1.
+    plain hit indicator. ``trials`` must be at least 1; the standard error
+    of one trial is undefined and reads None.
     """
     q = f.n
     if (f.r, f.k) != (source.r, source.k):
@@ -295,7 +296,7 @@ def density_mc(
         rows = _grid_cells(rng.random((trials, ncoords)), source.partition.resolution)
     x = _match_probs(source, rows, q, f.colors)
     estimate = float(x.mean())
-    stderr = float(x.std(ddof=1) / np.sqrt(trials)) if trials > 1 else float("inf")
+    stderr = float(x.std(ddof=1) / np.sqrt(trials)) if trials > 1 else None
     return estimate, stderr
 
 

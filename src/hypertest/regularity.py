@@ -17,7 +17,7 @@ from __future__ import annotations
 import csv
 import io
 from functools import partial
-from math import ceil, isfinite, log2
+from math import ceil, inf, isfinite, log2
 from typing import Any, Sequence
 
 import numpy as np
@@ -176,12 +176,13 @@ def weak_regularize(
 
     Returns (v, p, trace) where trace rows carry round, residual, class
     count, and "mode": "exact" or "heuristic", the sweep that measured
-    that round's residual, or "bound" for the L1 bound. Raises
-    RegularityError when the budgeted rounds end with the best residual
-    still above eps.
+    that round's residual, or "bound" for the L1 bound. The rounds end
+    early when a refinement returns the partition it refined: every later
+    round would repeat that one exactly. Raises RegularityError when the
+    rounds end with the best residual still above eps.
     """
     w = _as_step(w)
-    _check_eps(eps)
+    _check_proximity("eps", eps)
     if mode not in ("auto", "exact", "heuristic"):
         raise ValueError(f"unknown mode {mode!r}")
     if t is None:
@@ -220,8 +221,11 @@ def weak_regularize(
         trace.append({"round": rounds, "residual": best_res, "classes": p.t, "mode": ran})
         if best_res <= eps or rounds >= cap:
             break
+        refined = _refined_by_witnesses(p, qpart, wits, g)
+        if refined.t == p.t and np.array_equal(refined.labels, p.labels):
+            break  # a fixed point: every later round would repeat this one
         rounds += 1
-        p = _refined_by_witnesses(p, qpart, wits, g)
+        p = refined
         if log2(p.t) > bound_log2:
             raise RuntimeError("class count escaped the regularity bound")
 
@@ -234,24 +238,44 @@ def weak_regularize(
 # bounds and bookkeeping
 
 
-def _check_eps(eps: float) -> None:
-    if not eps > 0:  # NaN fails this too
-        raise ValueError("eps must be positive")
-    if not isfinite(eps):
-        raise ValueError(f"eps must be finite, got {eps}")
+def _check_proximity(name: str, value: float, zero_ok: bool = False) -> None:
+    """The package's one check of a proximity (eps, delta or reg_floor).
+
+    A proximity must be finite and > 0, or finite and >= 0 when
+    ``zero_ok`` (a floor); anything else, NaN included, is refused by name.
+    """
+    if zero_ok:
+        if not (value >= 0 and isfinite(value)):
+            raise ValueError(f"{name} must be finite and >= 0, got {value}")
+        return
+    if not value > 0:  # NaN fails this too
+        raise ValueError(f"{name} must be positive")
+    if not isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
 
 
 def _ceil_squared_ratio(c: float, eps: float) -> int:
     """ceil(c**2 / eps**2). It is 1 for every eps >= c, so clamping eps at c
-    changes no value and keeps a huge eps from overflowing eps**2."""
-    return ceil(c**2 / min(eps, c) ** 2)
+    changes no value and keeps a huge eps from overflowing eps**2. Where a
+    tiny eps**2 underflows, the float quotient is inf or a division by zero,
+    and the exact quotient is taken instead."""
+    e = min(eps, c)
+    try:
+        return ceil(c**2 / e**2)
+    except (OverflowError, ZeroDivisionError):
+        from fractions import Fraction  # imported here: it pulls in decimal
+
+        return ceil(Fraction(c) ** 2 / Fraction(e) ** 2)
 
 
 def _bound_exponent_log2(r: int, k: int, eps: float) -> float:
-    _check_eps(eps)
+    _check_proximity("eps", eps)
     if min(r, k) < 1:
         raise ValueError("r, k must be >= 1")
-    return _ceil_squared_ratio(2.0, eps) * log2(r * k + 1)
+    try:
+        return _ceil_squared_ratio(2.0, eps) * log2(r * k + 1)
+    except OverflowError:  # a ratio past the float range
+        return inf
 
 
 def class_count_bound(r: int, k: int, eps: float, t: int) -> int:

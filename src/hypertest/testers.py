@@ -52,7 +52,7 @@ from .hypercore import (
     pattern_counts,
     sample_subgraphs,
 )
-from .regularity import _check_eps
+from .regularity import _check_proximity
 from .seeds import derive_seed, generator
 from .transfer import _refinement_search, max_over_refinements
 
@@ -210,7 +210,7 @@ def probe_sample_complexity(
     """
     if f.r != g.r or f.k != g.k:
         raise ValueError(f"parameter {f.name!r} expects palette ({f.r}, {f.k})")
-    _check_eps(eps)
+    _check_proximity("eps", eps)
     reference = f(g)
     form = f.counts_form
     rows = []
@@ -317,7 +317,7 @@ def property_tester(
     one-sided search; "auto" falls back to it when the budget refuses).
     The witness sample size is capped at the size of ``h`` itself.
     """
-    _check_eps(eps)
+    _check_proximity("eps", eps)
     if isinstance(h, SampledColoredGraph):
         if h.has_iota():
             raise ValueError(f"sample has an edge of the reserved color {IOTA} (a repeated "
@@ -411,6 +411,7 @@ def far_from_property(
     customary choice for graphs. They disagree for r != 2, so the choice
     is explicit rather than silent.
     """
+    _check_proximity("eps", eps)
     if normalization not in ("subsets", "square"):
         raise ValueError(f"unknown normalization {normalization!r}")
     if (prop.r, prop.k) != (g.r, g.k):
@@ -480,9 +481,13 @@ def _clean_sample_size(r: int) -> Callable[[float], int]:
     # 1 - eps; q = r * ceil(ln 5 / eps + 1) pushes the all-clean chance
     # under 1/5
     def size(eps: float) -> int:
-        if not eps > 0:
-            raise ValueError("eps must be positive")
-        return r * ceil(log(5.0) / eps + 1.0)
+        _check_proximity("eps", eps)
+        try:
+            return r * ceil(log(5.0) / eps + 1.0)
+        except OverflowError:  # ln 5 / eps past the float range: take it exactly
+            from fractions import Fraction  # imported here: it pulls in decimal
+
+            return r * ceil(Fraction(log(5.0)) / Fraction(eps) + 1)
 
     return size
 

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import time
 from contextlib import contextmanager
-from math import comb, exp, factorial, isfinite, log
+from math import comb, exp, factorial, inf, isfinite, log
 from typing import Any, Callable, Iterator, Sequence, TypeVar
 
 import numpy as np
@@ -80,7 +80,7 @@ from .hypercore import (
     composite_color,
     enumerate_colorings,
 )
-from .regularity import RegularityError, weak_regularize
+from .regularity import RegularityError, _check_proximity, weak_regularize
 from .seeds import derive_seed, generator
 
 # embed_sample is defined in graphon and re-exported here
@@ -334,13 +334,16 @@ def base_sample_requirement(delta: float, q0: int, t: int, k: int) -> float:
 
     Concentrating every class volume within 2*delta/q0^{k+1} and paying a
     union bound over t classes gives
-    3 * q0^{2k+2} * (t + ln 2 - ln delta) / (4 delta^2).
+    3 * q0^{2k+2} * (t + ln 2 - ln delta) / (4 delta^2),
+    or inf where that leaves the float range.
     """
-    if not delta > 0:
-        raise ValueError("delta must be positive")
+    _check_proximity("delta", delta)
     if min(q0, t, k) < 1:
         raise ValueError("q0, t, k must be >= 1")
-    return 3.0 * q0 ** (2 * k + 2) * (t + log(2.0) - log(delta)) / (4.0 * delta ** 2)
+    try:
+        return 3.0 * q0 ** (2 * k + 2) * (t + log(2.0) - log(delta)) / (4.0 * delta ** 2)
+    except (OverflowError, ZeroDivisionError):  # delta**2 underflows, or q0^{2k+2} is huge
+        return inf
 
 
 # ----------------------------------------------------------------------
@@ -590,15 +593,15 @@ def _lift(
         raise ValueError(
             f"sample palette {v_hat.k} does not refine the source palette {u.k}"
         )
-    if not delta > 0 or q0 < 1:
-        raise ValueError("need delta > 0 and q0 >= 1")
-    if not isfinite(delta):
-        raise ValueError(f"delta must be finite, got {delta}")
-    if not (reg_floor >= 0 and isfinite(reg_floor)):
-        raise ValueError(f"reg_floor must be finite and >= 0, got {reg_floor}")
+    _check_proximity("delta", delta)
+    if q0 < 1:
+        raise ValueError("q0 must be >= 1")
+    _check_proximity("reg_floor", reg_floor, zero_ok=True)
     if edge_uniforms is not None and sample is None:
         raise ValueError("edge_uniforms needs an explicit sample")
     k = v_hat.k // u.k
+    if not isfinite(2 * k * reg_floor):  # delta_eff >= reg_floor: transferred_bound is inf
+        raise ValueError(f"2 * k * reg_floor overflows, got reg_floor = {reg_floor}")
     t_pal = u.k
     n_coords = len(sample_coordinates(q, r))
     n_edges = comb(q, r)

@@ -84,6 +84,16 @@ def test_check_budget_raises_with_details(monkeypatch: pytest.MonkeyPatch) -> No
     assert ENV_VAR in str(err.value) and "budget.limit" in str(err.value)
 
 
+def test_a_count_past_the_int_to_str_limit_is_named_by_its_power_of_two() -> None:
+    # str() refuses ints of more than 4300 digits by default
+    needed = 3 ** 10_000
+    err = BudgetError("huge enumeration", needed, DEFAULT_BUDGET)
+    assert err.needed == needed
+    assert str(err).startswith(
+        f"huge enumeration: enumeration needs at least 2^{needed.bit_length() - 1} items")
+    assert str(BudgetError("small", 12, 10)).startswith("small: enumeration needs 12 items")
+
+
 def _recorder(calls: list[str], name: str, refuse: bool = False):
     def run() -> str:
         calls.append(name)

@@ -6,7 +6,9 @@ oracles the commands wrap.
 """
 
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
@@ -16,6 +18,8 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hypertest import budget, cli, cutnorm, graphon
 from hypertest.cutnorm import cutnorm_exact
@@ -422,7 +426,7 @@ class TestPipelines:
                            "--eps", "nan", "--seed", "2"], "eps must be positive"),
             "transfer": (["transfer", "--source", uf, "--witness", vf, "--q", "10",
                           "--q0", "2", "--seed", "21", "--delta", "nan"],
-                         "need delta > 0 and q0 >= 1"),
+                         "delta must be positive"),
         }[command]
         assert cli.run(argv) == 1
         captured = capsys.readouterr()
@@ -436,6 +440,9 @@ class TestPipelines:
         ("transfer", "--delta", "inf", "delta must be finite, got inf"),
         ("transfer", "--reg-floor", "nan", "reg_floor must be finite and >= 0, got nan"),
         ("transfer", "--reg-floor", "-1", "reg_floor must be finite and >= 0, got -1.0"),
+        # written as "transferred_bound": Infinity, 2 * k * reg_floor
+        ("transfer", "--reg-floor", "1e308",
+         "2 * k * reg_floor overflows, got reg_floor = 1e+308"),
     ])
     def test_non_finite_inputs_are_refused_by_name(
         self, command: str, option: str, value: str, message: str, graph_file: str,
@@ -756,3 +763,195 @@ def test_golden_probe_artifacts(name: str, tmp_path: Path) -> None:
     argv = [arg.format(**paths) for arg in PROBE_ARGVS[name]] + ["--out", str(out)]
     assert cli.run(argv) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_PROBE_ARTIFACTS[name]
+
+
+class TestStandardJson:
+    def test_out_into_a_missing_directory_is_exit_1(self, graph_file: str, tmp_path: Path,
+                                                     capsys) -> None:
+        out = tmp_path / "missing" / "out.json"
+        assert cli.run(["cutnorm", "--in", graph_file, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and str(out) in captured.err
+
+    @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize("kind", ["array", "coupling"])
+    def test_a_file_with_a_non_standard_constant_is_refused_by_name(
+        self, kind: str, constant: str, graph_file: str, tmp_path: Path, capsys
+    ) -> None:
+        bad = tmp_path / f"{kind}.json"
+        if kind == "array":
+            bad.write_text(f'{{"array": [[0.0, {constant}], [0.5, 0.25]]}}')
+            argv = ["cutnorm", "--in", str(bad)]
+        else:
+            bad.write_text(f'{{"k": 2, "q": 2, "r": 2, "arrays": '
+                           f'{{"1": [{constant}, 0, 0, 0], "2": [0, 0, 0, 0]}}}}')
+            argv = ["gse", "--in", graph_file, "--coupling", str(bad), "--mode", "exact"]
+        assert cli.run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: {bad} is not standard JSON: it holds {constant}, "
+                                "which standard JSON does not allow\n")
+
+    def test_a_one_trial_density_writes_a_null_stderr(self, graph_file: str, tmp_path: Path,
+                                                      capsys) -> None:
+        # the standard error of one trial is undefined; it was written as Infinity
+        f = write_json(tmp_path / "f.json", hypergraph_to_json(make_hypergraph(2, 2, 2, [1])))
+        out = tmp_path / "d.json"
+        assert cli.run(["density", "--pattern", f, "--in", graph_file, "--mode", "mc",
+                        "--trials", "1", "--seed", "3", "--out", str(out)]) == 0
+        assert '"stderr": null' in out.read_text()
+        assert json.loads(out.read_text(), parse_constant=_refuse_constant)["stderr"] is None
+
+    def test_a_refusal_past_the_int_to_str_limit_is_exit_2(
+        self, transfer_files: tuple[str, str], capsys
+    ) -> None:
+        # the q0-fold volume law has more than 10**4300 outcomes
+        uf, vf = transfer_files
+        assert cli.run(["transfer", "--source", uf, "--witness", vf, "--q", "10",
+                        "--q0", "5000", "--seed", "21"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "budget refusal: lift stage 'refine_source_partition': product law expansion: "
+            "enumeration needs at least 2^")
+
+    @pytest.mark.parametrize("command,eps,rc", [
+        ("regularize", "5e-324", 1),  # eps**2 is 0.0: ZeroDivisionError
+        ("regularize", "1e-160", 1),  # 1 / eps**2 is inf: OverflowError
+        ("regularize", "1e-100", 1),  # 4 classes rebuilt for up to 1e200 rounds
+        ("prop-test", "5e-324", 0),  # ln 5 / eps is inf: OverflowError
+    ])
+    def test_tiny_proximities_exit_with_a_code(self, command: str, eps: str, rc: int,
+                                               graph_file: str, tmp_path: Path,
+                                               capsys) -> None:
+        w = write_json(tmp_path / "w.json", step_graphon_to_json(
+            random_step_graphon(2, 2, t=4, resolution=4, seed=1)))
+        argv = {
+            "regularize": ["regularize", "--in", w, "--seed", "1"],
+            "prop-test": ["prop-test", "--in", graph_file, "--property", "complete-witness",
+                          "--seed", "2"],
+        }[command]
+        assert cli.run(argv + ["--eps", eps]) == rc
+        if rc:
+            assert capsys.readouterr().err.startswith(
+                "error: regularity target not met: residual 7.80626e-18 still above target "
+                f"{float(eps):.6g} after 0 refinement rounds")
+
+
+def _refuse_constant(name: str):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+# The perfbench cli fixture's argv shapes, on files built the same way.
+NUMERIC_ARGVS = {
+    "density-exact": ["density", "--pattern", "{pattern}", "--in", "{g8}", "--mode", "exact"],
+    "density-mc": ["density", "--pattern", "{pattern}", "--in", "{w}", "--mode", "mc",
+                   "--seed", "1"],
+    "tvdist": ["tvdist", "--a", "{g8}", "--b", "{w}", "--q", "3"],
+    "cutnorm-exact": ["cutnorm", "--in", "{g8}", "--mode", "exact"],
+    "cutnorm-heuristic": ["cutnorm", "--in", "{g8}", "--mode", "heuristic", "--seed", "1"],
+    "cutnorm-p-exact": ["cutnorm-p", "--in", "{g8}", "--partition", "{partition}",
+                        "--mode", "exact"],
+    "cutnorm-p-heuristic": ["cutnorm-p", "--in", "{g8}", "--partition", "{partition}",
+                            "--mode", "heuristic", "--seed", "1"],
+    "gse-exact": ["gse", "--in", "{g8}", "--coupling", "{coupling}", "--mode", "exact"],
+    "gse-heuristic": ["gse", "--in", "{g6}", "--coupling", "{coupling}", "--mode", "heuristic",
+                      "--restarts", "2", "--seed", "1"],
+    "regularize": ["regularize", "--in", "{w}", "--eps", "0.3", "--seed", "1"],
+    "sample": ["sample", "--in", "{w}", "--q", "30", "--seed", "1"],
+    "transfer": ["transfer", "--source", "{source}", "--witness", "{witness}", "--q", "30",
+                 "--q0", "2", "--seed", "7"],
+    "nd-estimate": ["nd-estimate", "--in", "{g5}", "--witness", "signed-split", "--q", "5",
+                    "--q0", "2", "--seed", "1"],
+    "probe": ["probe", "--in", "{g40}", "--parameter", "edge-density", "--eps", "0.2",
+              "--q-grid", "10,20", "--trials", "100", "--seed", "1"],
+    "prop-test": ["prop-test", "--in", "{g8}", "--property", "complete-witness", "--eps", "0.3",
+                  "--q", "4", "--trials", "50", "--seed", "1"],
+}
+
+
+def _numeric_options(subcommand: str) -> list[tuple[str, type]]:
+    """The int and float options of a subcommand, but --budget."""
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction)).choices[subcommand]
+    return [(a.option_strings[0], a.type) for a in sub._actions
+            if a.type in (int, float) and a.dest != "budget"]
+
+
+NUMERIC_CASES = [(name, option, kind) for name, argv in NUMERIC_ARGVS.items()
+                 for option, kind in _numeric_options(argv[0])]
+
+# edge floats first, then ordinary ones; integers stay small, since
+# sample --q and the trial counts size allocations the budget does not count
+_FLOATS = (st.sampled_from([math.nan, math.inf, -math.inf, -1.0, 0.0, 5e-324, 1e-160,
+                            1e-100, 1e308])
+           | st.floats(min_value=1e-3, max_value=10.0))
+_INTS = st.integers(min_value=-1, max_value=40)
+_CASE = st.sampled_from(NUMERIC_CASES).flatmap(
+    lambda case: st.tuples(st.just(case), _FLOATS if case[2] is float else _INTS))
+
+
+@pytest.fixture(scope="module")
+def numeric_files(tmp_path_factory: pytest.TempPathFactory) -> dict[str, str]:
+    from hypertest.graphon import sample_graphon
+    from hypertest.seeds import derive_seed
+    from hypertest.transfer import discolor_step, embed_sample
+
+    root = tmp_path_factory.mktemp("numeric")
+
+    def random_graph(n: int, seed: int):
+        colors = generator(seed).integers(1, 3, size=math.comb(n, 2))
+        return make_hypergraph(n, 2, 2, [int(c) for c in colors])
+
+    u0 = random_step_graphon(2, 4, t=2, resolution=4, seed=2)
+    payloads = {key: hypergraph_to_json(random_graph(n, n))
+                for key, n in (("g5", 5), ("g6", 6), ("g8", 8), ("g40", 40), ("pattern", 3))}
+    payloads.update({
+        "w": step_graphon_to_json(random_step_graphon(2, 2, t=4, resolution=4, seed=1)),
+        "source": step_graphon_to_json(discolor_step(u0, 2)),
+        "witness": step_graphon_to_json(embed_sample(sample_graphon(u0, 30, derive_seed(7, 0)))),
+        "partition": {"n": 8, "r_minus_1": 1, "classes": [0, 1, 1, 0, 1, 0, 0, 1], "q": 2},
+        "coupling": CouplingArray(2, 2, 2, {
+            1: np.array([[1.0, -0.5], [-0.5, 0.25]]),
+            2: np.array([[-0.25, 0.5], [0.5, -1.0]]),
+        }).to_json(),
+    })
+    paths = {key: write_json(root / f"{key}.json", payload) for key, payload in payloads.items()}
+    paths["out"] = str(root / "out.json")
+    return paths
+
+
+class TestNumericOptions:
+    @settings(max_examples=300, deadline=None)
+    @given(drawn=_CASE)
+    @example(drawn=(("density-mc", "--trials", int), 1))
+    @example(drawn=(("regularize", "--eps", float), 5e-324))
+    @example(drawn=(("regularize", "--eps", float), 1e-160))
+    @example(drawn=(("regularize", "--eps", float), 1e-100))
+    @example(drawn=(("prop-test", "--eps", float), 5e-324))
+    @example(drawn=(("transfer", "--reg-floor", float), 1e308))
+    def test_every_numeric_option_exits_with_a_code_and_standard_json(
+        self, drawn: tuple[tuple[str, str, type], float | int], numeric_files: dict[str, str]
+    ) -> None:
+        (name, option, _), value = drawn
+        argv = [arg.format(**numeric_files) for arg in NUMERIC_ARGVS[name]]
+        if option in argv:
+            del argv[argv.index(option):argv.index(option) + 2]
+        out = Path(numeric_files["out"])
+        meta = Path(str(out) + ".meta.json")
+        for path in (out, meta):
+            path.unlink(missing_ok=True)
+        # "--eps=-inf", since argparse reads "-inf" after "--eps" as an option
+        argv += [f"{option}={value!r}", "--out", str(out)]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            rc = cli.run(argv)
+        assert rc in (0, 1, 2)
+        if rc == 0:
+            for path in (out, meta):
+                json.loads(path.read_text(), parse_constant=_refuse_constant)
+        else:
+            assert not out.exists()
+            assert err.getvalue().startswith(("error: ", "budget refusal: "))
+            assert err.getvalue().count("\n") == 1

@@ -174,6 +174,12 @@ class TestDensityGraphon:
         assert density_graphon(f, w) == 0.0
         assert density_mc(f, w, trials=50, seed=0) == (0.0, 0.0)
 
+    def test_one_trial_has_no_standard_error(self):
+        f = make_hypergraph(3, 2, 2, [1, 2, 1])
+        for source in (random_step_graphon(2, 2, 2, 2, seed=1), embed(C5), C5):
+            est, se = density_mc(f, source, trials=1, seed=0)
+            assert 0.0 <= est <= 1.0 and se is None
+
     @pytest.mark.parametrize("trials", [0, -1])
     def test_monte_carlo_needs_a_trial(self, trials):
         f = make_hypergraph(3, 2, 2, [1, 2, 1])

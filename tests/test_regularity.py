@@ -1,6 +1,7 @@
 """Weak regularity: round caps, class bounds, and the residual guarantee."""
 
 import itertools
+from fractions import Fraction
 from math import ceil, log2
 
 import numpy as np
@@ -60,6 +61,33 @@ def test_huge_eps_bounds_equal_those_at_eps_two():
     # from eps = 2 on the bound's exponent ceil(4/eps^2) is 1
     assert class_count_bound_log2(2, 2, 1e308, 3) == class_count_bound_log2(2, 2, 2.0, 3)
     assert class_count_bound(2, 2, 1e308, 3) == class_count_bound(2, 2, 2.0, 3)
+
+
+@pytest.mark.parametrize("eps", [5e-324, 1e-160])
+def test_tiny_eps_caps_are_exact(eps):
+    # eps**2 underflows to 0.0 or to a subnormal whose reciprocal is inf
+    assert regularity._ceil_squared_ratio(1.0, eps) == ceil(1 / Fraction(eps) ** 2)
+    assert regularity._ceil_squared_ratio(2.0, eps) == ceil(4 / Fraction(eps) ** 2)
+    assert class_count_bound_log2(2, 2, eps, 1) == float("inf")
+    with pytest.raises(ValueError, match="log2"):
+        class_count_bound(2, 2, eps, 1)
+
+
+def test_a_refinement_that_changes_nothing_ends_the_rounds():
+    # round 0 sweeps (residual 7.8e-18 > eps), then every refinement
+    # rebuilds the same 4-class partition: the rounds stop there, keeping
+    # the best approximant, residual and mode the round cap would give
+    w = random_step_graphon(2, 2, t=4, resolution=4, seed=1)
+    with pytest.raises(RegularityError) as err:
+        weak_regularize(w, 1e-100, seed=1, max_rounds=5)
+    assert [row["round"] for row in err.value.trace] == [0]
+    assert err.value.trace[0]["mode"] == "exact"
+    assert err.value.achieved == pytest.approx(7.806255641895632e-18, rel=1e-12)
+    assert err.value.p == w.partition
+    # without a round cap the rounds would run to ceil(1/eps^2) = 1e200
+    with pytest.raises(RegularityError) as uncapped:
+        weak_regularize(w, 1e-100, seed=1)
+    assert uncapped.value.trace == err.value.trace
 
 
 class TestClassCountBound:

@@ -329,6 +329,15 @@ class TestFarness:
         brute = far_from_property(generic, g, 0.1)
         assert brute["distance"] == declared["distance"]
 
+    @pytest.mark.parametrize("eps,message", [
+        (float("nan"), "^eps must be positive$"),
+        (-0.1, "^eps must be positive$"),
+        (float("inf"), "^eps must be finite, got inf$"),
+    ])
+    def test_improper_eps_is_refused_by_name(self, eps, message):
+        with pytest.raises(ValueError, match=message):
+            far_from_property(PROPERTIES["complete"], empty_graph(4), eps)
+
     def test_empty_property_raises(self):
         impossible = PropertyFn("never", 2, 2, lambda h: False)
         with pytest.raises(ValueError, match="no members"):

@@ -289,6 +289,16 @@ class TestSampleRequirement:
         with pytest.raises(ValueError, match="^delta must be positive$"):
             base_sample_requirement(float("nan"), 1, 1, 1)
 
+    def test_rejects_infinite_delta_by_name(self):
+        # inf passes "delta > 0" and the formula read NaN
+        with pytest.raises(ValueError, match="^delta must be finite, got inf$"):
+            base_sample_requirement(float("inf"), 1, 1, 1)
+
+    def test_past_the_float_range_is_inf(self):
+        # delta**2 underflows to 0.0, or q0^{2k+2} does not fit a float
+        assert base_sample_requirement(5e-324, 1, 1, 1) == float("inf")
+        assert base_sample_requirement(0.1, 10**200, 1, 1) == float("inf")
+
 
 def _looped_induced_partition(p: GridPartition, coords: np.ndarray, q: int) -> np.ndarray:
     """The r = 3 sample-grid labels, one sample vertex pair at a time."""
@@ -422,7 +432,7 @@ class TestLiftColoring:
     def test_nan_delta_is_refused_by_name(self):
         u0 = random_step_graphon(2, 4, t=2, resolution=2, seed=31)
         sample = sample_graphon(u0, 8, derive_seed(5, 0))
-        with pytest.raises(ValueError, match=r"^need delta > 0 and q0 >= 1$"):
+        with pytest.raises(ValueError, match=r"^delta must be positive$"):
             lift_coloring(discolor_step(u0, 2), 8, embed_sample(sample), float("nan"), 2, 5)
 
     def test_edge_uniforms_need_a_sample(self):
