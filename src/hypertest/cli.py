@@ -37,6 +37,7 @@ import numpy as np
 from .budget import BudgetError, current_budget, limit
 from .cutnorm import (
     TuplePartition,
+    _check_restarts,
     cutnorm_exact,
     cutnorm_heuristic,
     cutnorm_p,
@@ -361,6 +362,10 @@ def _cmd_prop_test(args: argparse.Namespace) -> dict[str, Any]:
     prop = _registry_get(PROPERTIES, args.property, "property")
     if args.trials < 0:
         raise CliError(f"--trials must be non-negative, got {args.trials}")
+    # checked here for both paths: the rate path runs the tester at its
+    # default restarts and never reads the option
+    if args.mode != "exact":
+        _check_restarts(args.restarts)
     if args.trials > 0:
         if args.q is None:
             raise CliError("--q is required when --trials is positive")

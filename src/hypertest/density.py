@@ -322,6 +322,8 @@ def sample_distribution(
     r, k = source.r, source.k
     n_edges = comb(q, r)
     if isinstance(source, (ColoredHypergraph, SampledColoredGraph)):
+        if q > source.n:
+            raise ValueError(f"sample size {q} exceeds vertex count {source.n}")
         has_iota = isinstance(source, SampledColoredGraph) and source.has_iota()
     elif isinstance(source, (VertexGraphon, StepGraphon)):
         has_iota = isinstance(source, VertexGraphon) or source.has_iota
@@ -341,8 +343,6 @@ def sample_distribution(
         counts = _code_counts([_induced_columns(source.graph, verts)], n_edges, k, True)
         law = counts / float(source.n**q)
     else:
-        if q > source.n:
-            raise ValueError(f"sample size {q} exceeds vertex count {source.n}")
         check_budget("sample_distribution subset sweep", comb(source.n, q))
         law = _code_counts(induced_sweep(source, q), n_edges, k, has_iota) / comb(source.n, q)
     return SampleDistribution(q, r, k, has_iota, law)

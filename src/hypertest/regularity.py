@@ -26,6 +26,7 @@ from .budget import check_budget, exact_or_heuristic
 from .cutnorm import (
     CutWitness,
     StepKernel,
+    _check_restarts,
     _count_growth_strings,
     _growth_strings,
     kernel_cutnorm_p,
@@ -185,6 +186,8 @@ def weak_regularize(
     _check_proximity("eps", eps)
     if mode not in ("auto", "exact", "heuristic"):
         raise ValueError(f"unknown mode {mode!r}")
+    if mode != "exact":
+        _check_restarts(restarts)
     if t is None:
         t = w.partition.t
     if t < 1:

@@ -2,9 +2,10 @@
 
 Three layers build on each other. ``transfer_coloring`` moves a palette
 refinement from one graphon onto a nearby one cellwise, with a cut-P
-guarantee carrying a factor of the refinement arity. ``base_case_transfer``
-is the one-dimensional version on class-volume vectors, where closeness is
-measured by the variation distance of repeated-sample laws.
+guarantee on the refinement's own partition that carries a factor of the
+refinement arity. ``base_case_transfer`` is the one-dimensional version
+on class-volume vectors, where closeness is measured by the variation
+distance of repeated-sample laws.
 ``lift_coloring`` chains them into the full sample-to-source pipeline:
 regularize both sides, color the sampled step structure by transfer, split
 the source partition along fibers in the sampled proportions, and transfer
@@ -131,44 +132,24 @@ def discolor_step(w: StepGraphon, k: int) -> StepGraphon:
 # cellwise transfer
 
 
-def _require_step_on(w: StepGraphon, p: GridPartition) -> None:
-    """Every channel of w must be constant on the class tuples of p."""
-    part, pairs = common_refinement(w.partition, p)
-    iw, ip = pairs.T
-    r = w.r
-    idx = np.indices((part.t,) * r)
-    key = tuple(ip[idx[l]] for l in range(r))
-    for c in sorted(w.arrays):
-        fine = w.arrays[c][np.ix_(*([iw] * r))]
-        hi = np.full((p.t,) * r, -np.inf)
-        lo = np.full((p.t,) * r, np.inf)
-        np.maximum.at(hi, key, fine)
-        np.minimum.at(lo, key, fine)
-        realized = hi > -np.inf
-        if realized.any() and float(np.max(hi[realized] - lo[realized])) > 1e-9:
-            raise ValueError(
-                f"channel {c} is not constant on the class tuples of the partition"
-            )
-
-
-def transfer_coloring(u_hat: StepGraphon, v: StepGraphon, p: GridPartition) -> StepGraphon:
+def transfer_coloring(u_hat: StepGraphon, v: StepGraphon) -> StepGraphon:
     """Copy the palette refinement of ``u_hat`` onto ``v``, cellwise.
 
-    ``u_hat`` carries ``v.k * k`` composite colors and must be a step
-    function on ``p``. Within every base color the returned coloring
-    reuses ``u_hat``'s local refinement shares; where the base channel of
-    ``u_hat`` vanishes the split is an even 1/k. The cut-P distance
+    ``u_hat`` carries ``v.k * k`` composite colors. Within every base
+    color the returned coloring reuses ``u_hat``'s local refinement
+    shares; where the base channel of ``u_hat`` vanishes the split is an
+    even 1/k. With P the partition of ``u_hat``, the cut-P distance
     between ``u_hat`` and the result is at most k times the cut-P
-    distance between ``[u_hat, k]`` and ``v``: per composite channel the
-    share factor is constant on class tuples and lies in [0, 1], so it
-    can only shrink each per-tuple score, and the palette sum pays the
-    factor k. A reserved channel of ``v`` passes through unchanged.
+    distance between ``[u_hat, k]`` and ``v``: ``u_hat`` is a step
+    function on P, so per composite channel the share factor is constant
+    on class tuples of P and lies in [0, 1]; it can only shrink each
+    per-tuple score, and the palette sum pays the factor k. A reserved
+    channel of ``v`` passes through unchanged.
 
     Raises
     ------
     ValueError
-        If the palettes are incompatible, the grids are not refinable,
-        or ``u_hat`` is not a step function on ``p``.
+        If the uniformities differ or the palettes are incompatible.
     """
     if u_hat.r != v.r:
         raise ValueError("uniformities differ")
@@ -177,9 +158,6 @@ def transfer_coloring(u_hat: StepGraphon, v: StepGraphon, p: GridPartition) -> S
             f"palette {u_hat.k} does not refine the base palette {v.k}"
         )
     k = u_hat.k // v.k
-    if p.r_minus_1 != u_hat.r - 1:
-        raise ValueError("partition dimensionality does not match the graphons")
-    _require_step_on(u_hat, p)
     part, pairs = common_refinement(u_hat.partition, v.partition)
     iu, iv = pairs.T
     r = v.r
@@ -204,20 +182,21 @@ def transfer_coloring(u_hat: StepGraphon, v: StepGraphon, p: GridPartition) -> S
 def transfer_bound_report(
     u_hat: StepGraphon,
     v: StepGraphon,
-    p: GridPartition,
     mode: str = "exact",
     restarts: int = 16,
     seed: int = 0,
 ) -> dict[str, Any]:
     """Evaluate both sides of the transfer guarantee on one instance.
 
-    Returns the refined cut-P distance d(u_hat, transferred), the base
-    distance d([u_hat, k], v), the arity, and whether refined <= arity *
-    base held. With mode "exact" the flag is a theorem check; heuristic
+    Both distances are cut-P with P the partition of ``u_hat``. Returns
+    the refined distance d(u_hat, transferred), the base distance
+    d([u_hat, k], v), the arity, and whether refined <= arity * base
+    held. With mode "exact" the flag is a theorem check; heuristic
     distances underestimate both sides, so treat the flag as advisory.
     """
-    v_hat = transfer_coloring(u_hat, v, p)
+    v_hat = transfer_coloring(u_hat, v)
     k = u_hat.k // v.k
+    p = u_hat.partition
     refined = cut_distance(u_hat, v_hat, p=p, mode=mode, restarts=restarts,
                            seed=derive_seed(seed, 0))
     base = cut_distance(discolor_step(u_hat, k), v, p=p, mode=mode, restarts=restarts,
@@ -723,7 +702,7 @@ def _lift(
 
     # stage 7: transfer back onto the source
     with _stage("transfer_to_source", stages) as rec:
-        u_hat = transfer_coloring(w1_hat, u, p_second)
+        u_hat = transfer_coloring(w1_hat, u)
         d_refined, refined_mode = _stage_distance(w1_hat, u_hat)
         d_base, base_mode = _stage_distance(w1, u)
         rec.update({
@@ -784,6 +763,8 @@ def _refinement_search(g, k, value_fn, mode, restarts, seed) -> tuple[tuple[floa
     """:func:`max_over_refinements` with the side that ran: "exact" or "heuristic"."""
     if k < 1:
         raise ValueError("refinement arity k must be >= 1")
+    if mode != "exact":
+        _check_restarts(restarts)
     base, _ = _refinement_layout(g, k)
 
     def score(candidate) -> float:
@@ -815,7 +796,6 @@ def _refinement_search(g, k, value_fn, mode, restarts, seed) -> tuple[tuple[floa
         return best.item(), _refined_with(g, base, first.tolist(), k)
 
     def local_search() -> tuple[float, Any]:
-        _check_restarts(restarts)
         best, best_g = -np.inf, None
         free = [i for i, c in enumerate(g.colors) if c != IOTA]
         for restart in range(restarts):

@@ -337,7 +337,7 @@ def test_criterion_09_coloring_transfer_bound():
         res = 2 + i % 2
         u_hat = random_step_graphon(2, 4, t=2, resolution=res, seed=derive_seed(909, i, 0))
         v = random_step_graphon(2, 2, t=2, resolution=res, seed=derive_seed(909, i, 1))
-        rep = transfer_bound_report(u_hat, v, u_hat.partition, mode="exact")
+        rep = transfer_bound_report(u_hat, v, mode="exact")
         worst_slack = min(worst_slack, rep["bound"] - rep["refined_distance"])
         if not rep["holds"] or rep["refined_distance"] > 2.0 * rep["base_distance"] + 1e-9:
             violations += 1

@@ -955,3 +955,20 @@ class TestNumericOptions:
             assert not out.exists()
             assert err.getvalue().startswith(("error: ", "budget refusal: "))
             assert err.getvalue().count("\n") == 1
+
+    @pytest.mark.parametrize("restarts", ["0", "-1"])
+    @pytest.mark.parametrize("name", ["regularize", "transfer", "nd-estimate", "prop-test"])
+    def test_auto_mode_refuses_nonpositive_restarts(
+        self, name: str, restarts: str, numeric_files: dict[str, str], capsys
+    ) -> None:
+        argv = [arg.format(**numeric_files) for arg in NUMERIC_ARGVS[name]]
+        assert cli.run(argv + [f"--restarts={restarts}"]) == 1
+        assert f"restarts must be at least 1, got {restarts}" in capsys.readouterr().err
+
+    def test_tvdist_refuses_a_sample_past_the_vertex_count(
+        self, numeric_files: dict[str, str], capsys
+    ) -> None:
+        argv = [arg.format(**numeric_files) for arg in NUMERIC_ARGVS["tvdist"]]
+        argv[argv.index("--q") + 1] = "9"
+        assert cli.run(argv) == 1
+        assert "sample size 9 exceeds vertex count 8" in capsys.readouterr().err

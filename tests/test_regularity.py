@@ -151,6 +151,16 @@ class TestWeakRegularize:
         _, _, trace = weak_regularize(w, eps=0.3, mode="exact")
         assert [row["mode"] for row in trace] == ["exact"]
 
+    @pytest.mark.parametrize("restarts", [0, -1])
+    def test_modes_that_may_read_restarts_refuse_nonpositive_ones(self, restarts):
+        # auto takes the L1 bound here and never sweeps, yet it is refused
+        w = random_step_graphon(2, 2, 3, 4, seed=5)
+        for mode in ("auto", "heuristic"):
+            with pytest.raises(ValueError, match="restarts must be at least 1"):
+                weak_regularize(w, eps=0.3, mode=mode, restarts=restarts)
+        _, _, trace = weak_regularize(w, eps=0.3, mode="exact", restarts=restarts)
+        assert [row["mode"] for row in trace] == ["exact"]
+
     def test_bound_above_eps_falls_back_to_the_sweep(self, monkeypatch):
         # the own-partition average is w up to rounding, so its bound tops
         # eps only by a few ulps; a stand-in bound makes that case certain

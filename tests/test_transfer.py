@@ -96,7 +96,7 @@ class TestTransferColoring:
         # v = [u_hat, k] makes the scale factor exactly 1.0 cellwise.
         u_hat = random_step_graphon(2, 4, t=3, resolution=2, seed=7)
         v = discolor_step(u_hat, 2)
-        out = transfer_coloring(u_hat, v, u_hat.partition)
+        out = transfer_coloring(u_hat, v)
         for c in range(1, 5):
             assert np.array_equal(out.arrays[c], u_hat.arrays[c])
 
@@ -111,7 +111,7 @@ class TestTransferColoring:
         })
         v1 = np.array([[0.8, 0.5], [0.5, 0.5]])
         v = StepGraphon(2, 2, part, {1: v1, 2: 1.0 - v1})
-        out = transfer_coloring(u_hat, v, part)
+        out = transfer_coloring(u_hat, v)
         # base channel 1 of u_hat vanishes at cell (0, 0): even split there
         assert out.arrays[1][0, 0] == pytest.approx(0.4)
         assert out.arrays[2][0, 0] == pytest.approx(0.4)
@@ -123,21 +123,15 @@ class TestTransferColoring:
     def test_iota_channel_copied_from_target(self):
         u_hat = random_step_graphon(2, 4, t=2, resolution=2, seed=9)
         v = random_step_graphon(2, 2, t=2, resolution=2, seed=10, with_iota=True)
-        out = transfer_coloring(u_hat, v, u_hat.partition)
+        out = transfer_coloring(u_hat, v)
         merged = discolor_step(out, 2)
         assert l1_distance(merged, v) <= 1e-12
-
-    def test_rejects_non_step_refinement(self):
-        u_hat = random_step_graphon(2, 4, t=4, resolution=4, seed=11)
-        coarse = GridPartition(1, 4, np.array([0, 0, 1, 1]), 2)
-        with pytest.raises(ValueError, match="not constant"):
-            transfer_coloring(u_hat, discolor_step(u_hat, 2), coarse)
 
     def test_rejects_incompatible_palettes(self):
         u_hat = random_step_graphon(2, 3, t=2, resolution=2, seed=1)
         v = random_step_graphon(2, 2, t=2, resolution=2, seed=2)
         with pytest.raises(ValueError, match="refine"):
-            transfer_coloring(u_hat, v, u_hat.partition)
+            transfer_coloring(u_hat, v)
 
 
 class TestTransferBound:
@@ -145,20 +139,21 @@ class TestTransferBound:
         for seed in range(6):
             u_hat = random_step_graphon(2, 4, t=2, resolution=2, seed=seed)
             v = random_step_graphon(2, 2, t=2, resolution=2, seed=100 + seed)
-            rep = transfer_bound_report(u_hat, v, u_hat.partition)
+            rep = transfer_bound_report(u_hat, v)
             assert rep["arity"] == 2
             assert rep["refined_distance"] <= rep["bound"] + 1e-9
             assert rep["holds"]
 
     def test_exact_bound_holds_r3(self):
-        u_hat = random_step_graphon(3, 4, t=2, resolution=2, seed=3)
-        v = random_step_graphon(3, 2, t=2, resolution=2, seed=4)
-        rep = transfer_bound_report(u_hat, v, u_hat.partition)
-        assert rep["holds"]
+        for seed in range(6):
+            u_hat = random_step_graphon(3, 4, t=2, resolution=2, seed=seed)
+            v = random_step_graphon(3, 2, t=2, resolution=2, seed=100 + seed)
+            rep = transfer_bound_report(u_hat, v)
+            assert rep["holds"]
 
     def test_self_transfer_distance_zero(self):
         u_hat = random_step_graphon(2, 4, t=2, resolution=2, seed=6)
-        rep = transfer_bound_report(u_hat, discolor_step(u_hat, 2), u_hat.partition)
+        rep = transfer_bound_report(u_hat, discolor_step(u_hat, 2))
         assert rep["base_distance"] == pytest.approx(0.0, abs=1e-12)
         assert rep["refined_distance"] == pytest.approx(0.0, abs=1e-12)
 
@@ -602,6 +597,17 @@ class TestMaxOverRefinements:
         with pytest.raises(ValueError, match="restarts must be at least 1"):
             max_over_refinements(g, 2, self.monochrome_score, mode="heuristic",
                                  restarts=restarts)
+
+    @pytest.mark.parametrize("restarts", [0, -1])
+    def test_auto_refuses_nonpositive_restarts_before_searching(self, restarts):
+        # the exact side would certify this at once; auto is refused up front
+        g = make_hypergraph(4, 2, 1, [1] * 6)
+        with pytest.raises(ValueError, match="restarts must be at least 1"):
+            max_over_refinements(g, 2, self.monochrome_score, mode="auto",
+                                 restarts=restarts)
+        best, _ = max_over_refinements(g, 2, self.monochrome_score, mode="exact",
+                                       restarts=restarts)
+        assert best == pytest.approx(1.0)
 
     def test_local_search_keeps_its_seeded_results(self):
         # pinned from the per-edge refinement constructor the one-map
