@@ -23,6 +23,7 @@ __all__ = [
     "limit",
     "current_budget",
     "check_budget",
+    "check_power_budget",
     "exact_or_heuristic",
 ]
 
@@ -30,6 +31,9 @@ _T = TypeVar("_T")
 
 DEFAULT_BUDGET = 10**6
 ENV_VAR = "HYPERTEST_BUDGET"
+
+# bit length up to which check_power_budget builds a power to count it
+_POWER_BITS = 2**16
 
 _scoped: ContextVar[int | None] = ContextVar("hypertest_budget", default=None)
 
@@ -111,6 +115,22 @@ def check_budget(stage: str, needed: int) -> None:
     budget = current_budget()
     if needed > budget:
         raise BudgetError(stage, needed, budget)
+
+
+def check_power_budget(stage: str, base: int, exponent: int) -> None:
+    """:func:`check_budget` for ``base ** exponent`` items, sized before the power is built.
+
+    ``base ** exponent`` is at least 2^((bit length of base - 1) * exponent).
+    When that bound passes both ``_POWER_BITS`` and the budget's bit length,
+    the power is refused unbuilt, with the count 2^that-many-bits, a lower
+    bound (its text reads "at least 2^..."); so a huge exponent is refused at
+    once. Every other power is built and checked as it is.
+    """
+    budget = current_budget()
+    bits = max(_POWER_BITS, budget.bit_length())
+    if (base.bit_length() - 1) * exponent > bits:
+        raise BudgetError(stage, 1 << bits, budget)
+    check_budget(stage, base ** exponent)
 
 
 def exact_or_heuristic(

@@ -362,8 +362,7 @@ def _cmd_prop_test(args: argparse.Namespace) -> dict[str, Any]:
     prop = _registry_get(PROPERTIES, args.property, "property")
     if args.trials < 0:
         raise CliError(f"--trials must be non-negative, got {args.trials}")
-    # checked here for both paths: the rate path runs the tester at its
-    # default restarts and never reads the option
+    # checked up front, before a rate run samples anything
     if args.mode != "exact":
         _check_restarts(args.restarts)
     if args.trials > 0:
@@ -371,7 +370,7 @@ def _cmd_prop_test(args: argparse.Namespace) -> dict[str, Any]:
             raise CliError("--q is required when --trials is positive")
         report = property_acceptance_rate(
             prop, g, args.q, args.eps, trials=args.trials, seed=args.seed,
-            mode=args.mode,
+            mode=args.mode, restarts=args.restarts,
         )
         return {"mode": "mc", "property": args.property, "seed": args.seed, **report}
     accept, trace = property_tester(

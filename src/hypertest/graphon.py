@@ -134,6 +134,18 @@ def _check_symmetric(stack: np.ndarray, names: Sequence[str]) -> None:
         raise ValueError(f"{names[int(np.argmin(ok))]} is not symmetric under index permutations")
 
 
+def _check_range(store: np.ndarray, order: Sequence[int]) -> None:
+    """Reject the first channel of ``store`` with an entry outside [0, 1] (1e-12 slack).
+
+    One min and one max per channel; a NaN entry passes here, as it does
+    the per-channel comparison, and ``_check_symmetric`` rejects it.
+    """
+    axes = tuple(range(1, store.ndim))
+    bad = (store.min(axis=axes) < -1e-12) | (store.max(axis=axes) > 1 + 1e-12)
+    if bad.any():
+        raise ValueError(f"channel {order[int(np.argmax(bad))]} has entries outside [0, 1]")
+
+
 def _symmetrize(arr: np.ndarray) -> np.ndarray:
     """Average an r-array over its index permutations (summed in permutation order)."""
     arr = np.asarray(arr, dtype=float)
@@ -185,8 +197,8 @@ class GridPartition:
         if labels.size and (labels.min() < 0 or labels.max() >= self.t):
             raise ValueError("labels must lie in range(t)")
         if not self.allow_empty:
-            present = np.unique(labels)
-            if len(present) != self.t:
+            # the labels lie in range(t), so a count per class is the whole test
+            if not np.bincount(labels.ravel(), minlength=self.t).all():
                 raise ValueError("every class must be nonempty (or set allow_empty)")
         for ax in _axis_perms(self.r_minus_1):
             if not np.array_equal(labels.transpose(ax), labels):
@@ -254,9 +266,16 @@ def common_refinement(a: GridPartition, b: GridPartition) -> tuple[GridPartition
 
     The second value is a (t, 2) intp array: row i holds the classes of
     ``a`` and ``b`` that new class i lies in, so ``pairs.T`` unzips them.
+    When ``a`` equals ``b`` (or is ``b``) and no class of ``a`` is empty,
+    the refinement is ``a`` itself, with identity pairs: the labels, class
+    count and pairs the general path builds. An empty class would be
+    dropped and the rest relabeled, so such a partition takes that path.
     """
     if a.r_minus_1 != b.r_minus_1:
         raise ValueError("partitions live on different type cubes")
+    if (a is b or a == b) and (
+            not a.allow_empty or np.bincount(a.labels.ravel(), minlength=a.t).all()):
+        return a, np.repeat(np.arange(a.t, dtype=np.intp)[:, None], 2, axis=1)
     g = lcm(a.resolution, b.resolution)
     la = a.refined(g // a.resolution).labels
     lb = b.refined(g // b.resolution).labels
@@ -274,7 +293,9 @@ class StepGraphon:
     partition; color 0 is the optional reserved-diagonal channel, present
     on embedded graphs brought to step form. Channel arrays must be
     entrywise in [0, 1], symmetric under index permutations, and sum to 1
-    at every class tuple.
+    at every class tuple. The constructor copies them once, in channel
+    order, into one read-only (channels, t, ..., t) store; ``arrays`` maps
+    each color to its read-only view of that store.
     """
 
     r: int
@@ -293,20 +314,27 @@ class StepGraphon:
         if not keys.issuperset(range(1, self.k + 1)) or not keys.issubset({0, *range(1, self.k + 1)}):
             raise ValueError(f"channels must be 1..{self.k} plus optional 0, got {sorted(keys)}")
         shape = (self.partition.t,) * self.r
-        frozen: dict[int, np.ndarray] = {}
-        for c in sorted(keys):
-            arr = np.array(self.arrays[c], dtype=float)
-            if arr.shape != shape:
-                raise ValueError(f"channel {c} has shape {arr.shape}, expected {shape}")
-            if arr.min() < -1e-12 or arr.max() > 1 + 1e-12:
-                raise ValueError(f"channel {c} has entries outside [0, 1]")
-            arr.flags.writeable = False
-            frozen[c] = arr
-        _check_symmetric(np.stack(list(frozen.values())), [f"channel {c}" for c in frozen])
-        total = sum(frozen.values())
+        order = sorted(keys)
+        store = np.empty((len(order),) + shape)
+        for i, c in enumerate(order):
+            try:
+                arr = np.asarray(self.arrays[c], dtype=float)
+                if arr.shape != shape:
+                    raise ValueError(f"channel {c} has shape {arr.shape}, expected {shape}")
+            except Exception:
+                _check_range(store[:i], order)  # the earlier channels' range comes first
+                raise
+            store[i] = arr
+        _check_range(store, order)
+        _check_symmetric(store, [f"channel {c}" for c in order])
+        total = store[0].copy()
+        for arr in store[1:]:  # the running sum, one channel at a time
+            total += arr
         if np.max(np.abs(total - 1.0)) > 1e-12:
             raise ValueError("channel arrays must sum to 1 at every class tuple")
-        object.__setattr__(self, "arrays", frozen)
+        store.flags.writeable = False
+        object.__setattr__(self, "_store", store)
+        object.__setattr__(self, "arrays", dict(zip(order, store)))
 
     @property
     def has_iota(self) -> bool:
@@ -324,7 +352,7 @@ class StepGraphon:
         sum does, so a gather from this table equals the cumulative sum
         of the gathered channels, bit for bit.
         """
-        acc = np.cumsum(np.stack([self.arrays[c] for c in self.channel_order]), axis=0)
+        acc = np.cumsum(self._store, axis=0)
         acc.flags.writeable = False
         return acc
 
@@ -538,7 +566,7 @@ def _embedding(sample: SampledColoredGraph | ColoredHypergraph, factor: int) -> 
     edges = colex_edges(q, r)
     colors = np.asarray(sample.colors, dtype=np.int64)
     if r == 2:
-        part = GridPartition(1, q, np.arange(q), q)
+        part = orbit_partition(1, q)  # one class per vertex, shared by every q-sample
         # color of every ordered vertex pair; the diagonal keeps color 0
         color_of = np.zeros((q, q), dtype=np.int64)
         color_of[edges[:, 0], edges[:, 1]] = colors
@@ -711,16 +739,20 @@ def _pairwise_r3(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
 def channel_differences(u: StepGraphon, w: StepGraphon) -> tuple[GridPartition, dict[int, np.ndarray]]:
     """Per-channel differences ``u^c - w^c`` on the common refinement.
 
-    The refinement is built once. Every channel either side carries is
-    covered, in channel order; a channel one side lacks counts as 0 there.
+    The refinement is built once, and neither side is gathered when it is
+    an identity refinement. Every channel either side carries is covered,
+    in channel order; a channel one side lacks counts as 0 there.
     """
     if u.r != w.r:
         raise ValueError("uniformities differ")
     part, pairs = common_refinement(u.partition, w.partition)
     zero = np.zeros((part.t,) * u.r)
+    identity = part is u.partition  # both sides already live on it, class for class
 
     def on_part(arr: np.ndarray | None, idx: np.ndarray) -> np.ndarray:
-        return zero if arr is None else arr[np.ix_(*([idx] * u.r))]
+        if arr is None:
+            return zero
+        return arr if identity else arr[np.ix_(*([idx] * u.r))]
 
     iu, iw = pairs.T
     return part, {c: on_part(u.arrays.get(c), iu) - on_part(w.arrays.get(c), iw)

@@ -359,17 +359,20 @@ def property_acceptance_rate(
     trials: int = 400,
     seed: int = 0,
     mode: str = "auto",
+    restarts: int = 8,
 ) -> dict[str, Any]:
     """Acceptance frequency of the constructed tester over random q-samples.
 
-    Each trial's seed is fixed by its index.
+    Each trial's seed is fixed by its index; ``mode`` and ``restarts`` go
+    to every trial's :func:`property_tester`.
     """
     seeds = [derive_seed(seed, trial) for trial in range(trials)]
     _, colors = sample_subgraphs(g, q, seeds)
     accepted = 0
     for trial_seed, row in zip(seeds, colors.tolist()):
         sub = ColoredHypergraph(q, g.r, g.k, row)
-        ok, _ = property_tester(p_witness, sub, eps, seed=trial_seed, mode=mode)
+        ok, _ = property_tester(p_witness, sub, eps, seed=trial_seed, mode=mode,
+                                restarts=restarts)
         accepted += int(ok)
     low, high = wilson_interval(accepted, trials)
     return {

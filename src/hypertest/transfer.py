@@ -44,7 +44,7 @@ from typing import Any, Callable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
-from .budget import BudgetError, check_budget, exact_or_heuristic
+from .budget import BudgetError, check_power_budget, exact_or_heuristic
 from .cutnorm import _check_restarts, cut_distance
 from .density import sample_laws, tv_distance
 from .graphon import (
@@ -65,6 +65,7 @@ from .graphon import (
     embed,
     embed_sample,
     l1_distance,
+    orbit_partition,
     sample_coordinates,
     sample_graphon,
     step_average,
@@ -159,17 +160,20 @@ def transfer_coloring(u_hat: StepGraphon, v: StepGraphon) -> StepGraphon:
         )
     k = u_hat.k // v.k
     part, pairs = common_refinement(u_hat.partition, v.partition)
-    iu, iv = pairs.T
     r = v.r
-    ix_u = np.ix_(*([iu] * r))
-    ix_v = np.ix_(*([iv] * r))
+    if part is u_hat.partition:  # an identity refinement: both sides are already on it
+        u_on, v_on = u_hat.arrays, v.arrays
+    else:
+        ix_u, ix_v = (np.ix_(*([idx] * r)) for idx in pairs.T)
+        u_on = {c: u_hat.arrays[c][ix_u] for c in range(1, u_hat.k + 1)}
+        v_on = {c: v.arrays[c][ix_v] for c in v.arrays}
     arrays: dict[int, np.ndarray] = {}
     if 0 in v.arrays:
-        arrays[0] = v.arrays[0][ix_v]
+        arrays[0] = v_on[0]
     for alpha, comps in enumerate(_palette(v.k, k), start=1):
-        fine = [u_hat.arrays[c][ix_u] for c in comps]
+        fine = [u_on[c] for c in comps]
         base = sum(fine)
-        v_base = v.arrays[alpha][ix_v]
+        v_base = v_on[alpha]
         positive = base > 0
         # v_base/base is exactly 1.0 wherever the two agree, so a
         # self-transfer reproduces u_hat bit for bit.
@@ -260,7 +264,7 @@ def product_tv(
     for name, vec in (("first", pa), ("second", pb)):
         if vec.min(initial=0.0) < -1e-12 or abs(vec.sum() - 1.0) > 1e-9:
             raise ValueError(f"{name} argument is not a probability vector")
-    check_budget("product law expansion", pa.size ** q0)
+    check_power_budget("product law expansion", pa.size, q0)
     ta, tb = pa, pb
     for _ in range(q0 - 1):
         ta = np.multiply.outer(ta, pa).ravel()
@@ -353,7 +357,9 @@ def _paper_schedule(delta: float, r: int, k: int, t_pal: int, q0: int) -> float:
     """The guarantee's proximity delta r! / (4k (k t)^{q0^r} q0^r).
 
     A power (k t)^{q0^r} past the float range takes the same quotient in
-    log space: the tiny value it is, 0.0 once that underflows.
+    log space: the tiny value it is, 0.0 once that underflows. Its exponent
+    q0^r is capped at 2^1023 there, where the quotient is 0.0 already
+    (or, for k t = 1, the power is 1), so no q0 overflows a float.
     """
     numerator = delta * factorial(r)
     if not isfinite(numerator):
@@ -361,7 +367,8 @@ def _paper_schedule(delta: float, r: int, k: int, t_pal: int, q0: int) -> float:
     try:
         return numerator / (4.0 * k * float(k * t_pal) ** (q0 ** r) * q0 ** r)
     except OverflowError:
-        return exp(log(numerator / (4.0 * k)) - q0 ** r * log(k * t_pal) - log(q0 ** r))
+        spread = min(q0 ** r, 2 ** 1023) * log(k * t_pal)
+        return exp(log(numerator / (4.0 * k)) - spread - log(q0 ** r))
 
 
 def _measured(measure: Callable[[], _T]) -> _T | None:
@@ -649,7 +656,7 @@ def _lift(
             extra: dict[str, Any] = {"base_case": volume_report}
         else:
             g1 = p_part.resolution
-            ident_g1 = GridPartition(1, g1, np.arange(g1), g1)
+            ident_g1 = orbit_partition(1, g1)  # one class per grid cell
             marg = _fiber_shares(p_part.labels, p_part.t)
             w_marg = StepGraphon(
                 2, p_part.t, ident_g1, {i + 1: marg[..., i] for i in range(p_part.t)}
@@ -659,7 +666,7 @@ def _lift(
             arrays_m = {c + 1: m_hat[..., c] * off_diag for c in range(p_part.t * t_r)}
             arrays_m[0] = np.eye(q)
             u_marg_hat = StepGraphon(
-                2, p_part.t * t_r, GridPartition(1, q, np.arange(q), q), arrays_m
+                2, p_part.t * t_r, orbit_partition(1, q), arrays_m
             )
             pairs = colex_edges(q, 2)
             inner_colors = (p_prime.labels[pairs[:, 0], pairs[:, 1], 0] + 1).tolist()

@@ -5,6 +5,7 @@ from hypertest.budget import (
     ENV_VAR,
     BudgetError,
     check_budget,
+    check_power_budget,
     current_budget,
     exact_or_heuristic,
     limit,
@@ -92,6 +93,43 @@ def test_a_count_past_the_int_to_str_limit_is_named_by_its_power_of_two() -> Non
     assert str(err).startswith(
         f"huge enumeration: enumeration needs at least 2^{needed.bit_length() - 1} items")
     assert str(BudgetError("small", 12, 10)).startswith("small: enumeration needs 12 items")
+
+
+def _outcome(check, *args):
+    try:
+        check(*args)
+    except BudgetError as err:
+        return err.stage, err.needed, err.budget
+    return None
+
+
+@pytest.mark.parametrize("budget", [1, 7, 64, 1000, 2**20 - 1])
+def test_power_budget_agrees_with_the_built_power(budget: int) -> None:
+    with limit(budget):
+        for base in range(0, 12):
+            for exponent in range(0, 25):
+                assert _outcome(check_power_budget, "powers", base, exponent) == _outcome(
+                    check_budget, "powers", base ** exponent)
+
+
+def test_power_budget_refuses_a_huge_power_unbuilt() -> None:
+    # 4 ** (10 ** 200) has 2 * 10**200 bits: building it would never end
+    with limit(DEFAULT_BUDGET), pytest.raises(BudgetError) as err:
+        check_power_budget("product law expansion", 4, 10**200)
+    assert (err.value.needed, err.value.budget) == (2**2**16, DEFAULT_BUDGET)
+    assert str(err.value).startswith(
+        "product law expansion: enumeration needs at least 2^65536 items")
+    # 1 ** anything is one item, 0 ** anything but 0 is none
+    with limit(1):
+        check_power_budget("ones", 1, 10**200)
+        check_power_budget("zeros", 0, 10**200)
+    # up to 2^16 bits the power is built and counted exactly; past them
+    # its count is that many bits, a lower bound
+    for exponent, needed in ((2**16 - 1, 2**(2**16 - 1)), (2**16, 2**2**16),
+                             (2**16 + 1, 2**2**16)):
+        with limit(DEFAULT_BUDGET), pytest.raises(BudgetError) as err:
+            check_power_budget("edge", 2, exponent)
+        assert err.value.needed == needed
 
 
 def _recorder(calls: list[str], name: str, refuse: bool = False):

@@ -14,6 +14,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -21,7 +22,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hypertest import budget, cli, cutnorm, graphon
+from hypertest import budget, cli, cutnorm, graphon, testers
 from hypertest.cutnorm import cutnorm_exact
 from hypertest.energy import CouplingArray, gse
 from hypertest.graphon import random_step_graphon, step_graphon_to_json
@@ -964,6 +965,37 @@ class TestNumericOptions:
         argv = [arg.format(**numeric_files) for arg in NUMERIC_ARGVS[name]]
         assert cli.run(argv + [f"--restarts={restarts}"]) == 1
         assert f"restarts must be at least 1, got {restarts}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("q0", ["1000000", "100000000", str(10**200)])
+    def test_a_huge_q0_refuses_through_the_budget_at_once(
+        self, q0: str, numeric_files: dict[str, str], capsys
+    ) -> None:
+        # the q0-fold volume law is sized before it is counted, and the
+        # lift schedule's exponent stays in the float range
+        argv = [arg.format(**numeric_files) for arg in NUMERIC_ARGVS["transfer"]]
+        argv[argv.index("--q0") + 1] = q0
+        start = time.perf_counter()
+        assert cli.run(argv) == 2
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr().err.startswith(
+            "budget refusal: lift stage 'refine_source_partition': product law expansion: "
+            "enumeration needs at least 2^")
+
+    def test_prop_test_rate_runs_every_trial_at_the_given_restarts(
+        self, numeric_files: dict[str, str], monkeypatch, capsys
+    ) -> None:
+        seen: list[int] = []
+        tester = testers.property_tester
+
+        def recording(*args, **kwargs):
+            seen.append(kwargs["restarts"])
+            return tester(*args, **kwargs)
+
+        monkeypatch.setattr(testers, "property_tester", recording)
+        argv = [arg.format(**numeric_files) for arg in NUMERIC_ARGVS["prop-test"]]
+        assert cli.run(argv + ["--trials", "7", "--restarts", "3"]) == 0
+        assert seen == [3] * 7
+        assert json.loads(capsys.readouterr().out)["trials"] == 7
 
     def test_tvdist_refuses_a_sample_past_the_vertex_count(
         self, numeric_files: dict[str, str], capsys

@@ -13,6 +13,7 @@ from hypertest.budget import BudgetError, limit
 from hypertest.graphon import (
     GridPartition,
     StepGraphon,
+    _check_symmetric,
     _inverse_cdf,
     channel_differences,
     class_tuple_weights,
@@ -445,6 +446,101 @@ def test_common_refinement_tracks_parents() -> None:
         assert all(b.labels[c] == pb for c in cells)
 
 
+def _general_refinement(a: GridPartition, b: GridPartition) -> tuple[GridPartition, np.ndarray]:
+    """The refinement by relabeling the joint class codes, for any pair."""
+    g = np.lcm(a.resolution, b.resolution)
+    la, lb = a.refined(g // a.resolution).labels, b.refined(g // b.resolution).labels
+    uniq, labels = np.unique(la * b.t + lb, return_inverse=True)
+    part = GridPartition(a.r_minus_1, int(g), labels.reshape(la.shape), len(uniq))
+    return part, np.stack(np.divmod(uniq, b.t), axis=1).astype(np.intp)
+
+
+def _copy(p: GridPartition, allow_empty: bool | None = None) -> GridPartition:
+    return GridPartition(p.r_minus_1, p.resolution, p.labels.copy(), p.t,
+                         p.allow_empty if allow_empty is None else allow_empty)
+
+
+@settings(max_examples=60, deadline=None)
+@given(r=st.integers(1, 3), g=st.integers(1, 4), t=st.integers(1, 5),
+       seed=st.integers(0, 10**6), empty=st.integers(0, 2))
+def test_common_refinement_identity_matches_the_general_path(r, g, t, seed, empty) -> None:
+    p = random_grid_partition(r - 1, g, t, seed)
+    # `empty` extra classes no cell carries
+    lone = GridPartition(p.r_minus_1, p.resolution, p.labels, p.t + empty, allow_empty=True)
+    other = random_grid_partition(r - 1, g, t, seed + 1)
+    cases = [(p, p), (p, _copy(p)), (_copy(p, True), p), (lone, lone), (lone, _copy(lone)),
+             (p, other), (other, p), (lone, other)]
+    for a, b in cases:
+        part, pairs = common_refinement(a, b)
+        want, want_pairs = _general_refinement(a, b)
+        assert part == want and part.t == want.t
+        assert pairs.dtype == want_pairs.dtype and np.array_equal(pairs, want_pairs)
+        nonempty = bool(np.bincount(a.labels.ravel(), minlength=a.t).all())
+        assert (part is a) == (a == b and nonempty)
+
+
+def _relabeled(w: StepGraphon, seed: int) -> StepGraphon:
+    """``w`` on its partition with the classes permuted: the same step function."""
+    p = w.partition
+    perm = generator(seed).permutation(p.t)
+    part = GridPartition(p.r_minus_1, p.resolution, perm[p.labels], p.t)
+    inv = np.argsort(perm)
+    return StepGraphon(w.r, w.k, part, {c: a[np.ix_(*([inv] * w.r))]
+                                        for c, a in w.arrays.items()})
+
+
+def _on(w: StepGraphon, part: GridPartition) -> StepGraphon:
+    return StepGraphon(w.r, w.k, part, dict(w.arrays))
+
+
+def _random_on(part: GridPartition, r: int, channels: list[int], seed: int) -> StepGraphon:
+    rng = generator(seed)
+    raw = {c: graphon._symmetrize(rng.random((part.t,) * r)) for c in channels}
+    total = sum(raw.values())
+    return StepGraphon(r, max(channels), part, {c: a / total for c, a in raw.items()})
+
+
+@settings(max_examples=60, deadline=None)
+@given(r=st.integers(1, 3), t=st.integers(1, 4), k=st.integers(1, 3),
+       seed=st.integers(0, 10**6), iota=st.booleans())
+def test_shared_partition_distances_and_transfer_are_bit_identical(r, t, k, seed, iota) -> None:
+    from hypertest.transfer import transfer_coloring
+
+    p = random_grid_partition(r - 1, {1: 1, 2: 4, 3: 2}[r], t, seed)
+    palette = list(range(1, 2 * k + 1))
+    u = _random_on(p, r, [0] * iota + palette, seed)
+    w = _random_on(p, r, [0] * (not iota) + palette, seed + 1)
+    v = _random_on(p, r, [0] * iota + list(range(1, k + 1)), seed + 2)
+    # w on the same partition object, against w on an equal copy and on a
+    # relabeled copy (which takes the general path)
+    part, diffs = channel_differences(u, w)
+    assert part is p
+    for other in (_on(w, _copy(p)), _relabeled(w, seed)):
+        assert l1_distance(u, other) == l1_distance(u, w)
+        assert l2_distance(u, other) == l2_distance(u, w)
+        other_part, other_diffs = channel_differences(u, other)
+        assert other_part == part and list(other_diffs) == list(diffs)
+        for c in diffs:
+            assert np.array_equal(other_diffs[c], diffs[c])
+    got = transfer_coloring(u, v)
+    assert got.partition is p
+    for other in (_on(v, _copy(p)), _relabeled(v, seed)):
+        again = transfer_coloring(u, other)
+        assert again.partition == p and list(again.arrays) == list(got.arrays)
+        for c in got.arrays:
+            assert np.array_equal(again.arrays[c], got.arrays[c])
+
+
+def test_embedded_samples_of_one_size_share_one_partition() -> None:
+    from hypertest.transfer import embed_sample
+
+    u = random_step_graphon(2, 3, 2, 4, seed=5)
+    first, second = (embed_sample(sample_graphon(u, 9, seed)) for seed in (1, 2))
+    assert first.partition is second.partition is orbit_partition(1, 9)
+    assert first.partition == GridPartition(1, 9, np.arange(9), 9)
+    assert l1_distance(first, second) == l1_distance(first, _on(second, _copy(second.partition)))
+
+
 def test_l1_distance_zero_and_symmetry() -> None:
     u = random_step_graphon(2, 2, 3, 4, seed=31)
     w = random_step_graphon(2, 2, 2, 2, seed=32)
@@ -552,6 +648,115 @@ def test_step_graphon_validation_errors() -> None:
                                  2: np.array([[0.5, 0.9], [0.1, 0.5]])})
     with pytest.raises(ValueError, match="channels"):
         StepGraphon(2, 2, part, {1: good})
+
+
+# ----------------------------------------------------------------------
+# the one stacked channel store against the per-channel check it replaced
+
+
+def _replayed_channel_check(shape: tuple[int, ...], arrays: dict) -> None:
+    """The channel checks one channel at a time: copy, shape, range; then
+    symmetry over the stacked copies and the summed total."""
+    frozen = {}
+    for c in sorted(arrays):
+        arr = np.array(arrays[c], dtype=float)
+        if arr.shape != shape:
+            raise ValueError(f"channel {c} has shape {arr.shape}, expected {shape}")
+        if arr.min() < -1e-12 or arr.max() > 1 + 1e-12:
+            raise ValueError(f"channel {c} has entries outside [0, 1]")
+        frozen[c] = arr
+    _check_symmetric(np.stack(list(frozen.values())), [f"channel {c}" for c in frozen])
+    total = sum(frozen.values())
+    if np.max(np.abs(total - 1.0)) > 1e-12:
+        raise ValueError("channel arrays must sum to 1 at every class tuple")
+
+
+def _outcome(build) -> str | None:
+    try:
+        build()
+    except ValueError as err:
+        return str(err)
+    return None
+
+
+def _edit_orbit(arr: np.ndarray, flat: int, value: float, add: bool) -> None:
+    """Set (or add to) one entry and every index permutation of it: the edit stays symmetric."""
+    idx = np.unravel_index(flat % arr.size, arr.shape)
+    for perm in set(itertools.permutations(idx)):
+        arr[perm] = arr[perm] + value if add else value
+
+
+# kind -> (value, whether it is added, whether the whole orbit moves)
+_CHANNEL_EDITS = {
+    "nan": (np.nan, False, True), "nan-entry": (np.nan, False, False),
+    "inf": (np.inf, False, True), "-inf": (-np.inf, False, True),
+    "above": (1.5, False, True), "below": (-0.25, False, True),
+    "slack": (-1e-13, False, True), "asymmetric": (0.1, True, False),
+    "sum-tiny": (5e-13, True, True), "sum-off": (2e-12, True, True),
+    "sum-far": (0.3, True, True),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    r=st.integers(1, 3),
+    t=st.integers(1, 4),
+    k=st.integers(1, 3),
+    iota=st.booleans(),
+    seed=st.integers(0, 2**16),
+    edits=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 63),
+                             st.sampled_from(sorted(_CHANNEL_EDITS))), max_size=3),
+    misshape=st.one_of(st.none(), st.tuples(st.integers(0, 3),
+                                            st.sampled_from(["t", "r", "ragged"]))),
+)
+@example(r=2, t=2, k=2, iota=False, seed=0, edits=[(0, 0, "above")], misshape=(1, "t"))
+@example(r=2, t=2, k=2, iota=False, seed=0, edits=[(1, 0, "above")], misshape=(0, "t"))
+@example(r=3, t=2, k=1, iota=True, seed=0, edits=[(1, 1, "nan-entry")], misshape=None)
+@example(r=2, t=2, k=2, iota=False, seed=0, edits=[(0, 0, "below")], misshape=(1, "ragged"))
+def test_step_graphon_checks_match_the_per_channel_loop(r, t, k, iota, seed, edits,
+                                                        misshape) -> None:
+    rng = generator(seed)
+    part = random_grid_partition(r - 1, {1: 1, 2: 4, 3: 2}[r], t, seed)
+    shape = (part.t,) * r
+    channels = ([0] if iota else []) + list(range(1, k + 1))
+    raw = {c: graphon._symmetrize(rng.random(shape)) for c in channels}
+    total = sum(raw.values())
+    arrays = {c: arr / total for c, arr in raw.items()}
+    for c, flat, kind in edits:
+        value, add, orbit = _CHANNEL_EDITS[kind]
+        arr = arrays[channels[c % len(channels)]]
+        if orbit:
+            _edit_orbit(arr, flat, value, add)
+        else:
+            arr.flat[flat % arr.size] = arr.flat[flat % arr.size] + value if add else value
+    if misshape is not None:
+        c, how = misshape
+        if how == "ragged":  # no array at all: its conversion raises
+            bad = [[0.5, 0.5], [0.5]]
+        else:
+            bad = np.full((part.t + 1,) * r if how == "t" else (part.t,) * (r + 1), 0.5)
+        arrays[channels[c % len(channels)]] = bad
+    want = _outcome(lambda: _replayed_channel_check(shape, arrays))
+    assert _outcome(lambda: StepGraphon(r, k, part, arrays)) == want
+
+
+def test_step_graphon_keeps_one_read_only_store() -> None:
+    part = GridPartition(1, 3, np.array([0, 1, 1]), 2)
+    a1 = np.array([[0.2, 0.5], [0.5, 1.0]])
+    arrays = {2: 1.0 - a1, 1: a1}
+    w = StepGraphon(2, 2, part, arrays)
+    assert w.channel_order == (1, 2) and w._store.shape == (2, 2, 2)
+    for i, c in enumerate(w.channel_order):
+        assert w.arrays[c].base is w._store
+        assert np.array_equal(w.arrays[c], w._store[i])
+        assert not w.arrays[c].flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        w.arrays[1][0, 0] = 0.0
+    # the store is a copy: the caller's arrays stay theirs
+    a1[0, 0] = 0.9
+    arrays[2][:] = 0.0
+    assert w.arrays[1][0, 0] == 0.2 and w.arrays[2][0, 0] == 0.8
+    assert np.array_equal(w._cumulative[-1], w.arrays[1] + w.arrays[2])
 
 
 def test_json_roundtrip() -> None:

@@ -296,6 +296,21 @@ class TestPropertyTester:
         assert bad["rate"] <= 2 / 5
         assert good["ci_low"] <= good["rate"] <= good["ci_high"]
 
+    def test_acceptance_rate_runs_every_trial_at_its_mode_and_restarts(self, monkeypatch):
+        seen = []
+        tester = testers.property_tester
+
+        def recording(*args, **kwargs):
+            seen.append((kwargs["mode"], kwargs["restarts"]))
+            return tester(*args, **kwargs)
+
+        monkeypatch.setattr(testers, "property_tester", recording)
+        witness = PROPERTIES["complete-witness"]
+        property_acceptance_rate(witness, complete_graph(8), 4, 0.3, trials=5, seed=5)
+        property_acceptance_rate(witness, complete_graph(8), 4, 0.3, trials=5, seed=5,
+                                 mode="heuristic", restarts=2)
+        assert seen == [("auto", 8)] * 5 + [("heuristic", 2)] * 5
+
     def test_budget_refusal_propagates(self):
         # the 21 edges of K7 split into 22 subcolor histograms
         with limit(20), pytest.raises(BudgetError):

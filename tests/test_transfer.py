@@ -381,6 +381,15 @@ class TestLiftColoring:
         # the first two cases stay above the float range's bottom, the last two fall below it
         assert got == pytest.approx(float(exact), rel=1e-9, abs=0.0)
 
+    @pytest.mark.parametrize("k,t", [(2, 2), (1, 1)])
+    def test_paper_schedule_of_a_q0_past_the_float_range(self, k, t):
+        # q0^r itself leaves the float range: the power is 0.0 for kt > 1,
+        # and for kt = 1 only the q0^r factor is left
+        for q0 in (10**155, 10**200, 10**400):
+            got = transfer._paper_schedule(0.25, 2, k, t, q0)
+            want = 0.0 if k * t > 1 else float(Fraction(1, 8 * q0 ** 2))
+            assert got == pytest.approx(want, rel=1e-9, abs=0.0)
+
     def test_paper_schedule_refuses_an_overflowing_delta_by_name(self):
         with pytest.raises(ValueError, match=r"delta \* r! overflows, got delta = 1e\+308"):
             transfer._paper_schedule(1e308, 2, 2, 2, 2)
