@@ -21,7 +21,7 @@ from typing import Any, Iterable
 
 import numpy as np
 
-from .budget import check_budget
+from .budget import check_budget, check_power_budget
 from .graphon import (
     StepGraphon,
     VertexGraphon,
@@ -116,8 +116,8 @@ class SampleDistribution:
     def from_json(cls, payload: dict[str, Any]) -> "SampleDistribution":
         q, r, k, has_iota = (payload[key] for key in ("q", "r", "k", "has_iota"))
         lo, n_edges = (IOTA if has_iota else 1), comb(q, r)
+        check_power_budget("sample law support", k + 1 - lo, n_edges)
         size = (k + 1 - lo) ** n_edges
-        check_budget("sample law support", size)
         law = np.zeros(size)
         for key, p in payload["probs"].items():
             pattern = [int(c) for c in key.split(",")] if key else []
@@ -169,7 +169,7 @@ def _all_rows(w: GraphonLike, q: int, stage: str) -> np.ndarray:
         side, width = w.n, q
     else:
         side, width = w.partition.resolution, len(sample_coordinates(q, w.r))
-    check_budget(stage, side**width)
+    check_power_budget(stage, side, width)
     return np.indices((side,) * width).reshape(width, side**width).T
 
 
@@ -329,7 +329,7 @@ def sample_distribution(
         has_iota = isinstance(source, VertexGraphon) or source.has_iota
     else:
         raise TypeError(f"unsupported sample source {type(source).__name__}")
-    check_budget("sample_distribution support", (k + 1 if has_iota else k) ** n_edges)
+    check_power_budget("sample_distribution support", k + 1 if has_iota else k, n_edges)
 
     if isinstance(source, StepGraphon):
         # channel order is palette order: both forms are in all_patterns order

@@ -11,10 +11,12 @@ colors and positions), so a proposal's energy change is a table lookup:
 O(1) for r = 2, whatever k is. An accepted move updates the fields in
 O(m^(r-1) q) per color and position pair; at r = 2 that update is one
 matrix product with a coupling difference tabulated once per (new, old)
-class pair. The labels and field rows are mirrored in Python lists, so
-a proposal reads Python floats, not numpy scalars. The schedule fixes
-every proposal count before a run starts, so a run takes all of its
-draws up front in a few bulk generator calls and loops over plain lists.
+class pair, memoized per (atom, new, old) on first use. The labels and
+the fields are mirrored in flat Python lists, so a proposal reads Python
+floats, not numpy scalars, and the annealer scores one without a method
+call. The schedule fixes every proposal count before a run starts, so a
+run takes all of its draws up front in a few bulk generator calls and
+loops over plain lists.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from .budget import check_budget
+from .budget import check_budget, check_power_budget
 from .cutnorm import StepKernel, TuplePartition, _check_restarts, _problem
 from .graphon import StepGraphon, VertexGraphon, _as_step, subsets_card_lex
 from .hypercore import ColoredHypergraph, _json_int, sample_subgraphs
@@ -220,7 +222,7 @@ def _maximize(
     restarts: int,
 ) -> tuple[float, np.ndarray]:
     if mode == "exact":
-        check_budget("gse exact labeling enumeration", q**m)
+        check_power_budget("gse exact labeling enumeration", q, m)
         return _all_labeling_energies(tensors, js, m, q)
     if mode != "anneal":
         raise ValueError(f"unknown mode {mode!r}")
@@ -250,16 +252,21 @@ class _LocalFields:
     that carry such tuples. An accepted move of b updates the fields by
     telescoping over the positions where b can sit. For r = 2 no position
     is free, so that update is one product of b's weight slice with a
-    coupling difference tabulated per (new, old) class pair.
+    coupling difference tabulated per (new, old) class pair. The product
+    depends on (b, new, old) alone, so it is computed on first use and
+    kept: a later move of b from old to new adds the kept array, the same
+    operands' same bits. The memo outlives ``reset``, so restarts share it;
+    its worst case, m^2 q^2 (q - 1) floats, is counted in the budget.
 
-    The labels and the field rows are mirrored in Python lists
-    (``label_list`` beside the ``labels`` array, ``f_rows`` beside ``f``),
-    built by ``reset`` and updated in place by every ``move``, so a
-    proposal reads Python floats, not numpy scalars, and a caller may hold
-    the lists across moves. The float operations are the same, and so are
-    the results, bit for bit. ``_partial[a]`` says whether atom a carries
-    partial terms (never at r = 2); ``delta`` of any other atom is the
-    table lookup ``row[cls] - row[old] + _diag[a][cls][old]``.
+    The labels and the fields are mirrored in Python lists (``label_list``
+    beside the ``labels`` array; ``f_flat``, ``f`` in C order, with f[a, x]
+    at a * q + x), built by ``reset`` and updated in place by every
+    ``move``, so a proposal reads Python floats, not numpy scalars, and a
+    caller may hold the lists across moves. The float operations are the
+    same, and so are the results, bit for bit. ``_partial[a]`` says whether
+    atom a carries partial terms (never at r = 2); ``delta`` of any other
+    atom is the table lookup
+    ``f_flat[a * q + cls] - f_flat[a * q + old] + _diag[a][cls][old]``.
     """
 
     def __init__(self, tensors: Sequence[np.ndarray], js: Sequence[np.ndarray], q: int) -> None:
@@ -272,8 +279,10 @@ class _LocalFields:
         pairs = list(itertools.permutations(range(r), 2))
         terms = [(t, j, p, s) for t, j in zip(tensors, js) for p, s in pairs]
         n_terms, n_free = len(terms), max(r - 2, 0)
-        # the weight slices, and the class-pair table when no position is free
-        check_budget("annealer local fields", n_terms * (m**r + (q**3 if n_free == 0 else 0)))
+        # the weight slices, and with no position free the class-pair table
+        # and the worst case of the update memo
+        tables = n_terms * q**3 + m**2 * q**2 * (q - 1) if n_free == 0 else 0
+        check_budget("annealer local fields", n_terms * m**r + tables)
         t_pairs = np.empty((m, m, n_terms, m**n_free))
         self._j_pairs = np.empty((q, n_terms, q, q**n_free))
         self._use_new = np.empty((n_terms, n_free), dtype=bool)
@@ -295,6 +304,8 @@ class _LocalFields:
                 [(self._j_pairs[new] - self._j_pairs[old]).reshape(-1, q) for old in range(q)]
                 for new in range(q)
             ]
+            # the field update of moving atom a from old to new, at (a * q + new) * q + old
+            self._updates: list[np.ndarray | None] = [None] * (m * q * q)
         # corrections for tuples hitting an atom exactly at positions U, |U| >= 2
         diag = np.zeros((m, q, q))
         self._partial_terms = []
@@ -328,15 +339,15 @@ class _LocalFields:
                 order = (p, *(i for i in range(r) if i != p))
                 gathered = j.transpose(order).reshape(q, -1)[:, codes]
                 self.f += t.transpose(order).reshape(m, -1) @ gathered.T
-        self.f_rows = self.f.tolist()
+        self.f_flat = self.f.ravel().tolist()
 
     def delta(self, atom: int, cls: int) -> float:
-        """Energy change from relabeling one atom; the annealer scores every proposal here."""
+        """Energy change from relabeling one atom."""
         old = self.label_list[atom]
         if cls == old:
             return 0.0
-        row = self.f_rows[atom]
-        d = row[cls] - row[old] + self._diag[atom][cls][old]
+        b = atom * self.q
+        d = self.f_flat[b + cls] - self.f_flat[b + old] + self._diag[atom][cls][old]
         if self._partial[atom]:
             for width, x, kappa in self._partial_terms:
                 codes = _tuple_codes(self.labels, width, self.q)
@@ -348,7 +359,11 @@ class _LocalFields:
         labels, q = self.labels, self.q
         old = self.label_list[atom]
         if self._table is not None:
-            jd = self._table[cls][old]
+            key = (atom * q + cls) * q + old
+            update = self._updates[key]
+            if update is None:
+                update = self._updates[key] = self._t_pairs[atom] @ self._table[cls][old]
+            self.f += update
         else:
             codes = self._no_codes
             for slot, idx in enumerate(self._free_atoms):
@@ -356,10 +371,10 @@ class _LocalFields:
                 now = np.where(idx == atom, cls, was)
                 codes = codes * q + np.where(self._use_new[:, slot, None], now, was)
             jd = (self._j_pairs[cls] - self._j_pairs[old])[self._rows, :, codes].reshape(-1, q)
-        self.f += self._t_pairs[atom] @ jd
+            self.f += self._t_pairs[atom] @ jd
         labels[atom] = cls
         self.label_list[atom] = cls
-        self.f_rows[:] = self.f.tolist()
+        self.f_flat[:] = self.f.ravel().tolist()
 
 
 def _exact_hits(t: np.ndarray, j: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
@@ -405,14 +420,18 @@ def _anneal_once(fields: _LocalFields, rng: np.random.Generator) -> tuple[float,
     sweep of m proposals each, see ``_temperatures``), the N = sweeps * m
     sweep atoms, N classes and N uniforms (``integers(0, m, N)``,
     ``integers(0, q, N)``, ``random(N)``). A proposal that keeps its
-    atom's class is skipped; any other is scored by ``delta`` and taken
-    when d >= 0, or when its uniform is below exp(d / temp). The polish
-    draws nothing.
+    atom's class is skipped; any other is scored and taken when d >= 0, or
+    when its uniform is below exp(d / temp). A sweep scores the proposal
+    for an atom without partial terms inline, as ``delta``'s own table
+    lookup on the fields' flat mirror, and calls ``delta`` only for atoms
+    with partial terms. The warm-up and the polish score every proposal by
+    ``delta``. The polish draws nothing.
     """
     m, q = fields.m, fields.q
     labels = rng.integers(0, q, size=m)
     fields.reset(labels)
     delta, move, label_list = fields.delta, fields.move, fields.label_list
+    f_flat, diag, partial = fields.f_flat, fields._diag, fields._partial
     # warmup pass measures the move scale to set the starting temperature
     warm = max(2 * m, 20)
     warm_atoms, warm_classes = rng.integers(0, m, warm).tolist(), rng.integers(0, q, warm).tolist()
@@ -422,8 +441,13 @@ def _anneal_once(fields: _LocalFields, rng: np.random.Generator) -> tuple[float,
     props = zip(atoms.tolist(), classes.tolist(), uniforms.tolist())
     for temp in temps:
         for atom, cls, u in itertools.islice(props, m):
-            if cls != label_list[atom]:
-                d = delta(atom, cls)
+            old = label_list[atom]
+            if cls != old:
+                if partial[atom]:
+                    d = delta(atom, cls)
+                else:
+                    b = atom * q
+                    d = f_flat[b + cls] - f_flat[b + old] + diag[atom][cls][old]
                 if d >= 0 or u < exp(d / temp):
                     move(atom, cls)
     # greedy polish: strictly improving single moves until stable

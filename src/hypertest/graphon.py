@@ -356,9 +356,6 @@ class StepGraphon:
         acc.flags.writeable = False
         return acc
 
-    def channel(self, color: int) -> np.ndarray:
-        return self.arrays[color]
-
     def classes_at(self, point: Sequence[float]) -> tuple[int, ...]:
         """Partition class of each of the r projected blocks of ``point``."""
         _check_type_point(point, self.r)

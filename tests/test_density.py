@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import time
 from math import comb, fsum
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hypertest.budget import BudgetError, limit
+from hypertest.budget import DEFAULT_BUDGET, BudgetError, limit
 from functools import reduce
 
 from hypertest.density import (
@@ -305,6 +306,18 @@ class TestSampleDistribution:
     def test_support_budget(self):
         with limit(50), pytest.raises(BudgetError):
             sample_distribution(C5, 4)
+
+    def test_huge_support_refused_before_it_is_built(self):
+        # 3 ** C(5000, 2) takes seconds to build; its bit length refuses it at once
+        w = random_step_graphon(2, 2, t=2, resolution=4, seed=1, with_iota=True)
+        payload = {"q": 5000, "r": 2, "k": 2, "has_iota": True, "probs": {}}
+        for stage, build in (("sample_distribution support", lambda: sample_distribution(w, 5000)),
+                             ("sample law support", lambda: SampleDistribution.from_json(payload))):
+            start = time.perf_counter()
+            with limit(DEFAULT_BUDGET), pytest.raises(BudgetError) as err:
+                build()
+            assert time.perf_counter() - start < 0.5
+            assert err.value.stage == stage
 
     def test_sampled_graph_matches_equivalent_hypergraph(self):
         s = sample_subgraph(C5, 4, seed=3)

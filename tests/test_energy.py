@@ -9,6 +9,7 @@ stay bit-identical.
 import hashlib
 import itertools
 import json
+import time
 import warnings
 from math import comb, exp, factorial
 from pathlib import Path
@@ -19,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypertest import cli
-from hypertest.budget import BudgetError, limit
+from hypertest.budget import DEFAULT_BUDGET, BudgetError, limit
 from hypertest.cutnorm import (
     StepKernel,
     TuplePartition,
@@ -48,7 +49,7 @@ from hypertest.graphon import (
     step_graphon_to_json,
 )
 from hypertest.hypercore import colex_subsets, hypergraph_to_json, make_hypergraph
-from hypertest.seeds import generator
+from hypertest.seeds import derive_seed, generator
 
 
 def k33():
@@ -310,7 +311,7 @@ class TestLocalFieldMirrors:
         labels = rng.integers(0, q, size=m)
         fields = _LocalFields(tensors, js, q)
         fields.reset(labels)
-        assert fields.f_rows == fields.f.tolist()
+        assert fields.f_flat == fields.f.ravel().tolist()
         assert fields.label_list == labels.tolist()
         for atom, cls, stay in moves:
             atom %= m
@@ -318,10 +319,29 @@ class TestLocalFieldMirrors:
             if r == 2:
                 want = fields.f + _gathered_r2_update(fields, atom, int(labels[atom]), cls)
             fields.move(atom, cls)
-            assert fields.f_rows == fields.f.tolist()
+            assert fields.f_flat == fields.f.ravel().tolist()
             assert fields.label_list == labels.tolist()
             if r == 2:
                 assert np.array_equal(fields.f, want)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_repeated_r2_move_reuses_its_update_bit_for_bit(self, seed):
+        # a -> new -> old -> new: the third move adds the update kept by the first
+        tensors, js, rng = random_instance(2, 5, 3, 2, seed)
+        labels = rng.integers(0, 3, size=5)
+        fields = _LocalFields(tensors, js, 3)
+        fields.reset(labels)
+        atom, old = 2, int(labels[2])
+        new = (old + 1) % 3
+        key = (atom * 3 + new) * 3 + old
+        for step, cls in enumerate((new, old, new)):
+            want = fields.f + _gathered_r2_update(fields, atom, int(labels[atom]), cls)
+            fields.move(atom, cls)
+            assert fields.f.tobytes() == want.tobytes()
+            assert fields.f_flat == fields.f.ravel().tolist()
+            if step == 0:
+                kept = fields._updates[key]
+        assert fields._updates[key] is kept
 
 
 def _anneal_reference(fields, rng):
@@ -361,6 +381,32 @@ def _anneal_reference(fields, rng):
     return _labeling_energy(fields.tensors, fields.js, labels), labels
 
 
+class _KeepEveryClass:
+    """Draws in ``_anneal_once``'s order whose sweep proposals all keep their atom's class.
+
+    The run starts from ``start``, and each sweep atom proposes its own
+    starting class, so no sweep move is taken: every move of the run is
+    the polish's. Every uniform is 0, which would take any scored proposal.
+    """
+
+    def __init__(self, start):
+        self.start, self.draws = start, []
+
+    def integers(self, low, high, size):
+        call = len(self.draws)
+        if call == 0:
+            out = self.start.copy()
+        elif call == 4:  # the sweep classes, after the sweep atoms
+            out = self.start[self.draws[3]]
+        else:  # warm-up atoms and classes, sweep atoms
+            out = np.arange(size) % high
+        self.draws.append(out)
+        return out
+
+    def random(self, size):
+        return np.zeros(size)
+
+
 class TestAnnealReference:
     @given(
         r=st.sampled_from([2, 3]),
@@ -379,6 +425,41 @@ class TestAnnealReference:
         assert val == want_val
         assert np.array_equal(labels, want_labels)
         assert rng.bit_generator.state == want_rng.bit_generator.state
+
+    @pytest.mark.parametrize("r", [2, 3])
+    def test_polish_ends_at_a_local_optimum(self, r):
+        tensors, js, _ = random_instance(r, 6, 3, 2, seed=70)
+        start = np.zeros(6, dtype=np.int64)
+        fields = _LocalFields(tensors, js, 3)
+        val, labels = _anneal_once(fields, _KeepEveryClass(start))
+        assert not np.array_equal(labels, start)  # the polish moved
+        assert all(fields.delta(a, c) <= 1e-13 for a in range(6) for c in range(3))
+        assert val == _labeling_energy(tensors, js, labels)
+        want_val, want_labels = _anneal_reference(_LocalFields(tensors, js, 3),
+                                                  _KeepEveryClass(start))
+        assert val == want_val and np.array_equal(labels, want_labels)
+
+    @given(
+        r=st.sampled_from([2, 3]),
+        m=st.integers(1, 6),
+        q=st.integers(1, 4),
+        k=st.integers(1, 2),
+        seed=st.integers(0, 2**32 - 1),
+        restarts=st.integers(1, 4),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_restarts_sharing_fields_match_fresh_fields(self, r, m, q, k, seed, restarts):
+        # _maximize keeps one _LocalFields, and so one r = 2 update memo, for all restarts
+        tensors, js, _ = random_instance(r, m, q, k, seed)
+        val, labels = _maximize(tensors, js, m, q, "anneal", seed, restarts)
+        want_val, want_labels = -np.inf, None
+        for restart in range(restarts):
+            fresh = _LocalFields(tensors, js, q)
+            v, lab = _anneal_once(fresh, generator(derive_seed(seed, restart)))
+            if v > want_val:
+                want_val, want_labels = v, lab
+        assert val == want_val
+        assert np.array_equal(labels, want_labels)
 
     @pytest.mark.parametrize("scale", [0.0, 1e-6, 1.0, 1e6])
     def test_180_sweeps_at_every_scale(self, scale):
@@ -405,12 +486,30 @@ class TestAnnealerBudget:
             gse(g9, j, mode="anneal", restarts=1)
 
     def test_class_pair_table_counted_at_r2(self):
-        # 2 terms x (m^2 + q^3) entries: the table dominates at large q
+        # 2 terms x (m^2 + q^3) entries, plus the update memo's worst case
+        # m^2 q^2 (q - 1): the tables dominate at large q
         tensors, js, _ = random_instance(2, 2, 80, 1, seed=62)
         with limit(10**6), pytest.raises(BudgetError) as err:
             _LocalFields(tensors, js, 80)
         assert err.value.stage == "annealer local fields"
-        assert err.value.needed == 2 * (2**2 + 80**3)
+        assert err.value.needed == 2 * (2**2 + 80**3) + 2**2 * 80**2 * 79
+
+    def test_largest_r2_instance_at_the_default_budget(self):
+        # k = q = 2: 4 terms x (m^2 + 2^3) + m^2 * 2^2 * 1 = 8 m^2 + 32 entries
+        tensors, js, _ = random_instance(2, 354, 2, 2, seed=63)
+        with limit(DEFAULT_BUDGET):
+            _LocalFields([t[:353, :353] for t in tensors], js, 2)
+            with pytest.raises(BudgetError) as err:
+                _LocalFields(tensors, js, 2)
+        assert err.value.needed == 8 * 354**2 + 32
+
+    def test_exact_enumeration_sized_before_it_is_built(self):
+        # 3 ** (10 ** 7) takes seconds to build; its bit length refuses it at once
+        start = time.perf_counter()
+        with limit(DEFAULT_BUDGET), pytest.raises(BudgetError) as err:
+            _maximize([], [], 10**7, 3, "exact", 0, 1)
+        assert time.perf_counter() - start < 0.5
+        assert err.value.stage == "gse exact labeling enumeration"
 
     def test_cli_refuses_and_runs_under_raised_budget(self, tmp_path: Path):
         g, j = self._instance(10)
