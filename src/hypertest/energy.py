@@ -11,12 +11,12 @@ colors and positions), so a proposal's energy change is a table lookup:
 O(1) for r = 2, whatever k is. An accepted move updates the fields in
 O(m^(r-1) q) per color and position pair; at r = 2 that update is one
 matrix product with a coupling difference tabulated once per (new, old)
-class pair, memoized per (atom, new, old) on first use. The labels and
-the fields are mirrored in flat Python lists, so a proposal reads Python
-floats, not numpy scalars, and the annealer scores one without a method
-call. The schedule fixes every proposal count before a run starts, so a
-run takes all of its draws up front in a few bulk generator calls and
-loops over plain lists.
+class pair, and at small q kept per (atom, new, old) on first use. The
+labels and the fields are mirrored in flat Python lists, so a proposal
+reads Python floats, not numpy scalars, and the annealer scores one
+without a method call. The schedule fixes every proposal count before a
+run starts, so a run takes all of its draws up front in a few bulk
+generator calls and loops over plain lists.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from .budget import check_budget, check_power_budget
+from .budget import check_budget, check_power_budget, current_budget
 from .cutnorm import StepKernel, TuplePartition, _check_restarts, _problem
 from .graphon import StepGraphon, VertexGraphon, _as_step, subsets_card_lex
 from .hypercore import ColoredHypergraph, _json_int, sample_subgraphs
@@ -45,6 +45,10 @@ __all__ = [
 ]
 
 _LABELING_CHUNK = 20000  # labelings scored per batch by the exact search
+# largest class count whose r = 2 field updates the annealer keeps: past it a
+# run repeats few of an atom's q (q - 1) class pairs (under 40 % of the moves
+# of gse runs at q = 8 and 10 reused a kept update) and keeping saved no time
+_MEMO_MAX_Q = 7
 
 
 @dataclass(frozen=True)
@@ -253,10 +257,12 @@ class _LocalFields:
     telescoping over the positions where b can sit. For r = 2 no position
     is free, so that update is one product of b's weight slice with a
     coupling difference tabulated per (new, old) class pair. The product
-    depends on (b, new, old) alone, so it is computed on first use and
-    kept: a later move of b from old to new adds the kept array, the same
-    operands' same bits. The memo outlives ``reset``, so restarts share it;
-    its worst case, m^2 q^2 (q - 1) floats, is counted in the budget.
+    depends on (b, new, old) alone, so for q <= ``_MEMO_MAX_Q`` it is kept
+    on first use: a later move of b from old to new adds the kept array,
+    the same operands' same bits. The memo outlives ``reset``, so restarts
+    share it. It keeps an update only while the kept floats fit in the
+    budget that the weight slices and the table leave; past that, updates
+    are computed as they come. So the memo never refuses an instance.
 
     The labels and the fields are mirrored in Python lists (``label_list``
     beside the ``labels`` array; ``f_flat``, ``f`` in C order, with f[a, x]
@@ -279,10 +285,9 @@ class _LocalFields:
         pairs = list(itertools.permutations(range(r), 2))
         terms = [(t, j, p, s) for t, j in zip(tensors, js) for p, s in pairs]
         n_terms, n_free = len(terms), max(r - 2, 0)
-        # the weight slices, and with no position free the class-pair table
-        # and the worst case of the update memo
-        tables = n_terms * q**3 + m**2 * q**2 * (q - 1) if n_free == 0 else 0
-        check_budget("annealer local fields", n_terms * m**r + tables)
+        # the weight slices, and the class-pair table when no position is free
+        needed = n_terms * (m**r + (q**3 if n_free == 0 else 0))
+        check_budget("annealer local fields", needed)
         t_pairs = np.empty((m, m, n_terms, m**n_free))
         self._j_pairs = np.empty((q, n_terms, q, q**n_free))
         self._use_new = np.empty((n_terms, n_free), dtype=bool)
@@ -304,8 +309,10 @@ class _LocalFields:
                 [(self._j_pairs[new] - self._j_pairs[old]).reshape(-1, q) for old in range(q)]
                 for new in range(q)
             ]
-            # the field update of moving atom a from old to new, at (a * q + new) * q + old
-            self._updates: list[np.ndarray | None] = [None] * (m * q * q)
+            # the field update of moving atom a from old to new, at (a * q + new) * q + old,
+            # kept while its m * q floats fit in the budget the tables leave
+            self._updates: dict[int, np.ndarray] = {}
+            self._room = (current_budget() - needed) // (m * q) if q <= _MEMO_MAX_Q else 0
         # corrections for tuples hitting an atom exactly at positions U, |U| >= 2
         diag = np.zeros((m, q, q))
         self._partial_terms = []
@@ -360,9 +367,11 @@ class _LocalFields:
         old = self.label_list[atom]
         if self._table is not None:
             key = (atom * q + cls) * q + old
-            update = self._updates[key]
+            update = self._updates.get(key)
             if update is None:
-                update = self._updates[key] = self._t_pairs[atom] @ self._table[cls][old]
+                update = self._t_pairs[atom] @ self._table[cls][old]
+                if len(self._updates) < self._room:
+                    self._updates[key] = update
             self.f += update
         else:
             codes = self._no_codes

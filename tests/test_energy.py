@@ -31,6 +31,7 @@ from hypertest.energy import (
     CouplingArray,
     _labeling_energy,
     _anneal_once,
+    _MEMO_MAX_Q,
     _LocalFields,
     _maximize,
     _temperatures,
@@ -343,6 +344,25 @@ class TestLocalFieldMirrors:
                 kept = fields._updates[key]
         assert fields._updates[key] is kept
 
+    @pytest.mark.parametrize("q, room", [(3, 0), (3, 2), (3, 100), (8, 100)])
+    def test_r2_memo_kept_within_the_budget_left(self, q, room):
+        # the memo keeps m * q floats per update, in what the 4 x (m^2 + q^3) tables
+        # leave; past that, or past _MEMO_MAX_Q classes, updates are computed unkept
+        m = 5
+        tensors, js, rng = random_instance(2, m, q, 2, seed=room)
+        with limit(4 * (m**2 + q**3) + room * m * q):
+            fields = _LocalFields(tensors, js, q)
+        labels = rng.integers(0, q, size=m)
+        fields.reset(labels)
+        keys = set()
+        for atom, cls in zip(rng.integers(0, m, 60).tolist(), rng.integers(0, q, 60).tolist()):
+            keys.add((atom, cls, int(labels[atom])))
+            want = fields.f + _gathered_r2_update(fields, atom, int(labels[atom]), cls)
+            fields.move(atom, cls)
+            assert fields.f.tobytes() == want.tobytes()
+            assert fields.f_flat == fields.f.ravel().tolist()
+        assert len(fields._updates) == (min(room, len(keys)) if q <= _MEMO_MAX_Q else 0)
+
 
 def _anneal_reference(fields, rng):
     """The annealing run written from its documented draw order, one proposal at a time.
@@ -486,22 +506,33 @@ class TestAnnealerBudget:
             gse(g9, j, mode="anneal", restarts=1)
 
     def test_class_pair_table_counted_at_r2(self):
-        # 2 terms x (m^2 + q^3) entries, plus the update memo's worst case
-        # m^2 q^2 (q - 1): the tables dominate at large q
+        # 2 terms x (m^2 + q^3) entries: the table dominates at large q
         tensors, js, _ = random_instance(2, 2, 80, 1, seed=62)
         with limit(10**6), pytest.raises(BudgetError) as err:
             _LocalFields(tensors, js, 80)
         assert err.value.stage == "annealer local fields"
-        assert err.value.needed == 2 * (2**2 + 80**3) + 2**2 * 80**2 * 79
+        assert err.value.needed == 2 * (2**2 + 80**3)
 
-    def test_largest_r2_instance_at_the_default_budget(self):
-        # k = q = 2: 4 terms x (m^2 + 2^3) + m^2 * 2^2 * 1 = 8 m^2 + 32 entries
-        tensors, js, _ = random_instance(2, 354, 2, 2, seed=63)
+    @pytest.mark.parametrize("q, largest", [(2, 499), (10, 498)])
+    def test_largest_r2_instance_at_the_default_budget(self, q, largest):
+        # k = 2: 4 terms x (m^2 + q^3) entries; the update memo adds nothing
+        tensors, js, _ = random_instance(2, largest + 1, q, 2, seed=63)
         with limit(DEFAULT_BUDGET):
-            _LocalFields([t[:353, :353] for t in tensors], js, 2)
+            _LocalFields([t[:largest, :largest] for t in tensors], js, q)
             with pytest.raises(BudgetError) as err:
-                _LocalFields(tensors, js, 2)
-        assert err.value.needed == 8 * 354**2 + 32
+                _LocalFields(tensors, js, q)
+        assert err.value.needed == 4 * ((largest + 1) ** 2 + q**3)
+
+    def test_cli_gse_heuristic_at_ten_classes(self, tmp_path: Path):
+        # 4 terms x (40^2 + 10^3) entries, far inside the default budget
+        src, cpl, out = tmp_path / "in.json", tmp_path / "j.json", tmp_path / "out.json"
+        src.write_text(json.dumps(hypergraph_to_json(random_hypergraph(40, 2, 2, seed=64))))
+        cpl.write_text(json.dumps(_random_coupling(2, 10, 2, 65).to_json()))
+        argv = ["gse", "--in", str(src), "--coupling", str(cpl), "--mode", "heuristic",
+                "--restarts", "1", "--seed", "1", "--out", str(out)]
+        with limit(DEFAULT_BUDGET):
+            assert cli.run(argv) == 0
+        assert len(json.loads(out.read_text())["labels"]) == 40
 
     def test_exact_enumeration_sized_before_it_is_built(self):
         # 3 ** (10 ** 7) takes seconds to build; its bit length refuses it at once
