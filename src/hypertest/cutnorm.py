@@ -75,6 +75,7 @@ __all__ = [
 ]
 
 _ASCENT_SWEEPS = 200  # coordinate-ascent sweeps before giving up on a fixed point
+_CUTP_ROUNDS = 60  # sign-then-ascend rounds of the cut-P heuristic per restart
 _CLOSE_FLOATS = 1 << 16  # floats per product in the exact cut-P close: bounds its memory
 
 
@@ -459,7 +460,7 @@ def _heuristic_cutp(
             rng = generator(derive_seed(seed, restart))
             sets = [(rng.random(m) < 0.5).astype(float) for _ in range(r)]
         value = -1.0
-        for _ in range(60):
+        for _ in range(_CUTP_ROUNDS):
             inner = _class_sums(t, onehot, [np.flatnonzero(v) for v in sets])
             new_value = float(np.abs(inner).sum())
             if new_value <= value + 1e-15:
@@ -468,13 +469,12 @@ def _heuristic_cutp(
             value = new_value
             t_eff = t * _cutp_signs(inner)[np.ix_(*([idx] * r))]
             sets = _ascend(t_eff, sets)
-        else:
-            inner = None  # the last sums predate the last ascent
+        else:  # out of rounds: the last sums predate the last ascent, so score its sets
+            inner = _class_sums(t, onehot, [np.flatnonzero(v) for v in sets])
+            value = float(np.abs(inner).sum())
         if value > best_val:
             best_val, best_inner = value, inner
             best_sets = [tuple(np.flatnonzero(v)) for v in sets]
-    if best_inner is None:
-        best_inner = _class_sums(t, onehot, best_sets)
     return float(best_val), best_sets, _cutp_signs(best_inner)
 
 

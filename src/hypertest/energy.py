@@ -525,11 +525,12 @@ def sup_cutnorm_via_energy(
     if np.abs(values).max(initial=0.0) > 1 + 1e-12:
         raise ValueError("values outside [-1, 1]; rescale the kernel first")
     m = tensors[0].shape[0]
+    # both powers are sized before they are built; each is a factor of the sweep
+    check_power_budget("sign-array sweep", 2, t**r)
     n_signs = 2 ** (t**r)
     if mode == "exact":
+        check_power_budget("sign-array sweep", t * 2**r, m)
         check_budget("sign-array sweep", n_signs * (t * 2**r) ** m)
-    else:
-        check_budget("sign-array sweep", n_signs)
     best = 0.0
     for bits in range(n_signs):
         signs = np.array(

@@ -24,6 +24,14 @@ marginals. ``_stack_fibers`` carves the source partition for r = 2 and
 and ``_stage_distance`` bounds the stage distances by L1; each records
 the mode behind its value.
 
+The lift is one function per stage, each returning its outputs and its
+record: ``_sample``, ``_regularize_stage`` (stages 1 and 3),
+``_induce_sample_partition``, ``_transfer_to_sample``,
+``_refine_source_partition`` (with ``_lift_marginals``, the r = 3
+recursion), ``_color_source_steps`` and ``_transfer_to_source``. ``_lift``
+calls them in order through ``_run_stage``, which times each stage and
+labels its budget refusals.
+
 Everything is deterministic given its seed; pipeline stages run on
 ``derive_seed(seed, stage_index)``. Proximity numbers in the lift
 diagnostics are measured, never asserted: the pipeline's end-to-end
@@ -38,9 +46,8 @@ speaks of, never a search's lower bound.
 from __future__ import annotations
 
 import time
-from contextlib import contextmanager
 from math import comb, exp, factorial, inf, isfinite, log
-from typing import Any, Callable, Iterator, Sequence, TypeVar
+from typing import Any, Callable, Sequence, TypeVar
 
 import numpy as np
 
@@ -387,11 +394,68 @@ def _stage_distance(a: StepGraphon, b: StepGraphon) -> tuple[float | None, str |
 
 
 # ----------------------------------------------------------------------
-# the lifting pipeline
+# the lifting pipeline: one function per stage, run in order by _lift
 
 
-def _regularize_stage(w, eps, mode, restarts, max_rounds, seed, rec):
-    """Regularize ``w`` toward ``eps`` and fill the stage record ``rec``.
+def _run_stage(stages: list[dict], name: str, fn: Callable[..., tuple[_T, dict]], *args) -> _T:
+    """Run lift stage ``name`` as ``fn(*args)``, which returns its outputs and its record.
+
+    Appends ``{"stage": name, "seconds": ..., **record}`` to ``stages``, labels
+    the stage's budget refusals, and returns the outputs.
+    """
+    t0 = time.perf_counter()
+    try:
+        out, rec = fn(*args)
+    except BudgetError as err:
+        raise BudgetError(f"lift stage '{name}': {err.stage}", err.needed, err.budget) from err
+    stages.append({"stage": name, "seconds": time.perf_counter() - t0, **rec})
+    return out
+
+
+def _sample(u, q, v_hat, delta, q0, reg_floor, seed, sample, ues):
+    """Stage 0: check the lift's inputs and the sample behind ``v_hat``, drawn when missing.
+
+    Returns k, the coordinates and the edge uniforms: ``ues``, else those of
+    the stream ``seed`` draws (its first C(q, r) values for a given sample).
+    """
+    r = u.r
+    if r not in (2, 3):
+        raise ValueError(f"lifting supports r in (2, 3), got r={r}")
+    if r == 3 and q > 12:
+        raise ValueError("for r=3 the stacked marginal grids explode past q=12")
+    if v_hat.r != r:
+        raise ValueError("sample coloring has the wrong uniformity")
+    if v_hat.k % u.k != 0 or v_hat.k == 0:
+        raise ValueError(
+            f"sample palette {v_hat.k} does not refine the source palette {u.k}"
+        )
+    _check_proximity("delta", delta)
+    if q0 < 1:
+        raise ValueError("q0 must be >= 1")
+    _check_proximity("reg_floor", reg_floor, zero_ok=True)
+    k = v_hat.k // u.k
+    if not isfinite(2 * k * reg_floor):  # delta_eff >= reg_floor: transferred_bound is inf
+        raise ValueError(f"2 * k * reg_floor overflows, got reg_floor = {reg_floor}")
+    if sample is None:
+        sample = sample_graphon(u, q, seed)
+        ues = _sample_uniforms(generator(seed), q, r)[1]
+    if sample.coords is None:
+        raise ValueError("provided sample lacks coordinate provenance")
+    coords = np.asarray(sample.coords, dtype=float)
+    n_coords = len(sample_coordinates(q, r))
+    if coords.size != n_coords:
+        raise ValueError(f"sample coordinates have length {coords.size}, need {n_coords}")
+    if (sample.r, sample.k, sample.n) != (r, u.k, q):
+        raise ValueError("provided sample does not match the source")
+    if ues is None:  # a given sample's: the first C(q, r) values of the stream
+        ues = np.concatenate(_sample_uniforms(generator(seed), q, r))[:comb(q, r)]
+    if l1_distance(discolor_step(v_hat, k), embed_sample(sample)) > _AGREE_L1:
+        raise ValueError("v_hat does not discolor to the embedded sample")
+    return (k, coords, ues), {"collisions": sum(1 for c in sample.colors if c == IOTA)}
+
+
+def _regularize_stage(w, eps, mode, restarts, max_rounds, seed):
+    """Stages 1 and 3: regularize ``w`` toward ``eps``; return (v, p) and the stage record.
 
     A target missed within ``max_rounds`` keeps the best-so-far
     approximant and records ``attained: False``. ``achieved_mode`` is the
@@ -407,13 +471,12 @@ def _regularize_stage(w, eps, mode, restarts, max_rounds, seed, rec):
     achieved = trace[-1]["residual"]
     # trace residuals are running minima: the first row at the minimum measured it
     row = next(row for row in trace if row["residual"] == achieved)
-    rec.update(classes=p.t, target=eps, achieved=achieved, achieved_mode=row["mode"],
-               attained=attained)
-    return v, p
+    return (v, p), dict(classes=p.t, target=eps, achieved=achieved,
+                        achieved_mode=row["mode"], attained=attained)
 
 
-def _induced_partition(p: GridPartition, coords: np.ndarray, q: int, r: int) -> GridPartition:
-    """Paint the sample grid by the source-partition classes of its draws.
+def _induce_sample_partition(p: GridPartition, coords: np.ndarray, q: int, r: int):
+    """Stage 2: paint the sample grid by the source-partition classes of its draws.
 
     For r = 3 each off-diagonal column inherits the class of its sampled
     type point; diagonal columns (never sampled) reuse the source
@@ -421,8 +484,9 @@ def _induced_partition(p: GridPartition, coords: np.ndarray, q: int, r: int) -> 
     """
     g = p.resolution
     cells = _grid_cells(coords, g)
+    rec = {"classes": p.t, "resolution": q}
     if r == 2:
-        return GridPartition(1, q, p.labels[cells[:q]], p.t, allow_empty=True)
+        return GridPartition(1, q, p.labels[cells[:q]], p.t, allow_empty=True), rec
     # the sample coordinates are the q singletons, then the pairs in lex order
     a, b = np.triu_indices(q, 1)
     single = cells[:q, None]
@@ -430,7 +494,23 @@ def _induced_partition(p: GridPartition, coords: np.ndarray, q: int, r: int) -> 
     labels[a, b] = labels[b, a] = p.labels[cells[a], cells[b], cells[q:]][:, None]
     z_map = np.minimum(np.arange(q) * g // q, g - 1)
     labels[np.arange(q), np.arange(q)] = p.labels[single, single, z_map]
-    return GridPartition(2, q, labels, p.t, allow_empty=True)
+    return GridPartition(2, q, labels, p.t, allow_empty=True), rec
+
+
+def _transfer_to_sample(w1, z_hat, k, q, coords, ues, delta_eff):
+    """Stage 4: measure the regularized sample coloring against the sampled approximant.
+
+    The transfer onto the approximant would pay this proximity; the
+    transferred coloring itself is never read, so it is not built.
+    """
+    w2 = embed_sample(SampledColoredGraph(q, w1.r, w1.k, colors_at(w1, q, coords, ues)))
+    d_sampled, sampled_mode = _stage_distance(discolor_step(z_hat, k), w2)
+    return None, {
+        "measured_distance": d_sampled,
+        "measured_distance_mode": sampled_mode,
+        "claimed_bound": 2 * delta_eff,
+        "transferred_bound": 2 * k * delta_eff,
+    }
 
 
 def _stack_fibers(
@@ -470,22 +550,92 @@ def _stack_fibers(
     return part, realized / (p.labels.size // g)
 
 
-@contextmanager
-def _stage(name: str, stages: list[dict[str, Any]] | None) -> Iterator[dict[str, Any]]:
-    """One lift stage: label its budget refusals and record its seconds.
+def _refine_source_partition(p_part, p_prime, r_part, q, q0, coords, delta, seed,
+                             reg_floor, max_rounds, restarts, mode):
+    """Stage 5: carve the source partition's fibers in the sampled proportions.
 
-    The body fills the yielded dict; on success the record
-    ``{"stage": name, "seconds": ..., **filled}`` is appended to
-    ``stages`` (nothing is recorded when ``stages`` is None).
+    Those are the volume base case's at r = 2 and :func:`_lift_marginals`'s at r = 3.
     """
-    rec: dict[str, Any] = {}
-    t0 = time.perf_counter()
-    try:
-        yield rec
-    except BudgetError as err:
-        raise BudgetError(f"lift stage '{name}': {err.stage}", err.needed, err.budget) from err
-    if stages is not None:
-        stages.append({"stage": name, "seconds": time.perf_counter() - t0, **rec})
+    t_r = r_part.t
+    if p_part.r_minus_1 == 1:
+        counts = _joint_counts(p_prime.labels, r_part.labels, p_part.t, t_r)
+        volume_report = base_case_report(p_part.class_volumes(), counts / q, t_r, q0)
+        fracs = target = np.asarray(volume_report["refined_target_volumes"])
+        extra: dict[str, Any] = {"base_case": volume_report}
+    else:
+        fracs, target, inner_diag = _lift_marginals(p_part, p_prime, r_part, q, q0, coords, delta,
+                                                    seed, reg_floor, max_rounds, restarts, mode)
+        extra = {"inner": inner_diag}
+    p_second, realized = _stack_fibers(p_part, fracs, t_r)
+    return p_second, {
+        "classes": p_second.t,
+        "resolution": p_second.resolution,
+        "quantization": float(np.abs(realized - target).max()),
+        **extra,
+    }
+
+
+def _lift_marginals(p_part, p_prime, r_part, q, q0, coords, delta, seed,
+                    reg_floor, max_rounds, restarts, mode):
+    """Stage 5 at r = 3: the fiber shares, their means and the inner record, by an r = 2 lift.
+
+    It lifts the sample's refined (r-1)-marginal shares onto the source's,
+    with the singleton draws as its sample and the pair draws as its edge uniforms.
+    """
+    t_r = r_part.t
+    ident_g1 = orbit_partition(1, p_part.resolution)  # one class per grid cell
+    marg = _fiber_shares(p_part.labels, p_part.t)
+    w_marg = StepGraphon(
+        2, p_part.t, ident_g1, {i + 1: marg[..., i] for i in range(p_part.t)}
+    )
+    m_hat = _fiber_shares(p_prime.labels * t_r + r_part.labels, p_part.t * t_r)
+    off_diag = 1.0 - np.eye(q)
+    arrays_m = {c + 1: m_hat[..., c] * off_diag for c in range(p_part.t * t_r)}
+    arrays_m[0] = np.eye(q)
+    u_marg_hat = StepGraphon(
+        2, p_part.t * t_r, orbit_partition(1, q), arrays_m
+    )
+    pairs = colex_edges(q, 2)
+    inner_colors = (p_prime.labels[pairs[:, 0], pairs[:, 1], 0] + 1).tolist()
+    inner_sample = SampledColoredGraph(
+        q, 2, p_part.t, inner_colors, coords=tuple(coords[:q])
+    )
+    pair_start = {s: i for i, s in enumerate(sample_coordinates(q, 3))}
+    inner_ues = coords[[pair_start[pair] for pair in map(tuple, pairs.tolist())]]
+    w_marg_hat, inner_diag = _lift(
+        w_marg, q, u_marg_hat, delta / 4, q0, seed, inner_sample, inner_ues,
+        reg_floor, max_rounds, restarts, mode,
+    )
+    m_out = step_average(w_marg_hat, ident_g1)
+    fracs = np.stack([
+        [m_out.arrays[c] for c in comps] for comps in _palette(p_part.t, t_r)
+    ])
+    return fracs, fracs.mean(axis=(2, 3)), inner_diag
+
+
+def _color_source_steps(w1, z_hat, k, p_second):
+    """Stage 6: color the regularized source on the refined partition, in the sample's shares."""
+    arrays_hat: dict[int, np.ndarray] = {}
+    if 0 in w1.arrays:
+        arrays_hat[0] = np.kron(w1.arrays[0], np.ones((z_hat.partition.t,) * w1.r))
+    for alpha, comps in enumerate(_palette(w1.k, k), start=1):
+        shares = _shares(np.stack([z_hat.arrays[c] for c in comps]), axis=0)
+        for c, share in zip(comps, shares):
+            arrays_hat[c] = np.kron(w1.arrays[alpha], np.clip(share, 0.0, 1.0))
+    return StepGraphon(w1.r, w1.k * k, p_second, arrays_hat), {"classes": p_second.t}
+
+
+def _transfer_to_source(w1_hat, w1, u):
+    """Stage 7: transfer the colored steps back onto the source, and measure both pairs."""
+    u_hat = transfer_coloring(w1_hat, u)
+    d_refined, refined_mode = _stage_distance(w1_hat, u_hat)
+    d_base, base_mode = _stage_distance(w1, u)
+    return u_hat, {
+        "measured_refined_distance": d_refined,
+        "measured_refined_distance_mode": refined_mode,
+        "measured_base_distance": d_base,
+        "measured_base_distance_mode": base_mode,
+    }
 
 
 def lift_coloring(
@@ -497,7 +647,6 @@ def lift_coloring(
     seed: int,
     *,
     sample: SampledColoredGraph | None = None,
-    edge_uniforms: Sequence[float] | None = None,
     reg_floor: float = 0.02,
     max_rounds: int = 4,
     restarts: int = 4,
@@ -511,9 +660,7 @@ def lift_coloring(
     refinement w of u draws the same coordinates and coupled colors, so a
     caller that samples a refined graphon with that seed and embeds the
     result (``embed_sample``) produces a compatible ``v_hat``. With
-    ``sample`` given, its coordinate provenance drives the pipeline and
-    ``edge_uniforms`` (one per colex r-subset, optional) feeds the
-    sampled-approximant draw.
+    ``sample`` given, its coordinate provenance drives the pipeline.
 
     The stages: regularize the source (target half the effective
     proximity), paint the sample grid with the source classes, regularize
@@ -539,198 +686,50 @@ def lift_coloring(
     cut-P distance, mode "bound". These measurements are optional: one
     the budget refuses reads None and the lift goes on.
     """
-    u_hat, diagnostics = _lift(
-        u, q, v_hat, delta, q0, seed, sample=sample, edge_uniforms=edge_uniforms,
-        reg_floor=reg_floor, max_rounds=max_rounds, restarts=restarts, mode=mode,
-    )
+    u_hat, diagnostics = _lift(u, q, v_hat, delta, q0, seed, sample, None,
+                               reg_floor, max_rounds, restarts, mode)
     diagnostics["final_tv"] = _measured(lambda: _mu_tv(u_hat, v_hat, q0))
     return u_hat, diagnostics
 
 
-def _lift(
-    u: StepGraphon | VertexGraphon,
-    q: int,
-    v_hat: StepGraphon,
-    delta: float,
-    q0: int,
-    seed: int,
-    *,
-    sample: SampledColoredGraph | None,
-    edge_uniforms: Sequence[float] | None,
-    reg_floor: float,
-    max_rounds: int,
-    restarts: int,
-    mode: str,
-) -> tuple[StepGraphon, dict[str, Any]]:
-    """The stages of :func:`lift_coloring`, without its final_tv.
+def _lift(u, q, v_hat, delta, q0, seed, sample, ues, reg_floor, max_rounds, restarts, mode):
+    """The stages of :func:`lift_coloring`, without its final_tv, in order.
 
-    The r = 3 recursion calls this body: only the outer lift's q0-sample
-    distance is reported, so the inner lift computes none.
+    ``ues`` are the sample's edge uniforms, None for the stage-0 stream's.
+    The r = 3 recursion (:func:`_lift_marginals`) runs this function with its
+    own sample and uniforms: only the outer lift's q0-sample distance is
+    reported, so the inner lift computes none.
     """
     u = _as_step(u)
-    r = u.r
-    if r not in (2, 3):
-        raise ValueError(f"lifting supports r in (2, 3), got r={r}")
-    if r == 3 and q > 12:
-        raise ValueError("for r=3 the stacked marginal grids explode past q=12")
-    if v_hat.r != r:
-        raise ValueError("sample coloring has the wrong uniformity")
-    if v_hat.k % u.k != 0 or v_hat.k == 0:
-        raise ValueError(
-            f"sample palette {v_hat.k} does not refine the source palette {u.k}"
-        )
-    _check_proximity("delta", delta)
-    if q0 < 1:
-        raise ValueError("q0 must be >= 1")
-    _check_proximity("reg_floor", reg_floor, zero_ok=True)
-    if edge_uniforms is not None and sample is None:
-        raise ValueError("edge_uniforms needs an explicit sample")
-    k = v_hat.k // u.k
-    if not isfinite(2 * k * reg_floor):  # delta_eff >= reg_floor: transferred_bound is inf
-        raise ValueError(f"2 * k * reg_floor overflows, got reg_floor = {reg_floor}")
-    t_pal = u.k
-    n_coords = len(sample_coordinates(q, r))
-    n_edges = comb(q, r)
     stages: list[dict[str, Any]] = []
-
-    # stage 0: the sample behind v_hat, drawn from the stage-0 stream when not given
-    with _stage("sample", stages) as rec:
-        if sample is None:
-            sample = sample_graphon(u, q, derive_seed(seed, 0))
-            edge_uniforms = _sample_uniforms(generator(derive_seed(seed, 0)), q, r)[1]
-        if sample.coords is None:
-            raise ValueError("provided sample lacks coordinate provenance")
-        coords = np.asarray(sample.coords, dtype=float)
-        if coords.size != n_coords:
-            raise ValueError(f"sample coordinates have length {coords.size}, need {n_coords}")
-        if (sample.r, sample.k, sample.n) != (r, t_pal, q):
-            raise ValueError("provided sample does not match the source")
-        if edge_uniforms is not None:
-            ues = np.asarray(edge_uniforms, dtype=float)
-            if ues.size != n_edges:
-                raise ValueError(f"need {n_edges} edge uniforms")
-        else:  # edge uniforms for a given sample: the first n_edges of the stage-0 stream
-            stream = _sample_uniforms(generator(derive_seed(seed, 0)), q, r)
-            ues = np.concatenate(stream)[:n_edges]
-        if l1_distance(discolor_step(v_hat, k), embed_sample(sample)) > _AGREE_L1:
-            raise ValueError("v_hat does not discolor to the embedded sample")
-        rec["collisions"] = sum(1 for c in sample.colors if c == IOTA)
-
-    # stage 1: regularize the source
-    with _stage("regularize_source", stages) as rec:
-        delta_paper = _paper_schedule(delta, r, k, t_pal, q0)
-        delta_eff = max(delta_paper, reg_floor)
-        w1, p_part = _regularize_stage(
-            u, delta_eff / 2, mode, restarts, max_rounds, derive_seed(seed, 1), rec
-        )
-
-    # stage 2: the sample induces a partition of its grid
-    with _stage("induce_sample_partition", stages) as rec:
-        p_prime = _induced_partition(p_part, coords, q, r)
-        rec.update({"classes": p_prime.t, "resolution": q})
-
-    # stage 3: regularize the sample coloring
-    with _stage("regularize_sample_coloring", stages) as rec:
-        z_hat, r_part = _regularize_stage(
-            v_hat, delta_eff, mode, restarts, max_rounds, derive_seed(seed, 3), rec
-        )
-        t_r = r_part.t
-
-    # stage 4: the sampled approximant, against which the transfer's claim is measured
-    with _stage("transfer_to_sample", stages) as rec:
-        w2 = embed_sample(SampledColoredGraph(q, r, t_pal, colors_at(w1, q, coords, ues)))
-        d_sampled, sampled_mode = _stage_distance(discolor_step(z_hat, k), w2)
-        rec.update({
-            "measured_distance": d_sampled,
-            "measured_distance_mode": sampled_mode,
-            "claimed_bound": 2 * delta_eff,
-            "transferred_bound": 2 * k * delta_eff,
-        })
-
-    # stage 5: refine the source partition in the sampled proportions
-    with _stage("refine_source_partition", stages) as rec:
-        if r == 2:
-            counts = _joint_counts(p_prime.labels, r_part.labels, p_part.t, t_r)
-            volume_report = base_case_report(p_part.class_volumes(), counts / q, t_r, q0)
-            fracs = target = np.asarray(volume_report["refined_target_volumes"])
-            extra: dict[str, Any] = {"base_case": volume_report}
-        else:
-            g1 = p_part.resolution
-            ident_g1 = orbit_partition(1, g1)  # one class per grid cell
-            marg = _fiber_shares(p_part.labels, p_part.t)
-            w_marg = StepGraphon(
-                2, p_part.t, ident_g1, {i + 1: marg[..., i] for i in range(p_part.t)}
-            )
-            m_hat = _fiber_shares(p_prime.labels * t_r + r_part.labels, p_part.t * t_r)
-            off_diag = 1.0 - np.eye(q)
-            arrays_m = {c + 1: m_hat[..., c] * off_diag for c in range(p_part.t * t_r)}
-            arrays_m[0] = np.eye(q)
-            u_marg_hat = StepGraphon(
-                2, p_part.t * t_r, orbit_partition(1, q), arrays_m
-            )
-            pairs = colex_edges(q, 2)
-            inner_colors = (p_prime.labels[pairs[:, 0], pairs[:, 1], 0] + 1).tolist()
-            inner_sample = SampledColoredGraph(
-                q, 2, p_part.t, inner_colors, coords=tuple(coords[:q])
-            )
-            pair_start = {s: i for i, s in enumerate(sample_coordinates(q, 3))}
-            inner_ues = coords[[pair_start[pair] for pair in map(tuple, pairs.tolist())]]
-            w_marg_hat, inner_diag = _lift(
-                w_marg, q, u_marg_hat, delta / 4, q0, derive_seed(seed, 5),
-                sample=inner_sample, edge_uniforms=inner_ues,
-                reg_floor=reg_floor, max_rounds=max_rounds,
-                restarts=restarts, mode=mode,
-            )
-            m_out = step_average(w_marg_hat, ident_g1)
-            fracs = np.stack([
-                [m_out.arrays[c] for c in comps] for comps in _palette(p_part.t, t_r)
-            ])
-            target = fracs.mean(axis=(2, 3))
-            extra = {"inner": inner_diag}
-        p_second, realized = _stack_fibers(p_part, fracs, t_r)
-        rec.update({
-            "classes": p_second.t,
-            "resolution": p_second.resolution,
-            "quantization": float(np.abs(realized - target).max()),
-            **extra,
-        })
-
-    # stage 6: color the regularized source on the refined partition
-    with _stage("color_source_steps", stages) as rec:
-        arrays_hat: dict[int, np.ndarray] = {}
-        if 0 in w1.arrays:
-            arrays_hat[0] = np.kron(w1.arrays[0], np.ones((t_r,) * r))
-        for alpha, comps in enumerate(_palette(t_pal, k), start=1):
-            shares = _shares(np.stack([z_hat.arrays[c] for c in comps]), axis=0)
-            for c, share in zip(comps, shares):
-                arrays_hat[c] = np.kron(w1.arrays[alpha], np.clip(share, 0.0, 1.0))
-        w1_hat = StepGraphon(r, t_pal * k, p_second, arrays_hat)
-        rec["classes"] = p_second.t
-
-    # stage 7: transfer back onto the source
-    with _stage("transfer_to_source", stages) as rec:
-        u_hat = transfer_coloring(w1_hat, u)
-        d_refined, refined_mode = _stage_distance(w1_hat, u_hat)
-        d_base, base_mode = _stage_distance(w1, u)
-        rec.update({
-            "measured_refined_distance": d_refined,
-            "measured_refined_distance_mode": refined_mode,
-            "measured_base_distance": d_base,
-            "measured_base_distance_mode": base_mode,
-        })
-
-    diagnostics = {
-        "r": r,
+    k, coords, ues = _run_stage(stages, "sample", _sample, u, q, v_hat, delta, q0, reg_floor,
+                                derive_seed(seed, 0), sample, ues)
+    delta_paper = _paper_schedule(delta, u.r, k, u.k, q0)
+    delta_eff = max(delta_paper, reg_floor)
+    w1, p_part = _run_stage(stages, "regularize_source", _regularize_stage,
+                            u, delta_eff / 2, mode, restarts, max_rounds, derive_seed(seed, 1))
+    p_prime = _run_stage(stages, "induce_sample_partition", _induce_sample_partition,
+                         p_part, coords, q, u.r)
+    z_hat, r_part = _run_stage(stages, "regularize_sample_coloring", _regularize_stage,
+                               v_hat, delta_eff, mode, restarts, max_rounds, derive_seed(seed, 3))
+    _run_stage(stages, "transfer_to_sample", _transfer_to_sample,
+               w1, z_hat, k, q, coords, ues, delta_eff)
+    p_second = _run_stage(stages, "refine_source_partition", _refine_source_partition,
+                          p_part, p_prime, r_part, q, q0, coords, delta, derive_seed(seed, 5),
+                          reg_floor, max_rounds, restarts, mode)
+    w1_hat = _run_stage(stages, "color_source_steps", _color_source_steps, w1, z_hat, k, p_second)
+    u_hat = _run_stage(stages, "transfer_to_source", _transfer_to_source, w1_hat, w1, u)
+    return u_hat, {
+        "r": u.r,
         "q": q,
         "q0": q0,
         "arity": k,
-        "palette": t_pal,
+        "palette": u.k,
         "delta": delta,
         "delta_paper": delta_paper,
         "delta_effective": delta_eff,
         "stages": stages,
     }
-    return u_hat, diagnostics
 
 
 # ----------------------------------------------------------------------

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hypertest import cutnorm
 from hypertest.budget import BudgetError, limit
 from hypertest.cutnorm import (
     CutWitness,
@@ -240,6 +241,16 @@ class TestCutP:
             hits += abs(heur - exact) < 1e-7
         assert hits >= 15
 
+    def test_heuristic_value_is_its_witness_value_at_the_round_cap(self, monkeypatch):
+        # a restart that runs out of rounds returns the sets its last ascent
+        # moved to, so its value is rescored on them, not kept from before
+        monkeypatch.setattr(cutnorm, "_CUTP_ROUNDS", 1)
+        for seed in range(12):
+            a = random_symmetric_array(6, 2, seed)
+            p = TuplePartition.random(6, 1, 3, seed)
+            value, witness = cutnorm_p(a, p, mode="heuristic", restarts=4, seed=seed)
+            assert value == pytest.approx(evaluate_witness(a, witness, p), rel=0, abs=1e-12)
+
     def test_random_partition_keeps_its_classes_nonempty(self):
         # 200 draws of 10 labels all miss one of 10 classes: the last draw
         # is relabelled to the classes it hits, not replaced by one class
@@ -409,6 +420,13 @@ class TestWitness:
         assert payload["kind"] == "array"
         assert len(payload["sets"]) == 2
         assert payload["signs"] is not None
+
+    def test_cutp_witness_without_a_partition_uses_its_own_classes(self):
+        a = random_symmetric_array(5, 2, 4)
+        p = TuplePartition.random(5, 1, 3, 4)
+        value, witness = cutnorm_p(a, p)
+        assert evaluate_witness(a, witness) == evaluate_witness(a, witness, p)
+        assert evaluate_witness(a, witness) == pytest.approx(value, abs=1e-12)
 
     def test_atom_mismatch_rejected(self):
         a = random_symmetric_array(4, 2, 2)

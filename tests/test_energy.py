@@ -10,6 +10,7 @@ import hashlib
 import itertools
 import json
 import time
+import tracemalloc
 import warnings
 from math import comb, exp, factorial
 from pathlib import Path
@@ -641,6 +642,23 @@ class TestReductionEquality:
     def test_out_of_range_values_rejected(self):
         with pytest.raises(ValueError, match="rescale"):
             sup_cutnorm_via_energy(2.0 * np.eye(3), 2, mode="exact")
+
+    @pytest.mark.parametrize("mode", ["heuristic", "exact"])
+    def test_a_huge_sign_count_is_refused_unbuilt(self, mode):
+        # t = 10^4 asks for 2^(10^8) sign arrays, a 12.5 MB integer: both
+        # modes size it by its exponent and refuse it before building it
+        a = np.array([[0.0, 0.5], [0.5, 0.0]])
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetError, match="sign-array sweep"):
+                if mode == "heuristic":
+                    sup_cutnorm_over_partitions(a, 10**4, mode="heuristic")
+                else:
+                    sup_cutnorm_via_energy(a, 10**4, mode="exact")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 class TestConcentration:

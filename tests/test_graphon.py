@@ -120,6 +120,15 @@ def test_embed_k2_off_diagonal() -> None:
     assert w.evaluate(0, (0.1, 0.4)) == 1.0
 
 
+def test_reserved_color_of_a_step_graphon_without_its_channel_is_zero() -> None:
+    w = random_step_graphon(2, 2, t=2, resolution=2, seed=1)
+    assert 0 not in w.arrays
+    assert w.evaluate(0, (0.1, 0.9)) == 0.0
+    # the point is still checked
+    with pytest.raises(ValueError, match=r"coordinate 1.5 outside \[0, 1\)"):
+        w.evaluate(0, (0.1, 1.5))
+
+
 def test_embed_iota_measure_n3() -> None:
     g = make_hypergraph(3, 2, 2, [1, 1, 1])
     mass = color_mass(embed(g).to_step())

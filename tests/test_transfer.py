@@ -35,6 +35,7 @@ from hypertest.hypercore import (
     make_hypergraph,
     split_color,
 )
+from hypertest.regularity import RegularityError, weak_regularize
 from hypertest.seeds import derive_seed, generator
 from hypertest.testers import (
     PARAMETERS,
@@ -316,7 +317,7 @@ def _looped_induced_partition(p: GridPartition, coords: np.ndarray, q: int) -> n
 def test_induced_partition_matches_the_pairwise_loop(q, g, t, seed) -> None:
     p = random_grid_partition(2, g, t, seed)
     coords = generator(seed).random(len(sample_coordinates(q, 3)))
-    got = transfer._induced_partition(p, coords, q, 3)
+    got = transfer._induce_sample_partition(p, coords, q, 3)[0]
     assert np.array_equal(got.labels, _looped_induced_partition(p, coords, q))
     assert (got.t, got.resolution) == (p.t, q)
 
@@ -439,13 +440,6 @@ class TestLiftColoring:
         with pytest.raises(ValueError, match=r"^delta must be positive$"):
             lift_coloring(discolor_step(u0, 2), 8, embed_sample(sample), float("nan"), 2, 5)
 
-    def test_edge_uniforms_need_a_sample(self):
-        u0 = random_step_graphon(2, 4, t=2, resolution=2, seed=31)
-        sample = sample_graphon(u0, 8, derive_seed(5, 0))
-        with pytest.raises(ValueError, match="edge_uniforms"):
-            lift_coloring(discolor_step(u0, 2), 8, embed_sample(sample), 0.3, 2, 5,
-                          edge_uniforms=[1.0, 2.0])
-
     def test_r3_smoke(self):
         seed = 77
         u0 = random_step_graphon(3, 4, t=2, resolution=2, seed=11)
@@ -553,6 +547,63 @@ class TestLiftColoring:
         direct = tv_distance(sample_distribution(padded, 3),
                              sample_distribution(v_hat, 3))
         assert diag["final_tv"] == pytest.approx(direct, abs=1e-9)
+
+
+class TestLiftStages:
+    """The lift's stage functions called alone on an r = 2, q = 8 case."""
+
+    @staticmethod
+    def stage0_args() -> dict:
+        u0 = random_step_graphon(2, 4, t=2, resolution=2, seed=31)
+        u = discolor_step(u0, 2)
+        return dict(u=u, q=8, v_hat=embed_sample(sample_graphon(u0, 8, derive_seed(5, 0))),
+                    delta=0.3, q0=2, reg_floor=0.02, seed=derive_seed(5, 0),
+                    sample=sample_graphon(u, 8, derive_seed(5, 0)), ues=None)
+
+    def test_sample_stage_of_a_valid_case(self):
+        (k, coords, ues), rec = transfer._sample(**self.stage0_args())
+        assert (k, coords.size, ues.size) == (2, 8, comb(8, 2))
+        assert rec == {"collisions": 0}
+
+    # in the order the stage checks them
+    @pytest.mark.parametrize("name,message", [
+        ("r4_source", r"^lifting supports r in \(2, 3\), got r=4$"),
+        ("r3_coloring", "^sample coloring has the wrong uniformity$"),
+        ("unrefined_palette", "^sample palette 3 does not refine the source palette 2$"),
+        ("zero_q0", "^q0 must be >= 1$"),
+        ("no_coords", "^provided sample lacks coordinate provenance$"),
+        ("short_coords", "^sample coordinates have length 7, need 8$"),
+        ("other_palette", "^provided sample does not match the source$"),
+    ])
+    def test_sample_stage_refusals(self, name, message):
+        args = self.stage0_args()
+        s = args["sample"]
+        args.update({
+            "r4_source": {"u": random_step_graphon(4, 2, t=1, resolution=1, seed=0)},
+            "r3_coloring": {"v_hat": random_step_graphon(3, 4, t=1, resolution=1, seed=0)},
+            "unrefined_palette": {"v_hat": random_step_graphon(2, 3, t=1, resolution=1, seed=0)},
+            "zero_q0": {"q0": 0},
+            "no_coords": {"sample": SampledColoredGraph(8, 2, 2, s.colors)},
+            "short_coords": {
+                "sample": SampledColoredGraph(8, 2, 2, s.colors, coords=s.coords[:-1])},
+            "other_palette": {"sample": SampledColoredGraph(8, 2, 3, s.colors, coords=s.coords)},
+        }[name])
+        with pytest.raises(ValueError, match=message):
+            transfer._sample(**args)
+
+    def test_regularize_stage_keeps_the_best_approximant_of_a_missed_target(self):
+        # round zero keeps w's own partition, so only rounding is left of the
+        # residual: a 1e-300 target is missed, and the stage goes on with the
+        # best-so-far approximant the RegularityError carries
+        w = random_step_graphon(2, 2, t=3, resolution=3, seed=0)
+        with pytest.raises(RegularityError) as err:
+            weak_regularize(w, 1e-300, mode="exact", max_rounds=1, seed=0)
+        (v, p), rec = transfer._regularize_stage(w, 1e-300, "exact", 2, 1, 0)
+        assert np.array_equal(p.labels, err.value.p.labels)
+        assert all(np.array_equal(v.arrays[c], err.value.v.arrays[c]) for c in v.arrays)
+        assert rec == {"classes": p.t, "target": 1e-300, "achieved": err.value.achieved,
+                       "achieved_mode": "exact", "attained": False}
+        assert rec["achieved"] > 0.0
 
 
 class TestMaxOverRefinements:
