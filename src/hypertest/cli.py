@@ -4,7 +4,9 @@ Each subcommand reads graphs, graphons, arrays, or couplings from JSON
 files, runs one library operation, and emits a single JSON artifact to
 stdout, or to ``--out`` with anything time-dependent segregated into a
 sibling ``<out>.meta.json``. The artifact is a pure function of argv,
-so reruns are byte-identical; CSV appears only for traces. JSON is
+so reruns are byte-identical; CSV appears only for traces. The artifact's
+text is exactly what ``json.dumps(artifact, indent=2, sort_keys=True,
+allow_nan=False)`` writes, produced by a faster writer of its own. JSON is
 standard both ways: an input file holding NaN or Infinity is refused, and
 no artifact can carry one. Exit codes: 0 success, 2 budget refusal, 1
 anything else, including an artifact that cannot be written.
@@ -26,9 +28,11 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import subprocess
 import sys
 import time
+from array import array
 from pathlib import Path
 from typing import Any, Callable, Sequence
 
@@ -176,11 +180,87 @@ def _split_timings(payload: Any) -> tuple[Any, dict[str, Any]]:
     return plain(payload, ""), timings
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _float_text(v: float) -> str:
+    if not math.isfinite(v):
+        raise ValueError("Out of range float values are not JSON compliant: " + repr(v))
+    return float.__repr__(v)
+
+
+def _json_text(obj: Any) -> str:
+    """``json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)``, byte for byte.
+
+    With ``indent`` set the stdlib runs its pure-Python encoder, which
+    calls ``float.__repr__`` once per float; an artifact of step
+    functions repeats a few values thousands of times. So each float's
+    text is kept per call, keyed by the float's 64 bits, which keeps 0.0
+    and -0.0 apart (equal floats, different text); a non-finite value
+    is never kept, it raises the stdlib's ``ValueError``. A list of only
+    floats or only ints is joined in one pass. Types are checked in the
+    stdlib's order; anything else, a dict with a non-str key included,
+    is handed to ``json.dumps`` itself and re-indented, so it also
+    raises the stdlib's ``TypeError``.
+    """
+    memo: dict[int, str] = {}
+
+    def floats(items: Sequence[float]) -> list[str]:
+        keys = array("Q", array("d", items).tobytes()).tolist()
+        texts = list(map(memo.get, keys))
+        if None in texts:
+            for key, v in dict(zip(keys, items)).items():
+                if key not in memo:
+                    memo[key] = _float_text(v)
+            texts = list(map(memo.get, keys))
+        return texts
+
+    def text(node: Any, pad: str) -> str:
+        if isinstance(node, str):
+            return _encode_str(node)
+        if node is None:
+            return "null"
+        if node is True:
+            return "true"
+        if node is False:
+            return "false"
+        if isinstance(node, int):
+            return int.__repr__(node)
+        if isinstance(node, float):
+            return _float_text(node)
+        inner = pad + "  "
+        if isinstance(node, (list, tuple)):
+            if not node:
+                return "[]"
+            kinds = set(map(type, node))
+            if kinds == {float}:
+                items: Any = floats(node)
+            elif kinds == {int}:
+                items = map(int.__repr__, node)
+            else:
+                items = [text(v, inner) for v in node]
+            return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
+        if isinstance(node, dict) and all(type(key) is str for key in node):
+            if not node:
+                return "{}"
+            items = [_encode_str(key) + ": " + text(node[key], inner) for key in sorted(node)]
+            return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
+        dumped = json.dumps(node, indent=2, sort_keys=True, allow_nan=False)
+        return dumped.replace("\n", "\n" + pad)
+
+    return text(obj, "")
+
+
 def _emit(args: argparse.Namespace, payload: dict[str, Any]) -> None:
     """Write the artifact and its meta file as standard JSON: NaN and
-    Infinity are refused, never written."""
+    Infinity are refused, never written.
+
+    The artifact's text is what ``json.dumps(..., indent=2,
+    sort_keys=True, allow_nan=False)`` writes (:func:`_json_text`), on
+    stdout and under ``--out`` alike; a refused artifact writes no file.
+    """
     cleaned, timings = _split_timings(payload)
-    text = json.dumps(cleaned, indent=2, sort_keys=True, allow_nan=False)
+    text = _json_text(cleaned)
     out = getattr(args, "out", None)
     if out is None:
         print(text)

@@ -25,7 +25,7 @@ from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .budget import check_budget
+from .budget import check_budget, check_power_budget
 from .seeds import generator
 
 __all__ = [
@@ -371,7 +371,7 @@ def enumerate_colorings(g, k: int):
     search (``max_over_refinements``).
     """
     m = sum(1 for c in g.colors if c != IOTA)
-    check_budget("refinement enumeration", k**m)
+    check_power_budget("refinement enumeration", k, m)
     base, ranges = _refinement_layout(g, k)
     for betas in product(*ranges):
         yield _refined_with(g, base, betas, k)

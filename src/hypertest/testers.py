@@ -41,7 +41,7 @@ from typing import Any, Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .budget import check_budget
+from .budget import check_budget, check_power_budget
 from .hypercore import (
     IOTA,
     ColoredHypergraph,
@@ -388,7 +388,7 @@ def property_acceptance_rate(
 
 def _brute_force_distance(prop: PropertyFn, g: ColoredHypergraph) -> int:
     m = len(g.colors)
-    check_budget("property edit distance", prop.k ** m)
+    check_power_budget("property edit distance", prop.k, m)
     best = None
     for colors in itertools.product(range(1, prop.k + 1), repeat=m):
         candidate = ColoredHypergraph(g.n, g.r, g.k, colors)

@@ -804,6 +804,21 @@ class TestStandardJson:
         assert '"stderr": null' in out.read_text()
         assert json.loads(out.read_text(), parse_constant=_refuse_constant)["stderr"] is None
 
+    def test_a_non_finite_result_is_refused_and_writes_nothing(
+        self, graph_file: str, tmp_path: Path, capsys, monkeypatch
+    ) -> None:
+        # the handler looks density_mc up when it runs
+        monkeypatch.setattr(cli, "density_mc", lambda *args, **kwargs: (math.nan, None))
+        f = write_json(tmp_path / "f.json", hypergraph_to_json(make_hypergraph(2, 2, 2, [1])))
+        out = tmp_path / "d.json"
+        assert cli.run(["density", "--pattern", f, "--in", graph_file, "--mode", "mc",
+                        "--seed", "3", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: Out of range float values are not JSON compliant: nan\n"
+        assert not out.exists()
+        assert not Path(str(out) + ".meta.json").exists()
+
     def test_a_refusal_past_the_int_to_str_limit_is_exit_2(
         self, transfer_files: tuple[str, str], capsys
     ) -> None:
@@ -1004,3 +1019,76 @@ class TestNumericOptions:
         argv[argv.index("--q") + 1] = "9"
         assert cli.run(argv) == 1
         assert "sample size 9 exceeds vertex count 8" in capsys.readouterr().err
+
+
+# ----------------------------------------------------------------------
+# the artifact writer against the stdlib encoder it stands in for
+
+# repeated values, both zeros, subnormals and exponent forms
+_FLOAT_POOL = [0.0, -0.0, 1e-05, 1e+16, 1e22, 5e-324, 2.2250738585072014e-308,
+               1.5e-310, 0.1, -2.5, 1 / 3, 1e-07, 123456789.0]
+_NON_FINITE = [math.nan, math.inf, -math.inf]
+_finite = st.sampled_from(_FLOAT_POOL) | st.floats(allow_nan=False, allow_infinity=False)
+_ints = st.integers() | st.sampled_from([2**64, -(2**100), 10**300])
+_texts = st.text() | st.sampled_from(["", "é", "naïve ∑ 🎲", "\u2028", "tab\tquote\"\\"])
+
+
+def _json_trees(floats: st.SearchStrategy) -> st.SearchStrategy:
+    leaves = (floats | _ints | st.booleans() | st.none() | _texts
+              | st.lists(floats) | st.lists(st.sampled_from(_FLOAT_POOL), min_size=2)
+              | st.lists(_ints))
+    return st.recursive(
+        leaves,
+        lambda children: (st.lists(children) | st.lists(children).map(tuple)
+                          | st.dictionaries(_texts, children)),
+        max_leaves=25,
+    )
+
+
+def _stdlib_text(x):
+    return json.dumps(x, indent=2, sort_keys=True, allow_nan=False)
+
+
+def _outcome(encode, x):
+    try:
+        return encode(x)
+    except (TypeError, ValueError) as err:
+        return type(err), str(err)
+
+
+class TestJsonText:
+    @settings(max_examples=200, deadline=None)
+    @given(_json_trees(_finite))
+    def test_writes_the_stdlib_bytes(self, x) -> None:
+        assert cli._json_text(x) == _stdlib_text(x)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_json_trees(_finite | st.sampled_from(_NON_FINITE)))
+    def test_refuses_what_the_stdlib_refuses_with_its_text(self, x) -> None:
+        assert _outcome(cli._json_text, x) == _outcome(_stdlib_text, x)
+
+    @pytest.mark.parametrize("bad", _NON_FINITE)
+    @pytest.mark.parametrize("place", [
+        lambda v: v,
+        lambda v: [1.0, 2.0, v, 1.0],
+        lambda v: [1, "a", v],
+        lambda v: {"b": {"c": [0.0, -0.0, v]}, "a": 1.0},
+        lambda v: ([[0.5] * 3, (v,)],),
+    ])
+    def test_a_non_finite_float_anywhere_raises_the_stdlib_error(self, bad, place) -> None:
+        with pytest.raises(ValueError) as err:
+            cli._json_text(place(bad))
+        assert str(err.value) == ("Out of range float values are not JSON compliant: "
+                                  + repr(bad))
+
+    @pytest.mark.parametrize("x", [
+        {1: [1.5, 2.5], "2": None},  # keys the stdlib cannot sort
+        {"a": [{1: 0.5, 2.5: [True, -0.0], -3: {}}]},  # non-str keys it converts
+        {"a": {None: "x", False: 1e-05}},
+        [1.0, object()],
+        {"a": {"b": b"bytes"}},
+        np.float64(0.25),
+        [np.float64(1e-05), 3.0],
+    ])
+    def test_other_types_go_to_the_stdlib(self, x) -> None:
+        assert _outcome(cli._json_text, x) == _outcome(_stdlib_text, x)

@@ -14,6 +14,7 @@ from hypertest.budget import DEFAULT_BUDGET, BudgetError, limit
 from functools import reduce
 
 from hypertest.density import (
+    _MC_BLOCK,
     SampleDistribution,
     _match_probs,
     _mean_outer,
@@ -33,6 +34,7 @@ from hypertest.density import (
 )
 from hypertest.graphon import (
     StepGraphon,
+    VertexGraphon,
     _grid_cells,
     constant_graphon,
     embed,
@@ -42,7 +44,13 @@ from hypertest.graphon import (
     sample_graphon,
     subsets_card_lex,
 )
-from hypertest.hypercore import SampledColoredGraph, colex_edges, make_hypergraph, sample_subgraph
+from hypertest.hypercore import (
+    ColoredHypergraph,
+    SampledColoredGraph,
+    colex_edges,
+    make_hypergraph,
+    sample_subgraph,
+)
 from hypertest.seeds import derive_seed, generator
 
 # cycle 0-1-2-3-4-0 written in colex pair order
@@ -180,6 +188,37 @@ class TestDensityGraphon:
         for source in (random_step_graphon(2, 2, 2, 2, seed=1), embed(C5), C5):
             est, se = density_mc(f, source, trials=1, seed=0)
             assert 0.0 <= est <= 1.0 and se is None
+
+    @staticmethod
+    def _unblocked_mc(f, source, trials, seed):
+        """density_mc over all trials in one pass: the blocked loop's reference."""
+        rng, q = generator(seed), f.n
+        if isinstance(source, ColoredHypergraph):
+            rows = np.sort(rng.random((trials, source.n)).argsort(axis=1)[:, :q], axis=1)
+        elif isinstance(source, VertexGraphon):
+            rows = rng.integers(0, source.n, size=(trials, q))
+        else:
+            coords = rng.random((trials, len(sample_coordinates(q, source.r))))
+            rows = _grid_cells(coords, source.partition.resolution)
+        x = _match_probs(source, rows, q, f.colors)
+        return float(x.mean()), float(x.std(ddof=1) / np.sqrt(trials)) if trials > 1 else None
+
+    @pytest.mark.parametrize("trials", [1, 2, _MC_BLOCK - 1, _MC_BLOCK, _MC_BLOCK + 1,
+                                        3 * _MC_BLOCK + 5])
+    @pytest.mark.parametrize("kind", ["graph", "vertex-graphon", "step-r2", "step-r3"])
+    def test_blocks_give_the_unblocked_estimate(self, kind, trials):
+        f = make_hypergraph(3, 2, 2, [1, 2, 1])
+        if kind == "graph":
+            source = C5
+        elif kind == "vertex-graphon":
+            source = embed(C5)
+        elif kind == "step-r2":
+            source = random_step_graphon(2, 2, t=3, resolution=3, seed=4)
+        else:
+            f = make_hypergraph(4, 3, 2, [1, 2, 2, 1])
+            source = random_step_graphon(3, 2, t=2, resolution=2, seed=5)
+        got = density_mc(f, source, trials=trials, seed=trials)
+        assert repr(got) == repr(self._unblocked_mc(f, source, trials, trials))
 
     @pytest.mark.parametrize("trials", [0, -1])
     def test_monte_carlo_needs_a_trial(self, trials):

@@ -1,3 +1,5 @@
+import time
+import tracemalloc
 from itertools import combinations, permutations, product
 from math import comb
 
@@ -153,6 +155,22 @@ def test_enumerate_colorings_budget_refusal() -> None:
     g = make_hypergraph(4, 2, 1, [1] * 6)
     with limit(63), pytest.raises(BudgetError):
         list(enumerate_colorings(g, 2))
+
+
+def test_a_huge_refinement_count_is_refused_unbuilt() -> None:
+    # (2^100 + 1)^100128 refinements is a 10^7-bit count, which took 2 s
+    # and 1.25 MB to build: it is sized by its exponent and refused unbuilt
+    g = make_hypergraph(448, 2, 1, [1] * comb(448, 2))
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        with pytest.raises(BudgetError, match="^refinement enumeration: "):
+            next(enumerate_colorings(g, 2**100 + 1))
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 0.5 and peak < 2**20
 
 
 def test_discolor_roundtrip_exhaustive() -> None:

@@ -2,6 +2,8 @@
 
 import hashlib
 import json
+import time
+import tracemalloc
 from math import comb
 
 import numpy as np
@@ -370,6 +372,24 @@ class TestFarness:
         fourth = PropertyFn("all-fourth", 2, 4, lambda h: all(c == 4 for c in h.colors))
         with pytest.raises(ValueError, match=r"'all-fourth' expects palette \(2, 4\)"):
             far_from_property(fourth, empty_graph(4), 0.1)
+
+    def test_a_huge_brute_force_count_is_refused_unbuilt(self):
+        # (2^100 + 1)^100128 candidate colorings is a 10^7-bit count, which
+        # took 2 s and 1.25 MB to build: it is sized by its exponent and
+        # refused unbuilt
+        k = 2**100 + 1
+        anything = PropertyFn("anything", 2, k, lambda h: True)
+        g = make_hypergraph(448, 2, k, [1] * comb(448, 2))
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            with pytest.raises(BudgetError, match="^property edit distance: "):
+                far_from_property(anything, g, 0.1)
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 0.5 and peak < 2**20
 
     def test_unknown_normalization_rejected(self):
         with pytest.raises(ValueError, match="normalization"):
